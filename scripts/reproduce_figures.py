@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Run every figure preset and write one CSV per figure.
 
-Desk scale by default (1000 replications); pass --reps 1000000 to match the
-reference protocol if you have the patience.
+A loop over ``bestarm reproduce-figure``.  Desk scale by default (1000
+replications); pass --reps 1000000 to match the reference protocol if you
+have the patience.
 
     python scripts/reproduce_figures.py --reps 1000 --seed 42 --outdir results/
 """
 
 import argparse
 import pathlib
-import time
 
-from bestarm import presets, records_io
-from bestarm.harness import run_fb_experiment, run_fc_experiment
+from bestarm import cli, presets
 
 
 def main() -> int:
@@ -27,14 +26,11 @@ def main() -> int:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in args.figures:
-        start = time.time()
-        records = []
-        for cfg in presets.figure_configs(name, args.reps, args.seed):
-            runner = run_fb_experiment if cfg.algorithm.is_fixed_budget else run_fc_experiment
-            records.extend(runner(cfg, workers=args.workers))
-        path = outdir / f"{name}.csv"
-        records_io.write_records(records, str(path))
-        print(f"{name}: {len(records)} records -> {path} ({time.time() - start:.1f}s)")
+        code = cli.main(["reproduce-figure", name, "--reps", str(args.reps),
+                         "--seed", str(args.seed), "--workers", str(args.workers),
+                         "--out", str(outdir / f"{name}.csv")])
+        if code:
+            return code
     return 0
 
 

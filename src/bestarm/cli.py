@@ -73,10 +73,19 @@ def build_instance(family: str, means: list[float],
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None):
-        return int(args.workers)
-    env = os.environ.get("BAI_WORKERS", "")
-    return int(env) if env.strip() else 1
+    """--workers (or the config file's value), else BAI_WORKERS, else 1; must be >= 1."""
+    workers = getattr(args, "workers", None)
+    source = "--workers"
+    if workers is None:
+        workers = os.environ.get("BAI_WORKERS", "").strip() or 1
+        source = "BAI_WORKERS"
+    try:
+        count = int(workers)
+    except (TypeError, ValueError):
+        raise BestArmError(f"{source} must be an integer, got {workers!r}") from None
+    if count < 1:
+        raise BestArmError(f"{source} must be >= 1, got {count}")
+    return count
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:

@@ -59,9 +59,20 @@ def bernoulli_kl(x, y):
         raise DomainError("bernoulli_kl second argument must lie in (0, 1)")
     if np.any(xa < 0.0) or np.any(xa > 1.0):
         raise DomainError("bernoulli_kl first argument must lie in [0, 1]")
+    # log1p keeps each term accurate relative to its size; where |h| is below
+    # 1e-6 min(y, 1-y) the two terms still cancel to rounding noise (the sum
+    # could come out negative), and the third-order Taylor series in
+    # a = -h/y, b = h/(1-y) is used instead: d = sum_k [y a^k + (1-y) b^k] / (k(k-1)).
+    h = xa - ya
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(xa > 0.0, xa * np.log(xa / ya), 0.0) \
-            + np.where(xa < 1.0, (1.0 - xa) * np.log((1.0 - xa) / (1.0 - ya)), 0.0)
+        out = np.asarray(np.where(xa > 0.0, xa * np.log1p(h / ya), 0.0)
+                         + np.where(xa < 1.0, (1.0 - xa) * np.log1p(-h / (1.0 - ya)), 0.0))
+    near = np.abs(h) < 1e-6 * np.minimum(ya, 1.0 - ya)
+    if np.any(near):
+        y = np.broadcast_to(ya, near.shape)[near]
+        a = -h[near] / y
+        b = h[near] / (1.0 - y)
+        out[near] = y * a * a * (0.5 + a / 6.0) + (1.0 - y) * b * b * (0.5 + b / 6.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -295,23 +306,44 @@ def same_family(p: ArmDistribution, q: ArmDistribution) -> bool:
     return True
 
 
-def sample_n(dist: ArmDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws from one arm (float array)."""
-    if isinstance(dist, Gaussian):
-        return dist.mean + dist.sigma * rng.standard_normal(n)
-    if isinstance(dist, Bernoulli):
-        return (rng.random(n) < dist.mean).astype(float)
+def sampler(dist: ArmDistribution):
+    """(fill, finish) for one arm: ``fill(rng, out)`` writes standard variates
+    into ``out`` and ``finish(raw)`` maps an array of them to draws.
+
+    Splitting the two lets a caller fill many rows, each from its own
+    stream, and finish them all in one pass; draws equal :func:`sample_n`'s.
+    """
     if isinstance(dist, ExpFamilyArm):
         fid = dist.family_desc.family_id
-        if fid == "bernoulli":
-            return (rng.random(n) < dist.mean).astype(float)
         if fid.startswith("gaussian_kv"):
-            sd = math.sqrt(dist.family_desc.known_variance)
-            return dist.mean + sd * rng.standard_normal(n)
+            return _normal_sampler(dist.mean, math.sqrt(dist.family_desc.known_variance))
+        if fid == "bernoulli":
+            return _uniform_sampler(dist.mean)
         if fid == "exponential":
-            return rng.exponential(scale=dist.mean, size=n)
+            scale = dist.mean
+            return (lambda rng, out: rng.standard_exponential(out=out)), (lambda e: scale * e)
         raise DomainError(f"no sampler for exponential family {fid!r}")
+    if isinstance(dist, Gaussian):
+        return _normal_sampler(dist.mean, dist.sigma)
+    if isinstance(dist, Bernoulli):
+        return _uniform_sampler(dist.mean)
     raise FamilyMismatch(f"not an arm distribution: {dist!r}")
+
+
+def _normal_sampler(mean: float, sd: float):
+    return (lambda rng, out: rng.standard_normal(out=out)), (lambda z: mean + sd * z)
+
+
+def _uniform_sampler(p: float):
+    return (lambda rng, out: rng.random(out=out)), (lambda u: (u < p).astype(float))
+
+
+def sample_n(dist: ArmDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n i.i.d. draws from one arm (float array)."""
+    fill, finish = sampler(dist)
+    raw = np.empty(n)
+    fill(rng, raw)
+    return finish(raw)
 
 
 def sample(dist: ArmDistribution, rng: np.random.Generator) -> float:

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import g_alpha, optimal_alpha
-from .dists import BERNOULLI_FAMILY, Bernoulli, ExpFamilyArm, Gaussian, sample_n
+from .dists import (  # noqa: F401  (sample_n: re-exported name)
+    BERNOULLI_FAMILY, Bernoulli, ExpFamilyArm, Gaussian, sample_n)
 from .errors import DegenerateInstance, DomainError
 from .instances import BanditInstance, require_two_armed
-from .fc_algos import RunOutcome
+from .engine import RunOutcome, StoppingRule, run_one
 
 
 @dataclass(frozen=True)
@@ -88,21 +89,32 @@ def allocation_for(instance: BanditInstance, t: int, policy: str) -> StaticAlloc
     raise DomainError(f"unknown allocation policy {policy!r}")
 
 
+class StaticRule(StoppingRule):
+    """Draw the allocation, recommend the larger empirical mean (tie -> arm 0).
+
+    One step that always stops: the engine draws n1 then n2 samples per row.
+    """
+
+    def __init__(self, instance: BanditInstance, alloc: StaticAllocation):
+        require_two_armed(instance)
+        super().__init__(instance, 1)
+        self.alloc = alloc
+
+    def chunk(self, done, n):
+        return self.alloc.n1, self.alloc.n2, None
+
+    def scan(self, shared, carry, x, y):
+        leads = (x.sum(axis=1) / self.alloc.n1 >= y.sum(axis=1) / self.alloc.n2)[:, None]
+        return np.ones_like(leads), leads, carry
+
+    def draws(self, steps):
+        return self.alloc.budget, self.alloc.n1
+
+
 def run_static(instance: BanditInstance, alloc: StaticAllocation,
                rng: np.random.Generator) -> RunOutcome:
     """Draw the allocation, recommend the larger empirical mean (tie -> arm 0)."""
-    require_two_armed(instance)
-    a1, a2 = instance.arms
-    m1 = float(np.mean(sample_n(a1, rng, alloc.n1)))
-    m2 = float(np.mean(sample_n(a2, rng, alloc.n2)))
-    rec = 0 if m1 >= m2 else 1
-    return RunOutcome(
-        tau=alloc.budget,
-        recommended=rec,
-        correct=(rec == instance.best_arm),
-        draws_per_arm=(alloc.n1, alloc.n2),
-        exhausted=False,
-    )
+    return run_one(StaticRule(instance, alloc), rng)
 
 
 def theoretical_error_bound(instance: BanditInstance, alloc: StaticAllocation) -> float:

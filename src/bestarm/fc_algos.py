@@ -26,24 +26,26 @@ toward the lowest index, deterministically):
 Runs are pure given their Generator; a safety cap ``tau_max`` (default
 ceil(50 log(1/delta) / I_*(nu))) bounds the sampling and is surfaced via
 the ``exhausted`` flag, never as an error.
+
+Each strategy is a :class:`~bestarm.engine.StoppingRule`, validated once
+per cell, that supplies only its per-chunk threshold and its statistic;
+:mod:`bestarm.engine` runs it.  The ``run_*`` functions are one-row
+blocks on the caller's Generator.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .complexity import i_star_bernoulli, i_star_fc
-from .dists import Gaussian, sample_n
+from .dists import Gaussian, sample_n  # noqa: F401  (sample_n: re-exported name)
+from .engine import RunOutcome, StoppingRule, run_one
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
-
-_CHUNK0 = 64
-_CHUNK_MAX = 4096
 
 #: Above this delta the iterated-log rate's "delta small enough" guarantee
 #: is undocumented; evaluation proceeds with a warning.
@@ -116,31 +118,9 @@ def eval_rate(rate: ExplorationRate, t, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    """One algorithm execution: total draws, recommendation and bookkeeping."""
-
-    tau: int
-    recommended: int
-    correct: bool
-    draws_per_arm: tuple[int, int]
-    exhausted: bool
-
-
 def default_tau_max(instance: BanditInstance, delta: float) -> int:
     """Safety cap ceil(50 log(1/delta) / I_*(nu)) on the total draw count."""
     return int(math.ceil(50.0 * math.log(1.0 / delta) / i_star_fc(instance)))
-
-
-def _outcome(instance: BanditInstance, tau: int, recommended: int,
-             draws: tuple[int, int], exhausted: bool) -> RunOutcome:
-    return RunOutcome(
-        tau=tau,
-        recommended=recommended,
-        correct=(recommended == instance.best_arm),
-        draws_per_arm=draws,
-        exhausted=exhausted,
-    )
 
 
 def _equal_variance_sigma(instance: BanditInstance) -> float:
@@ -153,45 +133,151 @@ def _equal_variance_sigma(instance: BanditInstance) -> float:
     return a1.sigma
 
 
+def _paired_steps(instance: BanditInstance, delta: float, tau_max: int | None) -> int:
+    if tau_max is None:
+        tau_max = default_tau_max(instance, delta)
+    return max(1, tau_max // 2)
+
+
+class EliminationRule(StoppingRule):
+    """Paired-sampling elimination; see the module docstring for the rule."""
+
+    def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
+                 tau_max: int | None = None, sigma: float | None = None):
+        require_two_armed(instance)
+        if not (0.0 < delta <= 0.15):
+            raise DomainError(f"elimination requires delta in (0, 0.15], got {delta}")
+        validate_rate(rate, delta)
+        if sigma is None:
+            sigma = _equal_variance_sigma(instance)
+        elif not sigma > 0:
+            raise DomainError(f"sigma must be positive, got {sigma}")
+        super().__init__(instance, _paired_steps(instance, delta, tau_max))
+        self.rate, self.delta, self.sigma = rate, delta, sigma
+
+    def chunk(self, done, n):
+        ts = 2 * np.arange(done + 1, done + n + 1)
+        return n, n, np.sqrt(2.0 * self.sigma**2 * ts * _rate_values(self.rate, ts, self.delta))
+
+    def scan(self, thresholds, carry, x, y):
+        sums = carry + np.cumsum(x - y, axis=1)
+        return np.abs(sums) > thresholds, sums >= 0.0, sums[:, -1:]
+
+
+class AlphaEliminationRule(StoppingRule):
+    """Deterministic-schedule elimination with N1(t) = ceil(alpha*t), one draw per step."""
+
+    width = 2
+
+    def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
+                 alpha: float | None = None, tau_max: int | None = None):
+        require_two_armed(instance)
+        a1, a2 = instance.arms
+        if not (isinstance(a1, Gaussian) and isinstance(a2, Gaussian)):
+            raise DomainError("alpha-elimination needs Gaussian arms with known variances")
+        validate_rate(rate, delta)
+        if alpha is None:
+            alpha = a1.sigma / (a1.sigma + a2.sigma)
+        if not (0.0 < alpha < 1.0):
+            raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        if tau_max is None:
+            tau_max = default_tau_max(instance, delta)
+        super().__init__(instance, max(tau_max, 0))
+        self.rate, self.delta, self.alpha = rate, delta, alpha
+        self.var1, self.var2 = a1.variance, a2.variance
+
+    def chunk(self, done, n):
+        ts = np.arange(done, done + n + 1)
+        n1 = np.ceil(self.alpha * ts).astype(np.int64)
+        takes_arm1 = n1[1:] != n1[:-1]
+        c1 = int(n1[-1] - n1[0])
+        ts, n1 = ts[1:], n1[1:]
+        n2 = ts - n1
+        var_t = self.var1 / np.maximum(n1, 1) + self.var2 / np.maximum(n2, 1)
+        thr = np.sqrt(2.0 * var_t * _rate_values(self.rate, np.maximum(ts, 2), self.delta))
+        testable = (n1 >= 1) & (n2 >= 1) & (ts >= 2)
+        return c1, n - c1, (takes_arm1, n1, n2, testable, thr)
+
+    def scan(self, shared, carry, x, y):
+        takes_arm1, n1, n2, testable, thr = shared
+        inc1 = np.zeros((len(carry), takes_arm1.size))
+        inc2 = np.zeros_like(inc1)
+        inc1[:, takes_arm1] = x
+        inc2[:, ~takes_arm1] = y
+        cum1 = carry[:, :1] + np.cumsum(inc1, axis=1)
+        cum2 = carry[:, 1:] + np.cumsum(inc2, axis=1)
+        m1 = cum1 / np.maximum(n1, 1)
+        m2 = cum2 / np.maximum(n2, 1)
+        hits = testable & (np.abs(m1 - m2) > thr)
+        return hits, m1 >= m2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
+
+    def draws(self, steps):
+        return steps, math.ceil(self.alpha * steps)
+
+
+class SglrtRule(StoppingRule):
+    """Sequential GLRT on Bernoulli arms, uniform sampling, even-t stopping."""
+
+    width = 2
+
+    def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
+                 tau_max: int | None = None):
+        require_two_armed(instance)
+        if not instance.is_bernoulli:
+            raise DomainError("the sequential GLRT is defined for Bernoulli arms")
+        if not (0.0 < delta < 1.0):
+            raise DomainError(f"delta must lie in (0, 1), got {delta}")
+        validate_rate(rate, delta)
+        super().__init__(instance, _paired_steps(instance, delta, tau_max))
+        self.rate, self.delta = rate, delta
+
+    def chunk(self, done, n):
+        ks = np.arange(done + 1, done + n + 1)
+        return n, n, (ks, 2 * ks, _rate_values(self.rate, 2 * ks, self.delta))
+
+    def scan(self, shared, carry, x, y):
+        ks, ts, beta = shared
+        cum1 = carry[:, :1] + np.cumsum(x, axis=1)
+        cum2 = carry[:, 1:] + np.cumsum(y, axis=1)
+        m1 = cum1 / ks
+        m2 = cum2 / ks
+        hits = ts * i_star_bernoulli(m1, m2) > beta
+        return hits, m1 >= m2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
+
+
+class SprtRule(StoppingRule):
+    """Known-gap SPRT on a common-variance Gaussian instance.
+
+    The exact paired log-likelihood ratio is (Delta/sigma^2) * sum(X_s - Y_s);
+    ``use_paper_statistic`` drops the 1/sigma^2 factor to match the plotted
+    statistic |Delta * sum(X_s - Y_s)| of the reference experiments.
+    """
+
+    def __init__(self, instance: BanditInstance, delta: float, tau_max: int | None = None,
+                 use_paper_statistic: bool = False):
+        require_two_armed(instance)
+        if not (0.0 < delta < 1.0):
+            raise DomainError(f"delta must lie in (0, 1), got {delta}")
+        sigma = _equal_variance_sigma(instance)
+        steps = _paired_steps(instance, delta, tau_max)
+        a1, a2 = instance.arms
+        gap = abs(a1.mean - a2.mean)
+        if gap == 0.0:
+            raise DomainError("the SPRT oracle needs a nonzero gap")
+        super().__init__(instance, steps)
+        self.coef = gap if use_paper_statistic else gap / sigma**2
+        self.threshold = math.log(1.0 / delta)
+
+    def scan(self, shared, carry, x, y):
+        llr = carry + self.coef * np.cumsum(x - y, axis=1)
+        return np.abs(llr) > self.threshold, llr >= 0.0, llr[:, -1:]
+
+
 def run_elimination(instance: BanditInstance, delta: float, rate: ExplorationRate,
                     rng: np.random.Generator, tau_max: int | None = None,
                     sigma: float | None = None) -> RunOutcome:
     """Paired-sampling elimination; see the module docstring for the rule."""
-    require_two_armed(instance)
-    if not (0.0 < delta <= 0.15):
-        raise DomainError(f"elimination requires delta in (0, 0.15], got {delta}")
-    validate_rate(rate, delta)
-    if sigma is None:
-        sigma = _equal_variance_sigma(instance)
-    elif not sigma > 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if tau_max is None:
-        tau_max = default_tau_max(instance, delta)
-    a1, a2 = instance.arms
-    k_cap = max(1, tau_max // 2)
-
-    running = 0.0
-    k_done = 0
-    chunk = _CHUNK0
-    while k_done < k_cap:
-        n = min(chunk, k_cap - k_done)
-        x = sample_n(a1, rng, n)
-        y = sample_n(a2, rng, n)
-        sums = running + np.cumsum(x - y)
-        ks = np.arange(k_done + 1, k_done + n + 1)
-        ts = 2 * ks
-        thresholds = np.sqrt(2.0 * sigma**2 * ts * _rate_values(rate, ts, delta))
-        hits = np.abs(sums) > thresholds
-        if hits.any():
-            i = int(np.argmax(hits))
-            k_stop = int(ks[i])
-            rec = 0 if sums[i] >= 0.0 else 1
-            return _outcome(instance, 2 * k_stop, rec, (k_stop, k_stop), False)
-        running = float(sums[-1])
-        k_done += n
-        chunk = min(2 * chunk, _CHUNK_MAX)
-    rec = 0 if running >= 0.0 else 1
-    return _outcome(instance, 2 * k_cap, rec, (k_cap, k_cap), True)
+    return run_one(EliminationRule(instance, delta, rate, tau_max, sigma), rng)
 
 
 def run_alpha_elimination(instance: BanditInstance, delta: float,
@@ -199,143 +285,17 @@ def run_alpha_elimination(instance: BanditInstance, delta: float,
                           alpha: float | None = None,
                           tau_max: int | None = None) -> RunOutcome:
     """Deterministic-schedule elimination with N1(t) = ceil(alpha*t)."""
-    require_two_armed(instance)
-    a1, a2 = instance.arms
-    if not (isinstance(a1, Gaussian) and isinstance(a2, Gaussian)):
-        raise DomainError("alpha-elimination needs Gaussian arms with known variances")
-    validate_rate(rate, delta)
-    if alpha is None:
-        alpha = a1.sigma / (a1.sigma + a2.sigma)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if tau_max is None:
-        tau_max = default_tau_max(instance, delta)
-    var1, var2 = a1.variance, a2.variance
-
-    t_done = 0
-    n1_done = 0
-    sum1 = 0.0
-    sum2 = 0.0
-    chunk = _CHUNK0
-    while t_done < tau_max:
-        n = min(chunk, tau_max - t_done)
-        ts = np.arange(t_done + 1, t_done + n + 1)
-        n1 = np.ceil(alpha * ts).astype(np.int64)
-        n2 = ts - n1
-        takes_arm1 = np.empty(n, dtype=bool)
-        takes_arm1[0] = n1[0] != n1_done
-        takes_arm1[1:] = n1[1:] != n1[:-1]
-        c1 = int(n1[-1] - n1_done)
-        inc1 = np.zeros(n)
-        inc2 = np.zeros(n)
-        if c1 > 0:
-            inc1[takes_arm1] = sample_n(a1, rng, c1)
-        if n - c1 > 0:
-            inc2[~takes_arm1] = sample_n(a2, rng, n - c1)
-        cum1 = sum1 + np.cumsum(inc1)
-        cum2 = sum2 + np.cumsum(inc2)
-        testable = (n1 >= 1) & (n2 >= 1) & (ts >= 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff = np.abs(cum1 / n1 - cum2 / np.maximum(n2, 1))
-            var_t = var1 / np.maximum(n1, 1) + var2 / np.maximum(n2, 1)
-            thr = np.sqrt(2.0 * var_t * _rate_values(rate, np.maximum(ts, 2), delta))
-        hits = testable & (diff > thr)
-        if hits.any():
-            i = int(np.argmax(hits))
-            t_stop, n1_stop = int(ts[i]), int(n1[i])
-            rec = 0 if cum1[i] / n1[i] >= cum2[i] / n2[i] else 1
-            return _outcome(instance, t_stop, rec, (n1_stop, t_stop - n1_stop), False)
-        sum1, sum2 = float(cum1[-1]), float(cum2[-1])
-        t_done += n
-        n1_done = int(n1[-1])
-        chunk = min(2 * chunk, _CHUNK_MAX)
-    m1 = sum1 / max(n1_done, 1)
-    m2 = sum2 / max(t_done - n1_done, 1)
-    rec = 0 if m1 >= m2 else 1
-    return _outcome(instance, t_done, rec, (n1_done, t_done - n1_done), True)
+    return run_one(AlphaEliminationRule(instance, delta, rate, alpha, tau_max), rng)
 
 
 def run_sglrt(instance: BanditInstance, delta: float, rate: ExplorationRate,
               rng: np.random.Generator, tau_max: int | None = None) -> RunOutcome:
     """Sequential GLRT on Bernoulli arms, uniform sampling, even-t stopping."""
-    require_two_armed(instance)
-    if not instance.is_bernoulli:
-        raise DomainError("the sequential GLRT is defined for Bernoulli arms")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    validate_rate(rate, delta)
-    if tau_max is None:
-        tau_max = default_tau_max(instance, delta)
-    a1, a2 = instance.arms
-    k_cap = max(1, tau_max // 2)
-
-    s1 = 0
-    s2 = 0
-    k_done = 0
-    chunk = _CHUNK0
-    while k_done < k_cap:
-        n = min(chunk, k_cap - k_done)
-        x = sample_n(a1, rng, n)
-        y = sample_n(a2, rng, n)
-        cum1 = s1 + np.cumsum(x)
-        cum2 = s2 + np.cumsum(y)
-        ks = np.arange(k_done + 1, k_done + n + 1)
-        ts = 2 * ks
-        m1 = cum1 / ks
-        m2 = cum2 / ks
-        stats = ts * i_star_bernoulli(m1, m2)
-        hits = stats > _rate_values(rate, ts, delta)
-        if hits.any():
-            i = int(np.argmax(hits))
-            k_stop = int(ks[i])
-            rec = 0 if m1[i] >= m2[i] else 1
-            return _outcome(instance, 2 * k_stop, rec, (k_stop, k_stop), False)
-        s1, s2 = float(cum1[-1]), float(cum2[-1])
-        k_done += n
-        chunk = min(2 * chunk, _CHUNK_MAX)
-    rec = 0 if s1 >= s2 else 1
-    return _outcome(instance, 2 * k_cap, rec, (k_cap, k_cap), True)
+    return run_one(SglrtRule(instance, delta, rate, tau_max), rng)
 
 
 def run_sprt_oracle(instance: BanditInstance, delta: float,
                     rng: np.random.Generator, tau_max: int | None = None,
                     use_paper_statistic: bool = False) -> RunOutcome:
-    """Known-gap SPRT on a common-variance Gaussian instance.
-
-    The exact paired log-likelihood ratio is (Delta/sigma^2) * sum(X_s - Y_s);
-    ``use_paper_statistic`` drops the 1/sigma^2 factor to match the plotted
-    statistic |Delta * sum(X_s - Y_s)| of the reference experiments.
-    """
-    require_two_armed(instance)
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    sigma = _equal_variance_sigma(instance)
-    if tau_max is None:
-        tau_max = default_tau_max(instance, delta)
-    a1, a2 = instance.arms
-    gap = abs(a1.mean - a2.mean)
-    if gap == 0.0:
-        raise DomainError("the SPRT oracle needs a nonzero gap")
-    coef = gap if use_paper_statistic else gap / sigma**2
-    threshold = math.log(1.0 / delta)
-    k_cap = max(1, tau_max // 2)
-
-    running = 0.0
-    k_done = 0
-    chunk = _CHUNK0
-    while k_done < k_cap:
-        n = min(chunk, k_cap - k_done)
-        x = sample_n(a1, rng, n)
-        y = sample_n(a2, rng, n)
-        llr = running + coef * np.cumsum(x - y)
-        hits = np.abs(llr) > threshold
-        if hits.any():
-            i = int(np.argmax(hits))
-            k_stop = k_done + i + 1
-            rec = 0 if llr[i] >= 0.0 else 1
-            return _outcome(instance, 2 * k_stop, rec, (k_stop, k_stop), False)
-        running = float(llr[-1])
-        k_done += n
-        chunk = min(2 * chunk, _CHUNK_MAX)
-    rec = 0 if running >= 0.0 else 1
-    return _outcome(instance, 2 * k_cap, rec, (k_cap, k_cap), True)
+    """Known-gap SPRT on a common-variance Gaussian instance (see :class:`SprtRule`)."""
+    return run_one(SprtRule(instance, delta, tau_max, use_paper_statistic), rng)

@@ -1,10 +1,15 @@
 """Deterministic Monte Carlo experiment engine.
 
-Replication r of grid cell g runs on a generator seeded by an avalanche
-mix of (master_seed, g, r), so results are independent of execution order
-and of the worker count: per-cell aggregation reduces integer counts and
-integer sums (tau and tau^2), which commute exactly.  Records therefore
-come out byte-identical for any ``workers`` value.
+Replication r of grid cell g reads the PCG64 stream of
+``SeedSequence(master_seed, spawn_key=(g,))`` from offset r * 2**64 (see
+:mod:`bestarm.rng`), so its draws depend only on (master_seed, g, r) and
+never on execution order, block layout or the worker count.  Each cell
+(or worker task) validates its stopping rule once and runs its
+replications through the batched engine :func:`engine.run_rows`;
+aggregation reduces integer counts and integer sums (tau and tau^2), which
+commute exactly.  Records therefore come out byte-identical for any
+``workers`` value, and configs sharing a master seed see the same draws
+(common random numbers).
 
 The module also houses the self-normalized deviation-bound calculator
 (zeta-series bound on the probability that a subgaussian random walk ever
@@ -20,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fb_algos, fc_algos
+from . import engine, fb_algos, fc_algos
 from .errors import DomainError
 from .instances import BanditInstance
-from .rng import make_rng, mix_seed
+from .rng import make_rng, mix_seed, seek  # noqa: F401  (mix_seed: re-exported name)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -137,46 +142,33 @@ def wilson_halfwidth(errors: int, n: int, z: float = _WILSON_Z) -> float:
     return (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
 
 
-def run_once(instance: BanditInstance, spec: AlgorithmSpec, grid_value: float,
-             rng: np.random.Generator) -> fc_algos.RunOutcome:
-    """Dispatch a single replication."""
+def _plan(cfg: ExperimentConfig, grid_index: int) -> engine.StoppingRule:
+    """The validated stopping rule of one grid cell."""
+    spec, instance, value = cfg.algorithm, cfg.instance, cfg.grid[grid_index]
     if spec.kind == "elimination":
-        return fc_algos.run_elimination(
-            instance, grid_value, spec.rate, rng,
-            tau_max=spec.tau_max, sigma=spec.sigma)
+        return fc_algos.EliminationRule(instance, value, spec.rate, spec.tau_max, spec.sigma)
     if spec.kind == "alpha-elimination":
-        return fc_algos.run_alpha_elimination(
-            instance, grid_value, spec.rate, rng,
-            alpha=spec.alpha, tau_max=spec.tau_max)
+        return fc_algos.AlphaEliminationRule(instance, value, spec.rate, spec.alpha,
+                                             spec.tau_max)
     if spec.kind == "sglrt":
-        return fc_algos.run_sglrt(
-            instance, grid_value, spec.rate, rng, tau_max=spec.tau_max)
+        return fc_algos.SglrtRule(instance, value, spec.rate, spec.tau_max)
     if spec.kind == "sprt":
-        return fc_algos.run_sprt_oracle(
-            instance, grid_value, rng, tau_max=spec.tau_max,
-            use_paper_statistic=spec.sprt_paper_statistic)
+        return fc_algos.SprtRule(instance, value, spec.tau_max, spec.sprt_paper_statistic)
     if spec.kind == "static":
-        alloc = fb_algos.allocation_for(instance, int(grid_value), spec.allocation)
-        return fb_algos.run_static(instance, alloc, rng)
+        alloc = fb_algos.allocation_for(instance, int(value), spec.allocation)
+        return fb_algos.StaticRule(instance, alloc)
     raise DomainError(f"unknown algorithm kind {spec.kind!r}")
 
 
 def _cell_chunk(cfg: ExperimentConfig, grid_index: int,
                 r_start: int, r_stop: int) -> tuple[int, int, int, int]:
     """Exact integer partial sums (errors, sum tau, sum tau^2, exhausted)."""
-    grid_value = cfg.grid[grid_index]
-    errors = 0
-    sum_tau = 0
-    sumsq_tau = 0
-    exhausted = 0
-    for r in range(r_start, r_stop):
-        rng = make_rng(mix_seed(cfg.master_seed, grid_index, r))
-        out = run_once(cfg.instance, cfg.algorithm, grid_value, rng)
-        errors += 0 if out.correct else 1
-        sum_tau += out.tau
-        sumsq_tau += out.tau * out.tau
-        exhausted += 1 if out.exhausted else 0
-    return errors, sum_tau, sumsq_tau, exhausted
+    rule = _plan(cfg, grid_index)
+    rng = make_rng(cfg.master_seed, grid_index)
+    tau, recommended, _, exhausted = engine.run_rows(rule, rng, range(r_start, r_stop))
+    taus = tau.tolist()
+    return (int(np.count_nonzero(recommended != rule.best_arm)), sum(taus),
+            sum(t * t for t in taus), int(np.count_nonzero(exhausted)))
 
 
 def _cell_chunk_star(args) -> tuple[int, int, int, int]:
@@ -304,17 +296,24 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
     """Fraction of Gaussian random-walk paths crossing the envelope by ``horizon``.
 
     A finite-horizon lower estimate of the infinite-horizon crossing
-    probability bounded by :func:`deviation_bound`.  Path i uses the
-    generator seeded by mix(master_seed, i), so the estimate is monotone in
-    the horizon for a fixed seed (nested draw prefixes).
+    probability bounded by :func:`deviation_bound`.  Path i reads the PCG64
+    stream of ``SeedSequence(master_seed)`` from offset i * 2**64, so the
+    estimate is monotone in the horizon for a fixed seed (nested draw
+    prefixes).  Paths are scanned in blocks of at most
+    ``engine.BLOCK_ELEMENTS`` draws.
     """
     if horizon < 1 or paths < 1:
         raise DomainError("horizon and paths must be >= 1")
     threshold = lil_envelope(sigma, x, beta, horizon)
+    rng = make_rng(master_seed)
+    root = rng.bit_generator.state
+    per_block = max(1, engine.BLOCK_ELEMENTS // horizon)
     crossed = 0
-    for i in range(paths):
-        rng = make_rng(mix_seed(master_seed, i))
-        walk = np.cumsum(sigma * rng.standard_normal(horizon))
-        if np.any(walk > threshold):
-            crossed += 1
+    for lo in range(0, paths, per_block):
+        z = np.empty((min(per_block, paths - lo), horizon))
+        for i, row in enumerate(z):
+            seek(rng.bit_generator, root, lo + i)
+            rng.standard_normal(out=row)
+        walks = np.cumsum(sigma * z, axis=1)
+        crossed += int(np.count_nonzero((walks > threshold).any(axis=1)))
     return crossed / paths

@@ -169,8 +169,8 @@ def test_criterion_4_delta_pac_suite():
 
 def test_criterion_5_fixed_budget_slope():
     # Verbatim grid; cells with zero observed errors carry no log estimate
-    # and are excluded (the exact p_t is below 1/N beyond t=40; see the
-    # decisions ledger for why this criterion is expected to starve).
+    # and are excluded (the exact p_t = Phi(-sqrt(t)/2) is below 1/N beyond
+    # t=40; the README's known caveat explains why this criterion starves).
     n = 100_000
     cfg = ExperimentConfig(EASY, AlgorithmSpec("static", allocation="uniform"),
                            (40.0, 80.0, 120.0, 160.0, 200.0), n, 7)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -197,16 +198,37 @@ def test_reproduce_figure_smoke(tmp_path):
     assert any(a.startswith("elimination[") for a in algorithms)
 
 
-def test_workers_env_fallback(tmp_path, monkeypatch):
+def test_workers_env_fallback(tmp_path):
     out = tmp_path / "env.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "bestarm", "simulate-fb", "--family", "bernoulli",
          "--means", "0.2,0.1", "--budgets", "100", "--reps", "120",
          "--seed", "4", "--out", str(out)],
         capture_output=True, text=True,
-        env={"BAI_WORKERS": "2", "PATH": "/usr/bin:/bin"})
+        env={**os.environ, "BAI_WORKERS": "2"})
     assert proc.returncode == 0
     assert len(read_records(str(out))) == 1
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--workers", "0"], None),
+    (["--workers", "-2"], "3"),
+    ([], "abc"),
+    ([], "0"),
+])
+def test_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, flags, env):
+    if env is None:
+        monkeypatch.delenv("BAI_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("BAI_WORKERS", env)
+    out = tmp_path / "w.csv"
+    code = main(["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1",
+                 "--budgets", "100", "--reps", "10", "--seed", "4",
+                 "--out", str(out), *flags])
+    err = capsys.readouterr().err.strip()
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_main_returns_int():

@@ -157,7 +157,7 @@ def test_fb_slope_measurable_grid():
     # sound desk-scale variant of the error-exponent check: on budgets where
     # p_t is estimable at this N, the log-error slope matches -1/8 within 20%
     # (the acceptance criterion's literal {40..200} grid starves beyond t=40;
-    # see the decisions ledger)
+    # see the README's known caveat)
     budgets = (16, 24, 32, 40, 48, 56)
     n = 100_000
     points = []

@@ -95,8 +95,9 @@ def test_elimination_structure_and_pac():
 
 def test_elimination_tau_ratio_bands():
     # the delta->0 limit of E[tau]/log(1/delta) is 8 sigma^2/gap^2 = 8; at
-    # delta=1e-3 the Robbins rate inflates it to ~12.4 (see decisions ledger),
-    # while the plain-log rate sits within the +-40% band around 8
+    # delta=1e-3 the Robbins rate inflates it to ~12.4 (near t = 86 it is
+    # ((t+1)/t) log((t+1)/(2 delta)) = 10.8, 1.56 log(1/delta)), while the
+    # plain-log rate sits within the +-40% band around 8
     n = 1500
     delta = 1e-3
     taus_r, taus_p = [], []
@@ -174,7 +175,8 @@ def test_alpha_elimination_allocation_limit():
 
 def test_alpha_elimination_pac_and_tau_band():
     # asymptotic constant 2(s1+s2)^2/gap^2 = 4.5; finite-delta inflation from
-    # the log(t/delta) rate puts the measured ratio near 11 (decisions ledger)
+    # the log(t/delta) rate puts the measured ratio near 11 (near t = 50 the
+    # rate log(t/delta) + 2 loglog(6t) = 12.0 is 2.6 log(1/delta))
     inst = two_armed_gaussian(1.0, 0.0, 1.0, 0.25)
     n = 1500
     delta = 0.01
@@ -224,7 +226,9 @@ def test_sglrt_requires_bernoulli():
 def test_sglrt_tau_against_bounds():
     # SGLRT with its provably safe rate must respect the uniform-sampling
     # lower bound log(1/(2 delta))/I_*; the paper's asymptotic factor-2 cap
-    # is unreachable at this delta (ledger), so only an honest cap is pinned
+    # is unreachable at this delta (for t >= 1000 the rate
+    # 2 log(t (log 3t)^2 / delta) exceeds 5 log(1/delta)), so only an honest
+    # cap is pinned
     n = 400
     delta = 1e-3
     taus = []
@@ -300,8 +304,8 @@ def test_default_tau_max_formula():
 def test_plainlog_error_slope_tracks_complexity():
     # Figure-3-style check: log error vs mean tau is near-linear with slope
     # on the order of -c_star_fc = -0.125. At desk scale (errors >= 1e-4)
-    # the measured slope runs ~1.3x the asymptotic exponent (ledger), so the
-    # band is [0.8, 1.5]x rather than the asymptotic +-20%.
+    # the measured slope runs ~1.3x the asymptotic exponent, so the band is
+    # [0.8, 1.5]x rather than the asymptotic +-20%.
     from bestarm.harness import AlgorithmSpec, ExperimentConfig, run_fc_experiment
 
     cfg = ExperimentConfig(EASY, AlgorithmSpec("elimination", rate=ExplorationRate.PLAIN_LOG),

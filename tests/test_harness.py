@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bestarm import engine, fb_algos, fc_algos
 from bestarm.errors import DomainError
 from bestarm.fc_algos import ExplorationRate
 from bestarm.harness import (
     AlgorithmSpec,
     ExperimentConfig,
+    _aggregate,
     deviation_bound,
     empirical_lil_crossing,
     run_fb_experiment,
@@ -18,7 +22,7 @@ from bestarm.harness import (
     zeta,
 )
 from bestarm.instances import two_armed_bernoulli, two_armed_gaussian
-from bestarm.rng import mix_seed, splitmix64
+from bestarm.rng import STREAM_STRIDE, make_rng, mix_seed, splitmix64
 
 EASY = two_armed_gaussian(0.5, 0.0, 0.25)
 B21 = two_armed_bernoulli(0.2, 0.1)
@@ -105,6 +109,110 @@ def test_fc_pac_cells():
         delta = rec.grid_value
         assert rec.error_rate <= delta + 3 * math.sqrt(delta * (1 - delta) / rec.replications)
         assert rec.exhausted_count == 0
+
+
+# --- engine properties -------------------------------------------------------------
+
+MISMATCHED = two_armed_gaussian(1.0, 0.0, 1.0, 0.25)
+SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@given(reps=st.integers(min_value=1, max_value=40), seed=SEEDS)
+@settings(max_examples=4, deadline=None)
+def test_records_identical_for_one_two_three_workers(reps, seed):
+    configs = [
+        ExperimentConfig(EASY, ELIM, (0.1, 0.01), reps, seed),
+        ExperimentConfig(B21, AlgorithmSpec("static", allocation="optimal"),
+                         (20.0, 60.0), reps, seed),
+    ]
+    for cfg in configs:
+        runner = run_fb_experiment if cfg.algorithm.is_fixed_budget else run_fc_experiment
+        first = runner(cfg, workers=1)
+        assert runner(cfg, workers=2) == first
+        assert runner(cfg, workers=3) == first
+
+
+@given(seed=SEEDS, cell=st.integers(min_value=0, max_value=50),
+       delta=st.sampled_from([0.1, 0.01, 0.001]), reps=st.integers(min_value=1, max_value=300))
+@settings(max_examples=15, deadline=None)
+def test_engine_tau_pathwise_monotone_in_the_rate(seed, cell, delta, reps):
+    # plain-log <= conjectured <= robbins pointwise, so on shared streams no
+    # replication stops later under a smaller threshold
+    taus = []
+    for rate in (ExplorationRate.PLAIN_LOG, ExplorationRate.CONJECTURED_LOG_LOG,
+                 ExplorationRate.ROBBINS_LOG_T):
+        rule = fc_algos.EliminationRule(EASY, delta, rate)
+        taus.append(engine.run_rows(rule, make_rng(seed, cell), range(reps))[0])
+    assert np.all(taus[0] <= taus[1])
+    assert np.all(taus[1] <= taus[2])
+
+
+def _single_run(spec, instance, value, rng):
+    if spec.kind == "elimination":
+        return fc_algos.run_elimination(instance, value, spec.rate, rng,
+                                        tau_max=spec.tau_max, sigma=spec.sigma)
+    if spec.kind == "alpha-elimination":
+        return fc_algos.run_alpha_elimination(instance, value, spec.rate, rng,
+                                              alpha=spec.alpha, tau_max=spec.tau_max)
+    if spec.kind == "sglrt":
+        return fc_algos.run_sglrt(instance, value, spec.rate, rng, tau_max=spec.tau_max)
+    if spec.kind == "sprt":
+        return fc_algos.run_sprt_oracle(instance, value, rng, tau_max=spec.tau_max,
+                                        use_paper_statistic=spec.sprt_paper_statistic)
+    alloc = fb_algos.allocation_for(instance, int(value), spec.allocation)
+    return fb_algos.run_static(instance, alloc, rng)
+
+
+CELLS = [
+    (EASY, AlgorithmSpec("elimination", rate=ExplorationRate.ROBBINS_LOG_T), (0.1, 0.01)),
+    (B21, AlgorithmSpec("elimination", rate=ExplorationRate.PLAIN_LOG, sigma=0.5), (0.05,)),
+    (MISMATCHED, AlgorithmSpec("alpha-elimination", rate=ExplorationRate.ALPHA_ELIM),
+     (0.1, 0.01)),
+    (EASY, AlgorithmSpec("alpha-elimination", rate=ExplorationRate.PLAIN_LOG, alpha=0.8,
+                         tau_max=90), (0.05,)),
+    (B21, AlgorithmSpec("sglrt", rate=ExplorationRate.CONJECTURED_LOG_LOG), (0.1, 0.01)),
+    (two_armed_bernoulli(0.51, 0.5), AlgorithmSpec("sglrt", rate=ExplorationRate.SGLRT,
+                                                   tau_max=300), (0.1,)),
+    (EASY, AlgorithmSpec("sprt", sprt_paper_statistic=True), (0.1, 0.001)),
+    (B21, AlgorithmSpec("static", allocation="optimal"), (30.0, 101.0)),
+    (EASY, AlgorithmSpec("static", allocation="uniform"), (2.0, 17.0)),
+]
+
+
+@given(case=st.sampled_from(CELLS), seed=SEEDS, reps=st.integers(min_value=1, max_value=300))
+@settings(max_examples=20, deadline=None)
+def test_harness_cell_equals_single_runs_on_row_streams(case, seed, reps):
+    instance, spec, grid = case
+    cfg = ExperimentConfig(instance, spec, grid, reps, seed)
+    runner = run_fb_experiment if spec.is_fixed_budget else run_fc_experiment
+    records = runner(cfg)
+    for g in range(len(grid)):
+        assert records[g] == _single_runs_record(cfg, g)
+
+
+def _single_runs_record(cfg, g):
+    """Cell g's record aggregated from single runs on each replication's stream."""
+    outcomes = []
+    for r in range(cfg.replications):
+        rng = make_rng(cfg.master_seed, g)
+        rng.bit_generator.advance(r * STREAM_STRIDE)
+        outcomes.append(_single_run(cfg.algorithm, cfg.instance, cfg.grid[g], rng))
+    partial = (sum(not o.correct for o in outcomes), sum(o.tau for o in outcomes),
+               sum(o.tau * o.tau for o in outcomes), sum(o.exhausted for o in outcomes))
+    return _aggregate(cfg, g, [partial])
+
+
+def test_one_row_blocks_read_their_own_stream_on_every_chunk():
+    # 65 replications end in a one-row lockstep block (row 64), and 130 split
+    # over 2 workers end each task in one (rows 64 and 129); such a row must
+    # keep reading its stream past its first 64 steps, as a single run does
+    spec = AlgorithmSpec("sglrt", rate=ExplorationRate.SGLRT, tau_max=300)
+    for reps in (65, 130):
+        cfg = ExperimentConfig(two_armed_bernoulli(0.51, 0.5), spec, (0.1,), reps, 11)
+        records = run_fc_experiment(cfg)
+        assert records[0].mean_tau > 128  # most rows run past the first chunk
+        assert records[0] == _single_runs_record(cfg, 0)
+        assert run_fc_experiment(cfg, workers=2) == records
 
 
 # --- Wilson interval -------------------------------------------------------------
