@@ -1,8 +1,9 @@
 """Command-line surface: complexity reports, bounds, simulations, presets.
 
 Exit code 0 on success, 2 on any configuration or domain error (single-line
-diagnostic on stderr).  ``--workers`` caps the process pool (env fallback
-``BAI_WORKERS``); outputs are byte-identical for any worker count.
+diagnostic on stderr).  ``--workers k`` (env fallback ``BAI_WORKERS``) runs
+a command's simulations in one process pool with one task per worker;
+outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import bounds, harness, presets, records_io
 from .complexity import complexity_report
-from .dists import EXPONENTIAL_FAMILY, Bernoulli, ExpFamilyArm, Gaussian
+from .dists import EXPONENTIAL_FAMILY, Bernoulli, ExpFamilyArm, Gaussian, mean_to_nat
 from .errors import BestArmError
 from .fc_algos import ExplorationRate
 from .harness import AlgorithmSpec, ExperimentConfig
@@ -66,7 +67,8 @@ def build_instance(family: str, means: list[float],
     elif family == "exponential":
         if variances:
             raise BestArmError("exponential instances take no variances")
-        arms = tuple(ExpFamilyArm(EXPONENTIAL_FAMILY, -1.0 / m) for m in means)
+        arms = tuple(ExpFamilyArm(EXPONENTIAL_FAMILY, mean_to_nat(EXPONENTIAL_FAMILY, m))
+                     for m in means)
     else:
         raise BestArmError(f"unknown family {family!r}")
     return BanditInstance(arms)
@@ -156,11 +158,7 @@ def cmd_bound(args) -> int:
 
 
 def _run_and_write(configs: list[ExperimentConfig], out: str, workers: int) -> int:
-    records = []
-    for cfg in configs:
-        runner = harness.run_fb_experiment if cfg.algorithm.is_fixed_budget \
-            else harness.run_fc_experiment
-        records.extend(runner(cfg, workers=workers))
+    records = harness.run_experiments(configs, workers)
     records_io.write_records(records, out)
     print(f"wrote {len(records)} records to {out}")
     return 0

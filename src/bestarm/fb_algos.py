@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .complexity import g_alpha, optimal_alpha
+from .complexity import _expfam_params, g_alpha, optimal_alpha
 from .dists import (  # noqa: F401  (sample_n: re-exported name)
-    BERNOULLI_FAMILY, Bernoulli, ExpFamilyArm, Gaussian, gaussian_family, sample_n, sampler)
+    ExpFamilyArm, Gaussian, gaussian_family, sample_n, sampler)
 from .errors import DegenerateInstance, DomainError
 from .instances import BanditInstance, require_two_armed
 from .engine import RunOutcome, StoppingRule, run_one
@@ -56,13 +56,18 @@ def gaussian_allocation(sigma1: float, sigma2: float, t: int) -> StaticAllocatio
     return StaticAllocation(n1, t - n1)
 
 
-def expfam_allocation(fam, theta1: float, theta2: float, t: int) -> StaticAllocation:
-    """n1 = ceil(alpha* t) with alpha* the g_alpha maximizer, clamped."""
+def _fraction_allocation(alpha: float, t: int) -> StaticAllocation:
+    """n1 = ceil(alpha t), clamped to [1, t-1]."""
     if t < 2:
         raise DomainError(f"budget must be at least 2, got {t}")
-    alpha, _ = optimal_alpha(fam, theta1, theta2)
     n1 = _clamp_n1(math.ceil(alpha * t), t)
     return StaticAllocation(n1, t - n1)
+
+
+def expfam_allocation(fam, theta1: float, theta2: float, t: int) -> StaticAllocation:
+    """n1 = ceil(alpha* t) with alpha* the g_alpha maximizer, clamped."""
+    alpha, _ = optimal_alpha(fam, theta1, theta2)
+    return _fraction_allocation(alpha, t)
 
 
 def uniform_allocation(t: int) -> StaticAllocation:
@@ -72,23 +77,25 @@ def uniform_allocation(t: int) -> StaticAllocation:
     return StaticAllocation(n1, t - n1)
 
 
-def allocation_for(instance: BanditInstance, t: int, policy: str) -> StaticAllocation:
-    """Resolve a named allocation policy ("uniform" or "optimal") for an instance."""
+def allocations_for(instance: BanditInstance, budgets, policy: str) -> list[StaticAllocation]:
+    """``allocation_for`` at each budget, with alpha* solved once (it does not depend on t)."""
     require_two_armed(instance)
     if policy == "uniform":
-        return uniform_allocation(t)
+        return [uniform_allocation(t) for t in budgets]
     if policy == "optimal":
         a1, a2 = instance.arms
         if a1.mean == a2.mean:
             raise DegenerateInstance("equal means: no optimal allocation")
         if isinstance(a1, Gaussian):
-            return gaussian_allocation(a1.sigma, a2.sigma, t)
-        if isinstance(a1, Bernoulli):
-            return expfam_allocation(BERNOULLI_FAMILY, a1.theta, a2.theta, t)
-        if isinstance(a1, ExpFamilyArm):
-            return expfam_allocation(a1.family_desc, a1.theta, a2.theta, t)
-        raise DomainError(f"unsupported family {instance.family!r}")
+            return [gaussian_allocation(a1.sigma, a2.sigma, t) for t in budgets]
+        alpha, _ = optimal_alpha(*_expfam_params(instance))
+        return [_fraction_allocation(alpha, t) for t in budgets]
     raise DomainError(f"unknown allocation policy {policy!r}")
+
+
+def allocation_for(instance: BanditInstance, t: int, policy: str) -> StaticAllocation:
+    """Resolve a named allocation policy ("uniform" or "optimal") for an instance."""
+    return allocations_for(instance, (t,), policy)[0]
 
 
 class StaticRule(StoppingRule):
@@ -134,13 +141,7 @@ def theoretical_error_bound(instance: BanditInstance, alloc: StaticAllocation) -
     if isinstance(a1, Gaussian):
         var_hat = a1.variance / alloc.n1 + a2.variance / alloc.n2
         return math.exp(-((a1.mean - a2.mean) ** 2) / (2.0 * var_hat))
-    if isinstance(a1, Bernoulli):
-        fam, t1, t2 = BERNOULLI_FAMILY, a1.theta, a2.theta
-    elif isinstance(a1, ExpFamilyArm):
-        fam, t1, t2 = a1.family_desc, a1.theta, a2.theta
-    else:
-        raise DomainError(f"unsupported family {instance.family!r}")
-    return math.exp(-alloc.budget * g_alpha(fam, t1, t2, alloc.alpha))
+    return math.exp(-alloc.budget * g_alpha(*_expfam_params(instance), alloc.alpha))
 
 
 def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
@@ -183,9 +184,9 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
         common = a1.mean - (a1.mean - a2.mean) * v1 / (v1 + v2)
         tilts = (common / a1.variance, common / a2.variance)
     else:
-        fam = BERNOULLI_FAMILY if isinstance(a1, Bernoulli) else a1.family_desc
-        fams, thetas = (fam, fam), (a1.theta, a2.theta)
-        mix = alloc.alpha * a1.theta + (1.0 - alloc.alpha) * a2.theta
+        fam, theta1, theta2 = _expfam_params(instance)
+        fams, thetas = (fam, fam), (theta1, theta2)
+        mix = alloc.alpha * theta1 + (1.0 - alloc.alpha) * theta2
         tilts = (mix, mix)
     (fill1, finish1), (fill2, finish2) = (sampler(ExpFamilyArm(f, s))
                                           for f, s in zip(fams, tilts))

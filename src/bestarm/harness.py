@@ -3,13 +3,16 @@
 Replication r of grid cell g reads the PCG64 stream of
 ``SeedSequence(master_seed, spawn_key=(g,))`` jumped r times (see
 :mod:`bestarm.rng`), so its draws depend only on (master_seed, g, r) and
-never on execution order, block layout or the worker count.  Each cell
-(or worker task) validates its stopping rule once and runs its
-replications through the batched engine :func:`engine.run_rows`;
-aggregation reduces integer counts and integer sums (tau and tau^2), which
-commute exactly.  Records therefore come out byte-identical for any
-``workers`` value, and configs sharing a master seed see the same draws
-(common random numbers).
+never on execution order, block layout or the worker count.
+:func:`run_experiments` is the one entry point: it validates every config
+up front, then ``workers = k`` opens one process pool per call and gives
+each of the k workers exactly one task, its contiguous share of the
+replications of every cell of every config.  A worker builds each config's
+stopping rules once and runs its rows through the batched engine
+:func:`engine.run_rows`; aggregation reduces integer counts and integer
+sums (tau and tau^2), which commute exactly.  Records therefore come out
+byte-identical for any ``workers`` value, and configs sharing a master
+seed see the same draws (common random numbers).
 
 The module also houses the self-normalized deviation-bound calculator
 (zeta-series bound on the probability that a subgaussian random walk ever
@@ -60,6 +63,8 @@ class AlgorithmSpec:
         if self.kind in FC_KINDS:
             if self.kind != "sprt" and self.rate is None:
                 raise DomainError(f"{self.kind} needs an exploration rate")
+            if self.tau_max is not None and self.tau_max < 0:
+                raise DomainError(f"tau_max must be >= 0, got {self.tau_max}")
         elif self.kind in FB_KINDS:
             if self.allocation not in ("uniform", "optimal"):
                 raise DomainError(f"unknown allocation {self.allocation!r}")
@@ -142,37 +147,45 @@ def wilson_halfwidth(errors: int, n: int, z: float = _WILSON_Z) -> float:
     return (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
 
 
-def _plan(cfg: ExperimentConfig, grid_index: int) -> engine.StoppingRule:
-    """The validated stopping rule of one grid cell."""
-    spec, instance, value = cfg.algorithm, cfg.instance, cfg.grid[grid_index]
+def _rules(cfg: ExperimentConfig) -> list[engine.StoppingRule]:
+    """The validated stopping rule of each grid cell, built once per config."""
+    spec, instance, grid = cfg.algorithm, cfg.instance, cfg.grid
     if spec.kind == "elimination":
-        return fc_algos.EliminationRule(instance, value, spec.rate, spec.tau_max, spec.sigma)
+        return [fc_algos.EliminationRule(instance, delta, spec.rate, spec.tau_max, spec.sigma)
+                for delta in grid]
     if spec.kind == "alpha-elimination":
-        return fc_algos.AlphaEliminationRule(instance, value, spec.rate, spec.alpha,
-                                             spec.tau_max)
+        return [fc_algos.AlphaEliminationRule(instance, delta, spec.rate, spec.alpha,
+                                              spec.tau_max) for delta in grid]
     if spec.kind == "sglrt":
-        return fc_algos.SglrtRule(instance, value, spec.rate, spec.tau_max)
+        return [fc_algos.SglrtRule(instance, delta, spec.rate, spec.tau_max) for delta in grid]
     if spec.kind == "sprt":
-        return fc_algos.SprtRule(instance, value, spec.tau_max, spec.sprt_paper_statistic)
+        return [fc_algos.SprtRule(instance, delta, spec.tau_max, spec.sprt_paper_statistic)
+                for delta in grid]
     if spec.kind == "static":
-        alloc = fb_algos.allocation_for(instance, int(value), spec.allocation)
-        return fb_algos.StaticRule(instance, alloc)
+        allocs = fb_algos.allocations_for(instance, [int(t) for t in grid], spec.allocation)
+        return [fb_algos.StaticRule(instance, alloc) for alloc in allocs]
     raise DomainError(f"unknown algorithm kind {spec.kind!r}")
 
 
-def _cell_chunk(cfg: ExperimentConfig, grid_index: int,
-                r_start: int, r_stop: int) -> tuple[int, int, int, int]:
-    """Exact integer partial sums (errors, sum tau, sum tau^2, exhausted)."""
-    rule = _plan(cfg, grid_index)
-    rng = make_rng(cfg.master_seed, grid_index)
-    tau, recommended, _, exhausted = engine.run_rows(rule, rng, range(r_start, r_stop))
-    taus = tau.tolist()
-    return (int(np.count_nonzero(recommended != rule.best_arm)), sum(taus),
-            sum(t * t for t in taus), int(np.count_nonzero(exhausted)))
+def _run_task(task: list[tuple[int, ExperimentConfig, range]]) -> list[list[tuple]]:
+    """One worker's task: rows ``rows`` of every cell of each (config index, config, rows).
 
-
-def _cell_chunk_star(args) -> tuple[int, int, int, int]:
-    return _cell_chunk(*args)
+    Returns, per config and cell, the exact integer partial sums (errors,
+    sum tau, sum tau^2, exhausted).  Every rule is built before any row
+    runs, so a config that cannot run fails before the work starts.
+    """
+    plans = [(cfg, _rules(cfg), rows) for _, cfg, rows in task]
+    partials = []
+    for cfg, rules, rows in plans:
+        sums = []
+        for g, rule in enumerate(rules):
+            tau, recommended, _, exhausted = engine.run_rows(
+                rule, make_rng(cfg.master_seed, g), rows)
+            taus = tau.tolist()
+            sums.append((int(np.count_nonzero(recommended != rule.best_arm)), sum(taus),
+                         sum(t * t for t in taus), int(np.count_nonzero(exhausted))))
+        partials.append(sums)
+    return partials
 
 
 def _aggregate(cfg: ExperimentConfig, grid_index: int,
@@ -201,45 +214,56 @@ def _aggregate(cfg: ExperimentConfig, grid_index: int,
     )
 
 
-def _run_experiment(cfg: ExperimentConfig, workers: int) -> list[ExperimentRecord]:
-    cfg.validate()
+def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[ExperimentRecord]:
+    """The records of every config, in order, each config's cells in grid order.
+
+    Every config is validated before any work starts.  Worker i of
+    w = ``workers`` takes the replications [round(i n / w), round((i+1) n / w))
+    of every cell of every config (n that config's replication count) as
+    one task; the call opens one process pool for the tasks that have
+    rows, and none when only one does (``workers == 1``, or too few
+    replications to split).  The parent sums the workers' integer partials.
+    """
+    configs = list(configs)
+    for cfg in configs:
+        cfg.validate()
     if workers < 1:
         raise DomainError("workers must be >= 1")
-    n = cfg.replications
-    records = []
-    if workers == 1 or n < 2 * workers:
-        for g in range(len(cfg.grid)):
-            records.append(_aggregate(cfg, g, [_cell_chunk(cfg, g, 0, n)]))
-        return records
-    bounds = [round(i * n / workers) for i in range(workers + 1)]
-    tasks = [
-        (cfg, g, bounds[i], bounds[i + 1])
-        for g in range(len(cfg.grid))
-        for i in range(workers)
-        if bounds[i] < bounds[i + 1]
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        partials = list(pool.map(_cell_chunk_star, tasks, chunksize=1))
-    per_cell: dict[int, list[tuple[int, int, int, int]]] = {}
-    for (_, g, _, _), part in zip(tasks, partials):
-        per_cell.setdefault(g, []).append(part)
-    for g in range(len(cfg.grid)):
-        records.append(_aggregate(cfg, g, per_cell[g]))
-    return records
+    tasks = []  # one per worker that has rows
+    for i in range(workers):
+        task = []
+        for c, cfg in enumerate(configs):
+            n = cfg.replications
+            rows = range(round(i * n / workers), round((i + 1) * n / workers))
+            if rows:
+                task.append((c, cfg, rows))
+        if task:
+            tasks.append(task)
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            results = list(pool.map(_run_task, tasks))
+    else:
+        results = [_run_task(task) for task in tasks]
+    per_config = [[] for _ in configs]  # each task's per-cell partial sums
+    for task, partials in zip(tasks, results):
+        for (c, _, _), sums in zip(task, partials):
+            per_config[c].append(sums)
+    return [_aggregate(cfg, g, [sums[g] for sums in per_config[c]])
+            for c, cfg in enumerate(configs) for g in range(len(cfg.grid))]
 
 
 def run_fc_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
     """N replications per delta in the grid; deterministic in the config."""
     if cfg.algorithm.is_fixed_budget:
         raise DomainError("run_fc_experiment needs a fixed-confidence algorithm")
-    return _run_experiment(cfg, workers)
+    return run_experiments([cfg], workers)
 
 
 def run_fb_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:
     """N replications per budget in the grid; mean_tau equals the budget."""
     if not cfg.algorithm.is_fixed_budget:
         raise DomainError("run_fb_experiment needs a fixed-budget algorithm")
-    return _run_experiment(cfg, workers)
+    return run_experiments([cfg], workers)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +328,8 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
     """
     if horizon < 1 or paths < 1:
         raise DomainError("horizon and paths must be >= 1")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     threshold = lil_envelope(sigma, x, beta, horizon)
     rng = make_rng(master_seed)
     root = rng.bit_generator.state

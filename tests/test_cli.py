@@ -264,3 +264,63 @@ def test_simulate_fb_ten_row_grid(tmp_path):
                          "--seed", "7", "--out", str(out))
     assert code == 0
     assert len(read_records(str(out))) == 10
+
+
+_FB_ARGS = ["--budgets", "100", "--reps", "10", "--seed", "4"]
+_FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.25",
+            "--algo", "elimination", "--rate", "robbins", "--deltas", "0.1",
+            "--reps", "10", "--seed", "4"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-fb", "--family", "exponential", "--means", "0,1", *_FB_ARGS],
+    ["simulate-fb", "--family", "exponential", "--means=-1,1", *_FB_ARGS],
+    ["simulate-fb", "--family", "exponential", "--means", "nan,1", *_FB_ARGS],
+    ["lil-check", "--x", "3", "--beta", "1.5", "--sigma", "nan", "--horizon", "50",
+     "--paths", "10"],
+    ["lil-check", "--x", "3", "--beta", "1.5", "--sigma", "-1", "--horizon", "50",
+     "--paths", "10"],
+    ["lil-check", "--x", "3", "--beta", "1.5", "--sigma", "inf", "--horizon", "50",
+     "--paths", "10"],
+    ["lil-check", "--x", "3", "--beta", "1.5", "--sigma", "0", "--horizon", "50",
+     "--paths", "10"],
+    ["simulate-fc", *_FC_ARGS, "--tau-max", "-5"],
+    ["simulate-fc", *_FC_ARGS, "--tau-max", "-1"],
+])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "bad.csv"
+    if argv[0] != "lil-check":
+        argv = [*argv, "--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau_max", ["0", "1"])
+def test_tiny_tau_max_still_runs(tmp_path, tau_max):
+    out = tmp_path / "tiny.csv"
+    assert main(["simulate-fc", *_FC_ARGS, "--tau-max", tau_max, "--out", str(out)]) == 0
+    rec, = read_records(str(out))
+    assert rec.exhausted_count == 10 and rec.mean_tau == 2.0
+
+
+def test_rule_failing_in_a_worker_is_usage_error(tmp_path, capsys):
+    # the sequential GLRT rejects Gaussian arms when its rule is built,
+    # which at --workers 2 happens inside the worker processes
+    errors = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"sglrt-{workers}.csv"
+        code = main(["simulate-fc", "--family", "gaussian", "--means", "0.5,0",
+                     "--variances", "0.25,0.25", "--algo", "sglrt", "--rate", "robbins",
+                     "--deltas", "0.1", "--reps", "20", "--seed", "4",
+                     "--workers", workers, "--out", str(out)])
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+        errors.append(err)
+    assert errors[0] == errors[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestarm import engine, fb_algos, fc_algos
+from bestarm import engine, fb_algos, fc_algos, harness, presets
 from bestarm.errors import DomainError
 from bestarm.fc_algos import ExplorationRate
 from bestarm.harness import (
@@ -16,6 +17,7 @@ from bestarm.harness import (
     _aggregate,
     deviation_bound,
     empirical_lil_crossing,
+    run_experiments,
     run_fb_experiment,
     run_fc_experiment,
     wilson_halfwidth,
@@ -132,6 +134,56 @@ def test_fc_pac_cells():
         delta = rec.grid_value
         assert rec.error_rate <= delta + 3 * math.sqrt(delta * (1 - delta) / rec.replications)
         assert rec.exhausted_count == 0
+
+
+def _mixed_configs():
+    """fig3-easy's configs plus a static-optimal Bernoulli one, at uneven replication counts."""
+    configs = presets.figure_configs("fig3-easy", 1, 13)
+    configs.append(ExperimentConfig(B21, AlgorithmSpec("static", allocation="optimal"),
+                                    (20.0, 60.0, 101.0), 1, 13))
+    return [dataclasses.replace(cfg, replications=(65, 3, 1)[i % 3])
+            for i, cfg in enumerate(configs)]
+
+
+def test_run_experiments_matches_per_config_runs_at_any_worker_count():
+    configs = _mixed_configs()
+    expected = []
+    for cfg in configs:
+        runner = run_fb_experiment if cfg.algorithm.is_fixed_budget else run_fc_experiment
+        expected.extend(runner(cfg, workers=1))
+    assert [r.replications for r in expected[:2]] == [65, 65]
+    for workers in (1, 2, 3):
+        assert run_experiments(configs, workers) == expected
+
+
+class _CountingPool(harness.ProcessPoolExecutor):
+    opened = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).opened += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("workers, reps, pools", [(2, None, 1), (1, None, 0), (2, 1, 0)])
+def test_run_experiments_opens_at_most_one_pool(monkeypatch, workers, reps, pools):
+    monkeypatch.setattr(_CountingPool, "opened", 0)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
+    configs = _mixed_configs()
+    if reps is not None:
+        configs = [dataclasses.replace(cfg, replications=reps) for cfg in configs]
+    records = run_experiments(configs, workers)
+    assert len(records) == sum(len(cfg.grid) for cfg in configs)
+    assert _CountingPool.opened == pools
+
+
+def test_run_experiments_validates_every_config_before_running(monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "_run_task", lambda task: ran.append(task))
+    configs = [ExperimentConfig(EASY, ELIM, (0.1,), 5, 0),
+               ExperimentConfig(EASY, ELIM, (0.5,), 5, 0)]  # delta > 0.15
+    with pytest.raises(DomainError):
+        run_experiments(configs, 1)
+    assert ran == []
 
 
 # --- engine properties -------------------------------------------------------------
