@@ -2,12 +2,14 @@
 """Tabulate the self-normalized deviation bound against empirical crossing
 frequencies of Gaussian random walks over the loglog envelope.
 
+A loop over ``bestarm lil-check``, one output line per (x, beta) pair.
+
     python scripts/lil_deviation_check.py --horizon 10000 --paths 10000
 """
 
 import argparse
 
-from bestarm.harness import deviation_bound, empirical_lil_crossing
+from bestarm import cli
 
 
 def main() -> int:
@@ -20,14 +22,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    print(f"{'x':>6} {'beta':>6} {'bound':>12} {'empirical':>12} {'margin':>10}")
     for x in args.xs:
         for beta in args.betas:
-            bound = deviation_bound(x, beta)
-            freq = empirical_lil_crossing(args.sigma, x, beta, args.horizon,
-                                          args.paths, args.seed)
-            print(f"{x:6.2f} {beta:6.2f} {bound:12.6f} {freq:12.6f} "
-                  f"{bound - freq:10.6f}")
+            code = cli.main(["lil-check", "--x", repr(x), "--beta", repr(beta),
+                             "--sigma", repr(args.sigma), "--horizon", str(args.horizon),
+                             "--paths", str(args.paths), "--seed", str(args.seed)])
+            if code:
+                return code
     return 0
 
 

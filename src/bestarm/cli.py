@@ -26,17 +26,21 @@ _FMT = records_io.format_float
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise BestArmError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def parse_grid(text: str, integer: bool = False) -> tuple[float, ...]:
     """Comma list or inclusive start:stop:step range."""
     if ":" in text:
         parts = text.split(":")
-        if len(parts) != 3:
+        bounds = [v for part in parts for v in _parse_floats(part)]
+        if len(parts) != 3 or len(bounds) != 3:
             raise BestArmError(f"range grids are start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        start, stop, step = bounds
+        if not all(map(math.isfinite, bounds)) or step <= 0 or stop < start:
             raise BestArmError(f"bad range grid {text!r}")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         values = [start + i * step for i in range(count)]
@@ -47,7 +51,7 @@ def parse_grid(text: str, integer: bool = False) -> tuple[float, ...]:
     if integer:
         out = []
         for v in values:
-            if abs(v - round(v)) > 1e-9:
+            if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
                 raise BestArmError(f"budget {v} is not an integer")
             out.append(float(int(round(v))))
         return tuple(out)
@@ -90,34 +94,55 @@ def _resolve_workers(args) -> int:
     return count
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise BestArmError(f"config {where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _comma_list(value) -> str:
+    """A JSON list as the comma list its flag takes."""
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return ",".join(str(x) for x in value)
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill unset CLI fields from a JSON config mirroring ExperimentConfig."""
+    """Fill unset CLI fields from a JSON config mirroring ExperimentConfig.
+
+    Scalars convert from their text as their flags' arguments do; lists
+    become the comma lists their flags take.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
     with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    inst = cfg.get("instance", {})
-    algo = cfg.get("algorithm", {})
-    mapping = {
-        "family": inst.get("family"),
-        "means": ",".join(str(x) for x in inst["means"]) if "means" in inst else None,
-        "variances": ",".join(str(x) for x in inst["variances"]) if "variances" in inst else None,
-        "algo": algo.get("kind"),
-        "rate": algo.get("rate"),
-        "alpha": algo.get("alpha"),
-        "tau_max": algo.get("tau_max"),
-        "sigma": algo.get("sigma"),
-        "alloc": algo.get("allocation"),
-        "grid": ",".join(str(x) for x in cfg["grid"]) if "grid" in cfg else None,
-        "reps": cfg.get("replications"),
-        "seed": cfg.get("master_seed"),
-        "workers": cfg.get("workers"),
-        "out": cfg.get("out"),
+        cfg = _object(json.load(fh), "document")
+    inst = _object(cfg.get("instance", {}), "instance")
+    algo = _object(cfg.get("algorithm", {}), "algorithm")
+    fields = {  # dest: (config field, its value, conversion)
+        "family": ("instance.family", inst.get("family"), str),
+        "means": ("instance.means", inst.get("means"), _comma_list),
+        "variances": ("instance.variances", inst.get("variances"), _comma_list),
+        "algo": ("algorithm.kind", algo.get("kind"), str),
+        "rate": ("algorithm.rate", algo.get("rate"), ExplorationRate),
+        "alpha": ("algorithm.alpha", algo.get("alpha"), float),
+        "tau_max": ("algorithm.tau_max", algo.get("tau_max"), int),
+        "sigma": ("algorithm.sigma", algo.get("sigma"), float),
+        "alloc": ("algorithm.allocation", algo.get("allocation"), str),
+        "grid": ("grid", cfg.get("grid"), _comma_list),
+        "reps": ("replications", cfg.get("replications"), int),
+        "seed": ("master_seed", cfg.get("master_seed"), int),
+        "workers": ("workers", cfg.get("workers"), int),
+        "out": ("out", cfg.get("out"), str),
     }
-    for dest, value in mapping.items():
-        if value is not None and getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+    for dest, (field, value, convert) in fields.items():
+        if value is None or getattr(args, dest, None) is not None:
+            continue
+        try:
+            setattr(args, dest, convert(value if isinstance(value, list) else str(value)))
+        except (TypeError, ValueError):
+            raise BestArmError(f"config field {field} is invalid: {value!r}") from None
 
 
 def _require(args, *names) -> None:
@@ -173,13 +198,12 @@ def cmd_simulate_fc(args) -> int:
     spec = AlgorithmSpec(
         kind=args.algo,
         rate=rate,
-        alpha=float(args.alpha) if args.alpha is not None else None,
-        tau_max=int(args.tau_max) if args.tau_max is not None else None,
-        sigma=float(args.sigma) if args.sigma is not None else None,
-        sprt_paper_statistic=bool(args.sprt_paper_statistic),
+        alpha=args.alpha,
+        tau_max=args.tau_max,
+        sigma=args.sigma,
+        sprt_paper_statistic=args.sprt_paper_statistic,
     )
-    cfg = ExperimentConfig(instance, spec, parse_grid(args.grid),
-                           int(args.reps), int(args.seed))
+    cfg = ExperimentConfig(instance, spec, parse_grid(args.grid), args.reps, args.seed)
     return _run_and_write([cfg], args.out, _resolve_workers(args))
 
 
@@ -190,7 +214,7 @@ def cmd_simulate_fb(args) -> int:
                               _parse_floats(args.variances) if args.variances else None)
     spec = AlgorithmSpec(kind="static", allocation=args.alloc or "uniform")
     cfg = ExperimentConfig(instance, spec, parse_grid(args.grid, integer=True),
-                           int(args.reps), int(args.seed))
+                           args.reps, args.seed)
     return _run_and_write([cfg], args.out, _resolve_workers(args))
 
 

@@ -102,13 +102,6 @@ def _expfam_params(instance: BanditInstance) -> tuple[ExpFamilyDescriptor, float
     raise DomainError(f"unsupported family {instance.family!r}")
 
 
-def _gaussian_crossing_mean(a1: Gaussian, a2: Gaussian) -> float:
-    # common point mu with (mu1-mu)/sigma1 = (mu-mu2)/sigma2; the symmetric
-    # midpoint when the variances agree
-    s1, s2 = a1.sigma, a2.sigma
-    return (s2 * a1.mean + s1 * a2.mean) / (s1 + s2)
-
-
 def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
     """Fixed-confidence complexity and its crossing parameter.
 
@@ -119,8 +112,11 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
     """
     a1, a2 = _two_arms(instance)
     if isinstance(a1, Gaussian):
-        value = (a1.mean - a2.mean) ** 2 / (2.0 * (a1.sigma + a2.sigma) ** 2)
-        return value, _gaussian_crossing_mean(a1, a2)
+        # crossing: the point mu with (mu1-mu)/sigma1 = (mu-mu2)/sigma2; the
+        # symmetric midpoint when the variances agree
+        s1, s2 = a1.sigma, a2.sigma
+        crossing = (s2 * a1.mean + s1 * a2.mean) / (s1 + s2)
+        return (a1.mean - a2.mean) ** 2 / (2.0 * (s1 + s2) ** 2), crossing
     fam, t1, t2 = _expfam_params(instance)
     mu1, mu2 = fam.mean_map(t1), fam.mean_map(t2)
     lo, hi = min(mu1, mu2), max(mu1, mu2)
@@ -152,26 +148,25 @@ def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
     value as :func:`c_star_fc` (the KL is symmetric in the means when the
     variances are held fixed).
     """
-    a1, a2 = _two_arms(instance)
+    a1, _ = _two_arms(instance)
     if isinstance(a1, Gaussian):
-        value = (a1.mean - a2.mean) ** 2 / (2.0 * (a1.sigma + a2.sigma) ** 2)
-        return value, _gaussian_crossing_mean(a1, a2)
-    fam, t1, t2 = _expfam_params(instance)
-    lo, hi = min(t1, t2), max(t1, t2)
+        return c_star_fc(instance)
+    return _chernoff(*_expfam_params(instance))
 
-    def gap(theta: float) -> float:
-        return fam.kl(theta, t1) - fam.kl(theta, t2)
 
-    theta_star = bisect_root(gap, lo, hi)
-    return fam.kl(theta_star, t1), theta_star
+def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
+    """Chernoff information and its crossing: Kb(theta_, theta1) = Kb(theta_, theta2)."""
+    theta_star = bisect_root(lambda t: fam.kl(t, theta1) - fam.kl(t, theta2),
+                             min(theta1, theta2), max(theta1, theta2))
+    return fam.kl(theta_star, theta1), theta_star
 
 
 def i_star_fb(instance: BanditInstance) -> float:
     """Uniform-sampling fixed-budget exponent: KLs from the natural midpoint."""
-    a1, a2 = _two_arms(instance)
+    a1, _ = _two_arms(instance)
     if isinstance(a1, Gaussian):
         # symmetric KL in the means makes this coincide with i_star_fc
-        return (a1.mean - a2.mean) ** 2 / (4.0 * (a1.variance + a2.variance))
+        return i_star_fc(instance)
     fam, t1, t2 = _expfam_params(instance)
     mid = 0.5 * (t1 + t2)
     return 0.5 * (fam.kl(mid, t1) + fam.kl(mid, t2))
@@ -245,7 +240,7 @@ def optimal_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tup
     if slope(lo) > 0.0 > slope(hi):
         alpha = bisect_root(slope, lo, hi)
         g_value = g_alpha(fam, theta1, theta2, alpha)
-    cb_value, theta_star = _chernoff_for(fam, theta1, theta2)
+    cb_value, theta_star = _chernoff(fam, theta1, theta2)
     mix = alpha * theta1 + (1.0 - alpha) * theta2
     scale = max(abs(theta1), abs(theta2), 1.0)
     if abs(mix - theta_star) > _CHECK_TOL * scale:
@@ -255,12 +250,6 @@ def optimal_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tup
         raise SolverError(
             f"optimal_alpha value check failed: g={g_value}, chernoff={cb_value}")
     return alpha, g_value
-
-
-def _chernoff_for(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
-    lo, hi = min(theta1, theta2), max(theta1, theta2)
-    theta_star = bisect_root(lambda t: fam.kl(t, theta1) - fam.kl(t, theta2), lo, hi)
-    return fam.kl(theta_star, theta1), theta_star
 
 
 def i_star_bernoulli(x, y):

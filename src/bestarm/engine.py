@@ -47,15 +47,25 @@ class StoppingRule:
     arm-2 draw counts of steps done+1..done+n and the data every row shares
     (thresholds); ``scan(shared, carry, x, y)`` gives (rows, n) crossings and
     "arm 0 is recommended here" flags, plus the ``width`` running sums per
-    row that carry into the next chunk.
+    row that carry into the next chunk.  A rule pickles as plain data: its
+    sampler closures are rebuilt from its ``arms`` when it is unpickled.
     """
 
     width = 1
 
     def __init__(self, instance: BanditInstance, steps: int):
         self.best_arm = instance.best_arm
+        self.arms = instance.arms
+        # built once per rule: building fresh closures for every block of rows
+        # made short-tau cells several percent slower
         self.samplers = tuple(sampler(arm) for arm in instance.arms)
         self.steps = steps
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "samplers"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, samplers=tuple(sampler(arm) for arm in state["arms"]))
 
     def chunk(self, done: int, n: int):
         return n, n, None

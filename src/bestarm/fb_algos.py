@@ -42,39 +42,29 @@ class StaticAllocation:
         return self.n1 / self.budget
 
 
-def _clamp_n1(n1: int, t: int) -> int:
-    return min(max(n1, 1), t - 1)
+def _clamped(n1: int, t: int) -> StaticAllocation:
+    """The allocation of budget t >= 2 with n1 clamped to [1, t-1]."""
+    if t < 2:
+        raise DomainError(f"budget must be at least 2, got {t}")
+    n1 = min(max(n1, 1), t - 1)
+    return StaticAllocation(n1, t - n1)
 
 
 def gaussian_allocation(sigma1: float, sigma2: float, t: int) -> StaticAllocation:
     """n1 = ceil(sigma1 t / (sigma1+sigma2)), clamped to [1, t-1]."""
-    if t < 2:
-        raise DomainError(f"budget must be at least 2, got {t}")
     if sigma1 <= 0 or sigma2 <= 0:
         raise DomainError("standard deviations must be positive")
-    n1 = _clamp_n1(math.ceil(sigma1 * t / (sigma1 + sigma2)), t)
-    return StaticAllocation(n1, t - n1)
-
-
-def _fraction_allocation(alpha: float, t: int) -> StaticAllocation:
-    """n1 = ceil(alpha t), clamped to [1, t-1]."""
-    if t < 2:
-        raise DomainError(f"budget must be at least 2, got {t}")
-    n1 = _clamp_n1(math.ceil(alpha * t), t)
-    return StaticAllocation(n1, t - n1)
+    return _clamped(math.ceil(sigma1 * t / (sigma1 + sigma2)), t)
 
 
 def expfam_allocation(fam, theta1: float, theta2: float, t: int) -> StaticAllocation:
     """n1 = ceil(alpha* t) with alpha* the g_alpha maximizer, clamped."""
     alpha, _ = optimal_alpha(fam, theta1, theta2)
-    return _fraction_allocation(alpha, t)
+    return _clamped(math.ceil(alpha * t), t)
 
 
 def uniform_allocation(t: int) -> StaticAllocation:
-    if t < 2:
-        raise DomainError(f"budget must be at least 2, got {t}")
-    n1 = _clamp_n1(math.ceil(t / 2), t)
-    return StaticAllocation(n1, t - n1)
+    return _clamped(math.ceil(t / 2), t)
 
 
 def allocations_for(instance: BanditInstance, budgets, policy: str) -> list[StaticAllocation]:
@@ -84,12 +74,10 @@ def allocations_for(instance: BanditInstance, budgets, policy: str) -> list[Stat
         return [uniform_allocation(t) for t in budgets]
     if policy == "optimal":
         a1, a2 = instance.arms
-        if a1.mean == a2.mean:
-            raise DegenerateInstance("equal means: no optimal allocation")
         if isinstance(a1, Gaussian):
             return [gaussian_allocation(a1.sigma, a2.sigma, t) for t in budgets]
         alpha, _ = optimal_alpha(*_expfam_params(instance))
-        return [_fraction_allocation(alpha, t) for t in budgets]
+        return [_clamped(math.ceil(alpha * t), t) for t in budgets]
     raise DomainError(f"unknown allocation policy {policy!r}")
 
 
@@ -136,8 +124,6 @@ def theoretical_error_bound(instance: BanditInstance, alloc: StaticAllocation) -
     """
     require_two_armed(instance)
     a1, a2 = instance.arms
-    if a1.mean == a2.mean:
-        raise DegenerateInstance("equal means: error bound undefined")
     if isinstance(a1, Gaussian):
         var_hat = a1.variance / alloc.n1 + a2.variance / alloc.n2
         return math.exp(-((a1.mean - a2.mean) ** 2) / (2.0 * var_hat))

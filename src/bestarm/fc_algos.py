@@ -74,10 +74,16 @@ class ExplorationRate(str, Enum):
     PLAIN_LOG = "plain-log"
 
 
-def validate_rate(rate: ExplorationRate, delta: float) -> None:
-    """Reject out-of-domain (rate, delta) pairs; warn on undocumented regimes."""
+def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
+
+
+def validate_rate(rate: ExplorationRate, delta: float) -> None:
+    """Reject out-of-domain (rate, delta) pairs; warn on undocumented regimes."""
+    if not isinstance(rate, ExplorationRate):
+        raise DomainError(f"the exploration rate must be an ExplorationRate, got {rate!r}")
+    _check_delta(delta)
     if rate is ExplorationRate.ITERATED_LOG:
         if delta >= 1.0 / math.e:
             raise DomainError(
@@ -133,10 +139,16 @@ def _equal_variance_sigma(instance: BanditInstance) -> float:
     return a1.sigma
 
 
-def _paired_steps(instance: BanditInstance, delta: float, tau_max: int | None) -> int:
+def _resolve_tau_max(instance: BanditInstance, delta: float, tau_max: int | None) -> int:
     if tau_max is None:
-        tau_max = default_tau_max(instance, delta)
-    return max(1, tau_max // 2)
+        return default_tau_max(instance, delta)
+    if tau_max < 0:
+        raise DomainError(f"tau_max must be >= 0, got {tau_max}")
+    return tau_max
+
+
+def _paired_steps(instance: BanditInstance, delta: float, tau_max: int | None) -> int:
+    return max(1, _resolve_tau_max(instance, delta, tau_max) // 2)
 
 
 class EliminationRule(StoppingRule):
@@ -145,13 +157,13 @@ class EliminationRule(StoppingRule):
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
                  tau_max: int | None = None, sigma: float | None = None):
         require_two_armed(instance)
-        if not (0.0 < delta <= 0.15):
-            raise DomainError(f"elimination requires delta in (0, 0.15], got {delta}")
+        if delta > 0.15:
+            raise DomainError(f"elimination requires delta <= 0.15, got {delta}")
         validate_rate(rate, delta)
         if sigma is None:
             sigma = _equal_variance_sigma(instance)
-        elif not sigma > 0:
-            raise DomainError(f"sigma must be positive, got {sigma}")
+        elif not (math.isfinite(sigma) and sigma > 0):
+            raise DomainError(f"sigma must be finite and positive, got {sigma}")
         super().__init__(instance, _paired_steps(instance, delta, tau_max))
         self.rate, self.delta, self.sigma = rate, delta, sigma
 
@@ -180,9 +192,7 @@ class AlphaEliminationRule(StoppingRule):
             alpha = a1.sigma / (a1.sigma + a2.sigma)
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-        if tau_max is None:
-            tau_max = default_tau_max(instance, delta)
-        super().__init__(instance, max(tau_max, 0))
+        super().__init__(instance, _resolve_tau_max(instance, delta, tau_max))
         self.rate, self.delta, self.alpha = rate, delta, alpha
         self.var1, self.var2 = a1.variance, a2.variance
 
@@ -225,8 +235,6 @@ class SglrtRule(StoppingRule):
         require_two_armed(instance)
         if not instance.is_bernoulli:
             raise DomainError("the sequential GLRT is defined for Bernoulli arms")
-        if not (0.0 < delta < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {delta}")
         validate_rate(rate, delta)
         super().__init__(instance, _paired_steps(instance, delta, tau_max))
         self.rate, self.delta = rate, delta
@@ -256,15 +264,11 @@ class SprtRule(StoppingRule):
     def __init__(self, instance: BanditInstance, delta: float, tau_max: int | None = None,
                  use_paper_statistic: bool = False):
         require_two_armed(instance)
-        if not (0.0 < delta < 1.0):
-            raise DomainError(f"delta must lie in (0, 1), got {delta}")
+        _check_delta(delta)
         sigma = _equal_variance_sigma(instance)
-        steps = _paired_steps(instance, delta, tau_max)
+        super().__init__(instance, _paired_steps(instance, delta, tau_max))
         a1, a2 = instance.arms
         gap = abs(a1.mean - a2.mean)
-        if gap == 0.0:
-            raise DomainError("the SPRT oracle needs a nonzero gap")
-        super().__init__(instance, steps)
         self.coef = gap if use_paper_statistic else gap / sigma**2
         self.threshold = math.log(1.0 / delta)
 

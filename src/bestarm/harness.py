@@ -4,15 +4,16 @@ Replication r of grid cell g reads the PCG64 stream of
 ``SeedSequence(master_seed, spawn_key=(g,))`` jumped r times (see
 :mod:`bestarm.rng`), so its draws depend only on (master_seed, g, r) and
 never on execution order, block layout or the worker count.
-:func:`run_experiments` is the one entry point: it validates every config
-up front, then ``workers = k`` opens one process pool per call and gives
-each of the k workers exactly one task, its contiguous share of the
-replications of every cell of every config.  A worker builds each config's
-stopping rules once and runs its rows through the batched engine
-:func:`engine.run_rows`; aggregation reduces integer counts and integer
-sums (tau and tau^2), which commute exactly.  Records therefore come out
-byte-identical for any ``workers`` value, and configs sharing a master
-seed see the same draws (common random numbers).
+:func:`run_experiments` is the one entry point.  In the parent it
+validates every config by building its stopping rules, once per config
+and before any pool opens, so a config that cannot run fails there.  Then
+``workers = k`` opens one process pool per call and gives each of the k
+workers exactly one task: the rules and its contiguous share of the
+replications of every cell of every config.  A worker only runs rows
+through the batched engine :func:`engine.run_rows`; aggregation reduces
+integer counts and integer sums (tau and tau^2), which commute exactly.
+Records therefore come out byte-identical for any ``workers`` value, and
+configs sharing a master seed see the same draws (common random numbers).
 
 The module also houses the self-normalized deviation-bound calculator
 (zeta-series bound on the probability that a subgaussian random walk ever
@@ -35,9 +36,6 @@ from .rng import make_rng, mix_seed, seek  # noqa: F401  (mix_seed: re-exported 
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
-FC_KINDS = ("elimination", "alpha-elimination", "sglrt", "sprt")
-FB_KINDS = ("static",)
-
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
@@ -59,21 +57,9 @@ class AlgorithmSpec:
     sprt_paper_statistic: bool = False
     allocation: str = "uniform"
 
-    def validate(self) -> None:
-        if self.kind in FC_KINDS:
-            if self.kind != "sprt" and self.rate is None:
-                raise DomainError(f"{self.kind} needs an exploration rate")
-            if self.tau_max is not None and self.tau_max < 0:
-                raise DomainError(f"tau_max must be >= 0, got {self.tau_max}")
-        elif self.kind in FB_KINDS:
-            if self.allocation not in ("uniform", "optimal"):
-                raise DomainError(f"unknown allocation {self.allocation!r}")
-        else:
-            raise DomainError(f"unknown algorithm kind {self.kind!r}")
-
     @property
     def is_fixed_budget(self) -> bool:
-        return self.kind in FB_KINDS
+        return self.kind == "static"
 
     def label(self) -> str:
         if self.is_fixed_budget:
@@ -100,24 +86,36 @@ class ExperimentConfig:
     replications: int
     master_seed: int
 
-    def validate(self) -> None:
-        self.algorithm.validate()
+    def validate(self) -> list[engine.StoppingRule]:
+        """The stopping rule of each grid cell, in grid order.
+
+        Building the rules is the validation: each rule's constructor checks
+        its own domain (delta range, exploration rate, arm family, tau_max,
+        budget, allocation policy) and raises DomainError outside it.
+        """
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if not self.grid:
             raise DomainError("the grid must be non-empty")
-        if self.algorithm.is_fixed_budget:
-            if any(t < 2 or t != int(t) for t in self.grid):
-                raise DomainError("budgets must be integers >= 2")
-        else:
-            for delta in self.grid:
-                if not (0.0 < delta < 1.0):
-                    raise DomainError(f"delta {delta} outside (0, 1)")
-                if self.algorithm.kind == "elimination" and delta > 0.15:
-                    raise DomainError(
-                        f"elimination requires delta <= 0.15, got {delta}")
-                if self.algorithm.rate is not None:
-                    fc_algos.validate_rate(self.algorithm.rate, delta)
+        spec, instance, grid = self.algorithm, self.instance, self.grid
+        if spec.kind == "elimination":
+            return [fc_algos.EliminationRule(instance, delta, spec.rate, spec.tau_max,
+                                             spec.sigma) for delta in grid]
+        if spec.kind == "alpha-elimination":
+            return [fc_algos.AlphaEliminationRule(instance, delta, spec.rate, spec.alpha,
+                                                  spec.tau_max) for delta in grid]
+        if spec.kind == "sglrt":
+            return [fc_algos.SglrtRule(instance, delta, spec.rate, spec.tau_max)
+                    for delta in grid]
+        if spec.kind == "sprt":
+            return [fc_algos.SprtRule(instance, delta, spec.tau_max, spec.sprt_paper_statistic)
+                    for delta in grid]
+        if spec.kind == "static":
+            if not all(float(t).is_integer() for t in grid):
+                raise DomainError("budgets must be integers")
+            allocs = fb_algos.allocations_for(instance, [int(t) for t in grid], spec.allocation)
+            return [fb_algos.StaticRule(instance, alloc) for alloc in allocs]
+        raise DomainError(f"unknown algorithm kind {spec.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -147,40 +145,18 @@ def wilson_halfwidth(errors: int, n: int, z: float = _WILSON_Z) -> float:
     return (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
 
 
-def _rules(cfg: ExperimentConfig) -> list[engine.StoppingRule]:
-    """The validated stopping rule of each grid cell, built once per config."""
-    spec, instance, grid = cfg.algorithm, cfg.instance, cfg.grid
-    if spec.kind == "elimination":
-        return [fc_algos.EliminationRule(instance, delta, spec.rate, spec.tau_max, spec.sigma)
-                for delta in grid]
-    if spec.kind == "alpha-elimination":
-        return [fc_algos.AlphaEliminationRule(instance, delta, spec.rate, spec.alpha,
-                                              spec.tau_max) for delta in grid]
-    if spec.kind == "sglrt":
-        return [fc_algos.SglrtRule(instance, delta, spec.rate, spec.tau_max) for delta in grid]
-    if spec.kind == "sprt":
-        return [fc_algos.SprtRule(instance, delta, spec.tau_max, spec.sprt_paper_statistic)
-                for delta in grid]
-    if spec.kind == "static":
-        allocs = fb_algos.allocations_for(instance, [int(t) for t in grid], spec.allocation)
-        return [fb_algos.StaticRule(instance, alloc) for alloc in allocs]
-    raise DomainError(f"unknown algorithm kind {spec.kind!r}")
-
-
-def _run_task(task: list[tuple[int, ExperimentConfig, range]]) -> list[list[tuple]]:
-    """One worker's task: rows ``rows`` of every cell of each (config index, config, rows).
+def _run_task(task: list[tuple]) -> list[list[tuple]]:
+    """One worker's task: for each (config index, master seed, rules, rows),
+    rows ``rows`` of every cell, cell g running ``rules[g]``.
 
     Returns, per config and cell, the exact integer partial sums (errors,
-    sum tau, sum tau^2, exhausted).  Every rule is built before any row
-    runs, so a config that cannot run fails before the work starts.
+    sum tau, sum tau^2, exhausted).
     """
-    plans = [(cfg, _rules(cfg), rows) for _, cfg, rows in task]
     partials = []
-    for cfg, rules, rows in plans:
+    for _, seed, rules, rows in task:
         sums = []
         for g, rule in enumerate(rules):
-            tau, recommended, _, exhausted = engine.run_rows(
-                rule, make_rng(cfg.master_seed, g), rows)
+            tau, recommended, _, exhausted = engine.run_rows(rule, make_rng(seed, g), rows)
             taus = tau.tolist()
             sums.append((int(np.count_nonzero(recommended != rule.best_arm)), sum(taus),
                          sum(t * t for t in taus), int(np.count_nonzero(exhausted))))
@@ -217,7 +193,9 @@ def _aggregate(cfg: ExperimentConfig, grid_index: int,
 def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[ExperimentRecord]:
     """The records of every config, in order, each config's cells in grid order.
 
-    Every config is validated before any work starts.  Worker i of
+    Every config's rules are built (and so validated) once, here, before
+    any work starts and before any pool opens; workers receive the rules.
+    Worker i of
     w = ``workers`` takes the replications [round(i n / w), round((i+1) n / w))
     of every cell of every config (n that config's replication count) as
     one task; the call opens one process pool for the tasks that have
@@ -225,8 +203,7 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     replications to split).  The parent sums the workers' integer partials.
     """
     configs = list(configs)
-    for cfg in configs:
-        cfg.validate()
+    rules = [cfg.validate() for cfg in configs]
     if workers < 1:
         raise DomainError("workers must be >= 1")
     tasks = []  # one per worker that has rows
@@ -236,7 +213,7 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
             n = cfg.replications
             rows = range(round(i * n / workers), round((i + 1) * n / workers))
             if rows:
-                task.append((c, cfg, rows))
+                task.append((c, cfg.master_seed, rules[c], rows))
         if task:
             tasks.append(task)
     if len(tasks) > 1:
@@ -246,7 +223,7 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
         results = [_run_task(task) for task in tasks]
     per_config = [[] for _ in configs]  # each task's per-cell partial sums
     for task, partials in zip(tasks, results):
-        for (c, _, _), sums in zip(task, partials):
+        for (c, *_), sums in zip(task, partials):
             per_config[c].append(sums)
     return [_aggregate(cfg, g, [sums[g] for sums in per_config[c]])
             for c, cfg in enumerate(configs) for g in range(len(cfg.grid))]
@@ -279,12 +256,14 @@ def zeta(u: float, tol: float = 1e-12) -> float:
     Euler-Maclaurin correction terms (K^-u/2, u K^-(u+1)/12) are added to
     the K^(1-u)/(u-1) tail so the first omitted term, bounded by
     u(u+1)(u+2) K^-(u+3)/720, is below ``tol``; otherwise reaching 1e-12
-    near u=1 would need astronomically many terms.
+    near u=1 would need astronomically many terms.  The result is finite
+    for every finite u > 1.
     """
-    if not u > 1.0:
-        raise DomainError(f"zeta requires u > 1, got {u}")
-    c = u * (u + 1.0) * (u + 2.0) / 720.0
-    k = max(16, math.ceil((c / tol) ** (1.0 / (u + 3.0))))
+    if not 1.0 < u < math.inf:
+        raise DomainError(f"zeta requires finite u > 1, got {u}")
+    ratio = u * (u + 1.0) * (u + 2.0) / 720.0 / tol
+    # for huge u the ratio overflows to inf while its (u+3)-th root tends to 1
+    k = 16 if math.isinf(ratio) else max(16, math.ceil(ratio ** (1.0 / (u + 3.0))))
     ks = np.arange(1, k, dtype=float)
     partial = float(np.sum(ks ** (-u)))
     tail = k ** (1.0 - u) / (u - 1.0) + 0.5 * k ** (-u) + u / 12.0 * k ** (-u - 1.0)
@@ -296,17 +275,24 @@ def deviation_bound(x: float, beta: float) -> float:
 
     Upper bound on the probability that a sigma-subgaussian random walk ever
     exceeds sqrt(2 sigma^2 t (x + beta loglog(e t))); requires beta > 1,
-    x >= 8/(e-1)^2 and beta(1-1/(2x)) > 1 (zeta convergence).
+    x >= 8/(e-1)^2 and beta(1-1/(2x)) > 1 (zeta convergence), both finite.
+    The power and exp(-x) are combined in log space, so a large power never
+    meets an underflowed exp(-x); a bound past the float range raises
+    DomainError.
     """
-    if not beta > 1.0:
-        raise DomainError(f"beta must exceed 1, got {beta}")
-    if not x >= X_MIN:
-        raise DomainError(f"x must be >= 8/(e-1)^2 = {X_MIN:.6f}, got {x}")
+    if not 1.0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and exceed 1, got {beta}")
+    if not X_MIN <= x < math.inf:
+        raise DomainError(f"x must be finite and >= 8/(e-1)^2 = {X_MIN:.6f}, got {x}")
     u = beta * (1.0 - 1.0 / (2.0 * x))
     if not u > 1.0:
         raise DomainError(f"beta(1 - 1/(2x)) = {u} must exceed 1")
-    return math.sqrt(math.e) * zeta(u) * (math.sqrt(x) / (2.0 * math.sqrt(2.0)) + 1.0) ** beta \
-        * math.exp(-x)
+    try:
+        return zeta(u) * math.exp(0.5 + beta * math.log1p(math.sqrt(x) / (2.0 * math.sqrt(2.0)))
+                                  - x)
+    except OverflowError:
+        raise DomainError(f"the deviation bound at x={x}, beta={beta} "
+                          "exceeds the float range") from None
 
 
 def lil_envelope(sigma: float, x: float, beta: float, horizon: int) -> np.ndarray:

@@ -286,6 +286,10 @@ _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.2
      "--paths", "10"],
     ["simulate-fc", *_FC_ARGS, "--tau-max", "-5"],
     ["simulate-fc", *_FC_ARGS, "--tau-max", "-1"],
+    ["lil-check", "--x", "inf", "--beta", "1.5", "--horizon", "50", "--paths", "10"],
+    ["lil-check", "--x", "3", "--beta", "inf", "--horizon", "50", "--paths", "10"],
+    ["lil-check", "--x", "3", "--beta", "1e300", "--horizon", "50", "--paths", "10"],
+    ["simulate-fc", *_FC_ARGS, "--sigma", "inf"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"
@@ -309,8 +313,8 @@ def test_tiny_tau_max_still_runs(tmp_path, tau_max):
 
 
 def test_rule_failing_in_a_worker_is_usage_error(tmp_path, capsys):
-    # the sequential GLRT rejects Gaussian arms when its rule is built,
-    # which at --workers 2 happens inside the worker processes
+    # the sequential GLRT rejects Gaussian arms when its rule is built, which
+    # happens in the parent before any worker starts, at any --workers
     errors = []
     for workers in ("1", "2"):
         out = tmp_path / f"sglrt-{workers}.csv"
@@ -324,3 +328,44 @@ def test_rule_failing_in_a_worker_is_usage_error(tmp_path, capsys):
         assert not out.exists()
         errors.append(err)
     assert errors[0] == errors[1]
+
+
+
+_FB_CONFIG = {"instance": {"family": "bernoulli", "means": [0.2, 0.1]},
+              "grid": [100], "replications": 10, "master_seed": 1}
+_FC_CONFIG = {"instance": {"family": "gaussian", "means": [0.5, 0], "variances": [0.25, 0.25]},
+              "algorithm": {"kind": "elimination", "rate": "robbins"},
+              "grid": [0.1], "replications": 10, "master_seed": 1}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("simulate-fb", [1, 2]),
+    ("simulate-fb", "fig3-easy"),
+    ("simulate-fb", {**_FB_CONFIG, "instance": [0.2, 0.1]}),
+    ("simulate-fb", {**_FB_CONFIG, "instance": {"family": "bernoulli", "means": 0.2}}),
+    ("simulate-fb", {**_FB_CONFIG, "instance": {"family": "bernoulli", "means": ["a", "b"]}}),
+    ("simulate-fb", {**_FB_CONFIG, "grid": 100}),
+    ("simulate-fb", {**_FB_CONFIG, "replications": "abc"}),
+    ("simulate-fb", {**_FB_CONFIG, "replications": 2.5}),
+    ("simulate-fb", {**_FB_CONFIG, "master_seed": [1]}),
+    ("simulate-fb", {**_FB_CONFIG, "workers": "two"}),
+    ("simulate-fb", {**_FB_CONFIG, "algorithm": {"kind": "static", "allocation": "greedy"}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "elimination", "rate": "bogus"}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "elimination", "rate": "robbins",
+                                                 "tau_max": "many"}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "elimination", "rate": "robbins",
+                                                 "sigma": [0.5]}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "alpha-elimination",
+                                                 "rate": "alpha-elim", "alpha": "x"}}),
+])
+def test_malformed_config_is_usage_error(tmp_path, capsys, command, document):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(document))
+    out = tmp_path / "cfg.csv"
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()

@@ -301,6 +301,31 @@ def test_default_tau_max_formula():
     assert default_tau_max(EASY, 0.01) == math.ceil(50 * math.log(100.0) / 0.125)
 
 
+@pytest.mark.parametrize("run", [
+    lambda rng: run_elimination(EASY, 0.05, ExplorationRate.ROBBINS_LOG_T, rng, tau_max=-5),
+    lambda rng: run_alpha_elimination(EASY, 0.05, ExplorationRate.ALPHA_ELIM, rng,
+                                      tau_max=-5),
+    lambda rng: run_sglrt(B21, 0.05, ExplorationRate.SGLRT, rng, tau_max=-5),
+    lambda rng: run_sprt_oracle(EASY, 0.05, rng, tau_max=-5),
+], ids=["elimination", "alpha-elimination", "sglrt", "sprt"])
+def test_negative_tau_max_is_rejected(run):
+    with pytest.raises(DomainError):
+        run(make_rng(0))
+
+
+def test_rate_must_be_an_exploration_rate():
+    with pytest.raises(DomainError):
+        validate_rate("robbins", 0.1)
+    with pytest.raises(DomainError):
+        run_elimination(EASY, 0.05, None, make_rng(0))
+
+
+def test_elimination_rejects_non_finite_sigma():
+    for sigma in (math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError):
+            run_elimination(B21, 0.1, ExplorationRate.PLAIN_LOG, make_rng(0), sigma=sigma)
+
+
 def test_plainlog_error_slope_tracks_complexity():
     # Figure-3-style check: log error vs mean tau is near-linear with slope
     # on the order of -c_star_fc = -0.125. At desk scale (errors >= 1e-4)

@@ -186,6 +186,42 @@ def test_run_experiments_validates_every_config_before_running(monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("spec", [
+    AlgorithmSpec("sglrt", rate=ExplorationRate.ROBBINS_LOG_T),  # needs Bernoulli arms
+    AlgorithmSpec("elimination", rate="robbins"),  # a string, not an ExplorationRate
+])
+def test_config_only_a_rule_rejects_fails_before_any_pool(monkeypatch, spec):
+    monkeypatch.setattr(_CountingPool, "opened", 0)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
+    configs = [ExperimentConfig(EASY, ELIM, (0.1,), 20, 0),
+               ExperimentConfig(EASY, spec, (0.1,), 20, 0)]
+    with pytest.raises(DomainError):
+        run_experiments(configs, workers=2)
+    assert _CountingPool.opened == 0
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a worker built a rule or re-solved a cell")
+
+
+def test_workers_only_run_rules_built_in_the_parent(monkeypatch):
+    # once the pool opens, building a rule, a tau_max or an allocation fails;
+    # forked workers inherit that, so they must run the parent's rules as given
+    class _GuardedPool(_CountingPool):
+        def __init__(self, *args, **kwargs):
+            monkeypatch.setattr(engine.StoppingRule, "__init__", _forbidden)
+            monkeypatch.setattr(fc_algos, "default_tau_max", _forbidden)
+            monkeypatch.setattr(fb_algos, "optimal_alpha", _forbidden)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(_GuardedPool, "opened", 0)
+    configs = _mixed_configs()
+    expected = run_experiments(configs, 1)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _GuardedPool)
+    assert run_experiments(configs, 2) == expected
+    assert _GuardedPool.opened == 1
+
+
 # --- engine properties -------------------------------------------------------------
 
 MISMATCHED = two_armed_gaussian(1.0, 0.0, 1.0, 0.25)
