@@ -107,11 +107,21 @@ def _comma_list(value) -> str:
     return ",".join(str(x) for x in value)
 
 
+def _one_value(convert):
+    """The conversion of a one-value field: a JSON scalar, from its text."""
+    def one(value):
+        if isinstance(value, (list, dict)):
+            raise TypeError("not a single value")
+        return convert(str(value))
+    return one
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Fill unset CLI fields from a JSON config mirroring ExperimentConfig.
 
     Scalars convert from their text as their flags' arguments do; lists
-    become the comma lists their flags take.
+    become the comma lists their flags take.  Every field present is
+    checked, also one a flag overrides.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -121,28 +131,30 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     inst = _object(cfg.get("instance", {}), "instance")
     algo = _object(cfg.get("algorithm", {}), "algorithm")
     fields = {  # dest: (config field, its value, conversion)
-        "family": ("instance.family", inst.get("family"), str),
+        "family": ("instance.family", inst.get("family"), _one_value(str)),
         "means": ("instance.means", inst.get("means"), _comma_list),
         "variances": ("instance.variances", inst.get("variances"), _comma_list),
-        "algo": ("algorithm.kind", algo.get("kind"), str),
-        "rate": ("algorithm.rate", algo.get("rate"), ExplorationRate),
-        "alpha": ("algorithm.alpha", algo.get("alpha"), float),
-        "tau_max": ("algorithm.tau_max", algo.get("tau_max"), int),
-        "sigma": ("algorithm.sigma", algo.get("sigma"), float),
-        "alloc": ("algorithm.allocation", algo.get("allocation"), str),
+        "algo": ("algorithm.kind", algo.get("kind"), _one_value(str)),
+        "rate": ("algorithm.rate", algo.get("rate"), _one_value(ExplorationRate)),
+        "alpha": ("algorithm.alpha", algo.get("alpha"), _one_value(float)),
+        "tau_max": ("algorithm.tau_max", algo.get("tau_max"), _one_value(int)),
+        "sigma": ("algorithm.sigma", algo.get("sigma"), _one_value(float)),
+        "alloc": ("algorithm.allocation", algo.get("allocation"), _one_value(str)),
         "grid": ("grid", cfg.get("grid"), _comma_list),
-        "reps": ("replications", cfg.get("replications"), int),
-        "seed": ("master_seed", cfg.get("master_seed"), int),
-        "workers": ("workers", cfg.get("workers"), int),
-        "out": ("out", cfg.get("out"), str),
+        "reps": ("replications", cfg.get("replications"), _one_value(int)),
+        "seed": ("master_seed", cfg.get("master_seed"), _one_value(int)),
+        "workers": ("workers", cfg.get("workers"), _one_value(int)),
+        "out": ("out", cfg.get("out"), _one_value(str)),
     }
     for dest, (field, value, convert) in fields.items():
-        if value is None or getattr(args, dest, None) is not None:
+        if value is None:
             continue
         try:
-            setattr(args, dest, convert(value if isinstance(value, list) else str(value)))
+            converted = convert(value)
         except (TypeError, ValueError):
             raise BestArmError(f"config field {field} is invalid: {value!r}") from None
+        if getattr(args, dest, None) is None:
+            setattr(args, dest, converted)
 
 
 def _require(args, *names) -> None:

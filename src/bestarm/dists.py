@@ -306,6 +306,22 @@ def same_family(p: ArmDistribution, q: ArmDistribution) -> bool:
     return True
 
 
+def _law(dist: ArmDistribution) -> tuple:
+    """("gaussian", mean, sd), ("bernoulli", p) or ("exponential", scale) of one arm."""
+    if isinstance(dist, ExpFamilyArm):
+        fid = dist.family_desc.family_id
+        if fid.startswith("gaussian_kv"):
+            return "gaussian", dist.mean, math.sqrt(dist.family_desc.known_variance)
+        if fid in ("bernoulli", "exponential"):
+            return fid, dist.mean
+        raise DomainError(f"no sampler for exponential family {fid!r}")
+    if isinstance(dist, Gaussian):
+        return "gaussian", dist.mean, dist.sigma
+    if isinstance(dist, Bernoulli):
+        return "bernoulli", dist.mean
+    raise FamilyMismatch(f"not an arm distribution: {dist!r}")
+
+
 def sampler(dist: ArmDistribution):
     """(fill, finish) for one arm: ``fill(rng, out)`` writes standard variates
     into ``out`` and ``finish(raw)`` maps an array of them to draws.
@@ -313,29 +329,52 @@ def sampler(dist: ArmDistribution):
     Splitting the two lets a caller fill many rows, each from its own
     stream, and finish them all in one pass; draws equal :func:`sample_n`'s.
     """
-    if isinstance(dist, ExpFamilyArm):
-        fid = dist.family_desc.family_id
-        if fid.startswith("gaussian_kv"):
-            return _normal_sampler(dist.mean, math.sqrt(dist.family_desc.known_variance))
-        if fid == "bernoulli":
-            return _uniform_sampler(dist.mean)
-        if fid == "exponential":
-            scale = dist.mean
-            return (lambda rng, out: rng.standard_exponential(out=out)), (lambda e: scale * e)
-        raise DomainError(f"no sampler for exponential family {fid!r}")
-    if isinstance(dist, Gaussian):
-        return _normal_sampler(dist.mean, dist.sigma)
-    if isinstance(dist, Bernoulli):
-        return _uniform_sampler(dist.mean)
-    raise FamilyMismatch(f"not an arm distribution: {dist!r}")
+    kind, *params = _law(dist)
+    if kind == "gaussian":
+        return _normal_sampler(*params)
+    if kind == "bernoulli":
+        p, = params
+        return (lambda rng, out: rng.random(out=out)), (lambda u: (u < p).astype(float))
+    scale, = params
+    return (lambda rng, out: rng.standard_exponential(out=out)), (lambda e: scale * e)
+
+
+def sum_sampler(dist: ArmDistribution, n: int):
+    """(fill, finish), as :func:`sampler`, of the sum of n draws from one arm.
+
+    ``fill(rng, out)`` writes one variate into the one-element ``out``, and
+    the finished draw is exact in law: N(n mean, n sd^2) for Gaussian arms,
+    binomial(n, p) for Bernoulli arms and scale * Gamma(n) for exponential
+    arms.  Scalar draws: numpy's size/out handling costs more than a
+    binomial or gamma variate at these sizes.
+    """
+    kind, *params = _law(dist)
+    if kind == "gaussian":
+        mean, sd = params
+        mean, sd = n * mean, math.sqrt(n) * sd
+
+        def fill(rng, out):
+            out[0] = rng.standard_normal()
+        return fill, lambda z: mean + sd * z
+    if kind == "bernoulli":
+        p, = params
+
+        def fill(rng, out):
+            out[0] = rng.binomial(n, p)
+        return fill, _identity
+    scale, = params
+
+    def fill(rng, out):
+        out[0] = rng.standard_gamma(n)
+    return fill, lambda g: scale * g
+
+
+def _identity(x):
+    return x
 
 
 def _normal_sampler(mean: float, sd: float):
     return (lambda rng, out: rng.standard_normal(out=out)), (lambda z: mean + sd * z)
-
-
-def _uniform_sampler(p: float):
-    return (lambda rng, out: rng.random(out=out)), (lambda u: (u < p).astype(float))
 
 
 def sample_n(dist: ArmDistribution, rng: np.random.Generator, n: int) -> np.ndarray:

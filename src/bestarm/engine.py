@@ -1,13 +1,15 @@
 """The stopping engine every strategy runs on.
 
 A :class:`StoppingRule` is one strategy validated for one cell: it
-supplies its per-chunk thresholds and its statistic, nothing else.
-:func:`run_rows` advances a block of replications of one rule in
-lockstep.  Per chunk of steps (64 doubling to 4096) it draws every active
-row's arm-1 chunk then arm-2 chunk from that row's own stream, stacks the
-rows into (rows, n) arrays, scans them for first crossings at once, and
-drops the rows that stopped.  Thresholds are computed once per chunk and
-block and shared by all of its rows.
+supplies its samplers, its per-chunk thresholds and its statistic,
+nothing else.  :func:`run_rows` advances a block of replications of one
+rule in lockstep.  Per chunk of steps (64 doubling to 4096) it draws every
+active row's arm-1 chunk then arm-2 chunk from that row's own stream,
+stacks the rows into (rows, n) arrays, scans them for first crossings at
+once, and drops the rows that stopped.  A rule draws what its statistic
+reads: a rule that reads only paired differences draws them on arm 1 and
+nothing on arm 2, and a static rule draws one sum per arm.  Thresholds
+are computed once per chunk and block and shared by all of its rows.
 """
 
 from __future__ import annotations
@@ -40,15 +42,18 @@ class RunOutcome:
 
 
 class StoppingRule:
-    """A strategy validated once for a cell: its threshold and its statistic.
+    """A strategy validated once for a cell: its samplers, threshold and statistic.
 
     A rule runs at most ``steps`` steps, each paired (one draw per arm, t = 2k)
     unless ``draws`` says otherwise.  ``chunk(done, n)`` gives the arm-1 and
-    arm-2 draw counts of steps done+1..done+n and the data every row shares
-    (thresholds); ``scan(shared, carry, x, y)`` gives (rows, n) crossings and
-    "arm 0 is recommended here" flags, plus the ``width`` running sums per
-    row that carry into the next chunk.  A rule pickles as plain data: its
-    sampler closures are rebuilt from its ``arms`` when it is unpickled.
+    arm-2 variate counts of steps done+1..done+n and the data every row
+    shares (thresholds); ``scan(shared, carry, x, y)`` gives (rows, n)
+    crossings and "arm 0 is recommended here" flags, plus the ``width``
+    running sums per row that carry into the next chunk.  ``build_samplers``
+    gives the (fill, finish) pair of each of the two variate streams, one
+    draw per arm by default; a subclass that overrides it sets what it needs
+    before calling this constructor.  A rule pickles as plain data: its
+    sampler closures are rebuilt when it is unpickled.
     """
 
     width = 1
@@ -56,16 +61,20 @@ class StoppingRule:
     def __init__(self, instance: BanditInstance, steps: int):
         self.best_arm = instance.best_arm
         self.arms = instance.arms
+        self.steps = steps
         # built once per rule: building fresh closures for every block of rows
         # made short-tau cells several percent slower
-        self.samplers = tuple(sampler(arm) for arm in instance.arms)
-        self.steps = steps
+        self.samplers = self.build_samplers()
+
+    def build_samplers(self):
+        return tuple(sampler(arm) for arm in self.arms)
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "samplers"}
 
     def __setstate__(self, state):
-        self.__dict__.update(state, samplers=tuple(sampler(arm) for arm in state["arms"]))
+        self.__dict__.update(state)
+        self.samplers = self.build_samplers()
 
     def chunk(self, done: int, n: int):
         return n, n, None
@@ -73,6 +82,10 @@ class StoppingRule:
     def draws(self, steps: int) -> tuple[int, int]:
         """(tau, arm-1 draws) after ``steps`` steps."""
         return 2 * steps, steps
+
+
+#: The samplers of a variate stream that draws nothing.
+NO_DRAWS = (lambda rng, out: None), (lambda raw: raw)
 
 
 def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):

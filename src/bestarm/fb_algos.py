@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .complexity import _expfam_params, g_alpha, optimal_alpha
 from .dists import (  # noqa: F401  (sample_n: re-exported name)
-    ExpFamilyArm, Gaussian, gaussian_family, sample_n, sampler)
+    ExpFamilyArm, Gaussian, gaussian_family, sample_n, sum_sampler)
 from .errors import DegenerateInstance, DomainError
 from .instances import BanditInstance, require_two_armed
 from .engine import RunOutcome, StoppingRule, run_one
@@ -89,19 +89,24 @@ def allocation_for(instance: BanditInstance, t: int, policy: str) -> StaticAlloc
 class StaticRule(StoppingRule):
     """Draw the allocation, recommend the larger empirical mean (tie -> arm 0).
 
-    One step that always stops: the engine draws n1 then n2 samples per row.
+    One step that always stops.  The decision reads only the per-arm sums,
+    so a row draws one sum per arm (:func:`bestarm.dists.sum_sampler`).
     """
 
     def __init__(self, instance: BanditInstance, alloc: StaticAllocation):
         require_two_armed(instance)
-        super().__init__(instance, 1)
         self.alloc = alloc
+        super().__init__(instance, 1)
+
+    def build_samplers(self):
+        return tuple(sum_sampler(arm, n) for arm, n in zip(self.arms, (self.alloc.n1,
+                                                                      self.alloc.n2)))
 
     def chunk(self, done, n):
-        return self.alloc.n1, self.alloc.n2, None
+        return 1, 1, None
 
     def scan(self, shared, carry, x, y):
-        leads = (x.sum(axis=1) / self.alloc.n1 >= y.sum(axis=1) / self.alloc.n2)[:, None]
+        leads = x / self.alloc.n1 >= y / self.alloc.n2
         return np.ones_like(leads), leads, carry
 
     def draws(self, steps):
@@ -149,12 +154,11 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
     order 1/sqrt(reps), where plain sampling needs about 1/p replications
     to see a single error.
 
-    Replication r draws n1 arm-1 then n2 arm-2 variates from the stream of
-    ``rng``'s bit generator jumped r times from its state on entry
-    (:func:`bestarm.rng.seek`, the harness's per-replication layout), so
-    the result does not depend on how rows are blocked.  Memory is one
-    float per replication plus a block of at most ``engine.BLOCK_ELEMENTS``
-    draws per arm.
+    Replication r draws its arm-1 sum then its arm-2 sum, as
+    :class:`StaticRule` does, from the stream of ``rng``'s bit generator
+    jumped r times from its state on entry (:func:`bestarm.rng.seek`, the
+    harness's per-replication layout), so the result does not depend on
+    how rows are blocked.  Memory is one float per replication.
     """
     rule = StaticRule(instance, alloc)
     if reps < 1:
@@ -174,20 +178,19 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
         fams, thetas = (fam, fam), (theta1, theta2)
         mix = alloc.alpha * theta1 + (1.0 - alloc.alpha) * theta2
         tilts = (mix, mix)
-    (fill1, finish1), (fill2, finish2) = (sampler(ExpFamilyArm(f, s))
-                                          for f, s in zip(fams, tilts))
+    (fill1, finish1), (fill2, finish2) = (sum_sampler(ExpFamilyArm(f, s), n)
+                                          for f, s, n in zip(fams, tilts, (n1, n2)))
     # log dP/dQ of a row = sum_i (theta_i - theta'_i) S_i - n_i (b_i(theta_i) - b_i(theta'_i))
     shift1, shift2 = thetas[0] - tilts[0], thetas[1] - tilts[1]
     offset = sum(n * (f.log_partition(t) - f.log_partition(s))
                  for n, f, t, s in zip((n1, n2), fams, thetas, tilts))
     bit_generator = rng.bit_generator
     root = bit_generator.state
-    per_block = max(1, engine.BLOCK_ELEMENTS // max(n1, n2))
     weighted = np.zeros(reps)  # likelihood ratio on error rows, 0 elsewhere
-    for lo in range(0, reps, per_block):
-        rows = range(lo, min(lo + per_block, reps))
-        x = np.empty((len(rows), n1))
-        y = np.empty((len(rows), n2))
+    for lo in range(0, reps, engine.BLOCK_ELEMENTS):
+        rows = range(lo, min(lo + engine.BLOCK_ELEMENTS, reps))
+        x = np.empty((len(rows), 1))
+        y = np.empty((len(rows), 1))
         for i, r in enumerate(rows):
             seek(bit_generator, root, r)
             fill1(rng, x[i])
@@ -195,7 +198,7 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
         x, y = finish1(x), finish2(y)
         _, leads, _ = rule.scan(None, None, x, y)
         wrong = leads[:, 0] != (rule.best_arm == 0)
-        log_w = shift1 * x[wrong].sum(axis=1) + shift2 * y[wrong].sum(axis=1) - offset
+        log_w = shift1 * x[wrong, 0] + shift2 * y[wrong, 0] - offset
         weighted[lo:lo + len(rows)][wrong] = np.exp(log_w)
     estimate = float(weighted.mean())
     std_error = math.sqrt(weighted.var(ddof=1) / reps) if reps > 1 else math.inf

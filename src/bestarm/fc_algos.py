@@ -42,8 +42,8 @@ from enum import Enum
 import numpy as np
 
 from .complexity import i_star_bernoulli, i_star_fc
-from .dists import Gaussian, sample_n  # noqa: F401  (sample_n: re-exported name)
-from .engine import RunOutcome, StoppingRule, run_one
+from .dists import Gaussian, sample_n, sampler  # noqa: F401  (sample_n: re-exported name)
+from .engine import NO_DRAWS, RunOutcome, StoppingRule, run_one
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
 
@@ -151,8 +151,18 @@ def _paired_steps(instance: BanditInstance, delta: float, tau_max: int | None) -
     return max(1, _resolve_tau_max(instance, delta, tau_max) // 2)
 
 
+def _difference_samplers(arms):
+    """One X - Y ~ N(mu1 - mu2, var1 + var2) per paired step of two Gaussian arms."""
+    a1, a2 = arms
+    return sampler(Gaussian(a1.mean - a2.mean, a1.variance + a2.variance)), NO_DRAWS
+
+
 class EliminationRule(StoppingRule):
-    """Paired-sampling elimination; see the module docstring for the rule."""
+    """Paired-sampling elimination; see the module docstring for the rule.
+
+    The statistic reads only the paired differences, so on Gaussian arms a
+    step draws one difference; other arms draw both arms per step.
+    """
 
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
                  tau_max: int | None = None, sigma: float | None = None):
@@ -164,15 +174,20 @@ class EliminationRule(StoppingRule):
             sigma = _equal_variance_sigma(instance)
         elif not (math.isfinite(sigma) and sigma > 0):
             raise DomainError(f"sigma must be finite and positive, got {sigma}")
+        self.paired = isinstance(instance.arms[0], Gaussian)
         super().__init__(instance, _paired_steps(instance, delta, tau_max))
         self.rate, self.delta, self.sigma = rate, delta, sigma
 
+    def build_samplers(self):
+        return _difference_samplers(self.arms) if self.paired else super().build_samplers()
+
     def chunk(self, done, n):
         ts = 2 * np.arange(done + 1, done + n + 1)
-        return n, n, np.sqrt(2.0 * self.sigma**2 * ts * _rate_values(self.rate, ts, self.delta))
+        return n, 0 if self.paired else n, np.sqrt(
+            2.0 * self.sigma**2 * ts * _rate_values(self.rate, ts, self.delta))
 
     def scan(self, thresholds, carry, x, y):
-        sums = carry + np.cumsum(x - y, axis=1)
+        sums = carry + np.cumsum(x if self.paired else x - y, axis=1)
         return np.abs(sums) > thresholds, sums >= 0.0, sums[:, -1:]
 
 
@@ -258,7 +273,8 @@ class SprtRule(StoppingRule):
 
     The exact paired log-likelihood ratio is (Delta/sigma^2) * sum(X_s - Y_s);
     ``use_paper_statistic`` drops the 1/sigma^2 factor to match the plotted
-    statistic |Delta * sum(X_s - Y_s)| of the reference experiments.
+    statistic |Delta * sum(X_s - Y_s)| of the reference experiments.  A step
+    draws one paired difference.
     """
 
     def __init__(self, instance: BanditInstance, delta: float, tau_max: int | None = None,
@@ -272,8 +288,14 @@ class SprtRule(StoppingRule):
         self.coef = gap if use_paper_statistic else gap / sigma**2
         self.threshold = math.log(1.0 / delta)
 
+    def build_samplers(self):
+        return _difference_samplers(self.arms)
+
+    def chunk(self, done, n):
+        return n, 0, None
+
     def scan(self, shared, carry, x, y):
-        llr = carry + self.coef * np.cumsum(x - y, axis=1)
+        llr = carry + self.coef * np.cumsum(x, axis=1)
         return np.abs(llr) > self.threshold, llr >= 0.0, llr[:, -1:]
 
 

@@ -23,6 +23,7 @@ finite-horizon empirical certification.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -35,6 +36,16 @@ from .instances import BanditInstance
 from .rng import make_rng, mix_seed, seek  # noqa: F401  (mix_seed: re-exported name)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+
+
+#: The knobs of each algorithm kind; any other knob must keep its default.
+_KNOBS = {
+    "elimination": ("rate", "tau_max", "sigma"),
+    "alpha-elimination": ("rate", "alpha", "tau_max"),
+    "sglrt": ("rate", "tau_max"),
+    "sprt": ("tau_max", "sprt_paper_statistic"),
+    "static": ("allocation",),
+}
 
 
 @dataclass(frozen=True)
@@ -91,13 +102,20 @@ class ExperimentConfig:
 
         Building the rules is the validation: each rule's constructor checks
         its own domain (delta range, exploration rate, arm family, tau_max,
-        budget, allocation policy) and raises DomainError outside it.
+        budget, allocation policy) and raises DomainError outside it.  A
+        knob the algorithm kind does not take must keep its default.
         """
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
         if not self.grid:
             raise DomainError("the grid must be non-empty")
         spec, instance, grid = self.algorithm, self.instance, self.grid
+        if spec.kind not in _KNOBS:
+            raise DomainError(f"unknown algorithm kind {spec.kind!r}")
+        for knob in dataclasses.fields(spec):
+            if (knob.name not in ("kind", *_KNOBS[spec.kind])
+                    and getattr(spec, knob.name) != knob.default):
+                raise DomainError(f"the {spec.kind} algorithm takes no {knob.name}")
         if spec.kind == "elimination":
             return [fc_algos.EliminationRule(instance, delta, spec.rate, spec.tau_max,
                                              spec.sigma) for delta in grid]
@@ -110,12 +128,10 @@ class ExperimentConfig:
         if spec.kind == "sprt":
             return [fc_algos.SprtRule(instance, delta, spec.tau_max, spec.sprt_paper_statistic)
                     for delta in grid]
-        if spec.kind == "static":
-            if not all(float(t).is_integer() for t in grid):
-                raise DomainError("budgets must be integers")
-            allocs = fb_algos.allocations_for(instance, [int(t) for t in grid], spec.allocation)
-            return [fb_algos.StaticRule(instance, alloc) for alloc in allocs]
-        raise DomainError(f"unknown algorithm kind {spec.kind!r}")
+        if not all(float(t).is_integer() for t in grid):
+            raise DomainError("budgets must be integers")
+        allocs = fb_algos.allocations_for(instance, [int(t) for t in grid], spec.allocation)
+        return [fb_algos.StaticRule(instance, alloc) for alloc in allocs]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 from bestarm.cli import build_instance, main, parse_grid
 from bestarm.errors import BestArmError
+from bestarm.fc_algos import ExplorationRate, eval_rate
 from bestarm.harness import AlgorithmSpec, ExperimentConfig, run_fb_experiment
 from bestarm.instances import two_armed_bernoulli
 from bestarm.records_io import (
@@ -15,6 +17,7 @@ from bestarm.records_io import (
     records_to_csv,
     write_records,
 )
+from bestarm.rng import make_rng, seek
 
 
 def run_cli(*argv):
@@ -290,6 +293,12 @@ _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.2
     ["lil-check", "--x", "3", "--beta", "inf", "--horizon", "50", "--paths", "10"],
     ["lil-check", "--x", "3", "--beta", "1e300", "--horizon", "50", "--paths", "10"],
     ["simulate-fc", *_FC_ARGS, "--sigma", "inf"],
+    # knobs the algorithm does not take
+    ["simulate-fc", "--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.25",
+     "--algo", "sprt", "--rate", "robbins", "--sigma", "3", "--alpha", "0.9",
+     "--deltas", "0.1", "--reps", "10", "--seed", "4"],
+    ["simulate-fc", "--family", "bernoulli", "--means", "0.2,0.1", "--algo", "sglrt",
+     "--rate", "sglrt", "--sigma", "0.5", "--deltas", "0.1", "--reps", "10", "--seed", "4"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"
@@ -304,12 +313,34 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", [
+    ["--family", "bernoulli", "--means", "0.2,0.1"],
+    ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.25"],
+    ["--family", "exponential", "--means", "2,1"],
+], ids=["bernoulli", "gaussian", "exponential"])
+def test_static_runs_a_huge_budget_in_bounded_memory(tmp_path, family):
+    # a static row draws one sum per arm, not its whole allocation
+    out = tmp_path / "huge.csv"
+    assert main(["simulate-fb", *family, "--budgets", "1e9", "--reps", "3", "--seed", "4",
+                 "--out", str(out)]) == 0
+    rec, = read_records(str(out))
+    assert rec.mean_tau == 1e9 and rec.replications == 3
+
+
 @pytest.mark.parametrize("tau_max", ["0", "1"])
 def test_tiny_tau_max_still_runs(tmp_path, tau_max):
+    # one paired step: a row is exhausted unless its first difference
+    # X - Y ~ N(0.5, 0.5), read from its own stream, crosses the robbins threshold
     out = tmp_path / "tiny.csv"
     assert main(["simulate-fc", *_FC_ARGS, "--tau-max", tau_max, "--out", str(out)]) == 0
     rec, = read_records(str(out))
-    assert rec.exhausted_count == 10 and rec.mean_tau == 2.0
+    threshold = math.sqrt(2.0 * 0.25 * 2 * eval_rate(ExplorationRate.ROBBINS_LOG_T, 2, 0.1))
+    within = 0
+    for r in range(10):
+        rng = make_rng(4, 0)
+        seek(rng.bit_generator, rng.bit_generator.state, r)
+        within += abs(0.5 + math.sqrt(0.5) * rng.standard_normal()) <= threshold
+    assert rec.exhausted_count == within and rec.mean_tau == 2.0
 
 
 def test_rule_failing_in_a_worker_is_usage_error(tmp_path, capsys):
@@ -357,8 +388,13 @@ _FC_CONFIG = {"instance": {"family": "gaussian", "means": [0.5, 0], "variances":
                                                  "sigma": [0.5]}}),
     ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "alpha-elimination",
                                                  "rate": "alpha-elim", "alpha": "x"}}),
+    # a list or an object where the field takes one value, also under a flag
+    ("simulate-fb", {**_FB_CONFIG, "out": ["a.csv"]}),
+    ("simulate-fb", {**_FB_CONFIG, "out": {"path": "a.csv"}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "sprt", "rate": "robbins"}}),
 ])
-def test_malformed_config_is_usage_error(tmp_path, capsys, command, document):
+def test_malformed_config_is_usage_error(tmp_path, monkeypatch, capsys, command, document):
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(document))
     out = tmp_path / "cfg.csv"
@@ -368,4 +404,4 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, command, document):
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert captured.out == ""
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 
 from bestarm import engine
 from bestarm.complexity import c_star_fb, g_alpha, i_star_fb, optimal_alpha
@@ -188,10 +190,11 @@ def test_tie_breaks_toward_lowest_index_and_counts_as_error():
     for seed in range(400):
         rng = make_rng(seed)
         out = run_static(inst, alloc, rng)
+        # a static row draws each arm's success count: binomial(n1, p1), then binomial(n2, p2)
         draws_rng = make_rng(seed)
-        m1 = float(np.mean((draws_rng.random(2) < 0.1).astype(float)))
-        m2 = float(np.mean((draws_rng.random(2) < 0.2).astype(float)))
-        if m1 == m2:
+        k1 = int(draws_rng.binomial(2, 0.1, size=1)[0])
+        k2 = int(draws_rng.binomial(2, 0.2, size=1)[0])
+        if k1 == k2:
             tie_seen = True
             assert out.recommended == 0
             assert not out.correct
@@ -272,6 +275,70 @@ def test_tilted_error_exponential_matches_plain_record():
         assert std_error <= 0.03 * estimate
         plain_se = math.sqrt(estimate * (1 - estimate) / n)
         assert abs(estimate - rec.error_rate) <= 4 * math.hypot(std_error, plain_se)
+
+
+def _exponential_error(instance, alloc):
+    # S_i = mu_i G_i with G_i ~ Gamma(n_i): arm 0 leads iff B = G1/(G1+G2) ~ Beta(n1, n2)
+    # is at least x = r/(1+r), r = n1 mu2/(n2 mu1), and P(B < x) = I_x(n1, n2)
+    # = P(Bin(n1 + n2 - 1, x) >= n1); ties have probability 0
+    (mu1, mu2), n1, n2 = instance.means, alloc.n1, alloc.n2
+    r = n1 * mu2 / (n2 * mu1)
+    pmf = np.exp(_log_binom_pmf(n1 + n2 - 1, r / (1.0 + r)))
+    return math.fsum(pmf[n1:] if instance.best_arm == 0 else pmf[:n1])
+
+
+EXPO_21 = BanditInstance((ExpFamilyArm(EXPONENTIAL_FAMILY, -0.5),
+                          ExpFamilyArm(EXPONENTIAL_FAMILY, -1.0)))  # means 2 and 1
+
+
+def test_static_exponential_oracle():
+    swapped = BanditInstance(EXPO_21.arms[::-1])
+    cases = [(inst, allocation_for(inst, t, policy)) for inst in (EXPO_21, swapped)
+             for t in (40, 200, 1000) for policy in ("uniform", "optimal")]
+    for g, (instance, alloc) in enumerate(cases):
+        exact = _exponential_error(instance, alloc)
+        (mu1, mu2), n1, n2 = instance.means, alloc.n1, alloc.n2
+        x = n1 * mu2 / (n1 * mu2 + n2 * mu1)
+        # 1 - I_x(n1, n2) = I_{1-x}(n2, n1)
+        reference = (scipy.special.betainc(n1, n2, x) if instance.best_arm == 0
+                     else scipy.special.betainc(n2, n1, 1.0 - x))
+        assert exact == pytest.approx(reference, rel=1e-9)
+        estimate, std_error = tilted_error(instance, alloc, TILT_REPS, make_rng(36, g))
+        _assert_matches(estimate, std_error, exact)
+
+
+def test_static_records_match_exact_errors():
+    # plain records at budgets where plain sampling sees errors; at the
+    # smallest budgets one draw more or less per arm moves the error by
+    # many standard errors
+    n = 10_000
+    cases = [(EASY, _gaussian_error, (2, 5, 20)),
+             (B21, _bernoulli_error, (2, 5, 30)),
+             (two_armed_bernoulli(0.1, 0.2), _bernoulli_error, (2, 5, 30)),
+             (EXPO_21, _exponential_error, (2, 5, 40))]
+    for instance, exact_error, budgets in cases:
+        for policy in ("uniform", "optimal"):
+            records = run_fb_experiment(ExperimentConfig(
+                instance, AlgorithmSpec("static", allocation=policy),
+                tuple(map(float, budgets)), n, 37))
+            for rec, t in zip(records, budgets):
+                exact = exact_error(instance, allocation_for(instance, t, policy))
+                assert abs(rec.error_rate - exact) <= 4 * math.sqrt(exact * (1 - exact) / n)
+
+
+def test_run_static_memory_does_not_grow_with_the_budget():
+    for instance in (B21, EASY, EXPO_21):
+        alloc = uniform_allocation(10**9)
+        run_static(instance, uniform_allocation(10), make_rng(0))  # first-call set-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = run_static(instance, alloc, make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tau == 10**9
+        assert peak - base < 2**20
 
 
 def test_tilted_error_independent_of_block_size(monkeypatch):
