@@ -201,20 +201,35 @@ def _run_and_write(configs: list[ExperimentConfig], out: str, workers: int) -> i
     return 0
 
 
+def _algorithm_spec(args, fixed_budget: bool) -> AlgorithmSpec:
+    """The spec of every algorithm flag and ``algorithm.*`` config field given.
+
+    A simulate command's parser lacks the flags of the other command, but
+    its config file may still set their fields; they all reach the spec, so
+    ``ExperimentConfig.validate`` rejects a knob the kind does not take.
+    """
+    kind = getattr(args, "algo", None) or "static"
+    if (kind == "static") != fixed_budget:
+        command = "simulate-fb" if fixed_budget else "simulate-fc"
+        raise BestArmError(f"{command} cannot run the {kind} algorithm")
+    rate = getattr(args, "rate", None)
+    return AlgorithmSpec(
+        kind=kind,
+        rate=ExplorationRate(rate) if rate else None,
+        alpha=getattr(args, "alpha", None),
+        tau_max=getattr(args, "tau_max", None),
+        sigma=getattr(args, "sigma", None),
+        sprt_paper_statistic=getattr(args, "sprt_paper_statistic", False),
+        allocation=getattr(args, "alloc", None),
+    )
+
+
 def cmd_simulate_fc(args) -> int:
     _apply_config_file(args)
     _require(args, "family", "means", "algo", "grid", "reps", "seed", "out")
     instance = build_instance(args.family, _parse_floats(args.means),
                               _parse_floats(args.variances) if args.variances else None)
-    rate = ExplorationRate(args.rate) if args.rate else None
-    spec = AlgorithmSpec(
-        kind=args.algo,
-        rate=rate,
-        alpha=args.alpha,
-        tau_max=args.tau_max,
-        sigma=args.sigma,
-        sprt_paper_statistic=args.sprt_paper_statistic,
-    )
+    spec = _algorithm_spec(args, fixed_budget=False)
     cfg = ExperimentConfig(instance, spec, parse_grid(args.grid), args.reps, args.seed)
     return _run_and_write([cfg], args.out, _resolve_workers(args))
 
@@ -224,7 +239,7 @@ def cmd_simulate_fb(args) -> int:
     _require(args, "family", "means", "grid", "reps", "seed", "out")
     instance = build_instance(args.family, _parse_floats(args.means),
                               _parse_floats(args.variances) if args.variances else None)
-    spec = AlgorithmSpec(kind="static", allocation=args.alloc or "uniform")
+    spec = _algorithm_spec(args, fixed_budget=True)
     cfg = ExperimentConfig(instance, spec, parse_grid(args.grid, integer=True),
                            args.reps, args.seed)
     return _run_and_write([cfg], args.out, _resolve_workers(args))

@@ -47,9 +47,7 @@ class StoppingRule:
     A rule runs at most ``steps`` steps, each paired (one draw per arm, t = 2k)
     unless ``draws`` says otherwise.  ``chunk(done, n)`` gives the arm-1 and
     arm-2 variate counts of steps done+1..done+n and the data every row
-    shares (thresholds); ``scan(shared, carry, x, y)`` gives (rows, n)
-    crossings and "arm 0 is recommended here" flags, plus the ``width``
-    running sums per row that carry into the next chunk.  ``build_samplers``
+    shares (thresholds); :meth:`scan` decides them.  ``build_samplers``
     gives the (fill, finish) pair of each of the two variate streams, one
     draw per arm by default; a subclass that overrides it sets what it needs
     before calling this constructor.  A rule pickles as plain data: its
@@ -78,6 +76,19 @@ class StoppingRule:
 
     def chunk(self, done: int, n: int):
         return n, n, None
+
+    def scan(self, shared, carry, x, y):
+        """(hits, leads, carry) of steps done+1..done+n for a block of rows.
+
+        ``x`` and ``y`` are the rows' finished arm-1 and arm-2 variates of
+        the chunk and ``carry`` their ``width`` running sums before it.
+        ``hits`` and ``leads`` are (rows, n) flags: the rule stops here, and
+        arm 0 is recommended here.  The engine reads only each row's first
+        hit, the lead there, the lead in the last column and the returned
+        carry (the running sums after the chunk); every other entry of
+        ``hits`` and ``leads`` may be anything.
+        """
+        raise NotImplementedError
 
     def draws(self, steps: int) -> tuple[int, int]:
         """(tau, arm-1 draws) after ``steps`` steps."""

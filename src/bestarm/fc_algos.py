@@ -240,8 +240,86 @@ class AlphaEliminationRule(StoppingRule):
         return steps, math.ceil(self.alpha * steps)
 
 
+#: Relative margin that a bound on t I_* must keep from beta to decide an
+#: SGLRT step without the exact statistic; see :class:`SglrtRule`.
+_SCREEN_EPS = 1e-6
+_LN4 = 2.0 * math.log(2.0)
+#: Exact terms of G (see :class:`SglrtRule`) in the fine bounds.
+_G_TERMS = 8
+_G_HEAD = [1.0 / (j * (2 * j - 1)) for j in range(1, _G_TERMS + 2)]
+#: Coefficients (by power of s; then lower, upper) of G's bounds: the exact
+#: terms, then s^N times the tail's value at s = 0 (below) and at s = 1 (above).
+_G_BOUNDS = np.array([_G_HEAD, _G_HEAD[:-1] + [_LN4 - math.fsum(_G_HEAD[:-1])]])
+_G_BOUNDS = _G_BOUNDS.T[..., None, None]
+
+
+def _coarse_screen(s1, s2, k, low, high):
+    """(surely t I_* > beta, surely not) from L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v).
+
+    ``s1``, ``s2`` are integer arm sums after k paired steps (t = 2k), ``low``
+    and ``high`` beta less and plus its margin.  Products only, so D = 0 with
+    A B = 0 compares 0 with 0 and is surely no crossing.
+    """
+    dd = (s1 - s2) ** 2
+    sums = s1 + s2
+    rest = 2.0 * k - sums
+    ab = sums * rest
+    n2 = np.minimum(sums, rest) ** 2
+    return (dd > (high / k) * ab,
+            dd * (n2 + (_LN4 - 1.0) * dd) <= (low / k) * ab * n2)
+
+
+def _i_star_bounds(s1, s2, k):
+    """(lo, hi) around t I_*(s1/k, s2/k), t = 2k, for integer arm sums s1 != s2.
+
+    Each half, A g(D/A) / 2 = (D^2/A) G(D^2/A^2) / 2, takes G's bounds from
+    :data:`_G_BOUNDS`, by Horner's rule, and G(1) = 2 log 2 exactly where
+    s = 1 (one arm's sum is 0 or k).
+    """
+    n = np.stack((s1 + s2, 2.0 * k - s1 - s2))
+    w = (s1 - s2) ** 2 / n
+    s = w / n
+    g = _G_BOUNDS[-1]
+    for c in _G_BOUNDS[-2::-1]:
+        g = g * s + c
+    g[0][s == 1.0] = _LN4
+    lo, hi = 0.5 * (w * g).sum(axis=1)
+    return lo, hi
+
+
 class SglrtRule(StoppingRule):
-    """Sequential GLRT on Bernoulli arms, uniform sampling, even-t stopping."""
+    """Sequential GLRT on Bernoulli arms, uniform sampling, even-t stopping.
+
+    After k paired steps with arm sums S1, S2 (t = 2k) the rule stops once
+    t I_*(S1/k, S2/k) > beta(t, delta).  Almost no step is near beta, so
+    ``scan`` decides a step from bounds on t I_* that take no logarithm, and
+    calls ``i_star_bernoulli`` only where they leave it open.  Its hits and
+    leads equal the unscreened comparison wherever the engine reads them
+    (see ``StoppingRule.scan``); a step after its row's first sure crossing
+    may read as no crossing.
+
+    The bracket.  With A = S1 + S2, B = 2k - A and D = S1 - S2,
+    t I_* = [A g(D/A) + B g(D/B)] / 2, where g(a) = (1+a) log(1+a) +
+    (1-a) log(1-a) = a^2 G(a^2), and Taylor's series of g about 0 gives
+    G(s) = sum_j s^(j-1) / (j (2j - 1)): positive coefficients, G(0) = 1,
+    G(1) = 2 log 2.  Hence 1 <= G(s) <= 1 + (2 log 2 - 1) s, and
+    after N terms the tail over s^N, convex and increasing in s, lies
+    between its values at s = 0 and s = 1.  Each step first gets the coarse
+    bracket L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v), with L0 = k D^2 / (A B)
+    and v = D^2 / min(A, B)^2 <= 1 (:func:`_coarse_screen`).  A step it
+    leaves open, before its row's first sure crossing, gets the fine bracket
+    with N = 8 terms per half (:func:`_i_star_bounds`); a step still open
+    gets the exact statistic.
+
+    The margin.  A bound decides a step only when it clears beta by the
+    relative margin ``_SCREEN_EPS`` + k 2^-49.  ``_SCREEN_EPS`` = 1e-6
+    covers the rounding of the bounds (k D^2 can exceed 2^53) and the error
+    of the exact statistic, which ``bernoulli_kl`` computes to about 1e-9
+    relative near its switch to a Taylor series.  The k term covers the
+    rounding of S/k before the exact statistic sees it: up to about 2k/|D|
+    units of 2^-53, an eighth of the k term at |D| = 1.  A step with D = 0 (S1 = S2, also at 0 or k) is surely
+    no crossing, because beta > 0 for every rate at t >= 2 and delta in (0, 1).
+    """
 
     width = 2
 
@@ -255,17 +333,30 @@ class SglrtRule(StoppingRule):
         self.rate, self.delta = rate, delta
 
     def chunk(self, done, n):
-        ks = np.arange(done + 1, done + n + 1)
-        return n, n, (ks, 2 * ks, _rate_values(self.rate, 2 * ks, self.delta))
+        ks = np.arange(done + 1, done + n + 1, dtype=float)
+        beta = _rate_values(self.rate, 2.0 * ks, self.delta)
+        margin = _SCREEN_EPS + ks * 2.0**-49
+        return n, n, (ks, beta, beta * (1.0 - margin), beta * (1.0 + margin))
 
     def scan(self, shared, carry, x, y):
-        ks, ts, beta = shared
+        ks, beta, low, high = shared
         cum1 = carry[:, :1] + np.cumsum(x, axis=1)
         cum2 = carry[:, 1:] + np.cumsum(y, axis=1)
-        m1 = cum1 / ks
-        m2 = cum2 / ks
-        hits = ts * i_star_bernoulli(m1, m2) > beta
-        return hits, m1 >= m2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
+        hits, misses = _coarse_screen(cum1, cum2, ks, low, high)
+        rows, cols = np.nonzero(hits == misses)
+        if rows.size:
+            first = np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
+            before = cols < first[rows]
+            rows, cols = rows[before], cols[before]
+            s1, s2, k = cum1[rows, cols], cum2[rows, cols], ks[cols]
+            lo, hi = _i_star_bounds(s1, s2, k)
+            sure = lo > high[cols]
+            exact = ~sure & (hi > low[cols])
+            if exact.any():
+                s1, s2, k = s1[exact], s2[exact], k[exact]
+                sure[exact] = 2.0 * k * i_star_bernoulli(s1 / k, s2 / k) > beta[cols[exact]]
+            hits[rows, cols] = sure
+        return hits, cum1 >= cum2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
 
 
 class SprtRule(StoppingRule):

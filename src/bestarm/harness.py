@@ -56,8 +56,8 @@ class AlgorithmSpec:
     (fixed confidence, grid = deltas) or static (fixed budget, grid =
     budgets).  ``alpha=None`` means the auto allocation for
     alpha-elimination; ``sigma`` is the subgaussian proxy override for
-    elimination on non-Gaussian arms; ``allocation`` ("uniform" or
-    "optimal") applies to static runs.
+    elimination on non-Gaussian arms; ``allocation`` ("uniform", the
+    default, or "optimal") applies to static runs only.
     """
 
     kind: str
@@ -66,7 +66,11 @@ class AlgorithmSpec:
     tau_max: int | None = None
     sigma: float | None = None
     sprt_paper_statistic: bool = False
-    allocation: str = "uniform"
+    allocation: str | None = None
+
+    def __post_init__(self):
+        if self.kind == "static" and self.allocation is None:
+            object.__setattr__(self, "allocation", "uniform")
 
     @property
     def is_fixed_budget(self) -> bool:

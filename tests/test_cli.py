@@ -392,6 +392,13 @@ _FC_CONFIG = {"instance": {"family": "gaussian", "means": [0.5, 0], "variances":
     ("simulate-fb", {**_FB_CONFIG, "out": ["a.csv"]}),
     ("simulate-fb", {**_FB_CONFIG, "out": {"path": "a.csv"}}),
     ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "sprt", "rate": "robbins"}}),
+    # every algorithm field reaches the spec: a wrong kind or a stray knob
+    ("simulate-fb", {**_FB_CONFIG, "algorithm": {"kind": "sprt", "rate": "robbins", "sigma": 3}}),
+    ("simulate-fb", {**_FB_CONFIG, "algorithm": {"kind": "sprt"}}),
+    ("simulate-fb", {**_FB_CONFIG, "algorithm": {"kind": "static", "rate": "robbins"}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "sprt", "allocation": "optimal"}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "sprt", "allocation": "uniform"}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "static"}, "grid": [100]}),
 ])
 def test_malformed_config_is_usage_error(tmp_path, monkeypatch, capsys, command, document):
     monkeypatch.chdir(tmp_path)

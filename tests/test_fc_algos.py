@@ -1,15 +1,24 @@
+import decimal
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.signal
 import scipy.special
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bestarm import fc_algos, harness, presets
 from bestarm.complexity import i_star_bernoulli, i_star_fc
 from bestarm.errors import DomainError
 from bestarm.fc_algos import (
     ExplorationRate,
+    SglrtRule,
+    _coarse_screen,
+    _i_star_bounds,
     default_tau_max,
     eval_rate,
     run_alpha_elimination,
@@ -246,6 +255,134 @@ def test_sglrt_tau_against_bounds():
     taus_c = [run_sglrt(B21, delta, ExplorationRate.CONJECTURED_LOG_LOG,
                         make_rng(mix_seed(10, r))).tau for r in range(n)]
     assert np.mean(taus_c) / math.log(1.0 / delta) <= 2.2 / i_star
+
+
+# --- the SGLRT screen -------------------------------------------------------------
+
+def _t_i_star(s1: int, s2: int, k: int) -> float:
+    """t I_*(s1/k, s2/k), t = 2k, to 50 digits, as the G-test sum of n log n terms."""
+    def xlnx(n):
+        return n * decimal.Decimal(n).ln() if n else decimal.Decimal(0)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = s1 + s2
+        value = (xlnx(s1) + xlnx(k - s1) + xlnx(s2) + xlnx(k - s2) - xlnx(a)
+                 - xlnx(2 * k - a) + 2 * k * decimal.Decimal(2).ln())
+    return float(value)
+
+
+def _arm_sum(k: int, near: int | None = None):
+    """An arm sum after k steps: 0, k, anything, or within a few sqrt(k) of ``near``."""
+    options = [st.sampled_from((0, k)), st.integers(0, k)]
+    if near is not None:
+        spread = 3 * math.isqrt(k) + 3
+        options.append(st.integers(max(0, near - spread), min(k, near + spread)))
+    return st.one_of(options)
+
+
+@st.composite
+def _integer_sums(draw):
+    k = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**22)))
+    s1 = draw(_arm_sum(k))
+    return s1, draw(_arm_sum(k, near=s1)), k
+
+
+@given(_integer_sums())
+@settings(max_examples=300, deadline=None)
+def test_sglrt_bounds_bracket_the_statistic(sums):
+    s1, s2, k = sums
+    assume(s1 != s2)
+    truth = _t_i_star(s1, s2, k)
+    a1, a2, ak = (np.array([float(v)]) for v in sums)
+    lo, hi = _i_star_bounds(a1, a2, ak)
+    assert lo[0] <= truth * (1 + 1e-12) and truth <= hi[0] * (1 + 1e-12)
+    short = min(s1 + s2, 2 * k - s1 - s2)
+    if (s1 - s2) ** 2 <= short**2 / 2:  # s <= 1/2 on both halves: 8 terms are tight
+        assert hi[0] - lo[0] <= 3e-4 * lo[0]
+    # the coarse bracket: no sure crossing when beta is just above t I_*, no sure
+    # miss just below it, and both sure at a factor of 2
+    for scale, sure_hit, sure_miss in ((1 + 1e-12, False, None), (1 - 1e-12, None, False),
+                                       (2.0, False, True), (0.5, True, False)):
+        beta = np.array([truth * scale])
+        hits, misses = _coarse_screen(a1, a2, ak, beta, beta)
+        assert sure_hit in (None, hits[0]) and sure_miss in (None, misses[0])
+
+
+def _first(hits):
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sglrt_screen_matches_the_unscreened_scan(data):
+    rate = data.draw(st.sampled_from(list(ExplorationRate)))
+    top = 0.3 if rate is ExplorationRate.ITERATED_LOG else 0.999
+    delta = data.draw(st.floats(1e-9, top))
+    rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 48))
+    done = data.draw(st.one_of(st.sampled_from((0, 2**22 - n)), st.integers(0, 2**22 - n)))
+    carry = []
+    for _ in range(rows):
+        s1 = data.draw(_arm_sum(done))
+        carry.append((s1, data.draw(_arm_sum(done, near=s1))))
+    carry = np.array(carry, dtype=float)
+    p1, p2 = (data.draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0, 1)))
+              for _ in range(2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = (rng.random((rows, n)) < p1).astype(float)
+    y = (rng.random((rows, n)) < p2).astype(float)
+
+    ks = np.arange(done + 1, done + n + 1)
+    cum1 = carry[:, :1] + np.cumsum(x, axis=1)
+    cum2 = carry[:, 1:] + np.cumsum(y, axis=1)
+    stat = 2 * ks * i_star_bernoulli(cum1 / ks, cum2 / ks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # iterated-log above 0.01
+        rule = SglrtRule(B21, delta, rate)
+        beta = eval_rate(rate, 2 * ks, delta)
+    # beta equal to one row's statistic, or one ulp either side of it
+    tie = data.draw(st.none() | st.integers(0, rows - 1))
+    if tie is not None:
+        at = stat[tie] > 0
+        beta = np.where(at, stat[tie], beta)
+        side = data.draw(st.sampled_from((0.0, -np.inf, np.inf)))
+        if side:
+            beta = np.where(at, np.nextafter(beta, side), beta)
+    with mock.patch.object(fc_algos, "_rate_values", lambda *args: beta):
+        shared = rule.chunk(done, n)[2]
+
+    hits, leads, after = rule.scan(shared, carry, x, y)
+    want_hits, want_leads = stat > beta, cum1 / ks >= cum2 / ks
+    first = _first(hits)
+    np.testing.assert_array_equal(first, _first(want_hits))
+    stopped = np.flatnonzero(first >= 0)
+    np.testing.assert_array_equal(leads[stopped, first[stopped]],
+                                  want_leads[stopped, first[stopped]])
+    np.testing.assert_array_equal(leads[:, -1], want_leads[:, -1])
+    np.testing.assert_array_equal(after, np.hstack((cum1[:, -1:], cum2[:, -1:])))
+
+
+def test_sglrt_screen_evaluates_few_steps_exactly(monkeypatch):
+    # fig4-right's SGLRT configs: the exact statistic sees under 0.1% of the
+    # row-steps (every one of them before the screen)
+    seen = {"steps": 0, "exact": 0}
+    real_i_star, real_scan = fc_algos.i_star_bernoulli, SglrtRule.scan
+
+    def i_star(x, y):
+        seen["exact"] += np.size(x)
+        return real_i_star(x, y)
+
+    def scan(self, shared, carry, x, y):
+        seen["steps"] += x.size
+        return real_scan(self, shared, carry, x, y)
+
+    monkeypatch.setattr(fc_algos, "i_star_bernoulli", i_star)
+    monkeypatch.setattr(SglrtRule, "scan", scan)
+    configs = [c for c in presets.figure_configs("fig4-right", 10, 1000003)
+               if c.algorithm.kind == "sglrt"]
+    harness.run_experiments(configs, 1)
+    assert seen["steps"] > 500_000
+    assert seen["exact"] < 1e-3 * seen["steps"]
 
 
 # --- SPRT oracle ----------------------------------------------------------------------
