@@ -26,7 +26,6 @@ from .dists import (
     kl,
     mean_to_nat,
     nat_to_mean,
-    sample,
     sample_n,
 )
 from .errors import (
@@ -77,7 +76,6 @@ __all__ = [
     "mix_seed",
     "nat_to_mean",
     "optimal_alpha",
-    "sample",
     "sample_n",
     "two_armed_bernoulli",
     "two_armed_gaussian",

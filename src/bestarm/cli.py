@@ -78,6 +78,12 @@ def build_instance(family: str, means: list[float],
     return BanditInstance(arms)
 
 
+def _instance(args) -> BanditInstance:
+    """The instance of a command's --family, --means and --variances."""
+    return build_instance(args.family, _parse_floats(args.means),
+                          _parse_floats(args.variances) if args.variances else None)
+
+
 def _resolve_workers(args) -> int:
     """--workers (or the config file's value), else BAI_WORKERS, else 1; must be >= 1."""
     workers = getattr(args, "workers", None)
@@ -164,17 +170,14 @@ def _require(args, *names) -> None:
 
 
 def cmd_complexity(args) -> int:
-    instance = build_instance(args.family, _parse_floats(args.means),
-                              _parse_floats(args.variances) if args.variances else None)
-    report = complexity_report(instance)
+    report = complexity_report(_instance(args))
     row = " ".join(f"{k}={_FMT(v)}" for k, v in report.as_dict().items())
     print(row)
     return 0
 
 
 def cmd_bound(args) -> int:
-    instance = build_instance(args.family, _parse_floats(args.means),
-                              _parse_floats(args.variances) if args.variances else None)
+    instance = _instance(args)
     if args.m != 1:
         instance = BanditInstance(instance.arms, m=args.m)
     delta = args.delta
@@ -201,7 +204,7 @@ def _run_and_write(configs: list[ExperimentConfig], out: str, workers: int) -> i
     return 0
 
 
-def _algorithm_spec(args, fixed_budget: bool) -> AlgorithmSpec:
+def _algorithm_spec(args) -> AlgorithmSpec:
     """The spec of every algorithm flag and ``algorithm.*`` config field given.
 
     A simulate command's parser lacks the flags of the other command, but
@@ -209,9 +212,8 @@ def _algorithm_spec(args, fixed_budget: bool) -> AlgorithmSpec:
     ``ExperimentConfig.validate`` rejects a knob the kind does not take.
     """
     kind = getattr(args, "algo", None) or "static"
-    if (kind == "static") != fixed_budget:
-        command = "simulate-fb" if fixed_budget else "simulate-fc"
-        raise BestArmError(f"{command} cannot run the {kind} algorithm")
+    if (kind == "static") != (args.command == "simulate-fb"):
+        raise BestArmError(f"{args.command} cannot run the {kind} algorithm")
     rate = getattr(args, "rate", None)
     return AlgorithmSpec(
         kind=kind,
@@ -224,24 +226,15 @@ def _algorithm_spec(args, fixed_budget: bool) -> AlgorithmSpec:
     )
 
 
-def cmd_simulate_fc(args) -> int:
+def cmd_simulate(args) -> int:
+    """simulate-fc (grid of deltas) or simulate-fb (grid of integer budgets)."""
     _apply_config_file(args)
-    _require(args, "family", "means", "algo", "grid", "reps", "seed", "out")
-    instance = build_instance(args.family, _parse_floats(args.means),
-                              _parse_floats(args.variances) if args.variances else None)
-    spec = _algorithm_spec(args, fixed_budget=False)
-    cfg = ExperimentConfig(instance, spec, parse_grid(args.grid), args.reps, args.seed)
-    return _run_and_write([cfg], args.out, _resolve_workers(args))
-
-
-def cmd_simulate_fb(args) -> int:
-    _apply_config_file(args)
-    _require(args, "family", "means", "grid", "reps", "seed", "out")
-    instance = build_instance(args.family, _parse_floats(args.means),
-                              _parse_floats(args.variances) if args.variances else None)
-    spec = _algorithm_spec(args, fixed_budget=True)
-    cfg = ExperimentConfig(instance, spec, parse_grid(args.grid, integer=True),
-                           args.reps, args.seed)
+    fixed_budget = args.command == "simulate-fb"
+    _require(args, "family", "means", *(() if fixed_budget else ("algo",)),
+             "grid", "reps", "seed", "out")
+    # arguments evaluate in order: an instance error is reported before a spec error
+    cfg = ExperimentConfig(_instance(args), _algorithm_spec(args),
+                           parse_grid(args.grid, integer=fixed_budget), args.reps, args.seed)
     return _run_and_write([cfg], args.out, _resolve_workers(args))
 
 
@@ -318,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", dest="grid", default=None,
                    help="delta grid: comma list or start:stop:step")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_simulate_fc)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("simulate-fb", help="fixed-budget Monte Carlo runs")
     _add_instance_flags(p, required=False)
@@ -326,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", dest="grid", default=None,
                    help="budget grid: comma list or start:stop:step")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_simulate_fb)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("lil-check",
                        help="deviation bound vs empirical crossing frequency")

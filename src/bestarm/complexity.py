@@ -29,7 +29,7 @@ undefined there and the instance class excludes the tie.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -294,16 +294,7 @@ class TwoArmedComplexityReport:
     kappa_B: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "c_star_fc": self.c_star_fc,
-            "i_star_fc": self.i_star_fc,
-            "c_star_fb": self.c_star_fb,
-            "i_star_fb": self.i_star_fb,
-            "theta_star_reversed": self.theta_star_reversed,
-            "theta_star_chernoff": self.theta_star_chernoff,
-            "kappa_C_lower": self.kappa_C_lower,
-            "kappa_B": self.kappa_B,
-        }
+        return asdict(self)
 
 
 def complexity_report(instance: BanditInstance) -> TwoArmedComplexityReport:

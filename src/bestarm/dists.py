@@ -385,11 +385,6 @@ def sample_n(dist: ArmDistribution, rng: np.random.Generator, n: int) -> np.ndar
     return finish(raw)
 
 
-def sample(dist: ArmDistribution, rng: np.random.Generator) -> float:
-    """One draw from ``dist``, advancing ``rng``."""
-    return float(sample_n(dist, rng, 1)[0])
-
-
 def kl(p: ArmDistribution, q: ArmDistribution) -> float:
     """KL divergence K(p, q) between two arms of the same family.
 

@@ -118,8 +118,9 @@ def _run_block(rule: StoppingRule, rng: np.random.Generator, root, rows: range) 
 
     With ``root`` None the block is a single row drawing from ``rng`` in place.
     Otherwise row r seeks to replication r of ``root``'s family on its first
-    chunk, and its generator state is saved after and restored before each
-    later chunk, whatever the block's size.
+    chunk, and its generator state is saved after each chunk but the last
+    (no row draws after it) and restored before each later chunk, whatever
+    the block's size.
     """
     bit_generator = rng.bit_generator
     (fill1, finish1), (fill2, finish2) = rule.samplers
@@ -132,6 +133,7 @@ def _run_block(rule: StoppingRule, rng: np.random.Generator, root, rows: range) 
     while done < rule.steps:
         n = min(chunk, rule.steps - done)
         c1, c2, shared = rule.chunk(done, n)
+        save = states is not None and done + n < rule.steps
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
         kept = []
         for lo in range(0, len(active), step):
@@ -146,7 +148,7 @@ def _run_block(rule: StoppingRule, rng: np.random.Generator, root, rows: range) 
                         bit_generator.state = states[j]
                 fill1(rng, x[i])
                 fill2(rng, y[i])
-                if states is not None:
+                if save:
                     states[j] = bit_generator.state
             hits, leads, carry[lo:lo + step] = rule.scan(shared, carry[lo:lo + step],
                                                          finish1(x), finish2(y))

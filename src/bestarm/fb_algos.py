@@ -57,18 +57,12 @@ def gaussian_allocation(sigma1: float, sigma2: float, t: int) -> StaticAllocatio
     return _clamped(math.ceil(sigma1 * t / (sigma1 + sigma2)), t)
 
 
-def expfam_allocation(fam, theta1: float, theta2: float, t: int) -> StaticAllocation:
-    """n1 = ceil(alpha* t) with alpha* the g_alpha maximizer, clamped."""
-    alpha, _ = optimal_alpha(fam, theta1, theta2)
-    return _clamped(math.ceil(alpha * t), t)
-
-
 def uniform_allocation(t: int) -> StaticAllocation:
     return _clamped(math.ceil(t / 2), t)
 
 
 def allocations_for(instance: BanditInstance, budgets, policy: str) -> list[StaticAllocation]:
-    """``allocation_for`` at each budget, with alpha* solved once (it does not depend on t)."""
+    """The ``policy`` ("uniform" or "optimal") allocation at each budget; alpha* is solved once."""
     require_two_armed(instance)
     if policy == "uniform":
         return [uniform_allocation(t) for t in budgets]
@@ -82,7 +76,7 @@ def allocations_for(instance: BanditInstance, budgets, policy: str) -> list[Stat
 
 
 def allocation_for(instance: BanditInstance, t: int, policy: str) -> StaticAllocation:
-    """Resolve a named allocation policy ("uniform" or "optimal") for an instance."""
+    """:func:`allocations_for` at one budget; the benchmark's oracles and tracer call it."""
     return allocations_for(instance, (t,), policy)[0]
 
 

@@ -38,13 +38,14 @@ from .rng import make_rng, mix_seed, seek  # noqa: F401  (mix_seed: re-exported 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-#: The knobs of each algorithm kind; any other knob must keep its default.
-_KNOBS = {
-    "elimination": ("rate", "tau_max", "sigma"),
-    "alpha-elimination": ("rate", "alpha", "tau_max"),
-    "sglrt": ("rate", "tau_max"),
-    "sprt": ("tau_max", "sprt_paper_statistic"),
-    "static": ("allocation",),
+#: Each algorithm kind's rule class and knobs, in the order the rule takes
+#: them after (instance, grid value); any other knob must keep its default.
+_KINDS = {
+    "elimination": (fc_algos.EliminationRule, ("rate", "tau_max", "sigma")),
+    "alpha-elimination": (fc_algos.AlphaEliminationRule, ("rate", "alpha", "tau_max")),
+    "sglrt": (fc_algos.SglrtRule, ("rate", "tau_max")),
+    "sprt": (fc_algos.SprtRule, ("tau_max", "sprt_paper_statistic")),
+    "static": (fb_algos.StaticRule, ("allocation",)),
 }
 
 
@@ -114,28 +115,20 @@ class ExperimentConfig:
         if not self.grid:
             raise DomainError("the grid must be non-empty")
         spec, instance, grid = self.algorithm, self.instance, self.grid
-        if spec.kind not in _KNOBS:
+        if spec.kind not in _KINDS:
             raise DomainError(f"unknown algorithm kind {spec.kind!r}")
+        rule, knobs = _KINDS[spec.kind]
         for knob in dataclasses.fields(spec):
-            if (knob.name not in ("kind", *_KNOBS[spec.kind])
+            if (knob.name not in ("kind", *knobs)
                     and getattr(spec, knob.name) != knob.default):
                 raise DomainError(f"the {spec.kind} algorithm takes no {knob.name}")
-        if spec.kind == "elimination":
-            return [fc_algos.EliminationRule(instance, delta, spec.rate, spec.tau_max,
-                                             spec.sigma) for delta in grid]
-        if spec.kind == "alpha-elimination":
-            return [fc_algos.AlphaEliminationRule(instance, delta, spec.rate, spec.alpha,
-                                                  spec.tau_max) for delta in grid]
-        if spec.kind == "sglrt":
-            return [fc_algos.SglrtRule(instance, delta, spec.rate, spec.tau_max)
-                    for delta in grid]
-        if spec.kind == "sprt":
-            return [fc_algos.SprtRule(instance, delta, spec.tau_max, spec.sprt_paper_statistic)
-                    for delta in grid]
+        if not spec.is_fixed_budget:
+            values = [getattr(spec, knob) for knob in knobs]
+            return [rule(instance, delta, *values) for delta in grid]
         if not all(float(t).is_integer() for t in grid):
             raise DomainError("budgets must be integers")
         allocs = fb_algos.allocations_for(instance, [int(t) for t in grid], spec.allocation)
-        return [fb_algos.StaticRule(instance, alloc) for alloc in allocs]
+        return [rule(instance, alloc) for alloc in allocs]
 
 
 @dataclass(frozen=True)

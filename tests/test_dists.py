@@ -17,7 +17,6 @@ from bestarm.dists import (
     kl,
     mean_to_nat,
     nat_to_mean,
-    sample,
     sample_n,
 )
 from bestarm.errors import DomainError, FamilyMismatch
@@ -54,7 +53,6 @@ def test_bernoulli_support():
     rng = make_rng(1)
     draws = sample_n(Bernoulli(0.5), rng, 1000)
     assert set(np.unique(draws)) <= {0.0, 1.0}
-    assert sample(Bernoulli(0.5), rng) in (0.0, 1.0)
 
 
 def test_gaussian_mean_clt():

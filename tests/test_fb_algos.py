@@ -13,7 +13,6 @@ from bestarm.errors import DegenerateInstance, DomainError
 from bestarm.fb_algos import (
     StaticAllocation,
     allocation_for,
-    expfam_allocation,
     gaussian_allocation,
     run_static,
     theoretical_error_bound,
@@ -53,15 +52,19 @@ def test_static_allocation_validation():
         StaticAllocation(0, 5)
 
 
-def test_expfam_allocation_symmetric_gaussian():
-    fam = gaussian_family(0.25)
-    alloc = expfam_allocation(fam, 1.0, -1.0, 101)
+def _expfam(fam, theta1, theta2):
+    return BanditInstance((ExpFamilyArm(fam, theta1), ExpFamilyArm(fam, theta2)))
+
+
+def test_optimal_allocation_symmetric_gaussian_descriptor():
+    alloc = allocation_for(_expfam(gaussian_family(0.25), 1.0, -1.0), 101, "optimal")
     assert alloc.n1 == math.ceil(101 / 2)
 
 
-def test_expfam_allocation_bernoulli_oracle():
+def test_optimal_allocation_bernoulli_descriptor_oracle():
     # alpha* = 0.523875... so n1 = ceil(523.875...) = 524
-    alloc = expfam_allocation(BERNOULLI_FAMILY, _logit(0.2), _logit(0.1), 1000)
+    alloc = allocation_for(_expfam(BERNOULLI_FAMILY, _logit(0.2), _logit(0.1)), 1000,
+                           "optimal")
     assert alloc.n1 == 524
     alpha_star, g_star = optimal_alpha(BERNOULLI_FAMILY, _logit(0.2), _logit(0.1))
     got = g_alpha(BERNOULLI_FAMILY, _logit(0.2), _logit(0.1), alloc.n1 / 1000)
@@ -72,7 +75,7 @@ def test_allocation_agreement_gaussian_vs_descriptor():
     fam = gaussian_family(0.25)
     for t in (10, 37, 100, 999):
         a = gaussian_allocation(0.5, 0.5, t)
-        b = expfam_allocation(fam, 0.8, -0.4, t)
+        b = allocation_for(_expfam(fam, 0.8, -0.4), t, "optimal")
         assert abs(a.n1 - b.n1) <= 1
 
 

@@ -124,6 +124,31 @@ def test_kind_grid_validation():
         ExperimentConfig(EASY, AlgorithmSpec("bogus"), (0.1,), 5, 0).validate()
 
 
+def test_validate_passes_every_knob_to_its_rule_parameter():
+    # every knob off its default and distinct from the others, so a knob
+    # passed in another parameter's place changes what the rule carries
+    rate = ExplorationRate.CONJECTURED_LOG_LOG
+    unequal = two_armed_gaussian(0.5, 0.0, 0.25, 1.0)
+
+    def rule(instance, spec):
+        built, = ExperimentConfig(instance, spec, (0.05,), 1, 0).validate()
+        return built
+
+    elim = rule(EASY, AlgorithmSpec("elimination", rate=rate, tau_max=1001, sigma=0.7))
+    assert (type(elim), elim.rate, elim.steps, elim.sigma) == (
+        fc_algos.EliminationRule, rate, 500, 0.7)
+    alpha = rule(unequal, AlgorithmSpec("alpha-elimination", rate=rate, alpha=0.3,
+                                        tau_max=1203))
+    assert (type(alpha), alpha.rate, alpha.steps, alpha.alpha) == (
+        fc_algos.AlphaEliminationRule, rate, 1203, 0.3)
+    sglrt = rule(B21, AlgorithmSpec("sglrt", rate=rate, tau_max=1405))
+    assert (type(sglrt), sglrt.rate, sglrt.steps) == (fc_algos.SglrtRule, rate, 702)
+    sprt = rule(EASY, AlgorithmSpec("sprt", tau_max=1607, sprt_paper_statistic=True))
+    assert (type(sprt), sprt.steps, sprt.coef) == (fc_algos.SprtRule, 803, 0.5)
+    # the exact statistic scales the gap by 1/sigma^2 = 4
+    assert rule(EASY, AlgorithmSpec("sprt", tau_max=1607)).coef == 2.0
+
+
 def test_fc_pac_cells():
     cfg = ExperimentConfig(
         EASY, AlgorithmSpec("elimination", rate=ExplorationRate.ITERATED_LOG),
