@@ -328,15 +328,18 @@ def sampler(dist: ArmDistribution):
 
     Splitting the two lets a caller fill many rows, each from its own
     stream, and finish them all in one pass; draws equal :func:`sample_n`'s.
+    Arms of one standard law share one ``fill`` object, so a caller can
+    fill both arms' variates in one call where ``fill1 is fill2``.
     """
     kind, *params = _law(dist)
     if kind == "gaussian":
-        return _normal_sampler(*params)
+        mean, sd = params
+        return _fill_normal, lambda z: mean + sd * z
     if kind == "bernoulli":
         p, = params
-        return (lambda rng, out: rng.random(out=out)), (lambda u: (u < p).astype(float))
+        return _fill_uniform, lambda u: (u < p).astype(float)
     scale, = params
-    return (lambda rng, out: rng.standard_exponential(out=out)), (lambda e: scale * e)
+    return _fill_exponential, lambda e: scale * e
 
 
 def sum_sampler(dist: ArmDistribution, n: int):
@@ -373,8 +376,16 @@ def _identity(x):
     return x
 
 
-def _normal_sampler(mean: float, sd: float):
-    return (lambda rng, out: rng.standard_normal(out=out)), (lambda z: mean + sd * z)
+def _fill_uniform(rng, out):
+    rng.random(out=out)
+
+
+def _fill_normal(rng, out):
+    rng.standard_normal(out=out)
+
+
+def _fill_exponential(rng, out):
+    rng.standard_exponential(out=out)
 
 
 def sample_n(dist: ArmDistribution, rng: np.random.Generator, n: int) -> np.ndarray:

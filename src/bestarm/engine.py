@@ -3,10 +3,12 @@
 A :class:`StoppingRule` is one strategy validated for one cell: it
 supplies its samplers, its per-chunk thresholds and its statistic,
 nothing else.  :func:`run_rows` advances a block of replications of one
-rule in lockstep.  Per chunk of steps (64 doubling to 4096) it draws every
-active row's arm-1 chunk then arm-2 chunk from that row's own stream,
-stacks the rows into (rows, n) arrays, scans them for first crossings at
-once, and drops the rows that stopped.  A rule draws what its statistic
+rule in lockstep.  Each row draws from a generator of its own, positioned
+once at its replication's stream before its first chunk.  Per chunk of
+steps (64 doubling to 4096) it draws every active row's arm-1 chunk then
+arm-2 chunk (in one call where both arms share a standard law), stacks
+the rows into (rows, n) arrays, scans them for first crossings at once,
+and drops the rows that stopped.  A rule draws what its statistic
 reads: a rule that reads only paired differences draws them on arm 1 and
 nothing on arm 2, and a static rule draws one sum per arm.  Thresholds
 are computed once per chunk and block and shared by all of its rows.
@@ -28,6 +30,10 @@ _CHUNK_MAX = 4096
 #: memory only: every row reads its own stream, so output never depends on it.
 BLOCK_ELEMENTS = 2**12
 _BLOCK_ROWS = BLOCK_ELEMENTS // _CHUNK0
+#: The generators rows of a block draw from, grown as blocks need them.  A
+#: block positions each one before its first draw, so none carries state
+#: from one block to the next.
+_ROW_GENERATORS: list[np.random.Generator] = []
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,11 @@ NO_DRAWS = (lambda rng, out: None), (lambda raw: raw)
 def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
     """Replications ``rows`` of ``rule`` as arrays (tau, recommended, n1, exhausted).
 
-    Row r draws from the stream of ``rng``'s bit generator jumped r times
-    (:func:`bestarm.rng.seek`) from its state on entry, so row 0 continues
-    ``rng`` in place and no row's draws depend on which rows share its block.
+    Row r draws from the stream of ``rng``'s PCG64 bit generator jumped r
+    times (:func:`bestarm.rng.seek`) from its state on entry, so no row's
+    draws depend on which rows share its block.  ``rng``'s state only names
+    the stream family: the rows draw from generators of their own, and
+    ``rng`` is left as it was.
     """
     root = rng.bit_generator.state
     out = np.array([row for lo in range(0, len(rows), _BLOCK_ROWS)
@@ -116,15 +124,24 @@ def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
 def _run_block(rule: StoppingRule, rng: np.random.Generator, root, rows: range) -> list:
     """(tau, recommended, n1, exhausted) per row of one lockstep block.
 
-    With ``root`` None the block is a single row drawing from ``rng`` in place.
-    Otherwise row r seeks to replication r of ``root``'s family on its first
-    chunk, and its generator state is saved after each chunk but the last
-    (no row draws after it) and restored before each later chunk, whatever
-    the block's size.
+    With ``root`` None the block is a single row drawing from ``rng`` in
+    place.  Otherwise row i draws from ``_ROW_GENERATORS[i]``, positioned
+    once, before the first chunk, at replication ``rows[i]`` of ``root``'s
+    family; it then draws every chunk in stream order, so no state is saved
+    or restored between chunks.  Where both streams fill with one function
+    (one standard law on both arms), a row fills its arm-1 and arm-2
+    variates of a chunk in one call, the same draws in the same order.
     """
-    bit_generator = rng.bit_generator
+    if root is None:
+        gens = [rng]
+    else:
+        while len(_ROW_GENERATORS) < len(rows):
+            _ROW_GENERATORS.append(np.random.Generator(np.random.PCG64(0)))
+        gens = _ROW_GENERATORS[:len(rows)]
+        for gen, r in zip(gens, rows):
+            seek(gen.bit_generator, root, r)
     (fill1, finish1), (fill2, finish2) = rule.samplers
-    states = None if root is None else [None] * len(rows)
+    merged = fill1 is fill2
     # a stopped row's outcome; until then, whether arm 0 leads (ties and no draws: yes)
     result = [True] * len(rows)
     active = list(range(len(rows)))
@@ -133,23 +150,18 @@ def _run_block(rule: StoppingRule, rng: np.random.Generator, root, rows: range) 
     while done < rule.steps:
         n = min(chunk, rule.steps - done)
         c1, c2, shared = rule.chunk(done, n)
-        save = states is not None and done + n < rule.steps
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
         kept = []
         for lo in range(0, len(active), step):
             idx = active[lo:lo + step]
-            x = np.empty((len(idx), c1))
-            y = np.empty((len(idx), c2))
+            z = np.empty((len(idx), c1 + c2))
+            x, y = z[:, :c1], z[:, c1:]
             for i, j in enumerate(idx):
-                if states is not None:
-                    if states[j] is None:
-                        seek(bit_generator, root, rows[j])
-                    else:
-                        bit_generator.state = states[j]
-                fill1(rng, x[i])
-                fill2(rng, y[i])
-                if save:
-                    states[j] = bit_generator.state
+                if merged:
+                    fill1(gens[j], z[i])
+                else:
+                    fill1(gens[j], x[i])
+                    fill2(gens[j], y[i])
             hits, leads, carry[lo:lo + step] = rule.scan(shared, carry[lo:lo + step],
                                                          finish1(x), finish2(y))
             for i, at in enumerate(hits.argmax(axis=1).tolist()):

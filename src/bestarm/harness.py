@@ -36,6 +36,9 @@ from .instances import BanditInstance
 from .rng import make_rng, mix_seed, seek  # noqa: F401  (mix_seed: re-exported name)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+#: Largest replication count or budget a run takes: every integer up to it
+#: is exact as a float (budget grids are floats) and in int64.
+_MAX_COUNT = 2**53
 
 
 #: Each algorithm kind's rule class and knobs, in the order the rule takes
@@ -109,9 +112,12 @@ class ExperimentConfig:
         its own domain (delta range, exploration rate, arm family, tau_max,
         budget, allocation policy) and raises DomainError outside it.  A
         knob the algorithm kind does not take must keep its default.
+        Replication counts and budgets must be at most 2**53.
         """
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        if self.replications > _MAX_COUNT:
+            raise DomainError(f"replications must be <= 2**53, got {self.replications}")
         if not self.grid:
             raise DomainError("the grid must be non-empty")
         spec, instance, grid = self.algorithm, self.instance, self.grid
@@ -127,6 +133,8 @@ class ExperimentConfig:
             return [rule(instance, delta, *values) for delta in grid]
         if not all(float(t).is_integer() for t in grid):
             raise DomainError("budgets must be integers")
+        if max(grid) > _MAX_COUNT:
+            raise DomainError(f"budgets must be <= 2**53, got {max(grid):g}")
         allocs = fb_algos.allocations_for(instance, [int(t) for t in grid], spec.allocation)
         return [rule(instance, alloc) for alloc in allocs]
 

@@ -299,6 +299,16 @@ _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.2
      "--deltas", "0.1", "--reps", "10", "--seed", "4"],
     ["simulate-fc", "--family", "bernoulli", "--means", "0.2,0.1", "--algo", "sglrt",
      "--rate", "sglrt", "--sigma", "0.5", "--deltas", "0.1", "--reps", "10", "--seed", "4"],
+    # counts the harness cannot represent exactly
+    ["simulate-fc", *_FC_ARGS, "--reps", "10000000000000000000"],
+    ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1", *_FB_ARGS,
+     "--reps", str(2**53 + 1)],
+    ["simulate-fb", "--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.25",
+     *_FB_ARGS, "--budgets", "1e30"],
+    ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1", *_FB_ARGS,
+     "--budgets", "1e30"],
+    ["simulate-fb", "--family", "exponential", "--means", "2,1", *_FB_ARGS,
+     "--budgets", str(2**53 + 2)],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -349,6 +350,51 @@ def test_one_row_blocks_read_their_own_stream_on_every_chunk():
         assert records[0].mean_tau > 128  # most rows run past the first chunk
         assert records[0] == _single_runs_record(cfg, 0)
         assert run_fc_experiment(cfg, workers=2) == records
+
+
+HARD_BERNOULLI = two_armed_bernoulli(0.51, 0.5)
+
+
+def _row(out, r):
+    return tuple(int(column[r]) for column in out)
+
+
+def test_row_generators_carry_nothing_between_calls():
+    # 130 rows make two full blocks and a third; rows running past 64 + 128
+    # steps draw three chunks from their generator
+    rule_a = fc_algos.SglrtRule(HARD_BERNOULLI, 0.1, ExplorationRate.SGLRT, tau_max=600)
+    rule_b = fb_algos.StaticRule(B21, fb_algos.uniform_allocation(30))
+    rng = make_rng(13, 2)
+    entry = rng.bit_generator.state
+    first = engine.run_rows(rule_a, rng, range(130))
+    assert rng.bit_generator.state == entry
+    engine.run_rows(rule_b, make_rng(14, 0), range(70))
+    second = engine.run_rows(rule_a, rng, range(130))
+    assert rng.bit_generator.state == entry
+    assert (first[0] > rule_a.draws(64 + 128)[0]).any()
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a, b)
+    for r in range(130):
+        run = engine.run_one(rule_a, np.random.Generator(make_rng(13, 2).bit_generator.jumped(r)))
+        assert _row(first, r) == (run.tau, run.recommended, run.draws_per_arm[0], run.exhausted)
+
+
+@pytest.mark.parametrize("rule", [
+    fc_algos.SglrtRule(HARD_BERNOULLI, 0.1, ExplorationRate.SGLRT, tau_max=600),
+    fc_algos.EliminationRule(HARD_BERNOULLI, 0.05, ExplorationRate.PLAIN_LOG, tau_max=600,
+                             sigma=0.5),
+    fc_algos.AlphaEliminationRule(two_armed_gaussian(0.1, 0.0, 1.0, 0.25), 0.1,
+                                  ExplorationRate.ALPHA_ELIM, tau_max=400),
+], ids=["sglrt", "bernoulli-elimination", "alpha-elimination"])
+def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(rule):
+    (fill1, finish1), (fill2, finish2) = rule.samplers
+    assert fill1 is fill2  # both arms share one standard law: the engine makes one call
+    split = copy.copy(rule)
+    split.samplers = (fill1, finish1), (lambda rng, out: fill2(rng, out), finish2)
+    merged = engine.run_rows(rule, make_rng(21, 3), range(70))
+    assert (merged[0] > rule.draws(64 + 128)[0]).any()
+    for a, b in zip(merged, engine.run_rows(split, make_rng(21, 3), range(70))):
+        np.testing.assert_array_equal(a, b)
 
 
 # --- Wilson interval -------------------------------------------------------------
