@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .complexity import c_star_fc, i_star_fc
-from .dists import Bernoulli, Gaussian, bernoulli_kl, kl
+from .dists import bernoulli_kl, kl
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
 

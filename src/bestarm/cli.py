@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from . import bounds, harness, presets, records_io
 from .complexity import complexity_report
@@ -32,30 +33,44 @@ def _parse_floats(text: str) -> list[float]:
         raise BestArmError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _parse_budgets(text: str) -> list[Fraction]:
+    """Comma-separated budgets, read exactly: integers of magnitude <= 2**53."""
+    _parse_floats(text)  # same syntax as every other number list
+    try:
+        values = [Fraction(x) for x in text.split(",") if x.strip() != ""]
+        if any(v.denominator != 1 for v in values):
+            raise ValueError
+    except ValueError:  # also nan and inf
+        raise BestArmError(f"budgets must be integers, got {text!r}") from None
+    if any(abs(v) > harness.MAX_COUNT for v in values):
+        raise BestArmError(f"budgets must be <= 2**53, got {text!r}")
+    return values
+
+
 def parse_grid(text: str, integer: bool = False) -> tuple[float, ...]:
-    """Comma list or inclusive start:stop:step range."""
+    """Comma list or inclusive start:stop:step range.
+
+    ``integer=True`` reads a budget grid: every number in it is parsed
+    exactly and must be an integer of magnitude at most 2**53, so no budget
+    is rounded on its way to a float.
+    """
+    parse = _parse_budgets if integer else _parse_floats
     if ":" in text:
         parts = text.split(":")
-        bounds = [v for part in parts for v in _parse_floats(part)]
+        bounds = [v for part in parts for v in parse(part)]
         if len(parts) != 3 or len(bounds) != 3:
             raise BestArmError(f"range grids are start:stop:step, got {text!r}")
         start, stop, step = bounds
         if not all(map(math.isfinite, bounds)) or step <= 0 or stop < start:
             raise BestArmError(f"bad range grid {text!r}")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        # exact budgets need no slack for rounding in the quotient
+        count = math.floor((stop - start) / step + (0 if integer else 1e-9)) + 1
         values = [start + i * step for i in range(count)]
     else:
-        values = _parse_floats(text)
+        values = parse(text)
     if not values:
         raise BestArmError(f"empty grid {text!r}")
-    if integer:
-        out = []
-        for v in values:
-            if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
-                raise BestArmError(f"budget {v} is not an integer")
-            out.append(float(int(round(v))))
-        return tuple(out)
-    return tuple(values)
+    return tuple(float(v) for v in values)
 
 
 def build_instance(family: str, means: list[float],

@@ -19,6 +19,9 @@ For Gaussian arms with known variances all four have closed forms; for
 one-parameter exponential families the crossings are found by bisection
 (the two divergences are monotone in opposite directions across the
 bracket formed by the arm parameters, so a sign change is guaranteed).
+``optimal_alpha`` -- the fraction alpha* of a static allocation that
+maximizes the error exponent g_alpha -- is found by the same bisection,
+applied to the strictly decreasing slope of g_alpha.
 Averages use the analytic midpoint identities, which stationarity makes
 exact, rather than a generic infimum search.
 
@@ -28,7 +31,6 @@ undefined there and the instance class excludes the tie.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -41,7 +43,6 @@ from .dists import (
     ExpFamilyDescriptor,
     Gaussian,
     bernoulli_kl,
-    gaussian_family,
     mean_to_nat,
 )
 from .errors import DegenerateInstance, DomainError, SolverError
@@ -49,7 +50,6 @@ from .instances import BanditInstance, require_two_armed
 
 BISECT_REL_TOL = 1e-12
 BISECT_MAX_ITER = 200
-GOLDEN_TOL = 1e-10
 _CHECK_TOL = 1e-8
 
 
@@ -189,27 +189,6 @@ def g_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float, alpha: float
     return alpha * fam.kl(mix, theta1) + (1.0 - alpha) * fam.kl(mix, theta2)
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> tuple[float, float]:
-    # golden-section search for the max of a unimodal f on [lo, hi]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _g_alpha_slope(fam: ExpFamilyDescriptor, theta1: float, theta2: float,
                    alpha: float) -> float:
     # d g_alpha / d alpha = Kb(mix, theta1) - Kb(mix, theta2) (the mix-term
@@ -221,25 +200,20 @@ def _g_alpha_slope(fam: ExpFamilyDescriptor, theta1: float, theta2: float,
 def optimal_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
     """Maximize g_alpha over alpha in (0, 1).
 
-    Golden-section search to 1e-10 on alpha, polished by bisecting the
-    stationarity gap Kb(mix, theta1) - Kb(mix, theta2) (golden-section alone
-    locates a flat quadratic maximum only to ~sqrt(machine eps)).  The
-    maximizer satisfies alpha*theta1 + (1-alpha)*theta2 = theta^ (the
-    Chernoff crossing) and g(alpha*) equals the Chernoff information; both
-    identities are verified to 1e-8 and a violation raises SolverError.
+    g_alpha is strictly concave, so its slope Kb(mix, theta1) - Kb(mix, theta2)
+    is strictly decreasing and has exactly one root on (0, 1): one bisection
+    of that stationarity gap finds the maximizer.  The maximizer satisfies
+    alpha*theta1 + (1-alpha)*theta2 = theta^ (the Chernoff crossing) and
+    g(alpha*) equals the Chernoff information; both identities are verified
+    to 1e-8 and a violation raises SolverError.
     """
     if theta1 == theta2:
         raise DegenerateInstance("equal natural parameters")
     fam.check_theta(theta1)
     fam.check_theta(theta2)
-    alpha, g_value = _golden_max(lambda a: g_alpha(fam, theta1, theta2, a),
-                                 1e-12, 1.0 - 1e-12, GOLDEN_TOL)
-    lo = max(alpha - 1e-5, 1e-12)
-    hi = min(alpha + 1e-5, 1.0 - 1e-12)
-    slope = lambda a: _g_alpha_slope(fam, theta1, theta2, a)
-    if slope(lo) > 0.0 > slope(hi):
-        alpha = bisect_root(slope, lo, hi)
-        g_value = g_alpha(fam, theta1, theta2, alpha)
+    alpha = bisect_root(lambda a: _g_alpha_slope(fam, theta1, theta2, a),
+                        1e-12, 1.0 - 1e-12)
+    g_value = g_alpha(fam, theta1, theta2, alpha)
     cb_value, theta_star = _chernoff(fam, theta1, theta2)
     mix = alpha * theta1 + (1.0 - alpha) * theta2
     scale = max(abs(theta1), abs(theta2), 1.0)

@@ -38,7 +38,7 @@ from .rng import make_rng, mix_seed, seek  # noqa: F401  (mix_seed: re-exported 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 #: Largest replication count or budget a run takes: every integer up to it
 #: is exact as a float (budget grids are floats) and in int64.
-_MAX_COUNT = 2**53
+MAX_COUNT = 2**53
 
 
 #: Each algorithm kind's rule class and knobs, in the order the rule takes
@@ -116,7 +116,7 @@ class ExperimentConfig:
         """
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
-        if self.replications > _MAX_COUNT:
+        if self.replications > MAX_COUNT:
             raise DomainError(f"replications must be <= 2**53, got {self.replications}")
         if not self.grid:
             raise DomainError("the grid must be non-empty")
@@ -133,7 +133,7 @@ class ExperimentConfig:
             return [rule(instance, delta, *values) for delta in grid]
         if not all(float(t).is_integer() for t in grid):
             raise DomainError("budgets must be integers")
-        if max(grid) > _MAX_COUNT:
+        if max(grid) > MAX_COUNT:
             raise DomainError(f"budgets must be <= 2**53, got {max(grid):g}")
         allocs = fb_algos.allocations_for(instance, [int(t) for t in grid], spec.allocation)
         return [rule(instance, alloc) for alloc in allocs]

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from .dists import (
     ArmDistribution,
     Bernoulli,
-    ExpFamilyArm,
     Gaussian,
     same_family,
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .fc_algos import ExplorationRate
 from .harness import AlgorithmSpec, ExperimentConfig
-from .instances import BanditInstance, two_armed_bernoulli, two_armed_gaussian
+from .instances import two_armed_bernoulli, two_armed_gaussian
 
 EASY_GAUSSIAN = two_armed_gaussian(0.5, 0.0, 0.25)
 HARD_GAUSSIAN = two_armed_gaussian(0.01, 0.0, 0.25)
@@ -24,7 +24,7 @@ BOUNDED_SIGMA = 0.5
 FIGURE_PRESETS = ("fig3-easy", "fig3-hard", "fig4-left", "fig4-right")
 
 
-def _gaussian_panel(instance: BanditInstance, deltas, budgets) -> list[tuple[AlgorithmSpec, tuple]]:
+def _gaussian_panel(deltas, budgets) -> list[tuple[AlgorithmSpec, tuple]]:
     rates = (ExplorationRate.ROBBINS_LOG_T,
              ExplorationRate.CONJECTURED_LOG_LOG,
              ExplorationRate.PLAIN_LOG)
@@ -34,7 +34,7 @@ def _gaussian_panel(instance: BanditInstance, deltas, budgets) -> list[tuple[Alg
     return panel
 
 
-def _bernoulli_panel(instance: BanditInstance, deltas, budgets) -> list[tuple[AlgorithmSpec, tuple]]:
+def _bernoulli_panel(deltas, budgets) -> list[tuple[AlgorithmSpec, tuple]]:
     rates = (ExplorationRate.CONJECTURED_LOG_LOG, ExplorationRate.PLAIN_LOG)
     panel = [(AlgorithmSpec("sglrt", rate=r), deltas) for r in rates]
     panel += [(AlgorithmSpec("elimination", rate=r, sigma=BOUNDED_SIGMA), deltas)
@@ -48,28 +48,24 @@ def figure_configs(name: str, replications: int, master_seed: int) -> list[Exper
     if name == "fig3-easy":
         instance = EASY_GAUSSIAN
         panel = _gaussian_panel(
-            instance,
             deltas=(0.1, 0.05, 0.01, 0.005, 0.001),
             budgets=(10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
         )
     elif name == "fig3-hard":
         instance = HARD_GAUSSIAN
         panel = _gaussian_panel(
-            instance,
             deltas=(0.1, 0.01),
             budgets=(20000, 60000, 100000),
         )
     elif name == "fig4-left":
         instance = BERNOULLI_EASY
         panel = _bernoulli_panel(
-            instance,
             deltas=(0.1, 0.03, 0.01, 0.003),
             budgets=(100, 200, 300, 400, 500, 600, 700),
         )
     elif name == "fig4-right":
         instance = BERNOULLI_HARD
         panel = _bernoulli_panel(
-            instance,
             deltas=(0.1, 0.03),
             budgets=(10000, 20000, 30000, 40000, 50000),
         )

@@ -37,10 +37,13 @@ def test_parse_grid_range_inclusive():
     grid = parse_grid("100:1000:100", integer=True)
     assert grid == tuple(float(v) for v in range(100, 1001, 100))
     assert len(grid) == 10
+    assert parse_grid("20:200:20", integer=True) == tuple(float(v) for v in range(20, 201, 20))
 
 
 def test_parse_grid_comma_list():
     assert parse_grid("0.1,0.01,0.001") == (0.1, 0.01, 0.001)
+    assert parse_grid("1e5", integer=True) == (100000.0,)
+    assert parse_grid(f"10,20,{2**53}", integer=True) == (10.0, 20.0, float(2**53))
 
 
 def test_parse_grid_rejects_bad_input():
@@ -48,8 +51,12 @@ def test_parse_grid_rejects_bad_input():
         parse_grid("")
     with pytest.raises(BestArmError):
         parse_grid("10:1:5")
-    with pytest.raises(BestArmError):
-        parse_grid("1.5,2.5", integer=True)
+    # budgets are read exactly: 2**53 + 1 has no float of its own, and a
+    # fraction just above 2**52 rounds to an integer float
+    for text in ("1.5,2.5", "9007199254740993", "4503599627370496.6",
+                 "1:9007199254740993:1", "0:10:2.5", "nan"):
+        with pytest.raises(BestArmError):
+            parse_grid(text, integer=True)
 
 
 def test_build_instance_families():
@@ -269,6 +276,17 @@ def test_simulate_fb_ten_row_grid(tmp_path):
     assert len(read_records(str(out))) == 10
 
 
+def test_simulate_fb_optimal_near_tie(tmp_path):
+    # alpha* = 0.5000000017 for means 1e-4 apart; one bisection finds it
+    out = tmp_path / "tie.csv"
+    code, _, err = run_cli("simulate-fb", "--family", "bernoulli",
+                           "--means", "0.5,0.4999", "--alloc", "optimal",
+                           "--budgets", "100", "--reps", "10", "--seed", "1",
+                           "--out", str(out))
+    assert code == 0, err
+    assert len(read_records(str(out))) == 1
+
+
 _FB_ARGS = ["--budgets", "100", "--reps", "10", "--seed", "4"]
 _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.25",
             "--algo", "elimination", "--rate", "robbins", "--deltas", "0.1",
@@ -309,6 +327,10 @@ _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.2
      "--budgets", "1e30"],
     ["simulate-fb", "--family", "exponential", "--means", "2,1", *_FB_ARGS,
      "--budgets", str(2**53 + 2)],
+    ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1", *_FB_ARGS,
+     "--budgets", "9007199254740993"],
+    ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1", *_FB_ARGS,
+     "--budgets", "4503599627370496.6"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"

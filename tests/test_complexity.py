@@ -258,6 +258,39 @@ def test_optimal_alpha_dominates_uniform(pair):
     assert g_value >= g_alpha(BERNOULLI_FAMILY, t1, t2, 0.5) - 1e-12
 
 
+# alpha* for near-tied Bernoulli pairs at theta = _logit(p), computed once with
+# mpmath at 50 digits (hard-coded here: mpmath is not a test dependency)
+NEAR_TIE_ALPHA = [
+    ((0.5, 0.4999), 0.50000000166666670),
+    ((0.3, 0.29999), 0.50000079367819397),
+    ((0.9, 0.89999), 0.49999629650718807),
+]
+
+
+@pytest.mark.parametrize("pair, reference", NEAR_TIE_ALPHA)
+def test_optimal_alpha_near_tie_reference(pair, reference):
+    alpha, _ = optimal_alpha(BERNOULLI_FAMILY, _logit(pair[0]), _logit(pair[1]))
+    assert abs(alpha - reference) <= 1e-7
+
+
+near_tie_pairs = st.tuples(
+    st.floats(min_value=0.02, max_value=0.98),
+    st.floats(min_value=1e-6, max_value=5e-3),
+    st.booleans(),
+).map(lambda p: (p[0], p[0] + p[1] if p[2] else p[0] - p[1])).filter(
+    lambda p: 1e-6 <= abs(p[0] - p[1]) <= 5e-3)
+
+
+@given(near_tie_pairs)
+@settings(max_examples=200, deadline=None)
+def test_optimal_alpha_near_tie_crossing(pair):
+    # the band 1e-6 <= |x - y| <= 5e-3 that criterion 7's sampler skips
+    t1, t2 = _logit(pair[0]), _logit(pair[1])
+    alpha, _ = optimal_alpha(BERNOULLI_FAMILY, t1, t2)
+    _, theta_star = c_star_fb(two_armed_bernoulli(*pair))
+    assert abs(alpha * t1 + (1 - alpha) * t2 - theta_star) <= 1e-8
+
+
 # --- Bernoulli I_* identities ------------------------------------------------------
 
 def test_i_star_entropy_identity():
