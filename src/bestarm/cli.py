@@ -9,6 +9,7 @@ outputs are byte-identical for any worker count.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -358,9 +359,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads every command line with, built on first use.
+
+    Building one takes longer than a short simulation; parsing keeps no
+    state in it, since each ``parse_args`` fills a fresh namespace.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (BestArmError, OSError, json.JSONDecodeError) as exc:

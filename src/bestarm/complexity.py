@@ -42,7 +42,7 @@ from .dists import (
     ExpFamilyArm,
     ExpFamilyDescriptor,
     Gaussian,
-    bernoulli_kl,
+    bernoulli_kl_kernel,
     mean_to_nat,
 )
 from .errors import DegenerateInstance, DomainError, SolverError
@@ -232,19 +232,28 @@ def i_star_bernoulli(x, y):
     Equals H((x+y)/2) - [H(x)+H(y)]/2 with H the binary entropy (verified
     numerically; a published variant showing H(x/2), H(y/2) does not match
     and is a suspected typo).  Arguments may touch 0 or 1, where the
-    0*log(0)=0 convention applies; I_*(x, x) = 0.
+    0*log(0)=0 convention applies; I_*(x, x) = 0.  Arguments outside
+    [0, 1], NaN included, raise DomainError.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
+    if not (np.all((xa >= 0.0) & (xa <= 1.0)) and np.all((ya >= 0.0) & (ya <= 1.0))):
+        raise DomainError("i_star_bernoulli arguments must lie in [0, 1]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = i_star_bernoulli_kernel(xa, ya)
+    return float(out) if out.ndim == 0 else out
+
+
+def i_star_bernoulli_kernel(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
+    """:func:`i_star_bernoulli` of float arrays in [0, 1], as an array; checks nothing."""
     mid = 0.5 * (xa + ya)
     interior = (mid > 0.0) & (mid < 1.0) & (xa != ya)
     mid_safe = np.where(interior, mid, 0.5)
-    out = np.where(
+    return np.where(
         interior,
-        0.5 * (bernoulli_kl(xa, mid_safe) + bernoulli_kl(ya, mid_safe)),
+        0.5 * (bernoulli_kl_kernel(xa, mid_safe) + bernoulli_kl_kernel(ya, mid_safe)),
         0.0,
     )
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,16 @@
 A :class:`StoppingRule` is one strategy validated for one cell: it
 supplies its samplers, its per-chunk thresholds and its statistic,
 nothing else.  :func:`run_rows` advances a block of replications of one
-rule in lockstep.  Each row draws from a generator of its own, positioned
-once at its replication's stream before its first chunk.  Per chunk of
-steps (64 doubling to 4096) it draws every active row's arm-1 chunk then
-arm-2 chunk (in one call where both arms share a standard law), stacks
-the rows into (rows, n) arrays, scans them for first crossings at once,
-and drops the rows that stopped.  A rule draws what its statistic
-reads: a rule that reads only paired differences draws them on arm 1 and
-nothing on arm 2, and a static rule draws one sum per arm.  Thresholds
-are computed once per chunk and block and shared by all of its rows.
+rule in lockstep.  Each row draws from a generator of its own, given its
+replication's state (:func:`bestarm.rng.row_states`) once, before its
+first chunk.  Per chunk of steps (64 doubling to 4096) it draws every
+active row's arm-1 chunk then arm-2 chunk (in one call where both arms
+share a standard law), stacks the rows into (rows, n) arrays, scans them
+for first crossings at once, and drops the rows that stopped.  A rule
+draws what its statistic reads: a rule that reads only paired
+differences draws them on arm 1 and nothing on arm 2, and a static rule
+draws one sum per arm.  Thresholds are computed once per chunk and block
+and shared by all of its rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dists import sampler
 from .instances import BanditInstance
-from .rng import seek
+from .rng import row_states
 
 _CHUNK0 = 64
 _CHUNK_MAX = 4096
@@ -30,9 +31,9 @@ _CHUNK_MAX = 4096
 #: memory only: every row reads its own stream, so output never depends on it.
 BLOCK_ELEMENTS = 2**12
 _BLOCK_ROWS = BLOCK_ELEMENTS // _CHUNK0
-#: The generators rows of a block draw from, grown as blocks need them.  A
-#: block positions each one before its first draw, so none carries state
-#: from one block to the next.
+#: The generators rows of a block draw from, grown as blocks need them.
+#: :func:`run_rows` positions each one before its block's first draw, so none
+#: carries state from one block to the next.
 _ROW_GENERATORS: list[np.random.Generator] = []
 
 
@@ -109,43 +110,39 @@ def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
     """Replications ``rows`` of ``rule`` as arrays (tau, recommended, n1, exhausted).
 
     Row r draws from the stream of ``rng``'s PCG64 bit generator jumped r
-    times (:func:`bestarm.rng.seek`) from its state on entry, so no row's
-    draws depend on which rows share its block.  ``rng``'s state only names
-    the stream family: the rows draw from generators of their own, and
-    ``rng`` is left as it was.
+    times from its state on entry (:func:`bestarm.rng.row_states`), so no
+    row's draws depend on which rows share its block.  ``rng``'s state only
+    names the stream family: the rows draw from generators of their own,
+    and ``rng`` is left as it was.
     """
-    root = rng.bit_generator.state
-    out = np.array([row for lo in range(0, len(rows), _BLOCK_ROWS)
-                    for row in _run_block(rule, rng, root, rows[lo:lo + _BLOCK_ROWS])],
-                   dtype=np.int64).reshape(-1, 4)
+    states = row_states(rng.bit_generator.state, rows)
+    while len(_ROW_GENERATORS) < min(len(rows), _BLOCK_ROWS):
+        _ROW_GENERATORS.append(np.random.Generator(np.random.PCG64(0)))
+    out = []
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        gens = _ROW_GENERATORS[:min(_BLOCK_ROWS, len(rows) - lo)]
+        for gen, state in zip(gens, states):
+            gen.bit_generator.state = state
+        out += _run_block(rule, gens)
+    out = np.array(out, dtype=np.int64).reshape(-1, 4)
     return out[:, 0], out[:, 1], out[:, 2], out[:, 3].astype(bool)
 
 
-def _run_block(rule: StoppingRule, rng: np.random.Generator, root, rows: range) -> list:
+def _run_block(rule: StoppingRule, gens: list) -> list:
     """(tau, recommended, n1, exhausted) per row of one lockstep block.
 
-    With ``root`` None the block is a single row drawing from ``rng`` in
-    place.  Otherwise row i draws from ``_ROW_GENERATORS[i]``, positioned
-    once, before the first chunk, at replication ``rows[i]`` of ``root``'s
-    family; it then draws every chunk in stream order, so no state is saved
-    or restored between chunks.  Where both streams fill with one function
-    (one standard law on both arms), a row fills its arm-1 and arm-2
-    variates of a chunk in one call, the same draws in the same order.
+    Row i draws from ``gens[i]`` in place, every chunk in stream order, so
+    no state is saved or restored between chunks.  Where both streams fill
+    with one function (one standard law on both arms), a row fills its
+    arm-1 and arm-2 variates of a chunk in one call, the same draws in the
+    same order.
     """
-    if root is None:
-        gens = [rng]
-    else:
-        while len(_ROW_GENERATORS) < len(rows):
-            _ROW_GENERATORS.append(np.random.Generator(np.random.PCG64(0)))
-        gens = _ROW_GENERATORS[:len(rows)]
-        for gen, r in zip(gens, rows):
-            seek(gen.bit_generator, root, r)
     (fill1, finish1), (fill2, finish2) = rule.samplers
     merged = fill1 is fill2
     # a stopped row's outcome; until then, whether arm 0 leads (ties and no draws: yes)
-    result = [True] * len(rows)
-    active = list(range(len(rows)))
-    carry = np.zeros((len(rows), rule.width))  # row i belongs to active[i]
+    result = [True] * len(gens)
+    active = list(range(len(gens)))
+    carry = np.zeros((len(gens), rule.width))  # row i belongs to active[i]
     done, chunk = 0, _CHUNK0
     while done < rule.steps:
         n = min(chunk, rule.steps - done)
@@ -186,6 +183,6 @@ def _run_block(rule: StoppingRule, rng: np.random.Generator, root, rows: range) 
 
 def run_one(rule: StoppingRule, rng: np.random.Generator) -> RunOutcome:
     """One replication of ``rule``, drawing from ``rng`` in place."""
-    (tau, rec, n1, exhausted), = _run_block(rule, rng, None, range(1))
+    (tau, rec, n1, exhausted), = _run_block(rule, [rng])
     return RunOutcome(tau=tau, recommended=rec, correct=(rec == rule.best_arm),
                       draws_per_arm=(n1, tau - n1), exhausted=exhausted)

@@ -21,7 +21,7 @@ from .dists import (  # noqa: F401  (sample_n: re-exported name)
 from .errors import DegenerateInstance, DomainError
 from .instances import BanditInstance, require_two_armed
 from .engine import RunOutcome, StoppingRule, run_one
-from .rng import seek
+from .rng import row_states
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,10 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
 
     Replication r draws its arm-1 sum then its arm-2 sum, as
     :class:`StaticRule` does, from the stream of ``rng``'s bit generator
-    jumped r times from its state on entry (:func:`bestarm.rng.seek`, the
-    harness's per-replication layout), so the result does not depend on
-    how rows are blocked.  Memory is one float per replication.
+    jumped r times from its state on entry (the harness's per-replication
+    layout): ``rng``'s bit generator is given each replication's state from
+    :func:`bestarm.rng.row_states` in turn, so the result does not depend
+    on how rows are blocked.  Memory is one float per replication.
     """
     rule = StaticRule(instance, alloc)
     if reps < 1:
@@ -179,16 +180,16 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
     offset = sum(n * (f.log_partition(t) - f.log_partition(s))
                  for n, f, t, s in zip((n1, n2), fams, thetas, tilts))
     bit_generator = rng.bit_generator
-    root = bit_generator.state
+    states = row_states(bit_generator.state, range(reps))
     weighted = np.zeros(reps)  # likelihood ratio on error rows, 0 elsewhere
     for lo in range(0, reps, engine.BLOCK_ELEMENTS):
         rows = range(lo, min(lo + engine.BLOCK_ELEMENTS, reps))
         x = np.empty((len(rows), 1))
         y = np.empty((len(rows), 1))
-        for i, r in enumerate(rows):
-            seek(bit_generator, root, r)
-            fill1(rng, x[i])
-            fill2(rng, y[i])
+        for xi, yi, state in zip(x, y, states):
+            bit_generator.state = state
+            fill1(rng, xi)
+            fill2(rng, yi)
         x, y = finish1(x), finish2(y)
         _, leads, _ = rule.scan(None, None, x, y)
         wrong = leads[:, 0] != (rule.best_arm == 0)

@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .complexity import i_star_bernoulli, i_star_fc
+from .complexity import i_star_bernoulli_kernel, i_star_fc
 from .dists import Gaussian, sample_n, sampler  # noqa: F401  (sample_n: re-exported name)
 from .engine import NO_DRAWS, RunOutcome, StoppingRule, run_one
 from .errors import DomainError
@@ -293,7 +293,8 @@ class SglrtRule(StoppingRule):
     After k paired steps with arm sums S1, S2 (t = 2k) the rule stops once
     t I_*(S1/k, S2/k) > beta(t, delta).  Almost no step is near beta, so
     ``scan`` decides a step from bounds on t I_* that take no logarithm, and
-    calls ``i_star_bernoulli`` only where they leave it open.  Its hits and
+    computes I_* only where they leave it open, with the unchecked kernel
+    of ``i_star_bernoulli`` (its sums lie in [0, k]).  Its hits and
     leads equal the unscreened comparison wherever the engine reads them
     (see ``StoppingRule.scan``); a step after its row's first sure crossing
     may read as no crossing.
@@ -354,7 +355,7 @@ class SglrtRule(StoppingRule):
             exact = ~sure & (hi > low[cols])
             if exact.any():
                 s1, s2, k = s1[exact], s2[exact], k[exact]
-                sure[exact] = 2.0 * k * i_star_bernoulli(s1 / k, s2 / k) > beta[cols[exact]]
+                sure[exact] = 2.0 * k * i_star_bernoulli_kernel(s1 / k, s2 / k) > beta[cols[exact]]
             hits[rows, cols] = sure
         return hits, cum1 >= cum2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
 

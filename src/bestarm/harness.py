@@ -33,7 +33,7 @@ import numpy as np
 from . import engine, fb_algos, fc_algos
 from .errors import DomainError
 from .instances import BanditInstance
-from .rng import make_rng, mix_seed, seek  # noqa: F401  (mix_seed: re-exported name)
+from .rng import make_rng, mix_seed, row_states  # noqa: F401  (mix_seed: re-exported name)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 #: Largest replication count or budget a run takes: every integer up to it
@@ -328,10 +328,10 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
 
     A finite-horizon lower estimate of the infinite-horizon crossing
     probability bounded by :func:`deviation_bound`.  Path i reads the PCG64
-    stream of ``SeedSequence(master_seed)`` jumped i times, so the
-    estimate is monotone in the horizon for a fixed seed (nested draw
-    prefixes).  Paths are scanned in blocks of at most
-    ``engine.BLOCK_ELEMENTS`` draws.
+    stream of ``SeedSequence(master_seed)`` jumped i times, its state from
+    :func:`bestarm.rng.row_states`, so the estimate is monotone in the
+    horizon for a fixed seed (nested draw prefixes).  Paths are scanned in
+    blocks of at most ``engine.BLOCK_ELEMENTS`` draws.
     """
     if horizon < 1 or paths < 1:
         raise DomainError("horizon and paths must be >= 1")
@@ -339,13 +339,13 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     threshold = lil_envelope(sigma, x, beta, horizon)
     rng = make_rng(master_seed)
-    root = rng.bit_generator.state
+    states = row_states(rng.bit_generator.state, range(paths))
     per_block = max(1, engine.BLOCK_ELEMENTS // horizon)
     crossed = 0
     for lo in range(0, paths, per_block):
         z = np.empty((min(per_block, paths - lo), horizon))
-        for i, row in enumerate(z):
-            seek(rng.bit_generator, root, lo + i)
+        for row, state in zip(z, states):
+            rng.bit_generator.state = state
             rng.standard_normal(out=row)
         walks = np.cumsum(sigma * z, axis=1)
         crossed += int(np.count_nonzero((walks > threshold).any(axis=1)))

@@ -13,6 +13,14 @@ the family reads that stream jumped r times, as ``PCG64.jumped(r)`` does
 only on (seed, coordinates, r) and never on which process or block runs it.
 The Monte Carlo harness gives grid cell g the family ``(g,)``.
 
+Positioning.  :func:`row_states` gives the state of each replication of a
+range.  It reaches the first with one PCG64 ``advance`` and each next one
+with one step of the advance's affine map on the 128-bit LCG state,
+s -> (M s + inc G) mod 2**128: an advance by a fixed count multiplies by
+a fixed M and adds the increment times a fixed G, whatever the stream.
+M and G are read off numpy's own ``advance`` once per process, on first
+use.  This module holds the package's only calls of ``advance``.
+
 The stride must not be a multiple of 2**64.  Such offsets leave the low
 half of PCG64's 128-bit LCG state equal in every replication, and step
 for step the high halves then form a Weyl sequence r * c_n: the
@@ -25,12 +33,40 @@ for callers that seed single runs themselves.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 #: Draws between replications of a stream family: ``PCG64.jumped``'s step.
 STREAM_STRIDE = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def _pcg64_state(state: int, inc: int) -> dict:
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+@functools.cache
+def _stride_map() -> tuple[np.random.PCG64, int, int]:
+    """A scratch PCG64 and (M, G): advance(STREAM_STRIDE) maps s to (M s + inc G) mod 2**128.
+
+    Read off numpy's ``advance`` from the states 0 and 1 with inc 1, on
+    first use: importing the package does not load ``numpy.random``.  The
+    scratch generator is what ``row_states`` advances to a call's first
+    row; its state is set in full and read back before the call yields
+    anything, so no call sees another's.
+    """
+    scratch = np.random.PCG64(0)
+    after = []
+    for state in (0, 1):
+        scratch.state = _pcg64_state(state, 1)
+        scratch.advance(STREAM_STRIDE)
+        after.append(scratch.state["state"]["state"])
+    g, m_plus_g = after
+    return scratch, (m_plus_g - g) & _MASK128, g
 
 
 def splitmix64(z: int) -> int:
@@ -58,7 +94,21 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed & _MASK64, spawn_key=key)))
 
 
-def seek(bit_generator: np.random.BitGenerator, root: dict, r: int) -> None:
-    """Move ``bit_generator`` to replication r of the family whose start state is ``root``."""
-    bit_generator.state = root
-    bit_generator.advance(r * STREAM_STRIDE)
+def row_states(root: dict, rows: range):
+    """PCG64 state of each replication in ``rows`` of the family whose start state is ``root``.
+
+    Replication r's state is ``PCG64.jumped(r).state`` of a PCG64 at
+    ``root``, ``has_uint32`` and ``uinteger`` 0; a generator whose bit
+    generator is given it draws replication r's stream.  ``rows`` holds
+    consecutive replications (step 1).  The states are made as they are
+    read.
+    """
+    scratch, mult, add = _stride_map()
+    scratch.state = root
+    scratch.advance(rows.start * STREAM_STRIDE)
+    state = scratch.state["state"]
+    s, inc = state["state"], state["inc"]
+    add *= inc
+    for _ in rows:
+        yield _pcg64_state(s, inc)
+        s = (mult * s + add) & _MASK128

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from bestarm import cli
 from bestarm.cli import build_instance, main, parse_grid
 from bestarm.errors import BestArmError
 from bestarm.fc_algos import ExplorationRate, eval_rate
@@ -17,7 +18,7 @@ from bestarm.records_io import (
     records_to_csv,
     write_records,
 )
-from bestarm.rng import make_rng, seek
+from bestarm.rng import make_rng, row_states
 
 
 def run_cli(*argv):
@@ -287,6 +288,19 @@ def test_simulate_fb_optimal_near_tie(tmp_path):
     assert len(read_records(str(out))) == 1
 
 
+def test_simulate_fb_optimal_exponential_near_tie(tmp_path):
+    # means 2e-8 apart in relative terms: the exponential divergence keeps its
+    # sign where the Bregman form's terms cancelled, so alpha* is found
+    out = tmp_path / "tie.csv"
+    code, _, err = run_cli("simulate-fb", "--family", "exponential",
+                           "--means", "9.958417606645,9.958417392758204", "--alloc", "optimal",
+                           "--budgets", "100", "--reps", "10", "--seed", "1",
+                           "--out", str(out))
+    assert code == 0, err
+    rec, = read_records(str(out))
+    assert rec.replications == 10 and rec.mean_tau == 100.0
+
+
 _FB_ARGS = ["--budgets", "100", "--reps", "10", "--seed", "4"]
 _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.25",
             "--algo", "elimination", "--rate", "robbins", "--deltas", "0.1",
@@ -368,9 +382,9 @@ def test_tiny_tau_max_still_runs(tmp_path, tau_max):
     rec, = read_records(str(out))
     threshold = math.sqrt(2.0 * 0.25 * 2 * eval_rate(ExplorationRate.ROBBINS_LOG_T, 2, 0.1))
     within = 0
-    for r in range(10):
-        rng = make_rng(4, 0)
-        seek(rng.bit_generator, rng.bit_generator.state, r)
+    rng = make_rng(4, 0)
+    for state in row_states(rng.bit_generator.state, range(10)):
+        rng.bit_generator.state = state
         within += abs(0.5 + math.sqrt(0.5) * rng.standard_normal()) <= threshold
     assert rec.exhausted_count == within and rec.mean_tau == 2.0
 
@@ -444,3 +458,37 @@ def test_malformed_config_is_usage_error(tmp_path, monkeypatch, capsys, command,
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def _run_with_fresh_parser(argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def test_main_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # main parses every command line with one parser, built on first use: an
+    # argparse error, a usage error, --tau-max and --config in earlier calls
+    # leave no trace in a later one
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_FB_CONFIG, "replications": 3, "master_seed": 8,
+                                    "algorithm": {"kind": "static", "allocation": "uniform"}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate-fb", "--alloc", "greedy"])
+    assert exc.value.code == 2
+    assert main(["simulate-fc", *_FC_ARGS, "--tau-max", "-5",
+                 "--out", str(tmp_path / "bad.csv")]) == 2
+    assert main(["simulate-fc", *_FC_ARGS, "--tau-max", "1",
+                 "--out", str(tmp_path / "capped.csv")]) == 0
+    assert main(["simulate-fb", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "config.csv")]) == 0
+    fb = ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1", "--alloc", "optimal",
+          *_FB_ARGS]
+    for name, argv in (("fc", ["simulate-fc", *_FC_ARGS]), ("fb", fb)):
+        reused, fresh = tmp_path / f"{name}-reused.csv", tmp_path / f"{name}-fresh.csv"
+        assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        assert main([*argv, "--out", str(reused)]) == 0
+        assert _run_with_fresh_parser([*argv, "--out", str(fresh)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+    capped = read_records(str(tmp_path / "capped.csv"))
+    assert capped != read_records(str(tmp_path / "fc-fresh.csv"))
+    assert cli._parser() is cli._parser()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bestarm.complexity import (
     complexity_report,
     g_alpha,
     i_star_bernoulli,
+    i_star_bernoulli_kernel,
     i_star_fb,
     i_star_fc,
     optimal_alpha,
@@ -291,6 +293,21 @@ def test_optimal_alpha_near_tie_crossing(pair):
     assert abs(alpha * t1 + (1 - alpha) * t2 - theta_star) <= 1e-8
 
 
+def test_optimal_alpha_exponential_near_tie():
+    # means 2e-8 apart in relative terms, where the Bregman form of the
+    # divergence lost its sign at both ends of the bracket
+    means = (9.958417606645, 9.958417392758204)
+    t1, t2 = (mean_to_nat(EXPONENTIAL_FAMILY, m) for m in means)
+    alpha, g_value = optimal_alpha(EXPONENTIAL_FAMILY, t1, t2)
+    assert alpha == pytest.approx(0.5, abs=1e-7)
+    # Chernoff information to leading order: b''(theta) (t1 - t2)^2 / 8 = x^2 / 8
+    x = (t2 - t1) / t1
+    assert g_value == pytest.approx(x * x / 8.0, rel=1e-6, abs=0.0)
+    # c_star_fb bisects theta to an absolute width of 1e-12, 5e-4 of this bracket
+    arms = tuple(ExpFamilyArm(EXPONENTIAL_FAMILY, t) for t in (t1, t2))
+    assert c_star_fb(BanditInstance(arms))[0] == pytest.approx(g_value, rel=2e-3, abs=0.0)
+
+
 # --- Bernoulli I_* identities ------------------------------------------------------
 
 def test_i_star_entropy_identity():
@@ -315,6 +332,51 @@ def test_i_star_bernoulli_boundaries():
     arr = i_star_bernoulli(np.array([0.0, 0.2, 0.5]), np.array([0.4, 0.2, 0.5]))
     assert arr.shape == (3,)
     assert arr[1] == 0.0 and arr[2] == 0.0 and arr[0] > 0.0
+
+
+def _i_star_where_form(x, y):
+    """I_* in the form it had before the unchecked kernel: each KL term under
+    np.where, warnings off, Taylor's series where |x - mid| < 1e-6 min(mid, 1 - mid)."""
+    mid = 0.5 * (x + y)
+    interior = (mid > 0.0) & (mid < 1.0) & (x != y)
+    m = np.where(interior, mid, 0.5)
+
+    def kl(p):
+        h = p - m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = (np.where(p > 0.0, p * np.log1p(h / m), 0.0)
+                   + np.where(p < 1.0, (1.0 - p) * np.log1p(-h / (1.0 - m)), 0.0))
+        a, b = -h / m, h / (1.0 - m)
+        series = m * a * a * (0.5 + a / 6.0) + (1.0 - m) * b * b * (0.5 + b / 6.0)
+        return np.where(np.abs(h) < 1e-6 * np.minimum(m, 1.0 - m), series, out)
+
+    return np.where(interior, 0.5 * (kl(x) + kl(y)), 0.0)
+
+
+@given(k=st.one_of(st.integers(1, 2**22), st.integers(2**21, 2**22)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_i_star_kernel_equals_checked_on_integer_sums(k, data):
+    # the SGLRT's exact statistic skips the public checks: on arm sums
+    # 0 <= s1, s2 <= k it must equal i_star_bernoulli, and the form both had
+    # before the split, bit for bit, and raise no floating-point warning.
+    # Sums 1 or 2 apart at k >= 2**21 reach its Taylor branch.
+    sums = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        s1 = data.draw(st.integers(0, k))
+        near = st.integers(max(0, s1 - 2), min(k, s1 + 2))
+        sums.append((s1, data.draw(st.one_of(st.integers(0, k), near))))
+    s1, s2 = (np.array(v, dtype=float) for v in zip(*sums))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = i_star_bernoulli_kernel(s1 / k, s2 / k)
+    assert kernel.tobytes() == i_star_bernoulli(s1 / k, s2 / k).tobytes()
+    assert kernel.tobytes() == _i_star_where_form(s1 / k, s2 / k).tobytes()
+
+
+def test_i_star_bernoulli_rejects_means_outside_the_unit_interval():
+    for x, y in ((1.5, 0.2), (0.2, -0.1), (math.nan, 0.3), (0.3, math.nan)):
+        with pytest.raises(DomainError):
+            i_star_bernoulli(x, y)
 
 
 # --- report -------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bestarm.dists import (
@@ -151,6 +152,22 @@ def test_exponential_family_kl_closed_form():
     l1, l2 = 1.0, 2.0
     value = kl(ExpFamilyArm(EXPONENTIAL_FAMILY, -l1), ExpFamilyArm(EXPONENTIAL_FAMILY, -l2))
     assert value == pytest.approx(math.log(l1 / l2) + l2 / l1 - 1.0, rel=1e-12)
+
+
+@given(st.floats(min_value=-20, max_value=20), st.floats(min_value=-40, max_value=3),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_exponential_kl_is_accurate_near_a_tie_and_far_from_it(log_rate, log_gap, up):
+    # against x - log(1 + x), x = t2/t1 - 1, at 60 digits: the Bregman form
+    # cancels to noise at relative gaps below about 1e-8
+    t1 = -math.exp(log_rate)
+    t2 = -math.exp(log_rate + math.copysign(math.exp(log_gap), 1.0 if up else -1.0))
+    assume(t1 != t2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = (decimal.Decimal(t2) - decimal.Decimal(t1)) / decimal.Decimal(t1)
+        reference = float(x - (1 + x).ln())
+    assert EXPONENTIAL_FAMILY.kl(t1, t2) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 # --- entropy ----------------------------------------------------------------

@@ -366,7 +366,7 @@ def test_sglrt_screen_evaluates_few_steps_exactly(monkeypatch):
     # fig4-right's SGLRT configs: the exact statistic sees under 0.1% of the
     # row-steps (every one of them before the screen)
     seen = {"steps": 0, "exact": 0}
-    real_i_star, real_scan = fc_algos.i_star_bernoulli, SglrtRule.scan
+    real_i_star, real_scan = fc_algos.i_star_bernoulli_kernel, SglrtRule.scan
 
     def i_star(x, y):
         seen["exact"] += np.size(x)
@@ -376,7 +376,7 @@ def test_sglrt_screen_evaluates_few_steps_exactly(monkeypatch):
         seen["steps"] += x.size
         return real_scan(self, shared, carry, x, y)
 
-    monkeypatch.setattr(fc_algos, "i_star_bernoulli", i_star)
+    monkeypatch.setattr(fc_algos, "i_star_bernoulli_kernel", i_star)
     monkeypatch.setattr(SglrtRule, "scan", scan)
     configs = [c for c in presets.figure_configs("fig4-right", 10, 1000003)
                if c.algorithm.kind == "sglrt"]

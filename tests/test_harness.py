@@ -25,7 +25,7 @@ from bestarm.harness import (
     zeta,
 )
 from bestarm.instances import two_armed_bernoulli, two_armed_gaussian
-from bestarm.rng import STREAM_STRIDE, make_rng, mix_seed, seek, splitmix64
+from bestarm.rng import STREAM_STRIDE, make_rng, mix_seed, row_states, splitmix64
 
 EASY = two_armed_gaussian(0.5, 0.0, 0.25)
 B21 = two_armed_bernoulli(0.2, 0.1)
@@ -50,11 +50,33 @@ def test_splitmix_avalanche():
     assert bin(a ^ b).count("1") > 16  # neighboring inputs diverge broadly
 
 
+_JUMPS = (0, 1, 63, 64, 65, 12345, 2**53 - 1)
+
+
 def test_replication_stream_is_numpy_jump():
-    for r in (1, 2, 12345):
-        rng = make_rng(3, 1)
-        seek(rng.bit_generator, rng.bit_generator.state, r)
-        assert rng.bit_generator.state == make_rng(3, 1).bit_generator.jumped(r).state
+    # each replication's state, alone or inside a range, is PCG64.jumped(r)'s
+    for key in ((), (0,), (1,), (3, 1)):
+        root = make_rng(3, *key).bit_generator
+        for r in _JUMPS:
+            assert list(row_states(root.state, range(r, r + 1))) == [root.jumped(r).state]
+        for start in (0, 60, 2**53 - 3):
+            rows = range(start, start + 8)
+            assert list(row_states(root.state, rows)) == [root.jumped(r).state for r in rows]
+
+
+def test_replication_stream_ignores_a_buffered_half_word():
+    # a root holding a buffered 32-bit half word: jumped(r) drops it, and so
+    # does every row state (has_uint32 and uinteger 0)
+    rng = make_rng(11, 2)
+    rng.integers(0, 2**32, dtype=np.uint32)
+    root = rng.bit_generator
+    assert root.state["has_uint32"] == 1
+    for r in _JUMPS:
+        assert list(row_states(root.state, range(r, r + 1))) == [root.jumped(r).state]
+    assert list(row_states(root.state, range(60, 68))) == [root.jumped(r).state
+                                                           for r in range(60, 68)]
+    assert all(state["has_uint32"] == 0 and state["uinteger"] == 0
+               for state in row_states(root.state, range(3)))
 
 
 def test_replication_streams_are_independent():
@@ -64,10 +86,9 @@ def test_replication_streams_are_independent():
     # state across replications and gave 68-158 here on 10 seeds.
     n, k = 4000, 16
     rng = make_rng(7, 0)
-    root = rng.bit_generator.state
     u = np.empty((n, k))
-    for r in range(n):
-        seek(rng.bit_generator, root, r)
+    for r, state in enumerate(row_states(rng.bit_generator.state, range(n))):
+        rng.bit_generator.state = state
         rng.random(out=u[r])
     z = (u.mean(axis=0) - 0.5) / math.sqrt(1.0 / (12.0 * n))
     assert float(np.sum(z * z)) < 50.0
