@@ -2,7 +2,8 @@
 
 Exit code 0 on success, 2 on any configuration or domain error (single-line
 diagnostic on stderr).  ``--workers k`` (env fallback ``BAI_WORKERS``) runs
-a command's simulations in one process pool with one task per worker;
+a command's simulations on a pool of k worker processes, one task per
+worker, which later commands of the same process reuse at the same k;
 outputs are byte-identical for any worker count.
 """
 

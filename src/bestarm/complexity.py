@@ -31,6 +31,7 @@ undefined there and the instance class excludes the tie.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -84,6 +85,19 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
     raise SolverError(f"bisection did not converge in {max_iter} iterations")
 
 
+def _bracket_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of f on [lo, hi] to BISECT_REL_TOL of the bracket's own width.
+
+    :func:`bisect_root` measures its width against the endpoints' size, which
+    leaves a near tie (a bracket far narrower than its endpoints) only a few
+    digits deep.  The width never goes below a few ulps of the endpoints,
+    which bisection always reaches.
+    """
+    size = max(abs(lo), abs(hi))
+    width = max(BISECT_REL_TOL * (hi - lo), 4.0 * math.ulp(size))
+    return bisect_root(f, lo, hi, rel_tol=width / max(size, 1.0))
+
+
 def _two_arms(instance: BanditInstance):
     require_two_armed(instance)
     a1, a2 = instance.arms
@@ -125,9 +139,13 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         t = fam.nat_of_mean(mu)
         return fam.kl(t1, t) - fam.kl(t2, t)
 
-    mu_star = bisect_root(gap, lo, hi)
+    mu_star = _bracket_root(gap, lo, hi)
     theta_star = fam.nat_of_mean(mu_star)
-    return fam.kl(t1, theta_star), theta_star
+    # the weights that make the average of the two divergences flat in mu at
+    # the crossing: an error in mu_star moves it to second order only, where
+    # either divergence alone moves to first order
+    w1 = (mu2 - mu_star) / (mu2 - mu1)
+    return w1 * fam.kl(t1, theta_star) + (1.0 - w1) * fam.kl(t2, theta_star), theta_star
 
 
 def i_star_fc(instance: BanditInstance) -> float:
@@ -156,9 +174,12 @@ def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
 
 def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
     """Chernoff information and its crossing: Kb(theta_, theta1) = Kb(theta_, theta2)."""
-    theta_star = bisect_root(lambda t: fam.kl(t, theta1) - fam.kl(t, theta2),
-                             min(theta1, theta2), max(theta1, theta2))
-    return fam.kl(theta_star, theta1), theta_star
+    theta_star = _bracket_root(lambda t: fam.kl(t, theta1) - fam.kl(t, theta2),
+                               min(theta1, theta2), max(theta1, theta2))
+    # g_alpha at the crossing's own alpha, flat in theta there (as in c_star_fc)
+    alpha = (theta_star - theta2) / (theta1 - theta2)
+    return (alpha * fam.kl(theta_star, theta1)
+            + (1.0 - alpha) * fam.kl(theta_star, theta2)), theta_star
 
 
 def i_star_fb(instance: BanditInstance) -> float:

@@ -70,8 +70,9 @@ def bernoulli_kl_kernel(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
 
     It checks nothing and sets no error state, which halves the cost of a
     call on a few elements.  A log1p whose term is dropped (x at 0 or 1)
-    reads 0, so no floating-point warning is raised unless x/y rounds
-    to 0 or (1-x)/(1-y) does.
+    reads 0, so no floating-point warning is raised unless 1 + (x-y)/y
+    rounds to 0 or 1 - (x-y)/(1-y) does; that term is then recomputed as
+    x log(x/y) (or (1-x) log((1-x)/(1-y))).
     """
     # log1p keeps each term accurate relative to its size; where |h| is below
     # 1e-6 min(y, 1-y) the two terms still cancel to rounding noise (the sum
@@ -80,6 +81,15 @@ def bernoulli_kl_kernel(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
     h = xa - ya
     out = np.asarray(xa * np.log1p(np.where(xa > 0.0, h / ya, 0.0))
                      + (1.0 - xa) * np.log1p(np.where(xa < 1.0, -h / (1.0 - ya), 0.0)))
+    lost = np.isneginf(out)
+    if np.any(lost):
+        # x/y (or (1-x)/(1-y)) below 2**-54: h/y rounds to -1 and log1p
+        # reads -inf, while the log of the ratio itself is accurate there
+        x, y, hl = (np.broadcast_to(a, lost.shape)[lost] for a in (xa, ya, h))
+        r1, r2 = hl / y, -hl / (1.0 - y)
+        out[lost] = (x * np.where(r1 == -1.0, np.log(x / y), np.log1p(r1))
+                     + (1.0 - x) * np.where(r2 == -1.0, np.log((1.0 - x) / (1.0 - y)),
+                                            np.log1p(r2)))
     near = np.abs(h) < 1e-6 * np.minimum(ya, 1.0 - ya)
     if np.any(near):
         y = np.broadcast_to(ya, near.shape)[near]

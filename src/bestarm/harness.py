@@ -7,9 +7,13 @@ never on execution order, block layout or the worker count.
 :func:`run_experiments` is the one entry point.  In the parent it
 validates every config by building its stopping rules, once per config
 and before any pool opens, so a config that cannot run fails there.  Then
-``workers = k`` opens one process pool per call and gives each of the k
-workers exactly one task: the rules and its contiguous share of the
-replications of every cell of every config.  A worker only runs rows
+``workers = k`` gives each of the k workers exactly one task: the rules
+and its contiguous share of the replications of every cell of every
+config.  The tasks run on the process's one pool of one worker per task
+with rows (k, unless every config has fewer than k replications), opened
+by the first call that splits its work and kept warm for every later call
+with as many tasks; a call with another count replaces it, so a one-shot
+CLI run still forks its workers once.  A worker only runs rows
 through the batched engine :func:`engine.run_rows`; aggregation reduces
 integer counts and integer sums (tau and tau^2), which commute exactly.
 Records therefore come out byte-identical for any ``workers`` value, and
@@ -23,9 +27,11 @@ finite-horizon empirical certification.
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +217,49 @@ def _aggregate(cfg: ExperimentConfig, grid_index: int,
     )
 
 
+#: The process's one worker pool and its size: opened by the first call whose
+#: work splits, reused while the number of tasks stays the same, replaced when
+#: it changes.
+_POOL: ProcessPoolExecutor | None = None
+_POOL_WORKERS = 0
+
+
+def close_pool(wait: bool = True, cancel_futures: bool = False) -> None:
+    """Shut the module's worker pool down, if one is open; the next split call opens another."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+
+def _run_on_pool(tasks: list[list[tuple]]) -> list[list[list[tuple]]]:
+    """Each task's partial sums, run on the module's pool of one worker per task.
+
+    A pool found broken (a worker died, even while idle) is dropped and the
+    call retried once on a fresh one: tasks are pure, so a rerun returns the
+    same sums.  Any other exception out of the map, an interrupt included,
+    shuts the pool down without waiting for its running tasks and drops it.
+    """
+    global _POOL, _POOL_WORKERS
+    workers = len(tasks)
+    for attempt in range(2):
+        if _POOL is not None and _POOL_WORKERS != workers:
+            close_pool()
+        if _POOL is None:
+            atexit.unregister(close_pool)
+            atexit.register(close_pool)
+            _POOL, _POOL_WORKERS = ProcessPoolExecutor(max_workers=workers), workers
+        try:
+            return list(_POOL.map(_run_task, tasks))
+        except BrokenProcessPool:
+            close_pool()
+            if attempt:
+                raise
+        except BaseException:
+            close_pool(wait=False, cancel_futures=True)
+            raise
+
+
 def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[ExperimentRecord]:
     """The records of every config, in order, each config's cells in grid order.
 
@@ -219,9 +268,12 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     Worker i of
     w = ``workers`` takes the replications [round(i n / w), round((i+1) n / w))
     of every cell of every config (n that config's replication count) as
-    one task; the call opens one process pool for the tasks that have
-    rows, and none when only one does (``workers == 1``, or too few
-    replications to split).  The parent sums the workers' integer partials.
+    one task.  When more than one task has rows, they run on the module's
+    pool of one worker per such task (see :func:`_run_on_pool`), which
+    later calls with as many tasks reuse; when only one does
+    (``workers == 1``, or too few replications to split), the call runs it
+    here and touches no pool.
+    The parent sums the workers' integer partials.
     """
     configs = list(configs)
     rules = [cfg.validate() for cfg in configs]
@@ -238,8 +290,7 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
         if task:
             tasks.append(task)
     if len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(_run_task, tasks))
+        results = _run_on_pool(tasks)
     else:
         results = [_run_task(task) for task in tasks]
     per_config = [[] for _ in configs]  # each task's per-cell partial sums

@@ -221,6 +221,20 @@ def test_workers_env_fallback(tmp_path):
     assert len(read_records(str(out))) == 1
 
 
+def test_cli_run_leaves_no_worker_behind(tmp_path):
+    out = tmp_path / "fig3.csv"
+    with subprocess.Popen(
+            [sys.executable, "-m", "bestarm", "reproduce-figure", "fig3-easy", "--reps", "4",
+             "--workers", "2", "--out", str(out)],
+            stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert read_records(str(out))
+    # the run led its own process group; not one of its workers is left in it
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
 @pytest.mark.parametrize("flags, env", [
     (["--workers", "0"], None),
     (["--workers", "-2"], "3"),

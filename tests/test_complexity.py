@@ -303,9 +303,9 @@ def test_optimal_alpha_exponential_near_tie():
     # Chernoff information to leading order: b''(theta) (t1 - t2)^2 / 8 = x^2 / 8
     x = (t2 - t1) / t1
     assert g_value == pytest.approx(x * x / 8.0, rel=1e-6, abs=0.0)
-    # c_star_fb bisects theta to an absolute width of 1e-12, 5e-4 of this bracket
+    # c_star_fb bisects theta to a width relative to this bracket, not to theta
     arms = tuple(ExpFamilyArm(EXPONENTIAL_FAMILY, t) for t in (t1, t2))
-    assert c_star_fb(BanditInstance(arms))[0] == pytest.approx(g_value, rel=2e-3, abs=0.0)
+    assert c_star_fb(BanditInstance(arms))[0] == pytest.approx(g_value, rel=1e-9, abs=0.0)
 
 
 # --- Bernoulli I_* identities ------------------------------------------------------

@@ -101,6 +101,14 @@ def test_kl_bernoulli_hand_value():
     assert value == pytest.approx(0.04441, abs=1e-4)
 
 
+@pytest.mark.parametrize("x", [1e-17, 1e-300])
+def test_bernoulli_kl_first_argument_far_below_the_second(x):
+    # 1 + (x - y)/y rounds to 0 here, where the log1p form read -inf
+    expected = x * math.log(2 * x) + (1 - x) * math.log(2 * (1 - x))
+    assert bernoulli_kl(x, 0.5) == pytest.approx(expected, rel=1e-15)
+    assert bernoulli_kl(np.array([x, 0.3]), 0.5)[0] == pytest.approx(expected, rel=1e-15)
+
+
 def test_kl_gaussian_different_variances():
     # hand evaluation of the closed form
     expected = 0.5**2 / (2 * 2.0) + 0.5 * (1.0 / 2.0 - 1 - math.log(1.0 / 2.0))

@@ -1,6 +1,9 @@
 import copy
 import dataclasses
 import math
+import multiprocessing.connection
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -205,22 +208,63 @@ def test_run_experiments_matches_per_config_runs_at_any_worker_count():
 
 class _CountingPool(harness.ProcessPoolExecutor):
     opened = 0
+    shut = 0
 
     def __init__(self, *args, **kwargs):
         type(self).opened += 1
         super().__init__(*args, **kwargs)
 
+    def shutdown(self, *args, **kwargs):
+        type(self).shut += 1
+        super().shutdown(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """Counts the pools run_experiments opens and shuts, starting with none open."""
+    harness.close_pool()
+    monkeypatch.setattr(_CountingPool, "opened", 0)
+    monkeypatch.setattr(_CountingPool, "shut", 0)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
+    yield _CountingPool
+    harness.close_pool()
+
 
 @pytest.mark.parametrize("workers, reps, pools", [(2, None, 1), (1, None, 0), (2, 1, 0)])
-def test_run_experiments_opens_at_most_one_pool(monkeypatch, workers, reps, pools):
-    monkeypatch.setattr(_CountingPool, "opened", 0)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
+def test_run_experiments_opens_at_most_one_pool(counting_pool, workers, reps, pools):
     configs = _mixed_configs()
     if reps is not None:
         configs = [dataclasses.replace(cfg, replications=reps) for cfg in configs]
-    records = run_experiments(configs, workers)
-    assert len(records) == sum(len(cfg.grid) for cfg in configs)
-    assert _CountingPool.opened == pools
+    for _ in range(2):  # the second call reuses the first call's pool
+        records = run_experiments(configs, workers)
+        assert len(records) == sum(len(cfg.grid) for cfg in configs)
+    assert (counting_pool.opened, counting_pool.shut) == (pools, 0)
+
+
+def test_a_new_worker_count_replaces_the_pool(counting_pool):
+    configs = _mixed_configs()
+    expected = run_experiments(configs, 1)
+    assert run_experiments(configs, 2) == expected
+    first = harness._POOL
+    assert run_experiments(configs, 3) == expected
+    assert (counting_pool.opened, counting_pool.shut) == (2, 1)
+    assert harness._POOL is not first and harness._POOL._max_workers == 3
+    # never more workers than tasks with rows: two replications split in two
+    few = [dataclasses.replace(cfg, replications=2) for cfg in configs]
+    assert run_experiments(few, 3) == run_experiments(few, 1)
+    assert (counting_pool.opened, counting_pool.shut) == (3, 2)
+    assert harness._POOL._max_workers == 2
+
+
+def test_a_worker_killed_between_calls_costs_one_new_pool(counting_pool):
+    configs = _mixed_configs()
+    expected = run_experiments(configs, 1)
+    assert run_experiments(configs, 2) == expected
+    worker = next(iter(harness._POOL._processes.values()))
+    os.kill(worker.pid, signal.SIGKILL)
+    assert multiprocessing.connection.wait([worker.sentinel], timeout=30)
+    assert run_experiments(configs, 2) == expected
+    assert (counting_pool.opened, counting_pool.shut) == (2, 1)
 
 
 def test_run_experiments_validates_every_config_before_running(monkeypatch):
@@ -233,13 +277,25 @@ def test_run_experiments_validates_every_config_before_running(monkeypatch):
     assert ran == []
 
 
+def test_an_interrupt_drops_the_pool(counting_pool, monkeypatch):
+    configs = _mixed_configs()
+    run_experiments(configs, 2)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(counting_pool, "map", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_experiments(configs, 2)
+    assert harness._POOL is None
+    assert (counting_pool.opened, counting_pool.shut) == (1, 1)
+
+
 @pytest.mark.parametrize("spec", [
     AlgorithmSpec("sglrt", rate=ExplorationRate.ROBBINS_LOG_T),  # needs Bernoulli arms
     AlgorithmSpec("elimination", rate="robbins"),  # a string, not an ExplorationRate
 ])
-def test_config_only_a_rule_rejects_fails_before_any_pool(monkeypatch, spec):
-    monkeypatch.setattr(_CountingPool, "opened", 0)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _CountingPool)
+def test_config_only_a_rule_rejects_fails_before_any_pool(counting_pool, spec):
     configs = [ExperimentConfig(EASY, ELIM, (0.1,), 20, 0),
                ExperimentConfig(EASY, spec, (0.1,), 20, 0)]
     with pytest.raises(DomainError):
@@ -251,9 +307,10 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("a worker built a rule or re-solved a cell")
 
 
-def test_workers_only_run_rules_built_in_the_parent(monkeypatch):
+def test_workers_only_run_rules_built_in_the_parent(counting_pool, monkeypatch):
     # once the pool opens, building a rule, a tau_max or an allocation fails;
     # forked workers inherit that, so they must run the parent's rules as given
+    # (the fixture closes the module pool around the test, so this call forks)
     class _GuardedPool(_CountingPool):
         def __init__(self, *args, **kwargs):
             monkeypatch.setattr(engine.StoppingRule, "__init__", _forbidden)
