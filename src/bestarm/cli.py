@@ -5,19 +5,23 @@ diagnostic on stderr).  ``--workers k`` (env fallback ``BAI_WORKERS``) runs
 a command's simulations on a pool of k worker processes, one task per
 worker, which later commands of the same process reuse at the same k;
 outputs are byte-identical for any worker count.
+
+Importing the module loads only what every command needs.  The modules
+that some commands need load where those commands first use them:
+``bestarm.bounds`` in :func:`cmd_bound`, ``fractions`` (with ``decimal``)
+in :func:`_parse_budgets`, ``json`` in :func:`_apply_config_file`, and the
+process-pool stack in :func:`bestarm.harness._run_on_pool`.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
-from fractions import Fraction
 
-from . import bounds, harness, presets, records_io
+from . import harness, presets, records_io
 from .complexity import complexity_report
 from .dists import EXPONENTIAL_FAMILY, Bernoulli, ExpFamilyArm, Gaussian, mean_to_nat
 from .errors import BestArmError
@@ -35,8 +39,10 @@ def _parse_floats(text: str) -> list[float]:
         raise BestArmError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _parse_budgets(text: str) -> list[Fraction]:
-    """Comma-separated budgets, read exactly: integers of magnitude <= 2**53."""
+def _parse_budgets(text: str) -> list:
+    """Comma-separated budgets, read exactly: integers of magnitude <= 2**53, as Fractions."""
+    from fractions import Fraction
+
     _parse_floats(text)  # same syntax as every other number list
     try:
         values = [Fraction(x) for x in text.split(",") if x.strip() != ""]
@@ -149,8 +155,14 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     path = getattr(args, "config", None)
     if not path:
         return
+    import json
+
     with open(path, encoding="utf-8") as fh:
-        cfg = _object(json.load(fh), "document")
+        try:
+            document = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise BestArmError(str(exc)) from None
+    cfg = _object(document, "document")
     inst = _object(cfg.get("instance", {}), "instance")
     algo = _object(cfg.get("algorithm", {}), "algorithm")
     fields = {  # dest: (config field, its value, conversion)
@@ -194,6 +206,8 @@ def cmd_complexity(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
+
     instance = _instance(args)
     if args.m != 1:
         instance = BanditInstance(instance.arms, m=args.m)
@@ -281,9 +295,12 @@ def _add_instance_flags(p: argparse.ArgumentParser, required: bool = True) -> No
                    help="comma-separated variances (gaussian only)")
 
 
+_SEED_HELP = "master seed, an integer in [0, 2**64)"
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reps", type=int, default=None, help="replications per cell")
-    p.add_argument("--seed", type=int, default=None, help="64-bit master seed")
+    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p.add_argument("--out", default=None, help="output CSV path")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (BAI_WORKERS fallback, default 1)")
@@ -345,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.set_defaults(func=cmd_lil_check)
 
     p = sub.add_parser("reproduce-figure",
                        help="run a preset comparison grid and write its CSV")
     p.add_argument("figure", choices=presets.FIGURE_PRESETS)
     p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--out", default=None)
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_reproduce_figure)
@@ -374,7 +391,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BestArmError, OSError, json.JSONDecodeError) as exc:
+    except (BestArmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

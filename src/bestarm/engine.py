@@ -25,6 +25,9 @@ from .dists import sampler
 from .instances import BanditInstance
 from .rng import row_states
 
+#: Largest replication count, budget or tau_max a run takes: every integer
+#: up to it is exact as a float (budget grids are floats) and in int64.
+MAX_COUNT = 2**53
 _CHUNK0 = 64
 _CHUNK_MAX = 4096
 #: Floats per stacked (rows, draws) array in one lockstep step.  It bounds

@@ -25,7 +25,8 @@ toward the lowest index, deterministically):
 
 Runs are pure given their Generator; a safety cap ``tau_max`` (default
 ceil(50 log(1/delta) / I_*(nu))) bounds the sampling and is surfaced via
-the ``exhausted`` flag, never as an error.
+the ``exhausted`` flag, never as an error.  A cap above 2**53, default or
+given, is rejected when the rule is built.
 
 Each strategy is a :class:`~bestarm.engine.StoppingRule`, validated once
 per cell, that supplies only its per-chunk threshold and its statistic;
@@ -43,7 +44,7 @@ import numpy as np
 
 from .complexity import i_star_bernoulli_kernel, i_star_fc
 from .dists import Gaussian, sample_n, sampler  # noqa: F401  (sample_n: re-exported name)
-from .engine import NO_DRAWS, RunOutcome, StoppingRule, run_one
+from .engine import MAX_COUNT, NO_DRAWS, RunOutcome, StoppingRule, run_one
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
 
@@ -125,8 +126,17 @@ def eval_rate(rate: ExplorationRate, t, delta: float):
 
 
 def default_tau_max(instance: BanditInstance, delta: float) -> int:
-    """Safety cap ceil(50 log(1/delta) / I_*(nu)) on the total draw count."""
-    return int(math.ceil(50.0 * math.log(1.0 / delta) / i_star_fc(instance)))
+    """Safety cap ceil(50 log(1/delta) / I_*(nu)) on the total draw count.
+
+    A cap above 2**53 (a near tie, down to an I_* that underflows to 0)
+    raises DomainError: rows could run that long without stopping.
+    """
+    scale, i_star = 50.0 * math.log(1.0 / delta), i_star_fc(instance)
+    if not scale <= MAX_COUNT * i_star:
+        raise DomainError(f"the default tau_max at delta={delta:g}, 50 log(1/delta) / I_* "
+                          f"with I_* = {i_star:.3g}, exceeds 2**53; "
+                          "set --tau-max to at most 2**53")
+    return int(math.ceil(scale / i_star))
 
 
 def _equal_variance_sigma(instance: BanditInstance) -> float:
@@ -140,10 +150,17 @@ def _equal_variance_sigma(instance: BanditInstance) -> float:
 
 
 def _resolve_tau_max(instance: BanditInstance, delta: float, tau_max: int | None) -> int:
+    """The cap of a rule of any kind, default or given: an integer in [0, 2**53].
+
+    An exhausted row's tau is the cap, and it must fit in int64.
+    """
     if tau_max is None:
         return default_tau_max(instance, delta)
     if tau_max < 0:
         raise DomainError(f"tau_max must be >= 0, got {tau_max}")
+    if tau_max > MAX_COUNT:
+        raise DomainError(f"tau_max must be <= 2**53, got {tau_max}; "
+                          "set --tau-max to at most 2**53")
     return tau_max
 
 

@@ -13,7 +13,11 @@ config.  The tasks run on the process's one pool of one worker per task
 with rows (k, unless every config has fewer than k replications), opened
 by the first call that splits its work and kept warm for every later call
 with as many tasks; a call with another count replaces it, so a one-shot
-CLI run still forks its workers once.  A worker only runs rows
+CLI run still forks its workers once.  The pool stack
+(``concurrent.futures.process`` and multiprocessing) is imported by
+:func:`_run_on_pool`, when a call first opens a pool, so a run at one worker
+never loads it; ``harness.ProcessPoolExecutor`` stays a module attribute,
+resolved on first access.  A worker only runs rows
 through the batched engine :func:`engine.run_rows`; aggregation reduces
 integer counts and integer sums (tau and tau^2), which commute exactly.
 Records therefore come out byte-identical for any ``workers`` value, and
@@ -30,21 +34,19 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine, fb_algos, fc_algos
+from .engine import MAX_COUNT
 from .errors import DomainError
 from .instances import BanditInstance
-from .rng import make_rng, mix_seed, row_states  # noqa: F401  (mix_seed: re-exported name)
+from .rng import (  # noqa: F401  (mix_seed: re-exported name)
+    check_seed, make_rng, mix_seed, row_states)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-#: Largest replication count or budget a run takes: every integer up to it
-#: is exact as a float (budget grids are floats) and in int64.
-MAX_COUNT = 2**53
 
 
 #: Each algorithm kind's rule class and knobs, in the order the rule takes
@@ -124,6 +126,7 @@ class ExperimentConfig:
             raise DomainError("replications must be >= 1")
         if self.replications > MAX_COUNT:
             raise DomainError(f"replications must be <= 2**53, got {self.replications}")
+        check_seed(self.master_seed)
         if not self.grid:
             raise DomainError("the grid must be non-empty")
         spec, instance, grid = self.algorithm, self.instance, self.grid
@@ -217,11 +220,26 @@ def _aggregate(cfg: ExperimentConfig, grid_index: int,
     )
 
 
-#: The process's one worker pool and its size: opened by the first call whose
-#: work splits, reused while the number of tasks stays the same, replaced when
-#: it changes.
-_POOL: ProcessPoolExecutor | None = None
+#: The process's one worker pool (a ``ProcessPoolExecutor``) and its size:
+#: opened by the first call whose work splits, reused while the number of
+#: tasks stays the same, replaced when it changes.
+_POOL = None
 _POOL_WORKERS = 0
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, the class the pool is made of, imported on first use.
+
+    The pool stack (``concurrent.futures.process`` with multiprocessing,
+    socket, selectors, logging and subprocess) costs more to import than a
+    short run, and a run at one worker never opens a pool.  The class stays
+    a module attribute, so setting ``harness.ProcessPoolExecutor`` changes
+    the class the next pool is made of.
+    """
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures.process import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def close_pool(wait: bool = True, cancel_futures: bool = False) -> None:
@@ -240,6 +258,8 @@ def _run_on_pool(tasks: list[list[tuple]]) -> list[list[list[tuple]]]:
     same sums.  Any other exception out of the map, an interrupt included,
     shuts the pool down without waiting for its running tasks and drops it.
     """
+    from concurrent.futures.process import BrokenProcessPool
+
     global _POOL, _POOL_WORKERS
     workers = len(tasks)
     for attempt in range(2):
@@ -248,7 +268,8 @@ def _run_on_pool(tasks: list[list[tuple]]) -> list[list[list[tuple]]]:
         if _POOL is None:
             atexit.unregister(close_pool)
             atexit.register(close_pool)
-            _POOL, _POOL_WORKERS = ProcessPoolExecutor(max_workers=workers), workers
+            pool_class = sys.modules[__name__].ProcessPoolExecutor
+            _POOL, _POOL_WORKERS = pool_class(max_workers=workers), workers
         try:
             return list(_POOL.map(_run_task, tasks))
         except BrokenProcessPool:
@@ -388,6 +409,7 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
         raise DomainError("horizon and paths must be >= 1")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
+    check_seed(master_seed)
     threshold = lil_envelope(sigma, x, beta, horizon)
     rng = make_rng(master_seed)
     states = row_states(rng.bit_generator.state, range(paths))

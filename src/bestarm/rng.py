@@ -37,6 +37,8 @@ import functools
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 
@@ -83,6 +85,16 @@ def mix_seed(master_seed: int, *words: int) -> int:
     for w in words:
         z = splitmix64(z ^ (w & _MASK64))
     return splitmix64(z)
+
+
+def check_seed(seed: int) -> None:
+    """Raise DomainError unless ``seed`` is an integer in [0, 2**64).
+
+    :func:`make_rng` reads a seed mod 2**64, so a seed outside that range
+    would draw the numbers of another seed while the records name its own.
+    """
+    if not 0 <= seed <= _MASK64:
+        raise DomainError(f"seeds must be integers in [0, 2**64), got {seed}")
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:

@@ -256,6 +256,72 @@ def test_bad_worker_count_is_usage_error(tmp_path, monkeypatch, capsys, flags, e
     assert not out.exists()
 
 
+def test_import_defers_what_few_commands_use():
+    # importing the CLI loads none of these; the paths that do stay covered:
+    # the pool by test_cli_run_leaves_no_worker_behind, test_workers_env_fallback
+    # and the pool tests in tests/test_harness.py, bounds by test_cli_bound_values,
+    # json by test_config_file_with_flag_override and
+    # test_malformed_config_is_usage_error, and fractions (with decimal) by
+    # test_parse_grid_comma_list and test_parse_grid_rejects_bad_input
+    deferred = ("concurrent.futures", "multiprocessing", "fractions", "decimal", "json",
+                "bestarm.bounds")
+    code = ("import sys; before = set(sys.modules); import bestarm.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "bestarm.cli" in loaded
+    assert loaded.isdisjoint(deferred)
+
+
+_NEAR_TIE = ["--means", "0.5,0.4999999999"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "gaussian", *_NEAR_TIE, "--variances", "0.25,0.25", "--algo", "sprt"],
+    ["--family", "gaussian", *_NEAR_TIE, "--variances", "0.25,0.25",
+     "--algo", "elimination", "--rate", "robbins"],
+    ["--family", "gaussian", *_NEAR_TIE, "--variances", "0.25,0.25",
+     "--algo", "alpha-elimination", "--rate", "alpha-elim"],
+    ["--family", "bernoulli", *_NEAR_TIE, "--algo", "sglrt", "--rate", "sglrt"],
+    ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.25",
+     "--algo", "sprt", "--tau-max", "99999999999999999999"],
+], ids=["sprt", "elimination", "alpha-elimination", "sglrt", "given-cap"])
+def test_cap_above_2_53_is_usage_error_at_once(tmp_path, argv):
+    # a near tie's default cap is about 1e22 draws: such a run would never end
+    out = tmp_path / "tie.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bestarm", "simulate-fc", *argv, "--deltas", "0.1",
+         "--reps", "2", "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=30)
+    err = proc.stderr.strip()
+    assert proc.returncode == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "tau_max" in err and "--tau-max" in err
+    assert not out.exists()
+
+
+def test_seed_outside_64_bits_is_usage_error(tmp_path, capsys):
+    # make_rng reads a seed mod 2**64: 5 + 2**64 and 5 - 2**65 would write
+    # seed 5's statistics under their own seeds
+    assert main(["reproduce-figure", "fig3-easy", "--reps", "3", "--seed", "5",
+                 "--out", str(tmp_path / "5.csv")]) == 0
+    capsys.readouterr()
+    for seed in ("18446744073709551621", "-18446744073709551611"):
+        out = tmp_path / f"{seed}.csv"
+        code = main(["reproduce-figure", "fig3-easy", "--reps", "3", "--seed", seed,
+                     "--out", str(out)])
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "seed" in err
+        assert not out.exists()
+    assert main(["lil-check", "--x", "3", "--beta", "1.5", "--horizon", "50",
+                 "--paths", "10", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "seed" in err
+
+
 def test_main_returns_int():
     assert main(["complexity", "--family", "bernoulli", "--means", "0.2,0.1"]) == 0
 
@@ -472,6 +538,21 @@ def test_malformed_config_is_usage_error(tmp_path, monkeypatch, capsys, command,
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("content", [b'{"replications": ', b"\xff\xfe{}"],
+                         ids=["not-json", "not-utf-8"])
+def test_config_that_is_not_json_is_usage_error(tmp_path, capsys, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    out = tmp_path / "cfg.csv"
+    code = main(["simulate-fb", "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def _run_with_fresh_parser(argv):

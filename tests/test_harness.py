@@ -149,6 +149,46 @@ def test_kind_grid_validation():
         ExperimentConfig(EASY, AlgorithmSpec("bogus"), (0.1,), 5, 0).validate()
 
 
+_NEAR_TIE_GAUSSIAN = two_armed_gaussian(0.5, 0.4999999999, 0.25)
+_NEAR_TIE_BERNOULLI = two_armed_bernoulli(0.5, 0.4999999999)
+
+
+@pytest.mark.parametrize("instance, spec", [
+    (_NEAR_TIE_GAUSSIAN, ELIM),
+    (_NEAR_TIE_GAUSSIAN, AlgorithmSpec("alpha-elimination", rate=ExplorationRate.ALPHA_ELIM)),
+    (_NEAR_TIE_BERNOULLI, AlgorithmSpec("sglrt", rate=ExplorationRate.SGLRT)),
+    (_NEAR_TIE_GAUSSIAN, AlgorithmSpec("sprt")),
+], ids=["elimination", "alpha-elimination", "sglrt", "sprt"])
+def test_validate_rejects_a_cap_above_2_53(instance, spec):
+    # the near tie's default caps (2.3e22 draws Gaussian, 1.8e28 Bernoulli)
+    # would run for ever; a given cap is held to the same limit
+    def cells(tau_max):
+        cfg = ExperimentConfig(instance, dataclasses.replace(spec, tau_max=tau_max),
+                               (0.1,), 2, 1)
+        return cfg.validate()
+
+    for tau_max in (None, harness.MAX_COUNT + 1, 10**20):
+        with pytest.raises(DomainError, match="tau_max"):
+            cells(tau_max)
+    rule, = cells(harness.MAX_COUNT)
+    assert rule.steps in (harness.MAX_COUNT, harness.MAX_COUNT // 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 18446744073709551621, -18446744073709551611])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    # make_rng reads a seed mod 2**64: these would draw another seed's numbers
+    with pytest.raises(DomainError, match="seed"):
+        ExperimentConfig(EASY, ELIM, (0.1,), 5, seed).validate()
+    with pytest.raises(DomainError, match="seed"):
+        empirical_lil_crossing(1.0, 3.0, 1.5, 10, 10, seed)
+
+
+def test_seeds_at_the_ends_of_64_bits_run():
+    for seed in (0, 2**64 - 1):
+        ExperimentConfig(EASY, ELIM, (0.1,), 5, seed).validate()
+        assert 0.0 <= empirical_lil_crossing(1.0, 3.0, 1.5, 10, 10, seed) <= 1.0
+
+
 def test_validate_passes_every_knob_to_its_rule_parameter():
     # every knob off its default and distinct from the others, so a knob
     # passed in another parameter's place changes what the rule carries
@@ -204,6 +244,14 @@ def test_run_experiments_matches_per_config_runs_at_any_worker_count():
     assert [r.replications for r in expected[:2]] == [65, 65]
     for workers in (1, 2, 3):
         assert run_experiments(configs, workers) == expected
+
+
+def test_the_pool_class_is_a_module_attribute():
+    # resolved on first access, so importing the harness loads no pool stack
+    from concurrent.futures import ProcessPoolExecutor
+
+    assert harness.ProcessPoolExecutor is ProcessPoolExecutor
+    assert not hasattr(harness, "ThreadPoolExecutor")
 
 
 class _CountingPool(harness.ProcessPoolExecutor):
