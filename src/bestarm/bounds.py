@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .complexity import c_star_fc, i_star_fc
+from .complexity import _in_range, c_star_fc, i_star_fc
 from .dists import bernoulli_kl, kl
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
@@ -126,8 +126,9 @@ def fc_lower_bound_general(instance: BanditInstance, delta: float) -> float:
     best = instance.best_set
     total = 0.0
     for i, arm in enumerate(instance.arms):
-        total += 1.0 / kl(arm, arm_m1 if i in best else arm_m)
-    return total * math.log(1.0 / (2.0 * delta))
+        divergence = kl(arm, arm_m1 if i in best else arm_m)
+        total += 1.0 / divergence if divergence else math.inf  # 0: it underflowed
+    return _in_range("fc_general", total * math.log(1.0 / (2.0 * delta)))
 
 
 def fc_lower_bound_eps_relaxed(instance: BanditInstance, eps: float, delta: float) -> float:
@@ -144,9 +145,9 @@ def fc_lower_bound_eps_relaxed(instance: BanditInstance, eps: float, delta: floa
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     mu_best = instance.sorted_means[0]
-    if not (0.0 < mu_best - eps and mu_best + eps < 1.0):
-        raise DomainError(
-            f"mu_[1] +- eps must stay inside (0, 1): mu_[1]={mu_best}, eps={eps}")
+    if not (0.0 < mu_best - eps < mu_best < mu_best + eps < 1.0):
+        raise DomainError(f"mu_[1] +- eps must stay inside (0, 1) and differ from "
+                          f"mu_[1] as doubles: mu_[1]={mu_best}, eps={eps}")
     mus = instance.means
     near = sum(1 for mu in mus if mu >= mu_best - eps)
     total = (near - 1) / float(bernoulli_kl(mu_best, mu_best - eps))
@@ -166,7 +167,8 @@ def fc_two_armed_bounds(instance: BanditInstance, delta: float) -> tuple[float, 
     _check_delta(delta)
     log_term = math.log(1.0 / (2.0 * delta))
     c_value, _ = c_star_fc(instance)
-    return log_term / c_value, log_term / i_star_fc(instance)
+    return (_in_range("fc_two_armed_general", log_term / c_value),
+            _in_range("fc_two_armed_uniform", log_term / i_star_fc(instance)))
 
 
 def fb_modified_instance(instance: BanditInstance, a: int, b: int | None = None) -> BanditInstance:

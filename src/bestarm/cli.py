@@ -1,10 +1,11 @@
 """Command-line surface: complexity reports, bounds, simulations, presets.
 
-Exit code 0 on success, 2 on any configuration or domain error (single-line
-diagnostic on stderr).  ``--workers k`` (env fallback ``BAI_WORKERS``) runs
-a command's simulations on a pool of k worker processes, one task per
-worker, which later commands of the same process reuse at the same k;
-outputs are byte-identical for any worker count.
+Exit code 0 on success, 2 on any configuration or domain error or failed
+allocation (single-line diagnostic on stderr).  ``--workers k`` (env
+fallback ``BAI_WORKERS``) runs a command's simulations on a pool of k
+worker processes, one task per worker, which later commands of the same
+process reuse at the same k; outputs are byte-identical for any worker
+count.
 
 Importing the module loads only what every command needs.  The modules
 that some commands need load where those commands first use them:
@@ -212,19 +213,18 @@ def cmd_bound(args) -> int:
     if args.m != 1:
         instance = BanditInstance(instance.arms, m=args.m)
     delta = args.delta
-    print(f"fc_general={_FMT(bounds.fc_lower_bound_general(instance, delta))}")
+    # every value is computed before any is printed, so an error prints alone
+    values = {"fc_general": bounds.fc_lower_bound_general(instance, delta)}
     if instance.k == 2 and instance.m == 1:
-        general, uniform = bounds.fc_two_armed_bounds(instance, delta)
-        print(f"fc_two_armed_general={_FMT(general)}")
-        print(f"fc_two_armed_uniform={_FMT(uniform)}")
+        values["fc_two_armed_general"], values["fc_two_armed_uniform"] = \
+            bounds.fc_two_armed_bounds(instance, delta)
     if args.eps is not None:
-        value = bounds.fc_lower_bound_eps_relaxed(instance, args.eps, delta)
-        print(f"fc_eps_relaxed={_FMT(value)}")
+        values["fc_eps_relaxed"] = bounds.fc_lower_bound_eps_relaxed(instance, args.eps, delta)
     if args.budget is not None:
         profile = bounds.gap_profile(instance)
-        bound_m1, bound_general = bounds.fb_error_lower_bounds(profile, args.budget)
-        print(f"fb_error_m1={_FMT(bound_m1)}")
-        print(f"fb_error_general={_FMT(bound_general)}")
+        values["fb_error_m1"], values["fb_error_general"] = \
+            bounds.fb_error_lower_bounds(profile, args.budget)
+    print("\n".join(f"{name}={_FMT(value)}" for name, value in values.items()))
     return 0
 
 
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BestArmError, OSError) as exc:
+    except (BestArmError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,7 @@ undefined there and the instance class excludes the tie.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -43,6 +44,7 @@ from .dists import (
     ExpFamilyArm,
     ExpFamilyDescriptor,
     Gaussian,
+    _square,
     bernoulli_kl_kernel,
     mean_to_nat,
 )
@@ -98,6 +100,14 @@ def _bracket_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     return bisect_root(f, lo, hi, rel_tol=width / max(size, 1.0))
 
 
+def _in_range(name: str, value: float) -> float:
+    """``value`` if it is a normal double, so that its reciprocal is finite too."""
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise DomainError(f"{name} = {value:.3g} lies outside the normal doubles: "
+                          "the means are too close together or too far apart")
+    return value
+
+
 def _two_arms(instance: BanditInstance):
     require_two_armed(instance)
     a1, a2 = instance.arms
@@ -130,7 +140,8 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         # symmetric midpoint when the variances agree
         s1, s2 = a1.sigma, a2.sigma
         crossing = (s2 * a1.mean + s1 * a2.mean) / (s1 + s2)
-        return (a1.mean - a2.mean) ** 2 / (2.0 * (s1 + s2) ** 2), crossing
+        value = _square(a1.mean - a2.mean) / (2.0 * _square(s1 + s2))
+        return _in_range("c_star_fc", value), crossing
     fam, t1, t2 = _expfam_params(instance)
     mu1, mu2 = fam.mean_map(t1), fam.mean_map(t2)
     lo, hi = min(mu1, mu2), max(mu1, mu2)
@@ -145,17 +156,20 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
     # the crossing: an error in mu_star moves it to second order only, where
     # either divergence alone moves to first order
     w1 = (mu2 - mu_star) / (mu2 - mu1)
-    return w1 * fam.kl(t1, theta_star) + (1.0 - w1) * fam.kl(t2, theta_star), theta_star
+    value = w1 * fam.kl(t1, theta_star) + (1.0 - w1) * fam.kl(t2, theta_star)
+    return _in_range("c_star_fc", value), theta_star
 
 
 def i_star_fc(instance: BanditInstance) -> float:
     """Uniform-sampling fixed-confidence rate: average KL to the mean midpoint."""
     a1, a2 = _two_arms(instance)
     if isinstance(a1, Gaussian):
-        return (a1.mean - a2.mean) ** 2 / (4.0 * (a1.variance + a2.variance))
-    fam, t1, t2 = _expfam_params(instance)
-    mid = mean_to_nat(fam, 0.5 * (fam.mean_map(t1) + fam.mean_map(t2)))
-    return 0.5 * (fam.kl(t1, mid) + fam.kl(t2, mid))
+        value = _square(a1.mean - a2.mean) / (4.0 * (a1.variance + a2.variance))
+    else:
+        fam, t1, t2 = _expfam_params(instance)
+        mid = mean_to_nat(fam, 0.5 * (fam.mean_map(t1) + fam.mean_map(t2)))
+        value = 0.5 * (fam.kl(t1, mid) + fam.kl(t2, mid))
+    return _in_range("i_star_fc", value)
 
 
 def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
@@ -169,7 +183,8 @@ def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
     a1, _ = _two_arms(instance)
     if isinstance(a1, Gaussian):
         return c_star_fc(instance)
-    return _chernoff(*_expfam_params(instance))
+    value, theta_star = _chernoff(*_expfam_params(instance))
+    return _in_range("c_star_fb", value), theta_star
 
 
 def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
@@ -190,7 +205,7 @@ def i_star_fb(instance: BanditInstance) -> float:
         return i_star_fc(instance)
     fam, t1, t2 = _expfam_params(instance)
     mid = 0.5 * (t1 + t2)
-    return 0.5 * (fam.kl(mid, t1) + fam.kl(mid, t2))
+    return _in_range("i_star_fb", 0.5 * (fam.kl(mid, t1) + fam.kl(mid, t2)))
 
 
 def g_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float, alpha: float) -> float:
@@ -261,20 +276,17 @@ def i_star_bernoulli(x, y):
     if not (np.all((xa >= 0.0) & (xa <= 1.0)) and np.all((ya >= 0.0) & (ya <= 1.0))):
         raise DomainError("i_star_bernoulli arguments must lie in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = i_star_bernoulli_kernel(xa, ya)
+        out = i_star_bernoulli_kernel(*np.broadcast_arrays(xa, ya))
     return float(out) if out.ndim == 0 else out
 
 
 def i_star_bernoulli_kernel(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
-    """:func:`i_star_bernoulli` of float arrays in [0, 1], as an array; checks nothing."""
+    """:func:`i_star_bernoulli` of same-shape float arrays in [0, 1]; checks nothing."""
     mid = 0.5 * (xa + ya)
     interior = (mid > 0.0) & (mid < 1.0) & (xa != ya)
-    mid_safe = np.where(interior, mid, 0.5)
-    return np.where(
-        interior,
-        0.5 * (bernoulli_kl_kernel(xa, mid_safe) + bernoulli_kl_kernel(ya, mid_safe)),
-        0.0,
-    )
+    # one call for both divergences: its fixed cost dominates on a few elements
+    kl = bernoulli_kl_kernel(np.stack((xa, ya)), np.where(interior, mid, 0.5))
+    return np.where(interior, 0.5 * (kl[0] + kl[1]), 0.0)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ clamping observed data.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Union
@@ -99,10 +100,18 @@ def bernoulli_kl_kernel(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
     return out
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where ``**`` would raise OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def gaussian_kl(mu1: float, var1: float, mu2: float, var2: float) -> float:
-    """KL(N(mu1, var1) || N(mu2, var2)) in closed form."""
+    """KL(N(mu1, var1) || N(mu2, var2)) in closed form; inf past the largest double."""
     ratio = var1 / var2
-    return (mu1 - mu2) ** 2 / (2.0 * var2) + 0.5 * (ratio - 1.0 - math.log(ratio))
+    return _square(mu1 - mu2) / (2.0 * var2) + 0.5 * (ratio - 1.0 - math.log(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +227,16 @@ def _expo_kl(theta1: float, theta2: float) -> float:
     # whose terms are of order x and cancel to x^2/2: below |x| = 1e-3, where the
     # cancellation would cost over 4e-13 relative, Taylor's series to x^7 is
     # exact to 3e-19 relative.  Towards x = -1, log1p(x) would magnify the
-    # rounding of x, and the log of the ratio is the accurate form.
+    # rounding of x, and the log of the ratio is the accurate form, or the
+    # difference of logs where the ratio is below the normal doubles.
     x = (theta2 - theta1) / theta1
     if abs(x) < 1e-3:
         return x * x * (0.5 - x * (1 / 3 - x * (0.25 - x * (0.2 - x * (1 / 6 - x / 7)))))
-    return x - (math.log1p(x) if x > -0.5 else math.log(theta2 / theta1))
+    if x > -0.5:
+        return x - math.log1p(x) if x < math.inf else x
+    ratio = theta2 / theta1
+    return x - (math.log(ratio) if ratio >= sys.float_info.min
+                else math.log(-theta2) - math.log(-theta1))
 
 
 BERNOULLI_FAMILY = ExpFamilyDescriptor(

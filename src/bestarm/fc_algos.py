@@ -261,13 +261,6 @@ class AlphaEliminationRule(StoppingRule):
 #: SGLRT step without the exact statistic; see :class:`SglrtRule`.
 _SCREEN_EPS = 1e-6
 _LN4 = 2.0 * math.log(2.0)
-#: Exact terms of G (see :class:`SglrtRule`) in the fine bounds.
-_G_TERMS = 8
-_G_HEAD = [1.0 / (j * (2 * j - 1)) for j in range(1, _G_TERMS + 2)]
-#: Coefficients (by power of s; then lower, upper) of G's bounds: the exact
-#: terms, then s^N times the tail's value at s = 0 (below) and at s = 1 (above).
-_G_BOUNDS = np.array([_G_HEAD, _G_HEAD[:-1] + [_LN4 - math.fsum(_G_HEAD[:-1])]])
-_G_BOUNDS = _G_BOUNDS.T[..., None, None]
 
 
 def _coarse_screen(s1, s2, k, low, high):
@@ -286,24 +279,6 @@ def _coarse_screen(s1, s2, k, low, high):
             dd * (n2 + (_LN4 - 1.0) * dd) <= (low / k) * ab * n2)
 
 
-def _i_star_bounds(s1, s2, k):
-    """(lo, hi) around t I_*(s1/k, s2/k), t = 2k, for integer arm sums s1 != s2.
-
-    Each half, A g(D/A) / 2 = (D^2/A) G(D^2/A^2) / 2, takes G's bounds from
-    :data:`_G_BOUNDS`, by Horner's rule, and G(1) = 2 log 2 exactly where
-    s = 1 (one arm's sum is 0 or k).
-    """
-    n = np.stack((s1 + s2, 2.0 * k - s1 - s2))
-    w = (s1 - s2) ** 2 / n
-    s = w / n
-    g = _G_BOUNDS[-1]
-    for c in _G_BOUNDS[-2::-1]:
-        g = g * s + c
-    g[0][s == 1.0] = _LN4
-    lo, hi = 0.5 * (w * g).sum(axis=1)
-    return lo, hi
-
-
 class SglrtRule(StoppingRule):
     """Sequential GLRT on Bernoulli arms, uniform sampling, even-t stopping.
 
@@ -319,24 +294,23 @@ class SglrtRule(StoppingRule):
     The bracket.  With A = S1 + S2, B = 2k - A and D = S1 - S2,
     t I_* = [A g(D/A) + B g(D/B)] / 2, where g(a) = (1+a) log(1+a) +
     (1-a) log(1-a) = a^2 G(a^2), and Taylor's series of g about 0 gives
-    G(s) = sum_j s^(j-1) / (j (2j - 1)): positive coefficients, G(0) = 1,
-    G(1) = 2 log 2.  Hence 1 <= G(s) <= 1 + (2 log 2 - 1) s, and
-    after N terms the tail over s^N, convex and increasing in s, lies
-    between its values at s = 0 and s = 1.  Each step first gets the coarse
-    bracket L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v), with L0 = k D^2 / (A B)
-    and v = D^2 / min(A, B)^2 <= 1 (:func:`_coarse_screen`).  A step it
-    leaves open, before its row's first sure crossing, gets the fine bracket
-    with N = 8 terms per half (:func:`_i_star_bounds`); a step still open
-    gets the exact statistic.
+    G(s) = sum_j s^(j-1) / (j (2j - 1)): positive coefficients, so G is
+    increasing and convex on [0, 1], with G(0) = 1 and G(1) = 2 log 2.
+    Hence 1 <= G(s) <= 1 + (2 log 2 - 1) s, and every step gets the bracket
+    L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v), with L0 = k D^2 / (A B) and
+    v = D^2 / min(A, B)^2 <= 1 (:func:`_coarse_screen`).  A step it leaves
+    open, before its row's first sure crossing, is decided by the reference
+    comparison 2k I_*(S1/k, S2/k) > beta itself.
 
-    The margin.  A bound decides a step only when it clears beta by the
+    The margin.  The bracket decides a step only when it clears beta by the
     relative margin ``_SCREEN_EPS`` + k 2^-49.  ``_SCREEN_EPS`` = 1e-6
     covers the rounding of the bounds (k D^2 can exceed 2^53) and the error
     of the exact statistic, which ``bernoulli_kl`` computes to about 1e-9
     relative near its switch to a Taylor series.  The k term covers the
     rounding of S/k before the exact statistic sees it: up to about 2k/|D|
-    units of 2^-53, an eighth of the k term at |D| = 1.  A step with D = 0 (S1 = S2, also at 0 or k) is surely
-    no crossing, because beta > 0 for every rate at t >= 2 and delta in (0, 1).
+    units of 2^-53, an eighth of the k term at |D| = 1.  A step with D = 0
+    (S1 = S2, also at 0 or k) is surely no crossing, because beta > 0 for
+    every rate at t >= 2 and delta in (0, 1).
     """
 
     width = 2
@@ -366,14 +340,9 @@ class SglrtRule(StoppingRule):
             first = np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
             before = cols < first[rows]
             rows, cols = rows[before], cols[before]
-            s1, s2, k = cum1[rows, cols], cum2[rows, cols], ks[cols]
-            lo, hi = _i_star_bounds(s1, s2, k)
-            sure = lo > high[cols]
-            exact = ~sure & (hi > low[cols])
-            if exact.any():
-                s1, s2, k = s1[exact], s2[exact], k[exact]
-                sure[exact] = 2.0 * k * i_star_bernoulli_kernel(s1 / k, s2 / k) > beta[cols[exact]]
-            hits[rows, cols] = sure
+            k = ks[cols]
+            stat = 2.0 * k * i_star_bernoulli_kernel(cum1[rows, cols] / k, cum2[rows, cols] / k)
+            hits[rows, cols] = stat > beta[cols]
         return hits, cum1 >= cum2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
 
 

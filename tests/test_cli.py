@@ -439,6 +439,76 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_TINY_GAP = ["--family", "gaussian", "--means", "1e-170,0", "--variances", "0.25,0.25"]
+_ULP_BERNOULLI = ["--family", "bernoulli", "--means", "0.5,0.5000000000000001"]
+_ULP_EXPONENTIAL = ["--family", "exponential", "--means", "1,1.0000000000000002"]
+_HUGE_GAP = ["--family", "gaussian", "--means", "1e300,-1e300", "--variances", "1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    # c_* underflows (Gaussian) or the crossing has no double between the means
+    ["complexity", *_TINY_GAP],
+    ["bound", *_TINY_GAP, "--delta", "0.1"],
+    ["complexity", *_ULP_BERNOULLI],
+    ["bound", *_ULP_BERNOULLI, "--delta", "0.1"],
+    ["complexity", *_ULP_EXPONENTIAL],
+    ["bound", *_ULP_EXPONENTIAL, "--delta", "0.1"],
+    # the squared gap overflows
+    ["complexity", *_HUGE_GAP],
+    ["bound", *_HUGE_GAP, "--delta", "0.1"],
+    ["simulate-fc", "--family", "gaussian", "--means", "1e200,0", "--variances", "1,1",
+     "--algo", "elimination", "--rate", "robbins", "--deltas", "0.1", "--reps", "2",
+     "--seed", "0"],
+    # mu_[1] - eps rounds to mu_[1]
+    ["bound", "--family", "bernoulli", "--means", "0.5,0.4", "--delta", "0.1",
+     "--eps", "1e-300"],
+], ids=["complexity-tiny-gap", "bound-tiny-gap", "complexity-ulp-bernoulli",
+        "bound-ulp-bernoulli", "complexity-ulp-exponential", "bound-ulp-exponential",
+        "complexity-huge-gap", "bound-huge-gap", "simulate-fc-huge-gap", "bound-tiny-eps"])
+def test_numbers_past_the_doubles_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    if argv[0] == "simulate-fc":
+        argv = [*argv, "--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_exponential_means_300_decades_apart(capsys):
+    # theta2 / theta1 underflows to 0 inside the divergences, which take the
+    # log of each parameter there; references from 60-digit arithmetic
+    argv = ["--family", "exponential", "--means", "1e300,1e-300"]
+    assert main(["complexity", *argv]) == 0
+    row = parse_row(capsys.readouterr().out)
+    assert float(row["c_star_fc"]) == pytest.approx(1373.32009369596, rel=1e-11)
+    assert float(row["c_star_fb"]) == pytest.approx(1373.32009369596, rel=1e-11)
+    assert float(row["i_star_fc"]) == pytest.approx(690.082380717654, rel=1e-11)
+    assert float(row["i_star_fb"]) == pytest.approx(690.082380717654, rel=1e-11)
+    assert main(["bound", *argv, "--delta", "0.1"]) == 0
+    lines = dict(line.split("=") for line in capsys.readouterr().out.split())
+    assert float(lines["fc_general"]) == pytest.approx(0.00116579383694407, rel=1e-11)
+    assert float(lines["fc_two_armed_general"]) == pytest.approx(0.00117193210805114,
+                                                                rel=1e-11)
+    assert float(lines["fc_two_armed_uniform"]) == pytest.approx(0.00233224026203996,
+                                                                rel=1e-11)
+
+
+def test_failed_allocation_is_usage_error(capsys):
+    # the envelope over 2**50 steps needs 2**53 bytes, more than an address
+    # space holds: the allocation fails at once and touches no memory
+    code = main(["lil-check", "--x", "3", "--beta", "1.5", "--horizon", str(2**50),
+                 "--paths", "1"])
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("family", [
     ["--family", "bernoulli", "--means", "0.2,0.1"],
     ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.25"],

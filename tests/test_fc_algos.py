@@ -18,7 +18,6 @@ from bestarm.fc_algos import (
     ExplorationRate,
     SglrtRule,
     _coarse_screen,
-    _i_star_bounds,
     default_tau_max,
     eval_rate,
     run_alpha_elimination,
@@ -283,7 +282,7 @@ def _arm_sum(k: int, near: int | None = None):
 
 @st.composite
 def _integer_sums(draw):
-    k = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**22)))
+    k = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**40)))
     s1 = draw(_arm_sum(k))
     return s1, draw(_arm_sum(k, near=s1)), k
 
@@ -295,11 +294,6 @@ def test_sglrt_bounds_bracket_the_statistic(sums):
     assume(s1 != s2)
     truth = _t_i_star(s1, s2, k)
     a1, a2, ak = (np.array([float(v)]) for v in sums)
-    lo, hi = _i_star_bounds(a1, a2, ak)
-    assert lo[0] <= truth * (1 + 1e-12) and truth <= hi[0] * (1 + 1e-12)
-    short = min(s1 + s2, 2 * k - s1 - s2)
-    if (s1 - s2) ** 2 <= short**2 / 2:  # s <= 1/2 on both halves: 8 terms are tight
-        assert hi[0] - lo[0] <= 3e-4 * lo[0]
     # the coarse bracket: no sure crossing when beta is just above t I_*, no sure
     # miss just below it, and both sure at a factor of 2
     for scale, sure_hit, sure_miss in ((1 + 1e-12, False, None), (1 - 1e-12, None, False),
@@ -320,7 +314,7 @@ def test_sglrt_screen_matches_the_unscreened_scan(data):
     top = 0.3 if rate is ExplorationRate.ITERATED_LOG else 0.999
     delta = data.draw(st.floats(1e-9, top))
     rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 48))
-    done = data.draw(st.one_of(st.sampled_from((0, 2**22 - n)), st.integers(0, 2**22 - n)))
+    done = data.draw(st.one_of(st.sampled_from((0, 2**40 - n)), st.integers(0, 2**40 - n)))
     carry = []
     for _ in range(rows):
         s1 = data.draw(_arm_sum(done))
