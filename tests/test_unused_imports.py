@@ -77,16 +77,17 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
 
     A read inside a private name's own definition counts only once that name
     is itself read, so a chain of constants that only each other read is
-    dead as a whole.
+    dead as a whole.  Reads are matched by name alone, so two modules'
+    private names of one spelling live or die together.
     """
-    defined = {}  # private name -> "module, line N"
+    defined = {}  # (module, private name) -> line of its last definition
     reads_of = {}  # private name -> the names its definitions read
     live = set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             targets = _private_targets(node)
             for name in targets:
-                defined[name] = f"{module}, line {node.lineno}"
+                defined[module, name] = node.lineno
                 reads_of.setdefault(name, set()).update(_reads(node))
             if not targets:
                 live |= _reads(node)
@@ -96,7 +97,8 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
             if name not in live:
                 live.add(name)
                 todo.append(name)
-    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in live)
+    return sorted(f"{name} ({module}, line {line})"
+                  for (module, name), line in defined.items() if name not in live)
 
 
 def test_the_check_sees_a_dead_private_name():
