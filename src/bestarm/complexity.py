@@ -26,7 +26,8 @@ Averages use the analytic midpoint identities, which stationarity makes
 exact, rather than a generic infimum search.
 
 Equal means are rejected with DegenerateInstance: the complexities are
-undefined there and the instance class excludes the tie.
+undefined there and the instance class excludes the tie.  A rate outside
+the normal doubles (means too close or too far apart) raises DomainError.
 """
 
 from __future__ import annotations
