@@ -3,7 +3,9 @@
 
 A loop over ``bestarm`` commands: each figure preset at seeds 0 and
 1000003 and at 1 and 2 workers, then ``simulate-fb --alloc optimal`` on a
-Bernoulli and an exponential instance.  Each run prints one line,
+Bernoulli and an exponential instance, then alpha-elimination (which no
+preset runs) on a Gaussian instance of unequal variances at the same seeds
+and worker counts.  Each run prints one line,
 ``label seed workers sha256``.  Records are a pure function of the config,
 so two checkouts that should draw the same numbers print the same lines;
 diff the output of one against the other.  The bytes depend on the numpy
@@ -28,6 +30,9 @@ WORKERS = (1, 2)
 #: (label, family, means) of each fixed-budget run.
 FIXED_BUDGET = (("fb-bernoulli", "bernoulli", "0.2,0.1"),
                 ("fb-exponential", "exponential", "1.0,0.5"))
+ALPHA_ELIMINATION = ["simulate-fc", "--family", "gaussian", "--means", "0.5,0",
+                     "--variances", "1,0.25", "--algo", "alpha-elimination",
+                     "--rate", "alpha-elim", "--deltas", "0.1,0.01", "--reps", "67"]
 
 
 def runs():
@@ -41,6 +46,10 @@ def runs():
         yield label, 0, 1, ["simulate-fb", "--family", family, "--means", means,
                             "--alloc", "optimal", "--budgets", "20:200:20", "--reps", "25",
                             "--seed", "0", "--workers", "1"]
+    for seed in SEEDS:
+        for workers in WORKERS:
+            yield "fc-alpha-elimination", seed, workers, [
+                *ALPHA_ELIMINATION, "--seed", str(seed), "--workers", str(workers)]
 
 
 def main() -> int:

@@ -57,13 +57,12 @@ BISECT_MAX_ITER = 200
 _CHECK_TOL = 1e-8
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float,
-                rel_tol: float = BISECT_REL_TOL,
-                max_iter: int = BISECT_MAX_ITER) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f on [lo, hi] by bisection; requires a sign change.
 
-    The interval is shrunk until its width falls below
-    rel_tol * max(|lo|, |hi|, 1); exceeding ``max_iter`` iterations raises
+    The bracket is halved until it is narrower than BISECT_REL_TOL times its
+    starting width (so a near tie is solved as deep as a wide bracket) or
+    than 4 ulps of its larger endpoint; past BISECT_MAX_ITER halvings,
     SolverError.
     """
     flo, fhi = f(lo), f(hi)
@@ -73,10 +72,10 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0.0:
         raise SolverError(f"no sign change on bracket [{lo}, {hi}]")
-    scale = max(abs(lo), abs(hi), 1.0)
-    for _ in range(max_iter):
+    width = max(BISECT_REL_TOL * (hi - lo), 4.0 * math.ulp(max(abs(lo), abs(hi))))
+    for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * scale:
+        if hi - lo <= width:
             return mid
         fm = f(mid)
         if fm == 0.0:
@@ -85,20 +84,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float,
             hi = mid
         else:
             lo, flo = mid, fm
-    raise SolverError(f"bisection did not converge in {max_iter} iterations")
-
-
-def _bracket_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] to BISECT_REL_TOL of the bracket's own width.
-
-    :func:`bisect_root` measures its width against the endpoints' size, which
-    leaves a near tie (a bracket far narrower than its endpoints) only a few
-    digits deep.  The width never goes below a few ulps of the endpoints,
-    which bisection always reaches.
-    """
-    size = max(abs(lo), abs(hi))
-    width = max(BISECT_REL_TOL * (hi - lo), 4.0 * math.ulp(size))
-    return bisect_root(f, lo, hi, rel_tol=width / max(size, 1.0))
+    raise SolverError(f"bisection did not converge in {BISECT_MAX_ITER} iterations")
 
 
 def _in_range(name: str, value: float) -> float:
@@ -140,7 +126,7 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         # crossing: the point mu with (mu1-mu)/sigma1 = (mu-mu2)/sigma2; the
         # symmetric midpoint when the variances agree
         s1, s2 = a1.sigma, a2.sigma
-        crossing = (s2 * a1.mean + s1 * a2.mean) / (s1 + s2)
+        crossing = a2.mean + (a1.mean - a2.mean) * (s2 / (s1 + s2))
         value = _square(a1.mean - a2.mean) / (2.0 * _square(s1 + s2))
         return _in_range("c_star_fc", value), crossing
     fam, t1, t2 = _expfam_params(instance)
@@ -151,7 +137,7 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         t = fam.nat_of_mean(mu)
         return fam.kl(t1, t) - fam.kl(t2, t)
 
-    mu_star = _bracket_root(gap, lo, hi)
+    mu_star = bisect_root(gap, lo, hi)
     theta_star = fam.nat_of_mean(mu_star)
     # the weights that make the average of the two divergences flat in mu at
     # the crossing: an error in mu_star moves it to second order only, where
@@ -190,8 +176,8 @@ def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
 
 def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
     """Chernoff information and its crossing: Kb(theta_, theta1) = Kb(theta_, theta2)."""
-    theta_star = _bracket_root(lambda t: fam.kl(t, theta1) - fam.kl(t, theta2),
-                               min(theta1, theta2), max(theta1, theta2))
+    theta_star = bisect_root(lambda t: fam.kl(t, theta1) - fam.kl(t, theta2),
+                             min(theta1, theta2), max(theta1, theta2))
     # g_alpha at the crossing's own alpha, flat in theta there (as in c_star_fc)
     alpha = (theta_star - theta2) / (theta1 - theta2)
     return (alpha * fam.kl(theta_star, theta1)

@@ -7,7 +7,8 @@ Three arm models are supported:
 * ``ExpFamilyArm(family, theta)`` -- a canonical one-parameter exponential
   family with density exp(theta*x - b(theta)), described by an
   :class:`ExpFamilyDescriptor` carrying the log-partition ``b``, its
-  derivatives and the inverse mean map.
+  derivatives and the inverse mean map.  Only exponential arms of this
+  kind sample; Gaussian and Bernoulli arms sample as their own classes.
 
 All divergences use natural logarithms.  Bernoulli means are validated to
 ``[1e-9, 1-1e-9]`` at construction; empirical means produced downstream may
@@ -137,7 +138,6 @@ class ExpFamilyDescriptor:
     nat_of_mean: Callable[[float], float]
     theta_domain: tuple[float, float]
     mean_domain: tuple[float, float]
-    known_variance: float | None = None  # sampling parameter for gaussian_kv
     divergence: Callable[[float, float], float] | None = None
 
     def check_theta(self, theta: float) -> float:
@@ -175,10 +175,30 @@ def _bern_b(theta: float) -> float:
 
 
 def _bern_mean(theta: float) -> float:
-    if theta >= 0:
-        return 1.0 / (1.0 + math.exp(-theta))
-    e = math.exp(theta)
-    return e / (1.0 + e)
+    return _bern_means(theta)[0]
+
+
+def _bern_means(theta: float) -> tuple[float, float]:
+    """(mean, 1 - mean) at theta, each to full relative accuracy, from one exp."""
+    e = math.exp(-abs(theta))
+    big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+    return (big, small) if theta >= 0 else (small, big)
+
+
+def _bern_kl(theta1: float, theta2: float) -> float:
+    # d(x, y) of the means as bernoulli_kl_kernel takes it (log1p terms, and
+    # its third-order series where those cancel), with h from the means' small
+    # side of 1/2.  Past |theta| = 36 a mean can fall below 2^-52 and round a
+    # log1p argument to -1, and the Bregman form has little to cancel there.
+    x, x_bar = _bern_means(theta1)
+    if abs(theta1) > 36.0 or abs(theta2) > 36.0:
+        return _bern_b(theta2) - _bern_b(theta1) - x * (theta2 - theta1)
+    y, y_bar = _bern_means(theta2)
+    h = x - y if y <= 0.5 else y_bar - x_bar
+    if abs(h) < 1e-6 * min(y, y_bar):
+        a, b = -h / y, h / y_bar
+        return y * a * a * (0.5 + a / 6.0) + y_bar * b * b * (0.5 + b / 6.0)
+    return x * math.log1p(h / y) + x_bar * math.log1p(-h / y_bar)
 
 
 def _bern_var(theta: float) -> float:
@@ -247,6 +267,7 @@ BERNOULLI_FAMILY = ExpFamilyDescriptor(
     nat_of_mean=_bern_nat,
     theta_domain=(-math.inf, math.inf),
     mean_domain=(0.0, 1.0),
+    divergence=_bern_kl,
 )
 
 #: Exponential distributions with rate -theta; b is Fenchel self-conjugate
@@ -276,7 +297,6 @@ def gaussian_family(variance: float) -> ExpFamilyDescriptor:
         nat_of_mean=partial(_gauss_nat, variance=variance),
         theta_domain=(-math.inf, math.inf),
         mean_domain=(-math.inf, math.inf),
-        known_variance=variance,
     )
 
 
@@ -363,17 +383,15 @@ def same_family(p: ArmDistribution, q: ArmDistribution) -> bool:
 
 def _law(dist: ArmDistribution) -> tuple:
     """("gaussian", mean, sd), ("bernoulli", p) or ("exponential", scale) of one arm."""
-    if isinstance(dist, ExpFamilyArm):
-        fid = dist.family_desc.family_id
-        if fid.startswith("gaussian_kv"):
-            return "gaussian", dist.mean, math.sqrt(dist.family_desc.known_variance)
-        if fid in ("bernoulli", "exponential"):
-            return fid, dist.mean
-        raise DomainError(f"no sampler for exponential family {fid!r}")
     if isinstance(dist, Gaussian):
         return "gaussian", dist.mean, dist.sigma
     if isinstance(dist, Bernoulli):
         return "bernoulli", dist.mean
+    if isinstance(dist, ExpFamilyArm):
+        fid = dist.family_desc.family_id
+        if fid == "exponential":
+            return fid, dist.mean
+        raise DomainError(f"no sampler for exponential family {fid!r}")
     raise FamilyMismatch(f"not an arm distribution: {dist!r}")
 
 
@@ -383,8 +401,6 @@ def sampler(dist: ArmDistribution):
 
     Splitting the two lets a caller fill many rows, each from its own
     stream, and finish them all in one pass; draws equal :func:`sample_n`'s.
-    Arms of one standard law share one ``fill`` object, so a caller can
-    fill both arms' variates in one call where ``fill1 is fill2``.
     """
     kind, *params = _law(dist)
     if kind == "gaussian":
@@ -397,38 +413,37 @@ def sampler(dist: ArmDistribution):
     return _fill_exponential, lambda e: scale * e
 
 
-def sum_sampler(dist: ArmDistribution, n: int):
-    """(fill, finish), as :func:`sampler`, of the sum of n draws from one arm.
+def sum_sampler(arms, ns):
+    """(fill, finish1, finish2) of the sums of ns[0] draws from arms[0] and ns[1] from arms[1].
 
-    ``fill(rng, out)`` writes one variate into the one-element ``out``, and
-    the finished draw is exact in law: N(n mean, n sd^2) for Gaussian arms,
-    binomial(n, p) for Bernoulli arms and scale * Gamma(n) for exponential
-    arms.  Scalar draws: numpy's size/out handling costs more than a
-    binomial or gamma variate at these sizes.
+    ``fill(rng, out)`` writes arm 1's variate into out[0], then arm 2's into
+    out[1], and each finished draw is exact in law: N(n mean, n sd^2),
+    binomial(n, p) or scale * Gamma(n).  Scalar draws: numpy's size/out
+    handling costs more than a binomial or gamma variate at these sizes.
     """
-    kind, *params = _law(dist)
+    (kind, *params1), (_, *params2) = (_law(arm) for arm in arms)
+    n1, n2 = ns
     if kind == "gaussian":
-        mean, sd = params
-        mean, sd = n * mean, math.sqrt(n) * sd
+        (mean1, sd1), (mean2, sd2) = params1, params2
 
         def fill(rng, out):
             out[0] = rng.standard_normal()
-        return fill, lambda z: mean + sd * z
+            out[1] = rng.standard_normal()
+        return (fill, lambda z: n1 * mean1 + math.sqrt(n1) * sd1 * z,
+                lambda z: n2 * mean2 + math.sqrt(n2) * sd2 * z)
     if kind == "bernoulli":
-        p, = params
+        (p1,), (p2,) = params1, params2
 
         def fill(rng, out):
-            out[0] = rng.binomial(n, p)
-        return fill, _identity
-    scale, = params
+            out[0] = rng.binomial(n1, p1)
+            out[1] = rng.binomial(n2, p2)
+        return fill, np.asarray, np.asarray
+    (scale1,), (scale2,) = params1, params2
 
     def fill(rng, out):
-        out[0] = rng.standard_gamma(n)
-    return fill, lambda g: scale * g
-
-
-def _identity(x):
-    return x
+        out[0] = rng.standard_gamma(n1)
+        out[1] = rng.standard_gamma(n2)
+    return fill, lambda g: scale1 * g, lambda g: scale2 * g
 
 
 def _fill_uniform(rng, out):

@@ -5,14 +5,14 @@ supplies its samplers, its per-chunk thresholds and its statistic,
 nothing else.  :func:`run_rows` advances a block of replications of one
 rule in lockstep.  Each row draws from a generator of its own, given its
 replication's state (:func:`bestarm.rng.row_states`) once, before its
-first chunk.  Per chunk of steps (64 doubling to 4096) it draws every
-active row's arm-1 chunk then arm-2 chunk (in one call where both arms
-share a standard law), stacks the rows into (rows, n) arrays, scans them
-for first crossings at once, and drops the rows that stopped.  A rule
-draws what its statistic reads: a rule that reads only paired
-differences draws them on arm 1 and nothing on arm 2, and a static rule
-draws one sum per arm.  Thresholds are computed once per chunk and block
-and shared by all of its rows.
+first chunk.  Per chunk of steps (64 doubling to 4096) each active row
+fills its chunk with one call of the rule's ``fill``, its arm-1 variates
+then its arm-2 variates; the rows are stacked into (rows, n) arrays,
+scanned for first crossings at once, and the rows that stopped are
+dropped.  A rule draws what its statistic reads: a rule that reads only
+paired differences draws them on arm 1 and nothing on arm 2, and a static
+rule draws one sum per arm.  Thresholds are computed once per chunk and
+block and shared by all of its rows.
 """
 
 from __future__ import annotations
@@ -58,10 +58,12 @@ class StoppingRule:
     unless ``draws`` says otherwise.  ``chunk(done, n)`` gives the arm-1 and
     arm-2 variate counts of steps done+1..done+n and the data every row
     shares (thresholds); :meth:`scan` decides them.  ``build_samplers``
-    gives the (fill, finish) pair of each of the two variate streams, one
-    draw per arm by default; a subclass that overrides it sets what it needs
-    before calling this constructor.  A rule pickles as plain data: its
-    sampler closures are rebuilt when it is unpickled.
+    gives (fill, finish1, finish2): ``fill(rng, out)`` writes a row's c1
+    arm-1 then c2 arm-2 variates, and each finish maps its arm's to draws.
+    By default both arms take arm 1's fill (one family, one standard law).
+    A subclass that overrides it sets what it needs before calling this
+    constructor.  A rule pickles as plain data: its sampler closures are
+    rebuilt when it is unpickled.
     """
 
     width = 1
@@ -75,7 +77,8 @@ class StoppingRule:
         self.samplers = self.build_samplers()
 
     def build_samplers(self):
-        return tuple(sampler(arm) for arm in self.arms)
+        (fill, finish1), (_, finish2) = (sampler(arm) for arm in self.arms)
+        return fill, finish1, finish2
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "samplers"}
@@ -105,10 +108,6 @@ class StoppingRule:
         return 2 * steps, steps
 
 
-#: The samplers of a variate stream that draws nothing.
-NO_DRAWS = (lambda rng, out: None), (lambda raw: raw)
-
-
 def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
     """Replications ``rows`` of ``rule`` as arrays (tau, recommended, n1, exhausted).
 
@@ -134,14 +133,10 @@ def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
 def _run_block(rule: StoppingRule, gens: list) -> list:
     """(tau, recommended, n1, exhausted) per row of one lockstep block.
 
-    Row i draws from ``gens[i]`` in place, every chunk in stream order, so
-    no state is saved or restored between chunks.  Where both streams fill
-    with one function (one standard law on both arms), a row fills its
-    arm-1 and arm-2 variates of a chunk in one call, the same draws in the
-    same order.
+    Row i draws from ``gens[i]`` in place, one fill call per chunk, every
+    chunk in stream order, so no state is saved or restored between chunks.
     """
-    (fill1, finish1), (fill2, finish2) = rule.samplers
-    merged = fill1 is fill2
+    fill, finish1, finish2 = rule.samplers
     # a stopped row's outcome; until then, whether arm 0 leads (ties and no draws: yes)
     result = [True] * len(gens)
     active = list(range(len(gens)))
@@ -155,15 +150,10 @@ def _run_block(rule: StoppingRule, gens: list) -> list:
         for lo in range(0, len(active), step):
             idx = active[lo:lo + step]
             z = np.empty((len(idx), c1 + c2))
-            x, y = z[:, :c1], z[:, c1:]
             for i, j in enumerate(idx):
-                if merged:
-                    fill1(gens[j], z[i])
-                else:
-                    fill1(gens[j], x[i])
-                    fill2(gens[j], y[i])
+                fill(gens[j], z[i])
             hits, leads, carry[lo:lo + step] = rule.scan(shared, carry[lo:lo + step],
-                                                         finish1(x), finish2(y))
+                                                         finish1(z[:, :c1]), finish2(z[:, c1:]))
             for i, at in enumerate(hits.argmax(axis=1).tolist()):
                 if hits[i, at]:
                     tau, n1 = rule.draws(done + 1 + at)

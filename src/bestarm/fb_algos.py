@@ -10,7 +10,7 @@ Allocations are clamped to [1, t-1] so both arms are always observed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,8 +93,7 @@ class StaticRule(StoppingRule):
         super().__init__(instance, 1)
 
     def build_samplers(self):
-        return tuple(sum_sampler(arm, n) for arm, n in zip(self.arms, (self.alloc.n1,
-                                                                      self.alloc.n2)))
+        return sum_sampler(self.arms, (self.alloc.n1, self.alloc.n2))
 
     def chunk(self, done, n):
         return 1, 1, None
@@ -137,16 +136,15 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
     is tilted exponentially to a point where both tilted arms share one mean,
     so about half the tilted runs err, and each error is weighted by the
     exact likelihood ratio of the untilted arms, which depends on a row only
-    through its per-arm sums.  Exponential families (Bernoulli, exponential,
-    known-variance Gaussian) tilt both natural parameters to
-    alpha*theta1 + (1-alpha)*theta2 with alpha = n1/t, the point that
-    attains ``g_alpha``; on the error event the weight is at most
-    exp(-t g_alpha).  Gaussian arms shift their means to the common point
+    through its per-arm sums.  Bernoulli and exponential arms tilt both
+    natural parameters to alpha*theta1 + (1-alpha)*theta2 with alpha = n1/t,
+    the point that attains ``g_alpha``; on the error event the weight is at
+    most exp(-t g_alpha).  Gaussian arms shift their means to the common point
     mu1 - Delta w1, w1 = (sigma1^2/n1) / (sigma1^2/n1 + sigma2^2/n2), which
-    puts E[mean1 - mean2] at 0.  The decision is :class:`StaticRule`'s, so
-    ties go to arm 0.  At a fixed budget the relative standard error is of
-    order 1/sqrt(reps), where plain sampling needs about 1/p replications
-    to see a single error.
+    puts E[mean1 - mean2] at 0.  The tilted arms are of the instance's own
+    classes.  The decision is :class:`StaticRule`'s, so ties go to arm 0.  At
+    a fixed budget the relative standard error is of order 1/sqrt(reps),
+    where plain sampling needs about 1/p replications to see a single error.
 
     Replication r draws its arm-1 sum then its arm-2 sum, as
     :class:`StaticRule` does, from the stream of ``rng``'s bit generator
@@ -173,8 +171,10 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
         fams, thetas = (fam, fam), (theta1, theta2)
         mix = alloc.alpha * theta1 + (1.0 - alloc.alpha) * theta2
         tilts = (mix, mix)
-    (fill1, finish1), (fill2, finish2) = (sum_sampler(ExpFamilyArm(f, s), n)
-                                          for f, s, n in zip(fams, tilts, (n1, n2)))
+    tilted = tuple(replace(arm, theta=s) if isinstance(arm, ExpFamilyArm)
+                   else replace(arm, mean=f.mean_map(s))
+                   for arm, f, s in zip(instance.arms, fams, tilts))
+    fill, finish1, finish2 = sum_sampler(tilted, (n1, n2))
     # log dP/dQ of a row = sum_i (theta_i - theta'_i) S_i - n_i (b_i(theta_i) - b_i(theta'_i))
     shift1, shift2 = thetas[0] - tilts[0], thetas[1] - tilts[1]
     offset = sum(n * (f.log_partition(t) - f.log_partition(s))
@@ -184,13 +184,11 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
     weighted = np.zeros(reps)  # likelihood ratio on error rows, 0 elsewhere
     for lo in range(0, reps, engine.BLOCK_ELEMENTS):
         rows = range(lo, min(lo + engine.BLOCK_ELEMENTS, reps))
-        x = np.empty((len(rows), 1))
-        y = np.empty((len(rows), 1))
-        for xi, yi, state in zip(x, y, states):
+        z = np.empty((len(rows), 2))
+        for zi, state in zip(z, states):
             bit_generator.state = state
-            fill1(rng, xi)
-            fill2(rng, yi)
-        x, y = finish1(x), finish2(y)
+            fill(rng, zi)
+        x, y = finish1(z[:, :1]), finish2(z[:, 1:])
         _, leads, _ = rule.scan(None, None, x, y)
         wrong = leads[:, 0] != (rule.best_arm == 0)
         log_w = shift1 * x[wrong, 0] + shift2 * y[wrong, 0] - offset

@@ -44,7 +44,7 @@ import numpy as np
 
 from .complexity import i_star_bernoulli_kernel, i_star_fc
 from .dists import Gaussian, sample_n, sampler  # noqa: F401  (sample_n: re-exported name)
-from .engine import MAX_COUNT, NO_DRAWS, RunOutcome, StoppingRule, run_one
+from .engine import MAX_COUNT, RunOutcome, StoppingRule, run_one
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
 
@@ -171,7 +171,8 @@ def _paired_steps(instance: BanditInstance, delta: float, tau_max: int | None) -
 def _difference_samplers(arms):
     """One X - Y ~ N(mu1 - mu2, var1 + var2) per paired step of two Gaussian arms."""
     a1, a2 = arms
-    return sampler(Gaussian(a1.mean - a2.mean, a1.variance + a2.variance)), NO_DRAWS
+    fill, finish = sampler(Gaussian(a1.mean - a2.mean, a1.variance + a2.variance))
+    return fill, finish, np.asarray  # arm 2 draws nothing (c2 = 0)
 
 
 class EliminationRule(StoppingRule):

@@ -497,6 +497,29 @@ def test_exponential_means_300_decades_apart(capsys):
                                                                 rel=1e-11)
 
 
+@pytest.mark.parametrize("mean2,reference", [("0.30000001", 5.95238088942547e-17),
+                                              ("0.3000000001", 5.95238193681852e-21)])
+def test_bernoulli_near_tie_rates(capsys, mean2, reference):
+    # the Bregman form of the Bernoulli divergence cancels to noise at these
+    # gaps, where it misreads the rates by a quarter or finds no sign change;
+    # references from 60-digit arithmetic, where all four rates agree to 15
+    # digits
+    assert main(["complexity", "--family", "bernoulli", "--means", f"0.3,{mean2}"]) == 0
+    row = parse_row(capsys.readouterr().out)
+    for key in ("c_star_fc", "i_star_fc", "c_star_fb", "i_star_fb"):
+        assert float(row[key]) == pytest.approx(reference, rel=1e-9)
+
+
+def test_gaussian_crossing_of_huge_means_is_finite(capsys):
+    # s2 mu1 + s1 mu2 overflows here, where the crossing itself is the
+    # midpoint 9.999999999999994e168
+    argv = ["--family", "gaussian", "--means", "1e169,9.99999999999999e168",
+            "--variances", "1e280,1e280"]
+    assert main(["complexity", *argv]) == 0
+    row = parse_row(capsys.readouterr().out)
+    assert row["theta_star_reversed"] == row["theta_star_chernoff"] == "1e+169"
+
+
 def test_failed_allocation_is_usage_error(capsys):
     # the envelope over 2**50 steps needs 2**53 bytes, more than an address
     # space holds: the allocation fails at once and touches no memory

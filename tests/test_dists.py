@@ -72,8 +72,6 @@ def test_bernoulli_mean_clt():
 @pytest.mark.parametrize("arm,se", [
     (Gaussian(1.3, 0.49), 0.7),
     (Bernoulli(0.37), math.sqrt(0.37 * 0.63)),
-    (ExpFamilyArm(BERNOULLI_FAMILY, 0.4), None),
-    (ExpFamilyArm(gaussian_family(2.0), -0.7), None),
     (ExpFamilyArm(EXPONENTIAL_FAMILY, -2.5), None),
 ])
 def test_empirical_mean_within_five_se(arm, se):
@@ -82,6 +80,14 @@ def test_empirical_mean_within_five_se(arm, se):
         se = math.sqrt(arm.family_desc.variance_map(arm.theta))
     draws = sample_n(arm, make_rng(77), n)
     assert abs(draws.mean() - arm.mean) < 5 * se / math.sqrt(n)
+
+
+@pytest.mark.parametrize("arm", [ExpFamilyArm(BERNOULLI_FAMILY, 0.4),
+                                 ExpFamilyArm(gaussian_family(2.0), -0.7)])
+def test_only_exponential_family_arms_sample(arm):
+    # Bernoulli and Gaussian arms sample as Bernoulli and Gaussian
+    with pytest.raises(DomainError):
+        sample_n(arm, make_rng(77), 10)
 
 
 # --- divergences ------------------------------------------------------------

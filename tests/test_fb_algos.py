@@ -12,6 +12,7 @@ from bestarm.dists import (
 from bestarm.errors import DegenerateInstance, DomainError
 from bestarm.fb_algos import (
     StaticAllocation,
+    StaticRule,
     allocation_for,
     gaussian_allocation,
     run_static,
@@ -168,14 +169,17 @@ def test_fb_slope_measurable_grid():
     # (plain sampling sees no errors beyond t=40 on the acceptance criterion's
     # literal {40..200} grid, which criterion 5 measures by importance
     # sampling; see the README's known caveat)
+    # (one rule per budget; each block of rows runs as run_static runs one
+    # row, each row on its own generator)
     budgets = (16, 24, 32, 40, 48, 56)
     n = 100_000
     points = []
     for g, t in enumerate(budgets):
-        alloc = uniform_allocation(t)
+        rule = StaticRule(EASY, uniform_allocation(t))
         errors = 0
-        for r in range(n):
-            errors += not run_static(EASY, alloc, make_rng(mix_seed(900, g, r))).correct
+        for lo in range(0, n, 64):
+            gens = [make_rng(mix_seed(900, g, r)) for r in range(lo, min(lo + 64, n))]
+            errors += sum(rec != rule.best_arm for _, rec, _, _ in engine._run_block(rule, gens))
         if errors > 0:
             points.append((t, math.log(errors / n)))
     assert len(points) >= 4

@@ -513,10 +513,23 @@ def test_row_generators_carry_nothing_between_calls():
                                   ExplorationRate.ALPHA_ELIM, tau_max=400),
 ], ids=["sglrt", "bernoulli-elimination", "alpha-elimination"])
 def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(rule):
-    (fill1, finish1), (fill2, finish2) = rule.samplers
-    assert fill1 is fill2  # both arms share one standard law: the engine makes one call
+    # the split rule fills each row's c1 arm-1 variates and its c2 arm-2
+    # variates of a chunk in two calls
+    fill, finish1, finish2 = rule.samplers
     split = copy.copy(rule)
-    split.samplers = (fill1, finish1), (lambda rng, out: fill2(rng, out), finish2)
+    arm1_counts = []
+
+    def chunk(done, n):
+        c1, c2, shared = rule.chunk(done, n)
+        arm1_counts.append(c1)
+        return c1, c2, shared
+
+    def fill_per_arm(rng, out):
+        fill(rng, out[:arm1_counts[-1]])
+        fill(rng, out[arm1_counts[-1]:])
+
+    split.chunk = chunk
+    split.samplers = fill_per_arm, finish1, finish2
     merged = engine.run_rows(rule, make_rng(21, 3), range(70))
     assert (merged[0] > rule.draws(64 + 128)[0]).any()
     for a, b in zip(merged, engine.run_rows(split, make_rng(21, 3), range(70))):
