@@ -507,7 +507,7 @@ def test_bernoulli_near_tie_rates(capsys, mean2, reference):
     assert main(["complexity", "--family", "bernoulli", "--means", f"0.3,{mean2}"]) == 0
     row = parse_row(capsys.readouterr().out)
     for key in ("c_star_fc", "i_star_fc", "c_star_fb", "i_star_fb"):
-        assert float(row[key]) == pytest.approx(reference, rel=1e-9)
+        assert float(row[key]) == pytest.approx(reference, rel=1e-9, abs=0.0)
 
 
 def test_gaussian_crossing_of_huge_means_is_finite(capsys):
