@@ -72,6 +72,8 @@ def test_bernoulli_mean_clt():
 @pytest.mark.parametrize("arm,se", [
     (Gaussian(1.3, 0.49), 0.7),
     (Bernoulli(0.37), math.sqrt(0.37 * 0.63)),
+    (ExpFamilyArm(EXPONENTIAL_FAMILY, -0.4), None),
+    (ExpFamilyArm(EXPONENTIAL_FAMILY, -1.0), None),
     (ExpFamilyArm(EXPONENTIAL_FAMILY, -2.5), None),
 ])
 def test_empirical_mean_within_five_se(arm, se):
