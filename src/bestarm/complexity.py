@@ -20,8 +20,9 @@ one-parameter exponential families the crossings are found by bisection
 (the two divergences are monotone in opposite directions across the
 bracket formed by the arm parameters, so a sign change is guaranteed).
 ``optimal_alpha`` -- the fraction alpha* of a static allocation that
-maximizes the error exponent g_alpha -- is found by the same bisection,
-applied to the strictly decreasing slope of g_alpha.
+maximizes the error exponent g_alpha -- reads the Chernoff crossing's own
+solve: alpha* is the weight that mixes the natural parameters onto the
+crossing theta*, and g(alpha*) is the Chernoff information.
 Averages use the analytic midpoint identities, which stationarity makes
 exact, rather than a generic infimum search.
 
@@ -54,7 +55,6 @@ from .instances import BanditInstance, require_two_armed
 
 BISECT_REL_TOL = 1e-12
 BISECT_MAX_ITER = 200
-_CHECK_TOL = 1e-8
 
 
 def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -85,6 +85,19 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         else:
             lo, flo = mid, fm
     raise SolverError(f"bisection did not converge in {BISECT_MAX_ITER} iterations")
+
+
+def _crossing(d1: Callable[[float], float], d2: Callable[[float], float],
+              x1: float, x2: float) -> tuple[float, float, float]:
+    """(value, x*, w) at the root x* of d1 = d2 between x1 and x2, w = (x* - x2)/(x1 - x2).
+
+    value = w d1(x*) + (1-w) d2(x*) is flat in x at the crossing, so an error
+    in x* moves it to second order only, where either divergence alone moves
+    to first order.
+    """
+    x_star = bisect_root(lambda x: d1(x) - d2(x), min(x1, x2), max(x1, x2))
+    w = (x_star - x2) / (x1 - x2)
+    return w * d1(x_star) + (1.0 - w) * d2(x_star), x_star, w
 
 
 def _in_range(name: str, value: float) -> float:
@@ -130,21 +143,10 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         value = _square(a1.mean - a2.mean) / (2.0 * _square(s1 + s2))
         return _in_range("c_star_fc", value), crossing
     fam, t1, t2 = _expfam_params(instance)
-    mu1, mu2 = fam.mean_map(t1), fam.mean_map(t2)
-    lo, hi = min(mu1, mu2), max(mu1, mu2)
-
-    def gap(mu: float) -> float:
-        t = fam.nat_of_mean(mu)
-        return fam.kl(t1, t) - fam.kl(t2, t)
-
-    mu_star = bisect_root(gap, lo, hi)
-    theta_star = fam.nat_of_mean(mu_star)
-    # the weights that make the average of the two divergences flat in mu at
-    # the crossing: an error in mu_star moves it to second order only, where
-    # either divergence alone moves to first order
-    w1 = (mu2 - mu_star) / (mu2 - mu1)
-    value = w1 * fam.kl(t1, theta_star) + (1.0 - w1) * fam.kl(t2, theta_star)
-    return _in_range("c_star_fc", value), theta_star
+    value, mu_star, _ = _crossing(lambda mu: fam.kl(t1, fam.nat_of_mean(mu)),
+                                  lambda mu: fam.kl(t2, fam.nat_of_mean(mu)),
+                                  fam.mean_map(t1), fam.mean_map(t2))
+    return _in_range("c_star_fc", value), fam.nat_of_mean(mu_star)
 
 
 def i_star_fc(instance: BanditInstance) -> float:
@@ -170,18 +172,13 @@ def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
     a1, _ = _two_arms(instance)
     if isinstance(a1, Gaussian):
         return c_star_fc(instance)
-    value, theta_star = _chernoff(*_expfam_params(instance))
+    value, theta_star, _ = _chernoff(*_expfam_params(instance))
     return _in_range("c_star_fb", value), theta_star
 
 
-def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
-    """Chernoff information and its crossing: Kb(theta_, theta1) = Kb(theta_, theta2)."""
-    theta_star = bisect_root(lambda t: fam.kl(t, theta1) - fam.kl(t, theta2),
-                             min(theta1, theta2), max(theta1, theta2))
-    # g_alpha at the crossing's own alpha, flat in theta there (as in c_star_fc)
-    alpha = (theta_star - theta2) / (theta1 - theta2)
-    return (alpha * fam.kl(theta_star, theta1)
-            + (1.0 - alpha) * fam.kl(theta_star, theta2)), theta_star
+def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float):
+    """(Chernoff information, theta*, alpha*) at Kb(theta*, theta1) = Kb(theta*, theta2)."""
+    return _crossing(lambda t: fam.kl(t, theta1), lambda t: fam.kl(t, theta2), theta1, theta2)
 
 
 def i_star_fb(instance: BanditInstance) -> float:
@@ -212,41 +209,20 @@ def g_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float, alpha: float
     return alpha * fam.kl(mix, theta1) + (1.0 - alpha) * fam.kl(mix, theta2)
 
 
-def _g_alpha_slope(fam: ExpFamilyDescriptor, theta1: float, theta2: float,
-                   alpha: float) -> float:
-    # d g_alpha / d alpha = Kb(mix, theta1) - Kb(mix, theta2) (the mix-term
-    # derivatives cancel); strictly decreasing in alpha by convexity of b
-    mix = alpha * theta1 + (1.0 - alpha) * theta2
-    return fam.kl(mix, theta1) - fam.kl(mix, theta2)
-
-
 def optimal_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
-    """Maximize g_alpha over alpha in (0, 1).
+    """(alpha*, g(alpha*)): the maximizer of g_alpha over alpha in (0, 1) and its value.
 
-    g_alpha is strictly concave, so its slope Kb(mix, theta1) - Kb(mix, theta2)
-    is strictly decreasing and has exactly one root on (0, 1): one bisection
-    of that stationarity gap finds the maximizer.  The maximizer satisfies
-    alpha*theta1 + (1-alpha)*theta2 = theta^ (the Chernoff crossing) and
-    g(alpha*) equals the Chernoff information; both identities are verified
-    to 1e-8 and a violation raises SolverError.
+    The slope of g_alpha, Kb(mix, theta1) - Kb(mix, theta2), vanishes where
+    mix is the Chernoff crossing theta*, so :func:`c_star_fb`'s one solve
+    gives both: alpha* = (theta* - theta2)/(theta1 - theta2), and g(alpha*)
+    is the Chernoff information, bit for bit.
     """
     if theta1 == theta2:
         raise DegenerateInstance("equal natural parameters")
     fam.check_theta(theta1)
     fam.check_theta(theta2)
-    alpha = bisect_root(lambda a: _g_alpha_slope(fam, theta1, theta2, a),
-                        1e-12, 1.0 - 1e-12)
-    g_value = g_alpha(fam, theta1, theta2, alpha)
-    cb_value, theta_star = _chernoff(fam, theta1, theta2)
-    mix = alpha * theta1 + (1.0 - alpha) * theta2
-    scale = max(abs(theta1), abs(theta2), 1.0)
-    if abs(mix - theta_star) > _CHECK_TOL * scale:
-        raise SolverError(
-            f"optimal_alpha crossing check failed: mix={mix}, theta*={theta_star}")
-    if abs(g_value - cb_value) > _CHECK_TOL * max(cb_value, 1.0):
-        raise SolverError(
-            f"optimal_alpha value check failed: g={g_value}, chernoff={cb_value}")
-    return alpha, g_value
+    value, _, alpha = _chernoff(fam, theta1, theta2)
+    return alpha, value
 
 
 def i_star_bernoulli(x, y):

@@ -130,6 +130,25 @@ def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
     return out[:, 0], out[:, 1], out[:, 2], out[:, 3].astype(bool)
 
 
+def filled_rows(rng: np.random.Generator, reps: int, width: int, fill):
+    """(lo, z) per block of replications 0..reps-1, in order; row i is replication lo+i.
+
+    Each row holds a replication's first ``width`` variates: ``rng``'s bit
+    generator is given the replication's state (:func:`bestarm.rng.row_states`)
+    and ``fill(rng, row)`` writes them.  A block holds at most BLOCK_ELEMENTS
+    floats, and one row at least; rows do not depend on it.
+    """
+    bit_generator = rng.bit_generator
+    states = row_states(bit_generator.state, range(reps))
+    per_block = max(1, BLOCK_ELEMENTS // width)
+    for lo in range(0, reps, per_block):
+        z = np.empty((min(per_block, reps - lo), width))
+        for row, state in zip(z, states):
+            bit_generator.state = state
+            fill(rng, row)
+        yield lo, z
+
+
 def _run_block(rule: StoppingRule, gens: list) -> list:
     """(tau, recommended, n1, exhausted) per row of one lockstep block.
 

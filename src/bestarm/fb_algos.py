@@ -17,11 +17,10 @@ import numpy as np
 from . import engine
 from .complexity import _expfam_params, g_alpha, optimal_alpha
 from .dists import (  # noqa: F401  (sample_n: re-exported name)
-    ExpFamilyArm, Gaussian, gaussian_family, sample_n, sum_sampler)
+    ExpFamilyArm, Gaussian, _square, gaussian_family, sample_n, sum_sampler)
 from .errors import DegenerateInstance, DomainError
 from .instances import BanditInstance, require_two_armed
 from .engine import RunOutcome, StoppingRule, run_one
-from .rng import row_states
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def theoretical_error_bound(instance: BanditInstance, alloc: StaticAllocation) -
     a1, a2 = instance.arms
     if isinstance(a1, Gaussian):
         var_hat = a1.variance / alloc.n1 + a2.variance / alloc.n2
-        return math.exp(-((a1.mean - a2.mean) ** 2) / (2.0 * var_hat))
+        return math.exp(-_square(a1.mean - a2.mean) / (2.0 * var_hat))
     return math.exp(-alloc.budget * g_alpha(*_expfam_params(instance), alloc.alpha))
 
 
@@ -149,9 +148,9 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
     Replication r draws its arm-1 sum then its arm-2 sum, as
     :class:`StaticRule` does, from the stream of ``rng``'s bit generator
     jumped r times from its state on entry (the harness's per-replication
-    layout): ``rng``'s bit generator is given each replication's state from
-    :func:`bestarm.rng.row_states` in turn, so the result does not depend
-    on how rows are blocked.  Memory is one float per replication.
+    layout): ``rng``'s bit generator is given each replication's state in
+    turn by :func:`bestarm.engine.filled_rows`, so the result does not
+    depend on how rows are blocked.  Memory is one float per replication.
     """
     rule = StaticRule(instance, alloc)
     if reps < 1:
@@ -179,20 +178,13 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
     shift1, shift2 = thetas[0] - tilts[0], thetas[1] - tilts[1]
     offset = sum(n * (f.log_partition(t) - f.log_partition(s))
                  for n, f, t, s in zip((n1, n2), fams, thetas, tilts))
-    bit_generator = rng.bit_generator
-    states = row_states(bit_generator.state, range(reps))
     weighted = np.zeros(reps)  # likelihood ratio on error rows, 0 elsewhere
-    for lo in range(0, reps, engine.BLOCK_ELEMENTS):
-        rows = range(lo, min(lo + engine.BLOCK_ELEMENTS, reps))
-        z = np.empty((len(rows), 2))
-        for zi, state in zip(z, states):
-            bit_generator.state = state
-            fill(rng, zi)
+    for lo, z in engine.filled_rows(rng, reps, 2, fill):
         x, y = finish1(z[:, :1]), finish2(z[:, 1:])
         _, leads, _ = rule.scan(None, None, x, y)
         wrong = leads[:, 0] != (rule.best_arm == 0)
         log_w = shift1 * x[wrong, 0] + shift2 * y[wrong, 0] - offset
-        weighted[lo:lo + len(rows)][wrong] = np.exp(log_w)
+        weighted[lo:lo + len(z)][wrong] = np.exp(log_w)
     estimate = float(weighted.mean())
     std_error = math.sqrt(weighted.var(ddof=1) / reps) if reps > 1 else math.inf
     return estimate, std_error

@@ -40,11 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, fb_algos, fc_algos
+from .dists import _fill_normal
 from .engine import MAX_COUNT
 from .errors import DomainError
 from .instances import BanditInstance
 from .rng import (  # noqa: F401  (mix_seed: re-exported name)
-    check_seed, make_rng, mix_seed, row_states)
+    check_seed, make_rng, mix_seed)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -363,6 +364,14 @@ def zeta(u: float, tol: float = 1e-12) -> float:
     return partial + tail
 
 
+def _check_lil_domain(x: float, beta: float) -> None:
+    """Raise DomainError unless beta is finite and > 1 and x finite and >= 8/(e-1)^2."""
+    if not 1.0 < beta < math.inf:
+        raise DomainError(f"beta must be finite and exceed 1, got {beta}")
+    if not X_MIN <= x < math.inf:
+        raise DomainError(f"x must be finite and >= 8/(e-1)^2 = {X_MIN:.6f}, got {x}")
+
+
 def deviation_bound(x: float, beta: float) -> float:
     """sqrt(e) zeta(beta(1-1/(2x))) (sqrt(x)/(2 sqrt(2)) + 1)^beta exp(-x).
 
@@ -373,10 +382,7 @@ def deviation_bound(x: float, beta: float) -> float:
     meets an underflowed exp(-x); a bound past the float range raises
     DomainError.
     """
-    if not 1.0 < beta < math.inf:
-        raise DomainError(f"beta must be finite and exceed 1, got {beta}")
-    if not X_MIN <= x < math.inf:
-        raise DomainError(f"x must be finite and >= 8/(e-1)^2 = {X_MIN:.6f}, got {x}")
+    _check_lil_domain(x, beta)
     u = beta * (1.0 - 1.0 / (2.0 * x))
     if not u > 1.0:
         raise DomainError(f"beta(1 - 1/(2x)) = {u} must exceed 1")
@@ -400,26 +406,20 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
 
     A finite-horizon lower estimate of the infinite-horizon crossing
     probability bounded by :func:`deviation_bound`.  Path i reads the PCG64
-    stream of ``SeedSequence(master_seed)`` jumped i times, its state from
-    :func:`bestarm.rng.row_states`, so the estimate is monotone in the
-    horizon for a fixed seed (nested draw prefixes).  Paths are scanned in
-    blocks of at most ``engine.BLOCK_ELEMENTS`` draws.
+    stream of ``SeedSequence(master_seed)`` jumped i times, filled in blocks
+    by :func:`bestarm.engine.filled_rows`, so the estimate is monotone in
+    the horizon for a fixed seed (nested draw prefixes).  x and beta must
+    lie where :func:`deviation_bound` takes them.
     """
     if horizon < 1 or paths < 1:
         raise DomainError("horizon and paths must be >= 1")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
+    _check_lil_domain(x, beta)
     check_seed(master_seed)
     threshold = lil_envelope(sigma, x, beta, horizon)
-    rng = make_rng(master_seed)
-    states = row_states(rng.bit_generator.state, range(paths))
-    per_block = max(1, engine.BLOCK_ELEMENTS // horizon)
     crossed = 0
-    for lo in range(0, paths, per_block):
-        z = np.empty((min(per_block, paths - lo), horizon))
-        for row, state in zip(z, states):
-            rng.bit_generator.state = state
-            rng.standard_normal(out=row)
+    for _, z in engine.filled_rows(make_rng(master_seed), paths, horizon, _fill_normal):
         walks = np.cumsum(sigma * z, axis=1)
         crossed += int(np.count_nonzero((walks > threshold).any(axis=1)))
     return crossed / paths

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bestarm.complexity import (
+    _expfam_params,
     bisect_root,
     c_star_fb,
     c_star_fc,
@@ -250,6 +252,33 @@ def test_optimal_alpha_bernoulli_oracle():
     _, theta_star = c_star_fb(B21)
     assert alpha == pytest.approx((theta_star - t2) / (t1 - t2), abs=1e-8)
     assert abs(alpha - (theta_star - t1) / (t2 - t1)) > 0.04
+
+
+def test_optimal_alpha_reads_the_chernoff_solve():
+    # alpha* and g(alpha*) come from c_star_fb's own crossing, so they agree
+    # with it exactly, not to a tolerance
+    bernoulli = [two_armed_bernoulli(*p) for p in
+                 ((0.2, 0.1), (0.5, 0.4999), (0.9, 0.3), (0.03, 0.97), (0.61, 0.6))]
+    exponential = [BanditInstance(tuple(ExpFamilyArm(EXPONENTIAL_FAMILY,
+                                                     mean_to_nat(EXPONENTIAL_FAMILY, m))
+                                        for m in means))
+                   for means in ((1.0, 0.5), (9.958417606645, 9.958417392758204))]
+    for instance in bernoulli + exponential:
+        fam, t1, t2 = _expfam_params(instance)
+        alpha, g_value = optimal_alpha(fam, t1, t2)
+        value, theta_star = c_star_fb(instance)
+        assert g_value == value
+        assert alpha == (theta_star - t2) / (t1 - t2)
+    # one solve: about 42 halvings at two divergence calls each, plus the ends
+    calls = []
+
+    def counting(theta1, theta2):
+        calls.append(1)
+        return BERNOULLI_FAMILY.kl(theta1, theta2)
+
+    fam = dataclasses.replace(BERNOULLI_FAMILY, divergence=counting)
+    optimal_alpha(fam, _logit(0.2), _logit(0.1))
+    assert len(calls) <= 90
 
 
 @given(mean_pairs)

@@ -114,6 +114,9 @@ def test_run_static_counts_exact():
 def test_bound_easy_gaussian_hand_value():
     assert theoretical_error_bound(EASY, StaticAllocation(50, 50)) == pytest.approx(
         math.exp(-12.5), rel=1e-12)
+    # a squared gap past the float range is an infinite exponent, not an OverflowError
+    far = two_armed_gaussian(1e200, -1e200, 0.25)
+    assert theoretical_error_bound(far, StaticAllocation(50, 50)) == 0.0
 
 
 def test_bound_uniform_bernoulli_matches_i_star_fb():

@@ -601,6 +601,16 @@ def test_lil_crossing_rare_for_large_x():
     assert empirical_lil_crossing(1.0, 50.0, 2.0, 1000, 1000, 17) == 0.0
 
 
+@pytest.mark.parametrize("x, beta", [(math.nan, 1.5), (3.0, math.nan), (math.inf, 1.5),
+                                     (-50.0, 1.5), (3.0, -5.0)])
+def test_lil_crossing_rejects_what_the_bound_rejects(x, beta):
+    # each of these read 0.0 (with at most a RuntimeWarning) from a NaN envelope
+    with pytest.raises(DomainError, match="must be finite"):
+        deviation_bound(x, beta)
+    with pytest.raises(DomainError, match="must be finite"):
+        empirical_lil_crossing(1.0, x, beta, 10, 10, 0)
+
+
 def test_lil_crossing_monotone_in_horizon():
     f_short = empirical_lil_crossing(1.0, 3.0, 1.5, 500, 500, 23)
     f_long = empirical_lil_crossing(1.0, 3.0, 1.5, 1000, 500, 23)
