@@ -5,7 +5,9 @@ A loop over ``bestarm`` commands: each figure preset at seeds 0 and
 1000003 and at 1 and 2 workers, then ``simulate-fb --alloc optimal`` on a
 Bernoulli and an exponential instance, then alpha-elimination (which no
 preset runs) on a Gaussian instance of unequal variances at the same seeds
-and worker counts.  Each run prints one line,
+and worker counts, then the easy figures again past one 128-row block
+and at 3 workers (an uneven split of 67 replications).  Each run prints
+one line,
 ``label seed workers sha256``.  Records are a pure function of the config,
 so two checkouts that should draw the same numbers print the same lines;
 diff the output of one against the other.  The bytes depend on the numpy
@@ -23,13 +25,16 @@ import tempfile
 from bestarm import cli
 
 #: Replications per cell of each preset: the easy figures run past one
-#: 64-row block, the hard ones run long rows.
+#: 64-row block (the engine's block before it took 128 rows), the hard ones
+#: run long rows.
 FIGURE_REPS = {"fig3-easy": 67, "fig4-left": 67, "fig3-hard": 3, "fig4-right": 3}
 SEEDS = (0, 1000003)
 WORKERS = (1, 2)
 #: (label, family, means) of each fixed-budget run.
 FIXED_BUDGET = (("fb-bernoulli", "bernoulli", "0.2,0.1"),
                 ("fb-exponential", "exponential", "1.0,0.5"))
+#: Replications per cell of the easy figures' runs past one 128-row block.
+LONG_REPS = 131
 ALPHA_ELIMINATION = ["simulate-fc", "--family", "gaussian", "--means", "0.5,0",
                      "--variances", "1,0.25", "--algo", "alpha-elimination",
                      "--rate", "alpha-elim", "--deltas", "0.1,0.01", "--reps", "67"]
@@ -50,6 +55,13 @@ def runs():
         for workers in WORKERS:
             yield "fc-alpha-elimination", seed, workers, [
                 *ALPHA_ELIMINATION, "--seed", str(seed), "--workers", str(workers)]
+    for name in ("fig3-easy", "fig4-left"):
+        for reps, worker_counts in ((LONG_REPS, WORKERS), (FIGURE_REPS[name], (3,))):
+            for seed in SEEDS:
+                for workers in worker_counts:
+                    yield f"{name}-{reps}", seed, workers, [
+                        "reproduce-figure", name, "--reps", str(reps), "--seed", str(seed),
+                        "--workers", str(workers)]
 
 
 def main() -> int:

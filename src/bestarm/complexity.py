@@ -150,10 +150,17 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
 
 
 def i_star_fc(instance: BanditInstance) -> float:
-    """Uniform-sampling fixed-confidence rate: average KL to the mean midpoint."""
+    """Uniform-sampling fixed-confidence rate: average KL to the mean midpoint.
+
+    Bernoulli instances take :func:`i_star_bernoulli` of the means: the
+    natural parameters logit(mean) would carry their rounding into near
+    ties.
+    """
     a1, a2 = _two_arms(instance)
     if isinstance(a1, Gaussian):
         value = _square(a1.mean - a2.mean) / (4.0 * (a1.variance + a2.variance))
+    elif isinstance(a1, Bernoulli):
+        value = i_star_bernoulli(a1.mean, a2.mean)
     else:
         fam, t1, t2 = _expfam_params(instance)
         mid = mean_to_nat(fam, 0.5 * (fam.mean_map(t1) + fam.mean_map(t2)))

@@ -2,21 +2,27 @@
 
 A :class:`StoppingRule` is one strategy validated for one cell: it
 supplies its samplers, its per-chunk thresholds and its statistic,
-nothing else.  :func:`run_rows` advances a block of replications of one
-rule in lockstep.  Each row draws from a generator of its own, given its
-replication's state (:func:`bestarm.rng.row_states`) once, before its
-first chunk.  Per chunk of steps (64 doubling to 4096) each active row
-fills its chunk with one call of the rule's ``fill``, its arm-1 variates
-then its arm-2 variates; the rows are stacked into (rows, n) arrays,
-scanned for first crossings at once, and the rows that stopped are
-dropped.  A rule draws what its statistic reads: a rule that reads only
-paired differences draws them on arm 1 and nothing on arm 2, and a static
-rule draws one sum per arm.  Thresholds are computed once per chunk and
-block and shared by all of its rows.
+nothing else, and names what it draws by its :meth:`~StoppingRule.layout`.
+:func:`run_group` advances a block of replications of rules that share one
+layout in lockstep, and :func:`run_rows` runs a group of one rule.  Each
+row draws from a generator of its own, given its replication's state
+(:func:`bestarm.rng.row_states`) once, before its first chunk.  Per chunk
+of steps (64 doubling to 4096) each row that some rule of the group still
+runs fills its chunk with one call of the layout's ``fill``, its arm-1
+variates then its arm-2 variates; the rows are stacked into (rows, n)
+arrays and finished once, and each rule scans its own active rows for
+first crossings at once, with its own thresholds and running sums, and
+drops the rows that stopped.  Rules of one layout draw the same variates
+from one stream, so each reads exactly what it reads when run alone.  A
+rule draws what its statistic reads: a rule that reads only paired
+differences draws them on arm 1 and nothing on arm 2, and a static rule
+draws one sum per arm.  Thresholds are computed once per chunk, block and
+rule, and shared by all of the rule's rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +38,11 @@ _CHUNK0 = 64
 _CHUNK_MAX = 4096
 #: Floats per stacked (rows, draws) array in one lockstep step.  It bounds
 #: memory only: every row reads its own stream, so output never depends on it.
-BLOCK_ELEMENTS = 2**12
+#: 2**13 (128-row blocks) ran short-tau figures faster than 2**12 (64 rows).
+BLOCK_ELEMENTS = 2**13
 _BLOCK_ROWS = BLOCK_ELEMENTS // _CHUNK0
 #: The generators rows of a block draw from, grown as blocks need them.
-#: :func:`run_rows` positions each one before its block's first draw, so none
+#: :func:`run_group` positions each one before its block's first draw, so none
 #: carries state from one block to the next.
 _ROW_GENERATORS: list[np.random.Generator] = []
 
@@ -87,6 +94,16 @@ class StoppingRule:
         self.__dict__.update(state)
         self.samplers = self.build_samplers()
 
+    def layout(self):
+        """What the rule draws, as a hashable key.
+
+        Rules with equal layouts have equal samplers, equal (c1, c2) in every
+        chunk and equal ``steps``, so on one stream they read the same
+        variates and :func:`run_group` fills them once.  By default a rule is
+        its own layout and shares its draws with no other rule.
+        """
+        return self
+
     def chunk(self, done: int, n: int):
         return n, n, None
 
@@ -94,7 +111,9 @@ class StoppingRule:
         """(hits, leads, carry) of steps done+1..done+n for a block of rows.
 
         ``x`` and ``y`` are the rows' finished arm-1 and arm-2 variates of
-        the chunk and ``carry`` their ``width`` running sums before it.
+        the chunk and ``carry`` their ``width`` running sums before it.  Every
+        rule of a group reads the same ``x`` and ``y``, so a scan must not
+        write to them: the engine hands them over read-only.
         ``hits`` and ``leads`` are (rows, n) flags: the rule stops here, and
         arm 0 is recommended here.  The engine reads only each row's first
         hit, the lead there, the lead in the last column and the returned
@@ -117,17 +136,35 @@ def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
     names the stream family: the rows draw from generators of their own,
     and ``rng`` is left as it was.
     """
+    return run_group([rule], rng, rows)[0]
+
+
+def run_group(rules: list[StoppingRule], rng: np.random.Generator, rows: range) -> list:
+    """:func:`run_rows` of each of ``rules``, which must share one :meth:`~StoppingRule.layout`.
+
+    Each row's generator is positioned once, and each chunk is filled and
+    finished once for the rows that some rule still runs; every rule reads
+    the variates it reads alone, so each rule's arrays equal
+    ``run_rows(rule, rng, rows)``.
+    """
+    for rule in rules[1:]:
+        if rule.layout() != rules[0].layout():
+            raise ValueError("the rules of a group must share one draw layout")
     states = row_states(rng.bit_generator.state, rows)
     while len(_ROW_GENERATORS) < min(len(rows), _BLOCK_ROWS):
         _ROW_GENERATORS.append(np.random.Generator(np.random.PCG64(0)))
-    out = []
+    out = [[] for _ in rules]  # per rule, its rows' outcomes
     for lo in range(0, len(rows), _BLOCK_ROWS):
         gens = _ROW_GENERATORS[:min(_BLOCK_ROWS, len(rows) - lo)]
         for gen, state in zip(gens, states):
             gen.bit_generator.state = state
-        out += _run_block(rule, gens)
-    out = np.array(out, dtype=np.int64).reshape(-1, 4)
-    return out[:, 0], out[:, 1], out[:, 2], out[:, 3].astype(bool)
+        for acc, block in zip(out, _run_block(rules, gens)):
+            acc += block
+    columns = []
+    for acc in out:
+        acc = np.array(acc, dtype=np.int64).reshape(-1, 4)
+        columns.append((acc[:, 0], acc[:, 1], acc[:, 2], acc[:, 3].astype(bool)))
+    return columns
 
 
 def filled_rows(rng: np.random.Generator, reps: int, width: int, fill):
@@ -149,52 +186,89 @@ def filled_rows(rng: np.random.Generator, reps: int, width: int, fill):
         yield lo, z
 
 
-def _run_block(rule: StoppingRule, gens: list) -> list:
-    """(tau, recommended, n1, exhausted) per row of one lockstep block.
+def _run_block(rules: list[StoppingRule], gens: list) -> list[list]:
+    """(tau, recommended, n1, exhausted) per row of one lockstep block, per rule.
 
-    Row i draws from ``gens[i]`` in place, one fill call per chunk, every
-    chunk in stream order, so no state is saved or restored between chunks.
+    The rules share one layout.  Row i draws from ``gens[i]`` in place, one
+    fill call per chunk while some rule still runs it, every chunk in stream
+    order, so no state is saved or restored between chunks.  A sub-block's
+    finished arrays go to every rule with rows in it, read-only: a rule
+    that runs all of the sub-block's rows reads them whole, any other the
+    rows it runs.
     """
-    fill, finish1, finish2 = rule.samplers
-    # a stopped row's outcome; until then, whether arm 0 leads (ties and no draws: yes)
-    result = [True] * len(gens)
-    active = list(range(len(gens)))
-    carry = np.zeros((len(gens), rule.width))  # row i belongs to active[i]
+    fill, finish1, finish2 = rules[0].samplers
+    steps = rules[0].steps
+    # per rule: a stopped row's outcome, and until then whether arm 0 leads (ties
+    # and no draws: yes); the rows it still runs; their running sums, in that order
+    results, actives, carries = [], [], []
+    for rule in rules:
+        results.append([True] * len(gens))
+        actives.append(list(range(len(gens))))
+        carries.append(np.zeros((len(gens), rule.width)))
+    rows = actives[0]  # the rows some rule still runs, in order
     done, chunk = 0, _CHUNK0
-    while done < rule.steps:
-        n = min(chunk, rule.steps - done)
-        c1, c2, shared = rule.chunk(done, n)
+    while done < steps:
+        n = min(chunk, steps - done)
+        scans = []  # per rule that runs rows: [k, shared, first position not scanned, kept]
+        for k, active in enumerate(actives):
+            if active:
+                c1, c2, shared = rules[k].chunk(done, n)
+                scans.append([k, shared, 0, []])
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
-        kept = []
-        for lo in range(0, len(active), step):
-            idx = active[lo:lo + step]
+        where = {j: p for p, j in enumerate(rows)} if len(rules) > 1 else None
+        for lo in range(0, len(rows), step):
+            idx = rows[lo:lo + step]
             z = np.empty((len(idx), c1 + c2))
             for i, j in enumerate(idx):
                 fill(gens[j], z[i])
-            hits, leads, carry[lo:lo + step] = rule.scan(shared, carry[lo:lo + step],
-                                                         finish1(z[:, :c1]), finish2(z[:, c1:]))
-            for i, at in enumerate(hits.argmax(axis=1).tolist()):
-                if hits[i, at]:
-                    tau, n1 = rule.draws(done + 1 + at)
-                    result[idx[i]] = (tau, 0 if leads[i, at] else 1, n1, False)
+            x, y = finish1(z[:, :c1]), finish2(z[:, c1:])
+            x.setflags(write=False)
+            y.setflags(write=False)
+            for scan in scans:
+                k, shared, a, kept = scan
+                active = actives[k]
+                b = scan[2] = bisect_right(active, idx[-1], a)
+                if b - a == len(idx):
+                    ids, xs, ys = idx, x, y
+                elif b > a:
+                    ids = active[a:b]
+                    pick = [where[j] - lo for j in ids]
+                    xs, ys = x[pick], y[pick]
+                    xs.setflags(write=False)
+                    ys.setflags(write=False)
                 else:
-                    result[idx[i]] = leads[i, -1]
-                    kept.append(lo + i)
+                    continue
+                rule, result = rules[k], results[k]
+                hits, leads, carries[k][a:b] = rule.scan(shared, carries[k][a:b], xs, ys)
+                for i, at in enumerate(hits.argmax(axis=1).tolist()):
+                    if hits[i, at]:
+                        tau, n1 = rule.draws(done + 1 + at)
+                        result[ids[i]] = (tau, 0 if leads[i, at] else 1, n1, False)
+                    else:
+                        result[ids[i]] = leads[i, -1]
+                        kept.append(a + i)
         done += n
         chunk = min(2 * chunk, _CHUNK_MAX)
-        if len(kept) < len(active):
-            active = [active[i] for i in kept]
-            if not active:
-                return result
-            carry = carry[kept]
-    tau, n1 = rule.draws(rule.steps)
-    for j in active:
-        result[j] = (tau, 0 if result[j] else 1, n1, True)
-    return result
+        stopped = False
+        for k, _, _, kept in scans:
+            if len(kept) < len(actives[k]):
+                actives[k] = [actives[k][i] for i in kept]
+                if kept:
+                    carries[k] = carries[k][kept]
+                stopped = True
+        if stopped:
+            rows = actives[0] if len(rules) == 1 else sorted(set().union(*actives))
+            if not rows:
+                return results
+    for rule, active, result in zip(rules, actives, results):
+        tau, n1 = rule.draws(steps)
+        for j in active:
+            result[j] = (tau, 0 if result[j] else 1, n1, True)
+    return results
 
 
 def run_one(rule: StoppingRule, rng: np.random.Generator) -> RunOutcome:
     """One replication of ``rule``, drawing from ``rng`` in place."""
-    (tau, rec, n1, exhausted), = _run_block(rule, [rng])
+    (tau, rec, n1, exhausted), = _run_block([rule], [rng])[0]
     return RunOutcome(tau=tau, recommended=rec, correct=(rec == rule.best_arm),
                       draws_per_arm=(n1, tau - n1), exhausted=exhausted)

@@ -168,6 +168,16 @@ def _paired_steps(instance: BanditInstance, delta: float, tau_max: int | None) -
     return max(1, _resolve_tau_max(instance, delta, tau_max) // 2)
 
 
+def _layout(rule: StoppingRule, paired: bool) -> tuple:
+    """The draw layout of a rule that draws one paired difference, or both arms, per step.
+
+    Paired Gaussian elimination and the SPRT draw the same differences, as
+    the SGLRT and Bernoulli elimination draw the same arm pairs, at equal
+    arms and ``steps``.
+    """
+    return ("difference" if paired else "both", rule.arms, rule.steps)
+
+
 def _difference_samplers(arms):
     """One X - Y ~ N(mu1 - mu2, var1 + var2) per paired step of two Gaussian arms."""
     a1, a2 = arms
@@ -198,6 +208,9 @@ class EliminationRule(StoppingRule):
 
     def build_samplers(self):
         return _difference_samplers(self.arms) if self.paired else super().build_samplers()
+
+    def layout(self):
+        return _layout(self, self.paired)
 
     def chunk(self, done, n):
         ts = 2 * np.arange(done + 1, done + n + 1)
@@ -325,6 +338,9 @@ class SglrtRule(StoppingRule):
         super().__init__(instance, _paired_steps(instance, delta, tau_max))
         self.rate, self.delta = rate, delta
 
+    def layout(self):
+        return _layout(self, False)
+
     def chunk(self, done, n):
         ks = np.arange(done + 1, done + n + 1, dtype=float)
         beta = _rate_values(self.rate, 2.0 * ks, self.delta)
@@ -341,9 +357,11 @@ class SglrtRule(StoppingRule):
             first = np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
             before = cols < first[rows]
             rows, cols = rows[before], cols[before]
-            k = ks[cols]
-            stat = 2.0 * k * i_star_bernoulli_kernel(cum1[rows, cols] / k, cum2[rows, cols] / k)
-            hits[rows, cols] = stat > beta[cols]
+            if rows.size:  # open steps may all lie after their rows' first sure hits
+                k = ks[cols]
+                stat = 2.0 * k * i_star_bernoulli_kernel(cum1[rows, cols] / k,
+                                                         cum2[rows, cols] / k)
+                hits[rows, cols] = stat > beta[cols]
         return hits, cum1 >= cum2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
 
 
@@ -369,6 +387,9 @@ class SprtRule(StoppingRule):
 
     def build_samplers(self):
         return _difference_samplers(self.arms)
+
+    def layout(self):
+        return _layout(self, True)
 
     def chunk(self, done, n):
         return n, 0, None

@@ -17,8 +17,11 @@ CLI run still forks its workers once.  The pool stack
 (``concurrent.futures.process`` and multiprocessing) is imported by
 :func:`_run_on_pool`, when a call first opens a pool, so a run at one worker
 never loads it; ``harness.ProcessPoolExecutor`` stays a module attribute,
-resolved on first access.  A worker only runs rows
-through the batched engine :func:`engine.run_rows`; aggregation reduces
+resolved on first access.  A worker runs rows through the batched engine
+:func:`engine.run_group`, one call for the cells of its task that share a
+stream and a draw layout (equal master seed, grid index, rows and
+:meth:`engine.StoppingRule.layout`), so their draws are filled once and
+each cell reads the variates it reads alone; aggregation reduces
 integer counts and integer sums (tau and tau^2), which commute exactly.
 Records therefore come out byte-identical for any ``workers`` value, and
 configs sharing a master seed see the same draws (common random numbers).
@@ -180,18 +183,23 @@ def _run_task(task: list[tuple]) -> list[list[tuple]]:
     """One worker's task: for each (config index, master seed, rules, rows),
     rows ``rows`` of every cell, cell g running ``rules[g]``.
 
-    Returns, per config and cell, the exact integer partial sums (errors,
-    sum tau, sum tau^2, exhausted).
+    Cells that read one stream with one draw layout (equal master seed,
+    grid index, rows and :meth:`~bestarm.engine.StoppingRule.layout`) run as
+    one :func:`engine.run_group`, which fills their draws once.  Returns,
+    per config and cell, the exact integer partial sums (errors, sum tau,
+    sum tau^2, exhausted).
     """
-    partials = []
-    for _, seed, rules, rows in task:
-        sums = []
+    groups = {}  # (seed, g, rows, layout) -> (config index, rule) of each cell that reads it
+    for c, (_, seed, rules, rows) in enumerate(task):
         for g, rule in enumerate(rules):
-            tau, recommended, _, exhausted = engine.run_rows(rule, make_rng(seed, g), rows)
+            groups.setdefault((seed, g, rows, rule.layout()), []).append((c, rule))
+    partials = [[None] * len(rules) for _, _, rules, _ in task]
+    for (seed, g, rows, _), cells in groups.items():
+        outs = engine.run_group([rule for _, rule in cells], make_rng(seed, g), rows)
+        for (c, rule), (tau, recommended, _, exhausted) in zip(cells, outs):
             taus = tau.tolist()
-            sums.append((int(np.count_nonzero(recommended != rule.best_arm)), sum(taus),
-                         sum(t * t for t in taus), int(np.count_nonzero(exhausted))))
-        partials.append(sums)
+            partials[c][g] = (int(np.count_nonzero(recommended != rule.best_arm)), sum(taus),
+                              sum(t * t for t in taus), int(np.count_nonzero(exhausted)))
     return partials
 
 

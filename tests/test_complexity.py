@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import warnings
 
@@ -121,6 +122,32 @@ def test_bernoulli_i_star_values():
 
 def test_i_star_continuity_at_small_gap():
     assert i_star_fc(two_armed_bernoulli(0.300001, 0.3)) < 1e-9
+
+
+def _i_star_reference(x: float, y: float) -> float:
+    """I_*(x, y) of the two double means, to 40 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x, y = decimal.Decimal(x), decimal.Decimal(y)
+        mid = (x + y) / 2
+
+        def kl(p):
+            return p * (p / mid).ln() + (1 - p) * ((1 - p) / (1 - mid)).ln()
+
+        return float((kl(x) + kl(y)) / 2)
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-10])
+def test_bernoulli_i_star_fc_near_ties(gap):
+    # read on the means: logit(mean) carried its rounding into I_* here, up to
+    # 1e-7 relative at a relative gap of 1e-8 and 1e-5 at 1e-10
+    rng = np.random.default_rng(1708)
+    for x in rng.uniform(0.02, 0.98, size=200):
+        x = float(x)
+        y = x * (1.0 + gap)
+        reference = _i_star_reference(x, y)
+        assert i_star_fc(two_armed_bernoulli(x, y)) == pytest.approx(reference, rel=1e-10,
+                                                                     abs=0.0)
 
 
 # --- ordering invariants --------------------------------------------------------

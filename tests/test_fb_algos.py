@@ -182,7 +182,8 @@ def test_fb_slope_measurable_grid():
         errors = 0
         for lo in range(0, n, 64):
             gens = [make_rng(mix_seed(900, g, r)) for r in range(lo, min(lo + 64, n))]
-            errors += sum(rec != rule.best_arm for _, rec, _, _ in engine._run_block(rule, gens))
+            rows, = engine._run_block([rule], gens)
+            errors += sum(rec != rule.best_arm for _, rec, _, _ in rows)
         if errors > 0:
             points.append((t, math.log(errors / n)))
     assert len(points) >= 4

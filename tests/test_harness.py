@@ -466,11 +466,12 @@ def _single_runs_record(cfg, g):
 
 
 def test_one_row_blocks_read_their_own_stream_on_every_chunk():
-    # 65 replications end in a one-row lockstep block (row 64), and 130 split
-    # over 2 workers end each task in one (rows 64 and 129); such a row must
-    # keep reading its stream past its first 64 steps, as a single run does
+    # B + 1 replications (B rows per block) end in a one-row lockstep block
+    # (row B), and 2B + 2 split over 2 workers end each task in one (rows B
+    # and 2B + 1); such a row must keep reading its stream past its first 64
+    # steps, as a single run does
     spec = AlgorithmSpec("sglrt", rate=ExplorationRate.SGLRT, tau_max=300)
-    for reps in (65, 130):
+    for reps in (engine._BLOCK_ROWS + 1, 2 * engine._BLOCK_ROWS + 2):
         cfg = ExperimentConfig(two_armed_bernoulli(0.51, 0.5), spec, (0.1,), reps, 11)
         records = run_fc_experiment(cfg)
         assert records[0].mean_tau > 128  # most rows run past the first chunk
@@ -486,21 +487,22 @@ def _row(out, r):
 
 
 def test_row_generators_carry_nothing_between_calls():
-    # 130 rows make two full blocks and a third; rows running past 64 + 128
-    # steps draw three chunks from their generator
+    # 2B + 2 rows (B rows per block) make two full blocks and a third; rows
+    # running past 64 + 128 steps draw three chunks from their generator
+    rows = 2 * engine._BLOCK_ROWS + 2
     rule_a = fc_algos.SglrtRule(HARD_BERNOULLI, 0.1, ExplorationRate.SGLRT, tau_max=600)
     rule_b = fb_algos.StaticRule(B21, fb_algos.uniform_allocation(30))
     rng = make_rng(13, 2)
     entry = rng.bit_generator.state
-    first = engine.run_rows(rule_a, rng, range(130))
+    first = engine.run_rows(rule_a, rng, range(rows))
     assert rng.bit_generator.state == entry
-    engine.run_rows(rule_b, make_rng(14, 0), range(70))
-    second = engine.run_rows(rule_a, rng, range(130))
+    engine.run_rows(rule_b, make_rng(14, 0), range(engine._BLOCK_ROWS + 6))
+    second = engine.run_rows(rule_a, rng, range(rows))
     assert rng.bit_generator.state == entry
     assert (first[0] > rule_a.draws(64 + 128)[0]).any()
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
-    for r in range(130):
+    for r in range(rows):
         run = engine.run_one(rule_a, np.random.Generator(make_rng(13, 2).bit_generator.jumped(r)))
         assert _row(first, r) == (run.tau, run.recommended, run.draws_per_arm[0], run.exhausted)
 
@@ -534,6 +536,89 @@ def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(rule):
     assert (merged[0] > rule.draws(64 + 128)[0]).any()
     for a, b in zip(merged, engine.run_rows(split, make_rng(21, 3), range(70))):
         np.testing.assert_array_equal(a, b)
+
+
+def _preset_group(name, g, tau_max):
+    """The fixed-confidence rules of preset ``name`` at its g-th delta, with cap ``tau_max``."""
+    rules = []
+    for cfg in presets.figure_configs(name, 1, 0):
+        if not cfg.algorithm.is_fixed_budget:
+            spec = dataclasses.replace(cfg.algorithm, tau_max=tau_max)
+            rules.append(dataclasses.replace(cfg, algorithm=spec).validate()[g])
+    return rules
+
+
+#: (preset, its delta count, a cap at which every rule exhausts a third of its rows or more)
+GROUPS = [("fig3-easy", 5, 6), ("fig4-left", 4, 80)]
+
+
+@given(group=st.sampled_from(GROUPS), capped=st.booleans(), g=st.integers(0, 4),
+       seed=SEEDS, reps=st.integers(min_value=1, max_value=300))
+@settings(max_examples=20, deadline=None)
+def test_a_group_equals_its_rules_run_alone(group, capped, g, seed, reps):
+    # the four fixed-confidence rules of a preset at one delta share one layout
+    # (paired Gaussian elimination and the SPRT; the SGLRT and Bernoulli
+    # elimination), so one fill serves all four, and each reads what it reads alone
+    name, deltas, cap = group
+    rules = _preset_group(name, g % deltas, cap if capped else None)
+    assert len(rules) == 4 and len({rule.layout() for rule in rules}) == 1
+    grouped = engine.run_group(rules, make_rng(seed, g), range(reps))
+    for rule, out in zip(rules, grouped):
+        alone = engine.run_rows(rule, make_rng(seed, g), range(reps))
+        for a, b in zip(out, alone):
+            np.testing.assert_array_equal(a, b)
+        if capped and reps >= 50:
+            assert out[3].any()
+
+
+def test_rules_that_differ_only_in_their_cap_do_not_share():
+    short, long_ = (fc_algos.EliminationRule(EASY, 0.1, ExplorationRate.PLAIN_LOG, tau_max=cap)
+                    for cap in (20, 200))
+    assert short.layout() != long_.layout()
+    with pytest.raises(ValueError):
+        engine.run_group([short, long_], make_rng(4, 0), range(10))
+    # the harness runs them apart, each as it runs alone
+    configs = [ExperimentConfig(EASY, dataclasses.replace(ELIM, tau_max=cap), (0.1,), 70, 4)
+               for cap in (20, 200)]
+    assert run_experiments(configs) == [run_fc_experiment(cfg)[0] for cfg in configs]
+    # static and alpha-elimination rules share with no other rule
+    alloc = fb_algos.uniform_allocation(30)
+    assert fb_algos.StaticRule(EASY, alloc).layout() != fb_algos.StaticRule(EASY, alloc).layout()
+    alpha = [fc_algos.AlphaEliminationRule(MISMATCHED, 0.1, ExplorationRate.ALPHA_ELIM)
+             for _ in range(2)]
+    assert alpha[0].layout() != alpha[1].layout()
+
+
+def test_a_task_runs_each_shared_stream_once(monkeypatch):
+    # fig3-easy: the four fixed-confidence configs share each of 5 deltas'
+    # streams and the static config has 10 cells of its own
+    groups = []
+    run_group = engine.run_group
+
+    def counting(rules, rng, rows):
+        groups.append(len(rules))
+        return run_group(rules, rng, rows)
+
+    monkeypatch.setattr(engine, "run_group", counting)
+    configs = presets.figure_configs("fig3-easy", 30, 9)
+    records = run_experiments(configs)
+    assert sorted(groups) == [1] * 10 + [4] * 5
+    monkeypatch.setattr(engine, "run_group", run_group)
+    assert records == [r for cfg in configs for r in run_experiments([cfg])]
+
+
+class _WritingSprt(fc_algos.SprtRule):
+    def scan(self, shared, carry, x, y):
+        x *= 1.0
+        return super().scan(shared, carry, x, y)
+
+
+def test_a_scan_cannot_write_the_shared_variates():
+    writing = _WritingSprt(EASY, 0.1)
+    with pytest.raises(ValueError):
+        engine.run_rows(writing, make_rng(6, 0), range(5))
+    with pytest.raises(ValueError):
+        engine.run_group([fc_algos.SprtRule(EASY, 0.1), writing], make_rng(6, 0), range(5))
 
 
 # --- Wilson interval -------------------------------------------------------------
