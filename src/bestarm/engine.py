@@ -212,9 +212,10 @@ def _run_block(rules: list[StoppingRule], gens: list) -> list[list]:
         scans = []  # per rule that runs rows: [k, shared, first position not scanned, kept]
         for k, active in enumerate(actives):
             if active:
-                c1, c2, shared = rules[k].chunk(done, n)
+                c1, c2, shared = rules[k].chunk(done, n)  # c1, c2: equal for one layout
                 scans.append([k, shared, 0, []])
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
+        # each row's position in rows, for a rule that runs only some of a sub-block's
         where = {j: p for p, j in enumerate(rows)} if len(rules) > 1 else None
         for lo in range(0, len(rows), step):
             idx = rows[lo:lo + step]
