@@ -13,6 +13,14 @@ so two checkouts that should draw the same numbers print the same lines;
 diff the output of one against the other.  The bytes depend on the numpy
 build, so compare runs made with the same one.
 
+Then come the solvers' bits, one line ``label seed pairs sha256`` per
+quantity and family over seeded random two-armed instances: ``alpha-*``
+hashes ``float.hex`` of (alpha*, g(alpha*)) from ``optimal_alpha``, which
+sets the optimal static allocations, for Bernoulli and exponential arms
+(Gaussian arms allocate by their standard deviations, not alpha*), and
+``rates-*`` every ``complexity_report`` field, for Bernoulli, exponential
+and Gaussian arms of unequal variances.
+
     python scripts/record_digests.py > digests.txt
 """
 
@@ -22,7 +30,10 @@ import io
 import pathlib
 import tempfile
 
+import numpy as np
+
 from bestarm import cli
+from bestarm.complexity import _expfam_params, complexity_report, optimal_alpha
 
 #: Replications per cell of each preset: the easy figures run past one
 #: 64-row block (the engine's block before it took 128 rows), the hard ones
@@ -38,6 +49,9 @@ LONG_REPS = 131
 ALPHA_ELIMINATION = ["simulate-fc", "--family", "gaussian", "--means", "0.5,0",
                      "--variances", "1,0.25", "--algo", "alpha-elimination",
                      "--rate", "alpha-elim", "--deltas", "0.1,0.01", "--reps", "67"]
+#: Seed and number of the random instances per family whose solver bits are hashed.
+PAIR_SEED = 0
+PAIRS = 1000
 
 
 def runs():
@@ -64,6 +78,37 @@ def runs():
                         "--workers", str(workers)]
 
 
+def instances(family):
+    """PAIRS seeded random two-armed instances: Bernoulli means uniform in
+    (0.005, 0.995), exponential means log-uniform in [1e-3, 1e3], Gaussian
+    means uniform in (-1, 1) with variances log-uniform in [0.1, 10]."""
+    rng = np.random.default_rng(PAIR_SEED)
+    for _ in range(PAIRS):
+        if family == "bernoulli":
+            yield cli.build_instance(family, rng.uniform(0.005, 0.995, 2).tolist(), None)
+        elif family == "exponential":
+            yield cli.build_instance(family, (10.0 ** rng.uniform(-3, 3, 2)).tolist(), None)
+        else:
+            yield cli.build_instance(family, rng.uniform(-1, 1, 2).tolist(),
+                                     (10.0 ** rng.uniform(-1, 1, 2)).tolist())
+
+
+def solver_digests():
+    """(label, sha256) of the alpha* and rate bits of each family, in print order."""
+    quantities = (
+        ("alpha", ("bernoulli", "exponential"),
+         lambda instance: optimal_alpha(*_expfam_params(instance))),
+        ("rates", ("bernoulli", "exponential", "gaussian"),
+         lambda instance: complexity_report(instance).as_dict().values()),
+    )
+    for quantity, families, values in quantities:
+        for family in families:
+            digest = hashlib.sha256()
+            for instance in instances(family):
+                digest.update(" ".join(v.hex() for v in values(instance)).encode() + b"\n")
+            yield f"{quantity}-{family}", digest.hexdigest()
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "records.csv"
@@ -73,6 +118,8 @@ def main() -> int:
             if code:
                 return code
             print(label, seed, workers, hashlib.sha256(out.read_bytes()).hexdigest(), flush=True)
+    for label, digest in solver_digests():
+        print(label, PAIR_SEED, PAIRS, digest, flush=True)
     return 0
 
 

@@ -146,12 +146,20 @@ def _one_value(convert):
     return one
 
 
+def _json_bool(value) -> bool:
+    """The value of an on/off flag's field: a JSON bool."""
+    if not isinstance(value, bool):
+        raise TypeError("not a bool")
+    return value
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Fill unset CLI fields from a JSON config mirroring ExperimentConfig.
 
     Scalars convert from their text as their flags' arguments do; lists
-    become the comma lists their flags take.  Every field present is
-    checked, also one a flag overrides.
+    become the comma lists their flags take; an on/off flag's field takes a
+    JSON bool.  Every field present is checked, also one a flag overrides,
+    and a field that no flag reads is an error.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -176,12 +184,19 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         "tau_max": ("algorithm.tau_max", algo.get("tau_max"), _one_value(int)),
         "sigma": ("algorithm.sigma", algo.get("sigma"), _one_value(float)),
         "alloc": ("algorithm.allocation", algo.get("allocation"), _one_value(str)),
+        "sprt_paper_statistic": ("algorithm.sprt_paper_statistic",
+                                 algo.get("sprt_paper_statistic"), _json_bool),
         "grid": ("grid", cfg.get("grid"), _comma_list),
         "reps": ("replications", cfg.get("replications"), _one_value(int)),
         "seed": ("master_seed", cfg.get("master_seed"), _one_value(int)),
         "workers": ("workers", cfg.get("workers"), _one_value(int)),
         "out": ("out", cfg.get("out"), _one_value(str)),
     }
+    known = {"instance", "algorithm", *(field for field, _, _ in fields.values())}
+    for prefix, table in (("", cfg), ("instance.", inst), ("algorithm.", algo)):
+        for key in table:
+            if "." in key or prefix + key not in known:
+                raise BestArmError(f"config field {prefix}{key} is unknown")
     for dest, (field, value, convert) in fields.items():
         if value is None:
             continue
@@ -189,7 +204,8 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             converted = convert(value)
         except (TypeError, ValueError):
             raise BestArmError(f"config field {field} is invalid: {value!r}") from None
-        if getattr(args, dest, None) is None:
+        current = getattr(args, dest, None)
+        if current is None or current is False:  # an on/off flag left off reads False
             setattr(args, dest, converted)
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -47,6 +48,7 @@ from .dists import (
     ExpFamilyDescriptor,
     Gaussian,
     _square,
+    bernoulli_kl,
     bernoulli_kl_kernel,
     mean_to_nat,
 )
@@ -70,7 +72,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if flo * fhi > 0.0:
+    if (flo < 0.0) == (fhi < 0.0):
         raise SolverError(f"no sign change on bracket [{lo}, {hi}]")
     width = max(BISECT_REL_TOL * (hi - lo), 4.0 * math.ulp(max(abs(lo), abs(hi))))
     for _ in range(BISECT_MAX_ITER):
@@ -80,7 +82,7 @@ def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
         fm = f(mid)
         if fm == 0.0:
             return mid
-        if flo * fm < 0.0:
+        if (fm < 0.0) != (flo < 0.0):
             hi = mid
         else:
             lo, flo = mid, fm
@@ -131,8 +133,10 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
 
     Gaussian: (mu1-mu2)^2 / (2 (sigma1+sigma2)^2), crossing reported as the
     sigma-weighted mean point.  Exponential families: solve
-    Kb(theta1, theta_) = Kb(theta2, theta_) by bisection on the mean
-    parameter; the crossing is reported as a natural parameter.
+    K(theta1, theta_) = K(theta2, theta_) by bisection on the mean
+    parameter; the crossing is reported as a natural parameter.  Bernoulli
+    instances solve on :func:`bernoulli_kl` of the means: the natural
+    parameters logit(mean) would carry their rounding into near ties.
     """
     a1, a2 = _two_arms(instance)
     if isinstance(a1, Gaussian):
@@ -143,9 +147,12 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         value = _square(a1.mean - a2.mean) / (2.0 * _square(s1 + s2))
         return _in_range("c_star_fc", value), crossing
     fam, t1, t2 = _expfam_params(instance)
-    value, mu_star, _ = _crossing(lambda mu: fam.kl(t1, fam.nat_of_mean(mu)),
-                                  lambda mu: fam.kl(t2, fam.nat_of_mean(mu)),
-                                  fam.mean_map(t1), fam.mean_map(t2))
+    if isinstance(a1, Bernoulli):
+        d1, d2 = partial(bernoulli_kl, a1.mean), partial(bernoulli_kl, a2.mean)
+    else:
+        d1, d2 = (lambda mu: fam.kl(t1, fam.nat_of_mean(mu)),
+                  lambda mu: fam.kl(t2, fam.nat_of_mean(mu)))
+    value, mu_star, _ = _crossing(d1, d2, a1.mean, a2.mean)
     return _in_range("c_star_fc", value), fam.nat_of_mean(mu_star)
 
 
@@ -171,7 +178,7 @@ def i_star_fc(instance: BanditInstance) -> float:
 def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
     """Fixed-budget complexity (Chernoff information) and its crossing.
 
-    Exponential families: solve Kb(theta_, theta1) = Kb(theta_, theta2) by
+    Exponential families: solve K(theta_, theta1) = K(theta_, theta2) by
     bisection on the natural parameter.  Gaussian instances return the same
     value as :func:`c_star_fc` (the KL is symmetric in the means when the
     variances are held fixed).
@@ -184,25 +191,36 @@ def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
 
 
 def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float):
-    """(Chernoff information, theta*, alpha*) at Kb(theta*, theta1) = Kb(theta*, theta2)."""
+    """(Chernoff information, theta*, alpha*) at K(theta*, theta1) = K(theta*, theta2)."""
     return _crossing(lambda t: fam.kl(t, theta1), lambda t: fam.kl(t, theta2), theta1, theta2)
 
 
 def i_star_fb(instance: BanditInstance) -> float:
-    """Uniform-sampling fixed-budget exponent: KLs from the natural midpoint."""
-    a1, _ = _two_arms(instance)
+    """Uniform-sampling fixed-budget exponent: KLs from the natural midpoint.
+
+    Bernoulli instances take :func:`bernoulli_kl` from the midpoint's mean,
+    sqrt(m1 m2) / (sqrt(m1 m2) + sqrt((1-m1)(1-m2))), computed from the means.
+    """
+    a1, a2 = _two_arms(instance)
     if isinstance(a1, Gaussian):
         # symmetric KL in the means makes this coincide with i_star_fc
         return i_star_fc(instance)
-    fam, t1, t2 = _expfam_params(instance)
-    mid = 0.5 * (t1 + t2)
-    return _in_range("i_star_fb", 0.5 * (fam.kl(mid, t1) + fam.kl(mid, t2)))
+    if isinstance(a1, Bernoulli):
+        m1, m2 = a1.mean, a2.mean
+        root, root_bar = math.sqrt(m1 * m2), math.sqrt((1.0 - m1) * (1.0 - m2))
+        mid = root / (root + root_bar)
+        value = 0.5 * (bernoulli_kl(mid, m1) + bernoulli_kl(mid, m2))
+    else:
+        fam, t1, t2 = _expfam_params(instance)
+        mid = 0.5 * (t1 + t2)
+        value = 0.5 * (fam.kl(mid, t1) + fam.kl(mid, t2))
+    return _in_range("i_star_fb", value)
 
 
 def g_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float, alpha: float) -> float:
     """Error exponent of the static allocation drawing a fraction alpha from arm 1.
 
-    g_alpha = alpha*Kb(mix, theta1) + (1-alpha)*Kb(mix, theta2) with
+    g_alpha = alpha*K(mix, theta1) + (1-alpha)*K(mix, theta2) with
     mix = alpha*theta1 + (1-alpha)*theta2; strictly concave in alpha and
     vanishing at the boundary.
     """
@@ -219,7 +237,7 @@ def g_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float, alpha: float
 def optimal_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tuple[float, float]:
     """(alpha*, g(alpha*)): the maximizer of g_alpha over alpha in (0, 1) and its value.
 
-    The slope of g_alpha, Kb(mix, theta1) - Kb(mix, theta2), vanishes where
+    The slope of g_alpha, K(mix, theta1) - K(mix, theta2), vanishes where
     mix is the Chernoff crossing theta*, so :func:`c_star_fb`'s one solve
     gives both: alpha* = (theta* - theta2)/(theta1 - theta2), and g(alpha*)
     is the Chernoff information, bit for bit.

@@ -6,9 +6,9 @@ Three arm models are supported:
 * ``Bernoulli(mean)`` -- mean strictly inside (0, 1);
 * ``ExpFamilyArm(family, theta)`` -- a canonical one-parameter exponential
   family with density exp(theta*x - b(theta)), described by an
-  :class:`ExpFamilyDescriptor` carrying the log-partition ``b``, its
-  derivatives and the inverse mean map.  Only exponential arms of this
-  kind sample; Gaussian and Bernoulli arms sample as their own classes.
+  :class:`ExpFamilyDescriptor` carrying the mean map b', its inverse and
+  the family's divergence.  Only exponential arms of this kind sample;
+  Gaussian and Bernoulli arms sample as their own classes.
 
 All divergences use natural logarithms.  Bernoulli means are validated to
 ``[1e-9, 1-1e-9]`` at construction; empirical means produced downstream may
@@ -123,22 +123,20 @@ def gaussian_kl(mu1: float, var1: float, mu2: float, var2: float) -> float:
 class ExpFamilyDescriptor:
     """Canonical one-parameter exponential family exp(theta*x - b(theta)).
 
-    ``log_partition`` must be strictly convex on the open natural domain
-    ``theta_domain`` (variance_map > 0 everywhere), which makes ``mean_map``
-    strictly increasing and ``nat_of_mean`` its inverse.  ``divergence``,
-    where given, is the family's KL in a form that keeps its accuracy
-    between near-equal members, where the Bregman form's terms cancel.
-    Descriptors are compared by ``family_id``.
+    b is strictly convex on the open natural domain ``theta_domain``, so
+    ``mean_map`` (b') is strictly increasing and ``nat_of_mean`` is its
+    inverse.  ``kl(theta1, theta2)`` is the family's divergence, equal to
+    b(theta2) - b(theta1) - b'(theta1)(theta2 - theta1) but in a form that
+    keeps its accuracy between near-equal members, where the terms of that
+    Bregman form cancel.  Descriptors are compared by ``family_id``.
     """
 
     family_id: str
-    log_partition: Callable[[float], float]
     mean_map: Callable[[float], float]
-    variance_map: Callable[[float], float]
     nat_of_mean: Callable[[float], float]
     theta_domain: tuple[float, float]
     mean_domain: tuple[float, float]
-    divergence: Callable[[float, float], float] | None = None
+    kl: Callable[[float, float], float]
 
     def check_theta(self, theta: float) -> float:
         lo, hi = self.theta_domain
@@ -155,16 +153,6 @@ class ExpFamilyDescriptor:
                 f"mean={mu} outside the open mean range {self.mean_domain} "
                 f"of family {self.family_id}")
         return float(mu)
-
-    def kl(self, theta1: float, theta2: float) -> float:
-        """KL between members: ``divergence``, else the Bregman form b(t2)-b(t1)-b'(t1)(t2-t1)."""
-        if self.divergence is not None:
-            return self.divergence(theta1, theta2)
-        b = self.log_partition
-        return b(theta2) - b(theta1) - self.mean_map(theta1) * (theta2 - theta1)
-
-    def same_family(self, other: "ExpFamilyDescriptor") -> bool:
-        return self.family_id == other.family_id
 
 
 def _bern_b(theta: float) -> float:
@@ -188,54 +176,41 @@ def _bern_means(theta: float) -> tuple[float, float]:
 def _bern_kl(theta1: float, theta2: float) -> float:
     # d(x, y) of the means as bernoulli_kl_kernel takes it (log1p terms, and
     # its third-order series where those cancel), with h from the means' small
-    # side of 1/2.  Past |theta| = 36 a mean can fall below 2^-52 and round a
-    # log1p argument to -1, and the Bregman form has little to cancel there.
+    # side of 1/2.  A log1p argument leaves (-1, inf) where one mean is below
+    # 2^-53 times the other, or 0; the log of that ratio then comes from the
+    # natural parameters, log x = theta - b(theta) and log(1 - x) = -b(theta).
     x, x_bar = _bern_means(theta1)
-    if abs(theta1) > 36.0 or abs(theta2) > 36.0:
-        return _bern_b(theta2) - _bern_b(theta1) - x * (theta2 - theta1)
     y, y_bar = _bern_means(theta2)
     h = x - y if y <= 0.5 else y_bar - x_bar
     if abs(h) < 1e-6 * min(y, y_bar):
         a, b = -h / y, h / y_bar
         return y * a * a * (0.5 + a / 6.0) + y_bar * b * b * (0.5 + b / 6.0)
-    return x * math.log1p(h / y) + x_bar * math.log1p(-h / y_bar)
-
-
-def _bern_var(theta: float) -> float:
-    m = _bern_mean(theta)
-    return m * (1.0 - m)
+    r1 = h / y if y else math.inf
+    r2 = -h / y_bar if y_bar else math.inf
+    log1 = (math.log1p(r1) if -1.0 < r1 < math.inf
+            else (theta1 - _bern_b(theta1)) - (theta2 - _bern_b(theta2)))
+    log2 = math.log1p(r2) if -1.0 < r2 < math.inf else _bern_b(theta2) - _bern_b(theta1)
+    return x * log1 + x_bar * log2
 
 
 def _bern_nat(mu: float) -> float:
     return math.log(mu / (1.0 - mu))
 
 
-def _gauss_b(theta: float, variance: float) -> float:
-    return 0.5 * variance * theta * theta
+def _gauss_kl(theta1: float, theta2: float, variance: float) -> float:
+    return 0.5 * variance * _square(theta1 - theta2)
 
 
 def _gauss_mean(theta: float, variance: float) -> float:
     return variance * theta
 
 
-def _gauss_var(theta: float, variance: float) -> float:
-    return variance
-
-
 def _gauss_nat(mu: float, variance: float) -> float:
     return mu / variance
 
 
-def _expo_b(theta: float) -> float:
-    return -math.log(-theta)
-
-
 def _expo_mean(theta: float) -> float:
     return -1.0 / theta
-
-
-def _expo_var(theta: float) -> float:
-    return 1.0 / (theta * theta)
 
 
 def _expo_nat(mu: float) -> float:
@@ -261,13 +236,11 @@ def _expo_kl(theta1: float, theta2: float) -> float:
 
 BERNOULLI_FAMILY = ExpFamilyDescriptor(
     family_id="bernoulli",
-    log_partition=_bern_b,
     mean_map=_bern_mean,
-    variance_map=_bern_var,
     nat_of_mean=_bern_nat,
     theta_domain=(-math.inf, math.inf),
     mean_domain=(0.0, 1.0),
-    divergence=_bern_kl,
+    kl=_bern_kl,
 )
 
 #: Exponential distributions with rate -theta; b is Fenchel self-conjugate
@@ -275,13 +248,11 @@ BERNOULLI_FAMILY = ExpFamilyDescriptor(
 #: quantities coincide -- useful as an invariant probe.
 EXPONENTIAL_FAMILY = ExpFamilyDescriptor(
     family_id="exponential",
-    log_partition=_expo_b,
     mean_map=_expo_mean,
-    variance_map=_expo_var,
     nat_of_mean=_expo_nat,
     theta_domain=(-math.inf, 0.0),
     mean_domain=(0.0, math.inf),
-    divergence=_expo_kl,
+    kl=_expo_kl,
 )
 
 
@@ -291,12 +262,11 @@ def gaussian_family(variance: float) -> ExpFamilyDescriptor:
         raise DomainError(f"variance must be positive, got {variance}")
     return ExpFamilyDescriptor(
         family_id=f"gaussian_kv({variance:.17g})",
-        log_partition=partial(_gauss_b, variance=variance),
         mean_map=partial(_gauss_mean, variance=variance),
-        variance_map=partial(_gauss_var, variance=variance),
         nat_of_mean=partial(_gauss_nat, variance=variance),
         theta_domain=(-math.inf, math.inf),
         mean_domain=(-math.inf, math.inf),
+        kl=partial(_gauss_kl, variance=variance),
     )
 
 
@@ -377,7 +347,7 @@ def same_family(p: ArmDistribution, q: ArmDistribution) -> bool:
     if type(p) is not type(q):
         return False
     if isinstance(p, ExpFamilyArm):
-        return p.family_desc.same_family(q.family_desc)
+        return p.family_desc.family_id == q.family_desc.family_id
     return True
 
 
@@ -471,8 +441,7 @@ def kl(p: ArmDistribution, q: ArmDistribution) -> float:
 
     Gaussian: (mu1-mu2)^2/(2 var2) + [var1/var2 - 1 - log(var1/var2)]/2.
     Bernoulli: binary relative entropy d(mu1, mu2).
-    Exponential family: the family's divergence (Bregman form of the
-    log-partition unless it has its own).
+    Exponential family: the descriptor's ``kl`` of the natural parameters.
     """
     if not same_family(p, q):
         raise FamilyMismatch(f"cannot take KL between {p!r} and {q!r}")

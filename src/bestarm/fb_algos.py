@@ -174,9 +174,10 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
                    else replace(arm, mean=f.mean_map(s))
                    for arm, f, s in zip(instance.arms, fams, tilts))
     fill, finish1, finish2 = sum_sampler(tilted, (n1, n2))
-    # log dP/dQ of a row = sum_i (theta_i - theta'_i) S_i - n_i (b_i(theta_i) - b_i(theta'_i))
+    # log dP/dQ of a row = sum_i (theta_i - theta'_i) S_i - n_i (b_i(theta_i) - b_i(theta'_i)),
+    # with b(theta) - b(theta') = K(theta', theta) + b'(theta') (theta - theta')
     shift1, shift2 = thetas[0] - tilts[0], thetas[1] - tilts[1]
-    offset = sum(n * (f.log_partition(t) - f.log_partition(s))
+    offset = sum(n * (f.kl(s, t) + f.mean_map(s) * (t - s))
                  for n, f, t, s in zip((n1, n2), fams, thetas, tilts))
     weighted = np.zeros(reps)  # likelihood ratio on error rows, 0 elsewhere
     for lo, z in engine.filled_rows(rng, reps, 2, fill):

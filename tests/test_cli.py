@@ -618,6 +618,16 @@ _FC_CONFIG = {"instance": {"family": "gaussian", "means": [0.5, 0], "variances":
     ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "sprt", "allocation": "optimal"}}),
     ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "sprt", "allocation": "uniform"}}),
     ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "static"}, "grid": [100]}),
+    # a field that no flag reads, and an on/off field that is not a JSON bool
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "elimination", "rate": "robbins",
+                                                 "tau-max": 4}}),
+    ("simulate-fc", {**_FC_CONFIG, "reps": 9}),
+    ("simulate-fc", {**_FC_CONFIG, "instance": {**_FC_CONFIG["instance"], "variance": 3}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "sprt", "sprt_paper_statistic": 1}}),
+    ("simulate-fc", {**_FC_CONFIG, "algorithm": {"kind": "sprt",
+                                                 "sprt_paper_statistic": "true"}}),
+    ("simulate-fb", {**_FB_CONFIG, "algorithm": {"kind": "static",
+                                                 "sprt_paper_statistic": True}}),
 ])
 def test_malformed_config_is_usage_error(tmp_path, monkeypatch, capsys, command, document):
     monkeypatch.chdir(tmp_path)
@@ -631,6 +641,18 @@ def test_malformed_config_is_usage_error(tmp_path, monkeypatch, capsys, command,
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert captured.out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_config_sprt_paper_statistic(tmp_path):
+    # the config field sets the flag; the flag on the command line wins
+    for in_config, flags in ((True, []), (False, ["--sprt-paper-statistic"])):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**_FC_CONFIG, "algorithm": {
+            "kind": "sprt", "sprt_paper_statistic": in_config}}))
+        out = tmp_path / "sprt.csv"
+        assert main(["simulate-fc", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+        rec, = read_records(str(out))
+        assert rec.algorithm == "sprt[paper]"
 
 
 @pytest.mark.parametrize("content", [b'{"replications": ', b"\xff\xfe{}"],

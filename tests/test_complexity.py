@@ -150,6 +150,62 @@ def test_bernoulli_i_star_fc_near_ties(gap):
                                                                      abs=0.0)
 
 
+def _crossing_references(x: float, y: float) -> tuple[float, float]:
+    """(c_star_fc, i_star_fb) of the two double means, to 40 digits.
+
+    d(x, mu) - d(y, mu) = H(y) - H(x) - (x - y) logit(mu), with H the binary
+    entropy, so c_star_fc's crossing is logit(mu*) = (H(y) - H(x)) / (x - y);
+    i_star_fb's midpoint is the mean at the midpoint of logit(x), logit(y).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        x, y = decimal.Decimal(x), decimal.Decimal(y)
+
+        def kl(p, q):
+            return p * (p / q).ln() + (1 - p) * ((1 - p) / (1 - q)).ln()
+
+        def entropy(p):
+            return -p * p.ln() - (1 - p) * (1 - p).ln()
+
+        logit = (entropy(y) - entropy(x)) / (x - y)
+        mu_star = 1 / (1 + (-logit).exp())
+        root, root_bar = (x * y).sqrt(), ((1 - x) * (1 - y)).sqrt()
+        mid = root / (root + root_bar)
+        return float(kl(x, mu_star)), float((kl(mid, x) + kl(mid, y)) / 2)
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-10])
+def test_bernoulli_c_star_fc_and_i_star_fb_near_ties(gap):
+    # the rates must read the means: rates of logit(mean) carry its rounding,
+    # up to 1e-7 relative at a relative gap of 1e-8 and 5e-6 at 1e-10
+    rng = np.random.default_rng(1818)
+    for x in rng.uniform(0.02, 0.98, size=60):
+        x = float(x)
+        y = x * (1.0 + gap)
+        c_reference, i_reference = _crossing_references(x, y)
+        instance = two_armed_bernoulli(x, y)
+        assert c_star_fc(instance)[0] == pytest.approx(c_reference, rel=1e-9, abs=0.0)
+        assert i_star_fb(instance) == pytest.approx(i_reference, rel=1e-9, abs=0.0)
+
+
+def test_expfam_bernoulli_rates_near_ties_far_from_one_half():
+    # at theta down to -600 and gaps of 1e-6 to 1e-5 all four rates are
+    # b''(theta bar) dtheta^2 / 8 to within 1e-6 relative: the divergence's
+    # terms must not cancel there, and the rates fall below 1e-162, where a
+    # product of two of them underflows
+    rng = np.random.default_rng(1819)
+    for theta, step, up in zip(rng.uniform(-600.0, 0.0, 300), rng.uniform(1e-6, 1e-5, 300),
+                               rng.random(300) < 0.5):
+        t1, t2 = float(theta), float(theta) + (step if up else -step)
+        instance = BanditInstance((ExpFamilyArm(BERNOULLI_FAMILY, t1),
+                                   ExpFamilyArm(BERNOULLI_FAMILY, t2)))
+        mean = BERNOULLI_FAMILY.mean_map(0.5 * (t1 + t2))
+        reference = mean * (1.0 - mean) * (t1 - t2) ** 2 / 8.0
+        for value in (c_star_fc(instance)[0], i_star_fc(instance), c_star_fb(instance)[0],
+                      i_star_fb(instance)):
+            assert value == pytest.approx(reference, rel=1e-6, abs=0.0)
+
+
 # --- ordering invariants --------------------------------------------------------
 
 @given(mean_pairs)
@@ -235,6 +291,13 @@ def test_bisect_root_requires_sign_change():
         bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0)
 
 
+def test_bisect_root_reads_signs_of_tiny_values():
+    # the product of two values below 1e-162 underflows to 0
+    assert bisect_root(lambda x: 1e-200 * (x - 0.3), 0.0, 1.0) == pytest.approx(0.3, abs=1e-11)
+    with pytest.raises(SolverError):
+        bisect_root(lambda x: 1e-200 * (1.0 + x), 0.0, 1.0)
+
+
 # --- g_alpha and the optimal allocation ------------------------------------------
 
 def test_g_alpha_midpoint_matches_i_star_fb():
@@ -303,7 +366,7 @@ def test_optimal_alpha_reads_the_chernoff_solve():
         calls.append(1)
         return BERNOULLI_FAMILY.kl(theta1, theta2)
 
-    fam = dataclasses.replace(BERNOULLI_FAMILY, divergence=counting)
+    fam = dataclasses.replace(BERNOULLI_FAMILY, kl=counting)
     optimal_alpha(fam, _logit(0.2), _logit(0.1))
     assert len(calls) <= 90
 

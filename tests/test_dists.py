@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -79,7 +80,7 @@ def test_bernoulli_mean_clt():
 def test_empirical_mean_within_five_se(arm, se):
     n = 100_000
     if se is None:
-        se = math.sqrt(arm.family_desc.variance_map(arm.theta))
+        se = arm.mean  # an exponential arm's standard deviation
     draws = sample_n(arm, make_rng(77), n)
     assert abs(draws.mean() - arm.mean) < 5 * se / math.sqrt(n)
 
@@ -186,6 +187,50 @@ def test_exponential_kl_is_accurate_near_a_tie_and_far_from_it(log_rate, log_gap
     assert EXPONENTIAL_FAMILY.kl(t1, t2) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
+@st.composite
+def wide_theta_pairs(draw):
+    """Natural parameters in [-745, 745]: independent, or near ties down to 1e-15 apart."""
+    wide = st.floats(min_value=-745.0, max_value=745.0)
+    theta1 = draw(wide)
+    if draw(st.booleans()):
+        return theta1, draw(wide)
+    gap = math.copysign(10.0 ** draw(st.floats(min_value=-15.0, max_value=-1.0)),
+                        draw(st.sampled_from((-1.0, 1.0))))
+    return theta1, min(745.0, max(-745.0, theta1 * (1.0 + gap)))
+
+
+@given(wide_theta_pairs())
+@settings(max_examples=500, deadline=None)
+def test_bernoulli_family_kl_is_never_negative(pair):
+    # the Bregman form cancels to noise of either sign here, e.g. -2.28e-44 at
+    # (-63.148336423746535, -63.14833642374629)
+    assert BERNOULLI_FAMILY.kl(*pair) >= 0.0
+
+
+@pytest.mark.parametrize("fam, b_difference, pairs", [
+    # 1/2 v (t^2 - s^2), factored so that it does not cancel at large theta
+    (gaussian_family(0.5), lambda s, t: 0.25 * (t - s) * (t + s),
+     [(0.25, 0.75), (-2.0, -5.0), (3.0, 3.0000001), (1e4, 1e4 + 1e-3), (1e8, 1e8 + 1.0)]),
+    (EXPONENTIAL_FAMILY, lambda s, t: math.log(s / t),
+     [(-1.0, -2.0), (-2.0, -1.0), (-1e-3, -1e3), (-5.0, -1e-6), (-0.3, -0.31)]),
+    (BERNOULLI_FAMILY, lambda s, t: math.log1p(math.exp(t)) - math.log1p(math.exp(s)),
+     [(0.3, -0.2), (-5.0, 5.0), (-40.0, -38.0), (-36.5, -37.5), (40.0, 41.0),
+      (-700.0, -699.0), (699.0, 700.0)]),
+])
+def test_kl_is_the_bregman_divergence_of_the_log_partition(fam, b_difference, pairs):
+    # K(s, t) + b'(s) (t - s) = b(t) - b(s), with b written out here
+    for s, t in pairs:
+        assert fam.kl(s, t) + fam.mean_map(s) * (t - s) == pytest.approx(
+            b_difference(s, t), rel=1e-12, abs=0.0)
+
+
+def test_descriptor_fields_are_the_six_required():
+    fields = dataclasses.fields(BERNOULLI_FAMILY)
+    assert [f.name for f in fields] == ["family_id", "mean_map", "nat_of_mean",
+                                        "theta_domain", "mean_domain", "kl"]
+    assert all(f.default is dataclasses.MISSING for f in fields)
+
+
 # --- entropy ----------------------------------------------------------------
 
 def test_binary_entropy_values():
@@ -225,9 +270,10 @@ def test_round_trip_mean_nat(fam, mus):
     (EXPONENTIAL_FAMILY, np.linspace(-5, -0.2, 17)),
 ])
 def test_descriptor_convexity_and_inverse(fam, thetas):
+    means = [fam.mean_map(float(theta)) for theta in thetas]
+    assert all(a < b for a, b in zip(means, means[1:]))  # b is strictly convex
     for theta in thetas:
         theta = float(theta)
-        assert fam.variance_map(theta) > 0.0
         mu = fam.mean_map(theta)
         assert fam.nat_of_mean(mu) == pytest.approx(theta, abs=1e-10)
 
