@@ -148,12 +148,22 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         return _in_range("c_star_fc", value), crossing
     fam, t1, t2 = _expfam_params(instance)
     if isinstance(a1, Bernoulli):
-        d1, d2 = partial(bernoulli_kl, a1.mean), partial(bernoulli_kl, a2.mean)
+        # Bernoulli arms hold their means in [1e-9, 1 - 1e-9], and every point
+        # bisected lies between them: bernoulli_kl's domain, so its checks
+        # and error state are paid once, not per call
+        d1, d2 = (partial(_bernoulli_kl_of, np.asarray(a.mean, dtype=float)) for a in (a1, a2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value, mu_star, _ = _crossing(d1, d2, a1.mean, a2.mean)
     else:
         d1, d2 = (lambda mu: fam.kl(t1, fam.nat_of_mean(mu)),
                   lambda mu: fam.kl(t2, fam.nat_of_mean(mu)))
-    value, mu_star, _ = _crossing(d1, d2, a1.mean, a2.mean)
+        value, mu_star, _ = _crossing(d1, d2, a1.mean, a2.mean)
     return _in_range("c_star_fc", value), fam.nat_of_mean(mu_star)
+
+
+def _bernoulli_kl_of(x: np.ndarray, mu: float) -> float:
+    """``bernoulli_kl(x, mu)`` of a 0-d ``x``, with no checks and no error state."""
+    return float(bernoulli_kl_kernel(x, np.asarray(mu, dtype=float)))
 
 
 def i_star_fc(instance: BanditInstance) -> float:

@@ -84,7 +84,7 @@ def bernoulli_kl_kernel(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
     out = np.asarray(xa * np.log1p(np.where(xa > 0.0, h / ya, 0.0))
                      + (1.0 - xa) * np.log1p(np.where(xa < 1.0, -h / (1.0 - ya), 0.0)))
     lost = np.isneginf(out)
-    if np.any(lost):
+    if lost.any():
         # x/y (or (1-x)/(1-y)) below 2**-54: h/y rounds to -1 and log1p
         # reads -inf, while the log of the ratio itself is accurate there
         x, y, hl = (np.broadcast_to(a, lost.shape)[lost] for a in (xa, ya, h))
@@ -93,7 +93,7 @@ def bernoulli_kl_kernel(xa: np.ndarray, ya: np.ndarray) -> np.ndarray:
                      + (1.0 - x) * np.where(r2 == -1.0, np.log((1.0 - x) / (1.0 - y)),
                                             np.log1p(r2)))
     near = np.abs(h) < 1e-6 * np.minimum(ya, 1.0 - ya)
-    if np.any(near):
+    if near.any():
         y = np.broadcast_to(ya, near.shape)[near]
         a = -h[near] / y
         b = h[near] / (1.0 - y)
@@ -190,7 +190,9 @@ def _bern_kl(theta1: float, theta2: float) -> float:
     log1 = (math.log1p(r1) if -1.0 < r1 < math.inf
             else (theta1 - _bern_b(theta1)) - (theta2 - _bern_b(theta2)))
     log2 = math.log1p(r2) if -1.0 < r2 < math.inf else _bern_b(theta2) - _bern_b(theta1)
-    return x * log1 + x_bar * log2
+    # past |theta| of about 745 a subnormal mean leaves one unit of noise of
+    # either sign where d is below the smallest subnormal
+    return max(x * log1 + x_bar * log2, 0.0)
 
 
 def _bern_nat(mu: float) -> float:
@@ -367,20 +369,31 @@ def _law(dist: ArmDistribution) -> tuple:
 
 def sampler(dist: ArmDistribution):
     """(fill, finish) for one arm: ``fill(rng, out)`` writes standard variates
-    into ``out`` and ``finish(raw)`` maps an array of them to draws.
+    into ``out`` and ``finish(raw)`` maps a float array of them to draws.
 
-    Splitting the two lets a caller fill many rows, each from its own
-    stream, and finish them all in one pass; draws equal :func:`sample_n`'s.
+    A finish may overwrite its input: each one maps ``raw`` in place and
+    returns it.  Splitting the two lets a caller fill many rows, each from
+    its own stream, and finish them all in one pass; draws equal
+    :func:`sample_n`'s.
     """
     kind, *params = _law(dist)
     if kind == "gaussian":
         mean, sd = params
-        return _fill_normal, lambda z: mean + sd * z
+
+        def finish(z):
+            z *= sd
+            z += mean
+            return z
+        return _fill_normal, finish
     if kind == "bernoulli":
         p, = params
-        return _fill_uniform, lambda u: (u < p).astype(float)
+        return _fill_uniform, lambda u: np.less(u, p, out=u)
     scale, = params
-    return _fill_exponential, lambda e: scale * e
+
+    def finish(e):
+        e *= scale
+        return e
+    return _fill_exponential, finish
 
 
 def sum_sampler(arms, ns):

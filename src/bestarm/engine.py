@@ -18,10 +18,17 @@ rule draws what its statistic reads: a rule that reads only paired
 differences draws them on arm 1 and nothing on arm 2, and a static rule
 draws one sum per arm.  Thresholds are computed once per chunk, block and
 rule, and shared by all of the rule's rows.
+
+The lockstep loop allocates no array of a sub-block's size: rows fill and
+finish in place in the process's workspace (:func:`workspace`), and the
+scans write their running sums and flags into it too.  A scan only reads
+``x`` and ``y``, and the arrays it returns may live in the workspace until
+the next scan call, so the engine reads them before it scans again.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -36,15 +43,32 @@ from .rng import row_states
 MAX_COUNT = 2**53
 _CHUNK0 = 64
 _CHUNK_MAX = 4096
-#: Floats per stacked (rows, draws) array in one lockstep step.  It bounds
+#: Floats per arm in one sub-block's stacked (rows, draws) arrays.  It bounds
 #: memory only: every row reads its own stream, so output never depends on it.
-#: 2**13 (128-row blocks) ran short-tau figures faster than 2**12 (64 rows).
-BLOCK_ELEMENTS = 2**13
-_BLOCK_ROWS = BLOCK_ELEMENTS // _CHUNK0
+#: At 2**15 a 128-row block scans chunks of up to 256 steps in one call.
+BLOCK_ELEMENTS = 2**15
+_BLOCK_ROWS = 128
 #: The generators rows of a block draw from, grown as blocks need them.
 #: :func:`run_group` positions each one before its block's first draw, so none
 #: carries state from one block to the next.
 _ROW_GENERATORS: list[np.random.Generator] = []
+#: The arrays :func:`workspace` hands out, one per (slot, dtype), grown on demand.
+_WORKSPACE: dict[tuple, np.ndarray] = {}
+
+
+def workspace(slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of ``shape`` in the process's workspace slot ``slot``.
+
+    Each slot holds one buffer, grown when a request outsizes it and never
+    freed, so the lockstep loop does not allocate, free and fault in its
+    sub-block temporaries over and over.  The array is valid until the
+    slot's next request; the engine's fill buffer is slot "fill".
+    """
+    size = math.prod(shape)
+    buf = _WORKSPACE.get((slot, dtype))
+    if buf is None or buf.size < size:
+        buf = _WORKSPACE[slot, dtype] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -113,7 +137,10 @@ class StoppingRule:
         ``x`` and ``y`` are the rows' finished arm-1 and arm-2 variates of
         the chunk and ``carry`` their ``width`` running sums before it.  Every
         rule of a group reads the same ``x`` and ``y``, so a scan must not
-        write to them: the engine hands them over read-only.
+        write to them: the engine hands them over read-only.  A scan may
+        keep its temporaries and the arrays it returns in :func:`workspace`
+        slots other than the engine's ("fill", "x" and "y"); what it returns
+        need stay valid only until the next scan call.
         ``hits`` and ``leads`` are (rows, n) flags: the rule stops here, and
         arm 0 is recommended here.  The engine reads only each row's first
         hit, the lead there, the lead in the last column and the returned
@@ -219,7 +246,7 @@ def _run_block(rules: list[StoppingRule], gens: list) -> list[list]:
         where = {j: p for p, j in enumerate(rows)} if len(rules) > 1 else None
         for lo in range(0, len(rows), step):
             idx = rows[lo:lo + step]
-            z = np.empty((len(idx), c1 + c2))
+            z = workspace("fill", (len(idx), c1 + c2))
             for i, j in enumerate(idx):
                 fill(gens[j], z[i])
             x, y = finish1(z[:, :c1]), finish2(z[:, c1:])
@@ -234,7 +261,11 @@ def _run_block(rules: list[StoppingRule], gens: list) -> list[list]:
                 elif b > a:
                     ids = active[a:b]
                     pick = [where[j] - lo for j in ids]
-                    xs, ys = x[pick], y[pick]
+                    # every index is in range; mode "raise" would buffer the output
+                    xs = np.take(x, pick, axis=0, mode="clip",
+                                 out=workspace("x", (len(ids), c1)))
+                    ys = np.take(y, pick, axis=0, mode="clip",
+                                 out=workspace("y", (len(ids), c2)))
                     xs.setflags(write=False)
                     ys.setflags(write=False)
                 else:

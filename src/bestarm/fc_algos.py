@@ -44,7 +44,7 @@ import numpy as np
 
 from .complexity import i_star_bernoulli_kernel, i_star_fc
 from .dists import Gaussian, sample_n, sampler  # noqa: F401  (sample_n: re-exported name)
-from .engine import MAX_COUNT, RunOutcome, StoppingRule, run_one
+from .engine import MAX_COUNT, RunOutcome, StoppingRule, run_one, workspace
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
 
@@ -185,6 +185,14 @@ def _difference_samplers(arms):
     return fill, finish, np.asarray  # arm 2 draws nothing (c2 = 0)
 
 
+def _flags(sums, thresholds):
+    """(|sums| > thresholds, sums >= 0, last column) of running sums, flags in workspace slots."""
+    hits = np.greater(np.abs(sums, out=workspace("tmp0", sums.shape)), thresholds,
+                      out=workspace("hits", sums.shape, np.bool_))
+    leads = np.greater_equal(sums, 0.0, out=workspace("leads", sums.shape, np.bool_))
+    return hits, leads, sums[:, -1:]
+
+
 class EliminationRule(StoppingRule):
     """Paired-sampling elimination; see the module docstring for the rule.
 
@@ -218,8 +226,10 @@ class EliminationRule(StoppingRule):
             2.0 * self.sigma**2 * ts * _rate_values(self.rate, ts, self.delta))
 
     def scan(self, thresholds, carry, x, y):
-        sums = carry + np.cumsum(x if self.paired else x - y, axis=1)
-        return np.abs(sums) > thresholds, sums >= 0.0, sums[:, -1:]
+        sums = workspace("sum1", x.shape)
+        np.cumsum(x if self.paired else np.subtract(x, y, out=sums), axis=1, out=sums)
+        sums += carry
+        return _flags(sums, thresholds)
 
 
 class AlphaEliminationRule(StoppingRule):
@@ -280,17 +290,27 @@ _LN4 = 2.0 * math.log(2.0)
 def _coarse_screen(s1, s2, k, low, high):
     """(surely t I_* > beta, surely not) from L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v).
 
-    ``s1``, ``s2`` are integer arm sums after k paired steps (t = 2k), ``low``
-    and ``high`` beta less and plus its margin.  Products only, so D = 0 with
-    A B = 0 compares 0 with 0 and is surely no crossing.
+    ``s1``, ``s2`` are integer arm sums after k paired steps (t = 2k), of
+    one shape, ``low`` and ``high`` beta less and plus its margin, all
+    broadcast along the last axis.  Products only, so D = 0 with A B = 0
+    compares 0 with 0 and is surely no crossing.  The flags and the products
+    live in :func:`~bestarm.engine.workspace` slots.
     """
-    dd = (s1 - s2) ** 2
-    sums = s1 + s2
-    rest = 2.0 * k - sums
-    ab = sums * rest
-    n2 = np.minimum(sums, rest) ** 2
-    return (dd > (high / k) * ab,
-            dd * (n2 + (_LN4 - 1.0) * dd) <= (low / k) * ab * n2)
+    dd, sums, rest, ab = (workspace(f"tmp{i}", s1.shape) for i in range(4))
+    np.square(np.subtract(s1, s2, out=dd), out=dd)
+    np.add(s1, s2, out=sums)
+    np.subtract(2.0 * k, sums, out=rest)
+    np.multiply(sums, rest, out=ab)
+    n2 = np.square(np.minimum(sums, rest, out=sums), out=sums)
+    hits = np.greater(dd, np.multiply(ab, high / k, out=rest),
+                      out=workspace("hits", s1.shape, np.bool_))
+    # dd (n2 + (2 log 2 - 1) dd) <= (low / k) ab n2, in that order of operations
+    lhs = np.multiply(dd, _LN4 - 1.0, out=rest)
+    lhs += n2
+    lhs *= dd
+    rhs = np.multiply(ab, low / k, out=ab)
+    rhs *= n2
+    return hits, np.less_equal(lhs, rhs, out=workspace("misses", s1.shape, np.bool_))
 
 
 class SglrtRule(StoppingRule):
@@ -349,10 +369,12 @@ class SglrtRule(StoppingRule):
 
     def scan(self, shared, carry, x, y):
         ks, beta, low, high = shared
-        cum1 = carry[:, :1] + np.cumsum(x, axis=1)
-        cum2 = carry[:, 1:] + np.cumsum(y, axis=1)
+        cum1 = np.cumsum(x, axis=1, out=workspace("sum1", x.shape))
+        cum1 += carry[:, :1]
+        cum2 = np.cumsum(y, axis=1, out=workspace("sum2", y.shape))
+        cum2 += carry[:, 1:]
         hits, misses = _coarse_screen(cum1, cum2, ks, low, high)
-        rows, cols = np.nonzero(hits == misses)
+        rows, cols = np.nonzero(np.equal(hits, misses, out=misses))
         if rows.size:
             first = np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
             before = cols < first[rows]
@@ -362,7 +384,8 @@ class SglrtRule(StoppingRule):
                 stat = 2.0 * k * i_star_bernoulli_kernel(cum1[rows, cols] / k,
                                                          cum2[rows, cols] / k)
                 hits[rows, cols] = stat > beta[cols]
-        return hits, cum1 >= cum2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
+        leads = np.greater_equal(cum1, cum2, out=workspace("leads", x.shape, np.bool_))
+        return hits, leads, np.hstack((cum1[:, -1:], cum2[:, -1:]))
 
 
 class SprtRule(StoppingRule):
@@ -395,8 +418,10 @@ class SprtRule(StoppingRule):
         return n, 0, None
 
     def scan(self, shared, carry, x, y):
-        llr = carry + self.coef * np.cumsum(x, axis=1)
-        return np.abs(llr) > self.threshold, llr >= 0.0, llr[:, -1:]
+        llr = np.cumsum(x, axis=1, out=workspace("sum1", x.shape))
+        llr *= self.coef
+        llr += carry
+        return _flags(llr, self.threshold)
 
 
 def run_elimination(instance: BanditInstance, delta: float, rate: ExplorationRate,

@@ -428,6 +428,7 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
     threshold = lil_envelope(sigma, x, beta, horizon)
     crossed = 0
     for _, z in engine.filled_rows(make_rng(master_seed), paths, horizon, _fill_normal):
-        walks = np.cumsum(sigma * z, axis=1)
+        z *= sigma
+        walks = np.cumsum(z, axis=1, out=z)
         crossed += int(np.count_nonzero((walks > threshold).any(axis=1)))
     return crossed / paths

@@ -20,6 +20,7 @@ from bestarm.dists import (
     mean_to_nat,
     nat_to_mean,
     sample_n,
+    sampler,
 )
 from bestarm.errors import DomainError, FamilyMismatch
 from bestarm.rng import make_rng
@@ -83,6 +84,29 @@ def test_empirical_mean_within_five_se(arm, se):
         se = arm.mean  # an exponential arm's standard deviation
     draws = sample_n(arm, make_rng(77), n)
     assert abs(draws.mean() - arm.mean) < 5 * se / math.sqrt(n)
+
+
+@pytest.mark.parametrize("arm, out_of_place", [
+    (Gaussian(0.3, 2.5), lambda arm, z: arm.mean + arm.sigma * z),
+    (Bernoulli(0.37), lambda arm, u: (u < arm.mean).astype(float)),
+    (ExpFamilyArm(EXPONENTIAL_FAMILY, -0.7), lambda arm, e: arm.mean * e),
+], ids=["gaussian", "bernoulli", "exponential"])
+def test_sampler_finishes_in_place_as_the_out_of_place_formula(arm, out_of_place):
+    # a finish overwrites the columns it is given, bit for bit as the
+    # out-of-place formula, and leaves the rest of a stacked row alone
+    fill, finish = sampler(arm)
+    stacked = np.empty((3, 50))
+    for seed, row in enumerate(stacked):
+        fill(make_rng(seed), row)
+    want, rest = out_of_place(arm, stacked[:, :20]), stacked[:, 20:].copy()
+    got = finish(stacked[:, :20])
+    assert np.shares_memory(got, stacked)
+    assert got.tobytes() == want.tobytes() and stacked[:, :20].tobytes() == want.tobytes()
+    assert stacked[:, 20:].tobytes() == rest.tobytes()
+    # sample_n draws a fill finished as before
+    raw = np.empty(200)
+    fill(make_rng(9), raw)
+    assert sample_n(arm, make_rng(9), 200).tobytes() == out_of_place(arm, raw).tobytes()
 
 
 @pytest.mark.parametrize("arm", [ExpFamilyArm(BERNOULLI_FAMILY, 0.4),
@@ -205,6 +229,18 @@ def test_bernoulli_family_kl_is_never_negative(pair):
     # the Bregman form cancels to noise of either sign here, e.g. -2.28e-44 at
     # (-63.148336423746535, -63.14833642374629)
     assert BERNOULLI_FAMILY.kl(*pair) >= 0.0
+
+
+@pytest.mark.parametrize("pair", [
+    (745.0963448625716, 745.1444573625016), (745.1444573625016, 745.0963448625716),
+    (-745.0963448625716, -745.1444573625016), (-745.1444573625016, -745.0963448625716),
+    (1500.0, 1500.5), (-2000.0, -1999.0),
+])
+def test_bernoulli_family_kl_is_never_negative_past_the_subnormal_means(pair):
+    # past |theta| of about 745 the smaller mean or its complement is
+    # subnormal, and d lies below the smallest subnormal; (745.096...,
+    # 745.144...) read -5e-324 before the divergence was clamped at 0
+    assert 0.0 <= BERNOULLI_FAMILY.kl(*pair) <= 5e-324
 
 
 @pytest.mark.parametrize("fam, b_difference, pairs", [

@@ -303,6 +303,63 @@ def test_sglrt_bounds_bracket_the_statistic(sums):
         assert sure_hit in (None, hits[0]) and sure_miss in (None, misses[0])
 
 
+def _coarse_screen_out_of_place(s1, s2, k, low, high):
+    # the screen's products as fresh arrays, in the same order of operations
+    dd = (s1 - s2) ** 2
+    sums = s1 + s2
+    rest = 2.0 * k - sums
+    ab = sums * rest
+    n2 = np.minimum(sums, rest) ** 2
+    return (dd > (high / k) * ab,
+            dd * (n2 + (2.0 * math.log(2.0) - 1.0) * dd) <= (low / k) * ab * n2)
+
+
+def test_coarse_screen_takes_rows_and_single_rows_alike():
+    # the workspace's slots take the shape of the sums: a block of rows, or
+    # one row as 1-D arrays, gives the flags the out-of-place products give
+    rng = np.random.default_rng(41)
+    k = np.arange(1.0, 301.0)
+    s1 = np.cumsum(rng.random((5, 300)) < 0.7, axis=1).astype(float)
+    s2 = np.cumsum(rng.random((5, 300)) < 0.2, axis=1).astype(float)
+    beta = 2.0 * np.log(2.0 * k / 0.05)
+    low, high = beta * (1.0 - 1e-6), beta * (1.0 + 1e-6)
+    want = _coarse_screen_out_of_place(s1, s2, k, low, high)
+    got = [flags.copy() for flags in _coarse_screen(s1, s2, k, low, high)]
+    assert want[0].any() and want[1].any() and not want[0].all()
+    for flags, expected in zip(got, want):
+        np.testing.assert_array_equal(flags, expected)
+    for r in range(5):
+        row = _coarse_screen(s1[r], s2[r], k, low, high)
+        for flags, expected in zip(row, want):
+            np.testing.assert_array_equal(flags, expected[r])
+
+
+@pytest.mark.parametrize("rule, paired", [
+    (fc_algos.EliminationRule(EASY, 0.05, ExplorationRate.ROBBINS_LOG_T), True),
+    (fc_algos.EliminationRule(B21, 0.05, ExplorationRate.ROBBINS_LOG_T, sigma=0.5), False),
+    (fc_algos.SprtRule(EASY, 0.05), True),
+], ids=["gaussian-elimination", "bernoulli-elimination", "sprt"])
+def test_scans_equal_their_out_of_place_sums(rule, paired):
+    # the running sums built in workspace slots are carry + cumsum bit for bit
+    rng = np.random.default_rng(43)
+    x, y = rng.normal(0.3, 1.7, (6, 200)), rng.normal(-0.2, 0.9, (6, 0 if paired else 200))
+    carry = rng.normal(0.0, 30.0, (6, 1))
+    for a in (x, y):
+        a.setflags(write=False)
+    c1, c2, shared = rule.chunk(500, 200)
+    assert (c1, c2) == (200, 0 if paired else 200)
+    if isinstance(rule, fc_algos.SprtRule):
+        sums = carry + rule.coef * np.cumsum(x, axis=1)
+        thresholds = rule.threshold
+    else:
+        sums = carry + np.cumsum(x if paired else x - y, axis=1)
+        thresholds = shared
+    hits, leads, after = rule.scan(shared, carry, x, y)
+    np.testing.assert_array_equal(hits, np.abs(sums) > thresholds)
+    np.testing.assert_array_equal(leads, sums >= 0.0)
+    assert after.tobytes() == sums[:, -1:].tobytes()
+
+
 def _first(hits):
     return np.where(hits.any(axis=1), hits.argmax(axis=1), -1)
 

@@ -4,6 +4,8 @@ import math
 import multiprocessing.connection
 import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -536,6 +538,59 @@ def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(rule):
     assert (merged[0] > rule.draws(64 + 128)[0]).any()
     for a, b in zip(merged, engine.run_rows(split, make_rng(21, 3), range(70))):
         np.testing.assert_array_equal(a, b)
+
+
+#: Groups whose first rule runs rows past 256-step chunks; the rules stop apart.
+BLOCK_GROUPS = {
+    "sglrt+elimination": [
+        fc_algos.SglrtRule(two_armed_bernoulli(0.6, 0.45), 0.05, ExplorationRate.SGLRT,
+                           tau_max=3000),
+        fc_algos.EliminationRule(two_armed_bernoulli(0.6, 0.45), 0.05,
+                                 ExplorationRate.ROBBINS_LOG_T, tau_max=3000, sigma=0.5)],
+    "elimination+sprt": [
+        fc_algos.EliminationRule(two_armed_gaussian(0.12, 0.0, 0.25), 0.05,
+                                 ExplorationRate.ROBBINS_LOG_T, tau_max=3000),
+        fc_algos.SprtRule(two_armed_gaussian(0.12, 0.0, 0.25), 0.05, tau_max=3000)],
+    "static": [fb_algos.StaticRule(B21, fb_algos.uniform_allocation(30))],
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_GROUPS))
+def test_a_group_does_not_depend_on_the_sub_block_size(monkeypatch, name):
+    # 2**6 elements scan one row per sub-block from the 64-step chunk on,
+    # 2**13 split 128-row blocks from the 128-step chunk on, 2**15 from 512
+    rules = BLOCK_GROUPS[name]
+    runs = []
+    for elements in (2**6, 2**13, 2**15):
+        monkeypatch.setattr(engine, "BLOCK_ELEMENTS", elements)
+        runs.append(engine.run_group(rules, make_rng(31, 2), range(150)))
+    if name != "static":
+        assert (runs[0][0][0] > rules[0].draws(64 + 128 + 256)[0]).any()
+    for run in runs[1:]:
+        for out, want in zip(run, runs[0]):
+            for a, b in zip(out, want):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_the_workspace_is_allocated_on_first_use_and_kept_when_outgrown(monkeypatch):
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    code = "import bestarm.cli, bestarm.engine as e; print(len(e._WORKSPACE))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "0"
+    rules = BLOCK_GROUPS["sglrt+elimination"]
+    want = engine.run_group(rules, make_rng(32, 0), range(40))
+    # slots grown for larger sub-blocks serve smaller ones from their prefix
+    monkeypatch.setattr(engine, "_WORKSPACE", {})
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 2**17)
+    engine.run_group(rules, make_rng(33, 0), range(40))
+    grown = dict(engine._WORKSPACE)
+    monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 2**15)
+    got = engine.run_group(rules, make_rng(32, 0), range(40))
+    assert grown and all(engine._WORKSPACE[slot] is buf for slot, buf in grown.items())
+    for out, expected in zip(got, want):
+        for a, b in zip(out, expected):
+            np.testing.assert_array_equal(a, b)
 
 
 def _preset_group(name, g, tau_max):
