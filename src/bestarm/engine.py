@@ -62,7 +62,8 @@ def workspace(slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     Each slot holds one buffer, grown when a request outsizes it and never
     freed, so the lockstep loop does not allocate, free and fault in its
     sub-block temporaries over and over.  The array is valid until the
-    slot's next request; the engine's fill buffer is slot "fill".
+    slot's next request.  The engine's own slots are "fill" (a sub-block's
+    variates) and "x" and "y" (the rows a rule runs of them).
     """
     size = math.prod(shape)
     buf = _WORKSPACE.get((slot, dtype))
