@@ -17,7 +17,8 @@ Then come the solvers' bits, one line ``label seed pairs sha256`` per
 quantity and family over seeded random two-armed instances: ``alpha-*``
 hashes ``float.hex`` of (alpha*, g(alpha*)) from ``optimal_alpha``, which
 sets the optimal static allocations, for Bernoulli and exponential arms
-(Gaussian arms allocate by their standard deviations, not alpha*), and
+(Gaussian arms allocate by their standard deviations, not alpha*) and for
+Bernoulli arms whose means lie in a tail, within 1e-2 of 0 or of 1, and
 ``rates-*`` every ``complexity_report`` field, for Bernoulli, exponential
 and Gaussian arms of unequal variances.
 
@@ -80,12 +81,17 @@ def runs():
 
 def instances(family):
     """PAIRS seeded random two-armed instances: Bernoulli means uniform in
-    (0.005, 0.995), exponential means log-uniform in [1e-3, 1e3], Gaussian
-    means uniform in (-1, 1) with variances log-uniform in [0.1, 10]."""
+    (0.005, 0.995), "bernoulli-tails" means both within 10^-U(2, 9) of 0 or
+    both of 1, exponential means log-uniform in [1e-3, 1e3], Gaussian means
+    uniform in (-1, 1) with variances log-uniform in [0.1, 10]."""
     rng = np.random.default_rng(PAIR_SEED)
     for _ in range(PAIRS):
         if family == "bernoulli":
             yield cli.build_instance(family, rng.uniform(0.005, 0.995, 2).tolist(), None)
+        elif family == "bernoulli-tails":
+            gaps = 10.0 ** -rng.uniform(2, 9, 2)
+            means = 1.0 - gaps if rng.random() < 0.5 else gaps
+            yield cli.build_instance("bernoulli", means.tolist(), None)
         elif family == "exponential":
             yield cli.build_instance(family, (10.0 ** rng.uniform(-3, 3, 2)).tolist(), None)
         else:
@@ -96,7 +102,7 @@ def instances(family):
 def solver_digests():
     """(label, sha256) of the alpha* and rate bits of each family, in print order."""
     quantities = (
-        ("alpha", ("bernoulli", "exponential"),
+        ("alpha", ("bernoulli", "exponential", "bernoulli-tails"),
          lambda instance: optimal_alpha(*_expfam_params(instance))),
         ("rates", ("bernoulli", "exponential", "gaussian"),
          lambda instance: complexity_report(instance).as_dict().values()),

@@ -33,7 +33,6 @@ from .errors import (
     DegenerateInstance,
     DomainError,
     FamilyMismatch,
-    SolverError,
 )
 from .fc_algos import ExplorationRate, RunOutcome, eval_rate
 from .harness import AlgorithmSpec, ExperimentConfig, ExperimentRecord
@@ -58,7 +57,6 @@ __all__ = [
     "FamilyMismatch",
     "Gaussian",
     "RunOutcome",
-    "SolverError",
     "TwoArmedComplexityReport",
     "binary_entropy",
     "c_star_fb",

@@ -226,6 +226,9 @@ def cmd_bound(args) -> int:
     from . import bounds
 
     instance = _instance(args)
+    if args.budget is not None and not (
+            instance.is_gaussian and len({arm.variance for arm in instance.arms}) == 1):
+        raise BestArmError("--budget needs gaussian arms of one common variance")
     if args.m != 1:
         instance = BanditInstance(instance.arms, m=args.m)
     delta = args.delta

@@ -15,14 +15,14 @@ distinct means:
 * ``i_star_fb`` -- its uniform-sampling counterpart, evaluated at the
   natural-parameter midpoint.
 
-For Gaussian arms with known variances all four have closed forms; for
-one-parameter exponential families the crossings are found by bisection
-(the two divergences are monotone in opposite directions across the
-bracket formed by the arm parameters, so a sign change is guaranteed).
-``optimal_alpha`` -- the fraction alpha* of a static allocation that
-maximizes the error exponent g_alpha -- reads the Chernoff crossing's own
-solve: alpha* is the weight that mixes the natural parameters onto the
-crossing theta*, and g(alpha*) is the Chernoff information.
+All four have closed forms.  For one-parameter exponential families the
+three-point identity of Bregman divergences makes the difference of two
+divergences to a common point affine, in theta for the reversed crossing
+and in the mean for the Chernoff crossing, so each crossing is one
+division (:func:`_crossing`).  ``optimal_alpha`` -- the fraction alpha*
+of a static allocation that maximizes the error exponent g_alpha -- reads
+the Chernoff crossing: alpha* mixes the natural parameters onto theta*,
+and g(alpha*) is the Chernoff information.
 Averages use the analytic midpoint identities, which stationarity makes
 exact, rather than a generic infimum search.
 
@@ -52,54 +52,27 @@ from .dists import (
     bernoulli_kl_kernel,
     mean_to_nat,
 )
-from .errors import DegenerateInstance, DomainError, SolverError
+from .errors import DegenerateInstance, DomainError
 from .instances import BanditInstance, require_two_armed
-
-BISECT_REL_TOL = 1e-12
-BISECT_MAX_ITER = 200
-
-
-def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f on [lo, hi] by bisection; requires a sign change.
-
-    The bracket is halved until it is narrower than BISECT_REL_TOL times its
-    starting width (so a near tie is solved as deep as a wide bracket) or
-    than 4 ulps of its larger endpoint; past BISECT_MAX_ITER halvings,
-    SolverError.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise SolverError(f"no sign change on bracket [{lo}, {hi}]")
-    width = max(BISECT_REL_TOL * (hi - lo), 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= width:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) != (flo < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    raise SolverError(f"bisection did not converge in {BISECT_MAX_ITER} iterations")
 
 
 def _crossing(d1: Callable[[float], float], d2: Callable[[float], float],
-              x1: float, x2: float) -> tuple[float, float, float]:
-    """(value, x*, w) at the root x* of d1 = d2 between x1 and x2, w = (x* - x2)/(x1 - x2).
+              x1: float, x2: float, y1: float, y2: float,
+              y_of: Callable[[float], float]) -> tuple[float, float, float, float]:
+    """(value, x*, y*, w) at the crossing d1 = d2, w = (y* - y2)/(y1 - y2).
 
-    value = w d1(x*) + (1-w) d2(x*) is flat in x at the crossing, so an error
-    in x* moves it to second order only, where either divergence alone moves
-    to first order.
+    ``d_i(y)`` is arm i's divergence to the point at coordinate y = y_of(x),
+    and arm i sits at (x_i, y_i).  By the three-point identity of Bregman
+    divergences d1 - d2 is affine in the dual coordinate x, with slope
+    -(y1 - y2), so x* = x2 + d1(y2)/(y1 - y2) = x1 - d2(y1)/(y1 - y2), read
+    from the smaller divergence: the other may overflow.  value is flat in
+    y at the crossing, so an error in y* moves it to second order only.
     """
-    x_star = bisect_root(lambda x: d1(x) - d2(x), min(x1, x2), max(x1, x2))
-    w = (x_star - x2) / (x1 - x2)
-    return w * d1(x_star) + (1.0 - w) * d2(x_star), x_star, w
+    d12, d21 = d1(y2), d2(y1)
+    x_star = x2 + d12 / (y1 - y2) if d12 <= d21 else x1 - d21 / (y1 - y2)
+    y_star = y_of(x_star)
+    w = (y_star - y2) / (y1 - y2)
+    return w * d1(y_star) + (1.0 - w) * d2(y_star), x_star, y_star, w
 
 
 def _in_range(name: str, value: float) -> float:
@@ -132,10 +105,10 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
     """Fixed-confidence complexity and its crossing parameter.
 
     Gaussian: (mu1-mu2)^2 / (2 (sigma1+sigma2)^2), crossing reported as the
-    sigma-weighted mean point.  Exponential families: solve
-    K(theta1, theta_) = K(theta2, theta_) by bisection on the mean
-    parameter; the crossing is reported as a natural parameter.  Bernoulli
-    instances solve on :func:`bernoulli_kl` of the means: the natural
+    sigma-weighted mean point.  Exponential families: K(theta1, theta_) -
+    K(theta2, theta_) is affine in theta_, so the crossing is
+    theta_ = theta2 + K(theta1, theta2)/(mu1 - mu2) (:func:`_crossing`).
+    Bernoulli instances take :func:`bernoulli_kl` of the means: the natural
     parameters logit(mean) would carry their rounding into near ties.
     """
     a1, a2 = _two_arms(instance)
@@ -148,22 +121,12 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         return _in_range("c_star_fc", value), crossing
     fam, t1, t2 = _expfam_params(instance)
     if isinstance(a1, Bernoulli):
-        # Bernoulli arms hold their means in [1e-9, 1 - 1e-9], and every point
-        # bisected lies between them: bernoulli_kl's domain, so its checks
-        # and error state are paid once, not per call
-        d1, d2 = (partial(_bernoulli_kl_of, np.asarray(a.mean, dtype=float)) for a in (a1, a2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value, mu_star, _ = _crossing(d1, d2, a1.mean, a2.mean)
+        d1, d2 = partial(bernoulli_kl, a1.mean), partial(bernoulli_kl, a2.mean)
     else:
         d1, d2 = (lambda mu: fam.kl(t1, fam.nat_of_mean(mu)),
                   lambda mu: fam.kl(t2, fam.nat_of_mean(mu)))
-        value, mu_star, _ = _crossing(d1, d2, a1.mean, a2.mean)
-    return _in_range("c_star_fc", value), fam.nat_of_mean(mu_star)
-
-
-def _bernoulli_kl_of(x: np.ndarray, mu: float) -> float:
-    """``bernoulli_kl(x, mu)`` of a 0-d ``x``, with no checks and no error state."""
-    return float(bernoulli_kl_kernel(x, np.asarray(mu, dtype=float)))
+    value, theta_star, _, _ = _crossing(d1, d2, t1, t2, a1.mean, a2.mean, fam.mean_map)
+    return _in_range("c_star_fc", value), theta_star
 
 
 def i_star_fc(instance: BanditInstance) -> float:
@@ -188,10 +151,10 @@ def i_star_fc(instance: BanditInstance) -> float:
 def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
     """Fixed-budget complexity (Chernoff information) and its crossing.
 
-    Exponential families: solve K(theta_, theta1) = K(theta_, theta2) by
-    bisection on the natural parameter.  Gaussian instances return the same
-    value as :func:`c_star_fc` (the KL is symmetric in the means when the
-    variances are held fixed).
+    Exponential families: K(theta_, theta1) = K(theta_, theta2) in closed
+    form (:func:`_chernoff`).  Gaussian instances return the same value as
+    :func:`c_star_fc` (the KL is symmetric in the means when the variances
+    are held fixed).
     """
     a1, _ = _two_arms(instance)
     if isinstance(a1, Gaussian):
@@ -201,8 +164,21 @@ def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
 
 
 def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float):
-    """(Chernoff information, theta*, alpha*) at K(theta*, theta1) = K(theta*, theta2)."""
-    return _crossing(lambda t: fam.kl(t, theta1), lambda t: fam.kl(t, theta2), theta1, theta2)
+    """(Chernoff information, theta*, alpha*) at K(theta*, theta1) = K(theta*, theta2).
+
+    K(theta, theta1) - K(theta, theta2) is affine in the mean of theta, so
+    the crossing is the mean (b(theta1) - b(theta2))/(theta1 - theta2) =
+    mu2 + K(theta2, theta1)/(theta1 - theta2) (:func:`_crossing`).  A
+    Bernoulli pair with theta1 + theta2 > 0 solves its mirror (-theta1,
+    -theta2): logit(mu*) keeps no digits of 1 - mu* near 1.
+    """
+    if fam.family_id == BERNOULLI_FAMILY.family_id and theta1 + theta2 > 0.0:
+        value, theta_star, alpha = _chernoff(fam, -theta1, -theta2)
+        return value, -theta_star, alpha
+    value, _, theta_star, alpha = _crossing(
+        lambda t: fam.kl(t, theta1), lambda t: fam.kl(t, theta2),
+        fam.mean_map(theta1), fam.mean_map(theta2), theta1, theta2, fam.nat_of_mean)
+    return value, theta_star, alpha
 
 
 def i_star_fb(instance: BanditInstance) -> float:
@@ -248,9 +224,10 @@ def optimal_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float) -> tup
     """(alpha*, g(alpha*)): the maximizer of g_alpha over alpha in (0, 1) and its value.
 
     The slope of g_alpha, K(mix, theta1) - K(mix, theta2), vanishes where
-    mix is the Chernoff crossing theta*, so :func:`c_star_fb`'s one solve
-    gives both: alpha* = (theta* - theta2)/(theta1 - theta2), and g(alpha*)
-    is the Chernoff information, bit for bit.
+    mix is the Chernoff crossing theta*, the natural parameter of the mean
+    (b(theta1) - b(theta2))/(theta1 - theta2), so alpha* =
+    (theta* - theta2)/(theta1 - theta2), and g(alpha*) is :func:`c_star_fb`'s
+    Chernoff information, bit for bit.
     """
     if theta1 == theta2:
         raise DegenerateInstance("equal natural parameters")

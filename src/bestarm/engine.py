@@ -63,7 +63,7 @@ def workspace(slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     freed, so the lockstep loop does not allocate, free and fault in its
     sub-block temporaries over and over.  The array is valid until the
     slot's next request.  The engine's own slots are "fill" (a sub-block's
-    variates) and "x" and "y" (the rows a rule runs of them).
+    variates), "x" and "y" (a rule's rows of them) and "rows" (filled_rows').
     """
     size = math.prod(shape)
     buf = _WORKSPACE.get((slot, dtype))
@@ -140,8 +140,8 @@ class StoppingRule:
         rule of a group reads the same ``x`` and ``y``, so a scan must not
         write to them: the engine hands them over read-only.  A scan may
         keep its temporaries and the arrays it returns in :func:`workspace`
-        slots other than the engine's ("fill", "x" and "y"); what it returns
-        need stay valid only until the next scan call.
+        slots other than the engine's ("fill", "x", "y" and "rows"); what it
+        returns need stay valid only until the next scan call.
         ``hits`` and ``leads`` are (rows, n) flags: the rule stops here, and
         arm 0 is recommended here.  The engine reads only each row's first
         hit, the lead there, the lead in the last column and the returned
@@ -201,13 +201,14 @@ def filled_rows(rng: np.random.Generator, reps: int, width: int, fill):
     Each row holds a replication's first ``width`` variates: ``rng``'s bit
     generator is given the replication's state (:func:`bestarm.rng.row_states`)
     and ``fill(rng, row)`` writes them.  A block holds at most BLOCK_ELEMENTS
-    floats, and one row at least; rows do not depend on it.
+    floats, and one row at least; rows do not depend on it.  ``z`` is the
+    workspace slot "rows", valid until the next iteration.
     """
     bit_generator = rng.bit_generator
     states = row_states(bit_generator.state, range(reps))
     per_block = max(1, BLOCK_ELEMENTS // width)
     for lo in range(0, reps, per_block):
-        z = np.empty((min(per_block, reps - lo), width))
+        z = workspace("rows", (min(per_block, reps - lo), width))
         for row, state in zip(z, states):
             bit_generator.state = state
             fill(rng, row)

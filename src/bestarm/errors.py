@@ -15,7 +15,3 @@ class FamilyMismatch(BestArmError, TypeError):
 
 class DegenerateInstance(BestArmError, ValueError):
     """The decisive means of a bandit instance are tied (not identifiable)."""
-
-
-class SolverError(BestArmError, RuntimeError):
-    """A numerical solver failed to converge or to verify its postcondition."""

@@ -170,13 +170,12 @@ class ExperimentRecord:
     master_seed: int
 
 
-def wilson_halfwidth(errors: int, n: int, z: float = _WILSON_Z) -> float:
+def wilson_halfwidth(errors: int, n: int) -> float:
     """Half-width of the Wilson 95% score interval for errors/n."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    p = errors / n
-    denom = 1.0 + z * z / n
-    return (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    p, z2 = errors / n, _WILSON_Z * _WILSON_Z
+    return _WILSON_Z / (1.0 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
 
 
 def _run_task(task: list[tuple]) -> list[list[tuple]]:
@@ -350,20 +349,21 @@ def run_fb_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[Experimen
 # ---------------------------------------------------------------------------
 
 X_MIN = 8.0 / (math.e - 1.0) ** 2
+_ZETA_TOL = 1e-12  # bound on the first term zeta omits
 
 
-def zeta(u: float, tol: float = 1e-12) -> float:
+def zeta(u: float) -> float:
     """Riemann zeta for u > 1 via partial sum plus integral-tail estimate.
 
     Euler-Maclaurin correction terms (K^-u/2, u K^-(u+1)/12) are added to
     the K^(1-u)/(u-1) tail so the first omitted term, bounded by
-    u(u+1)(u+2) K^-(u+3)/720, is below ``tol``; otherwise reaching 1e-12
+    u(u+1)(u+2) K^-(u+3)/720, is below _ZETA_TOL; otherwise reaching 1e-12
     near u=1 would need astronomically many terms.  The result is finite
     for every finite u > 1.
     """
     if not 1.0 < u < math.inf:
         raise DomainError(f"zeta requires finite u > 1, got {u}")
-    ratio = u * (u + 1.0) * (u + 2.0) / 720.0 / tol
+    ratio = u * (u + 1.0) * (u + 2.0) / 720.0 / _ZETA_TOL
     # for huge u the ratio overflows to inf while its (u+3)-th root tends to 1
     k = 16 if math.isinf(ratio) else max(16, math.ceil(ratio ** (1.0 / (u + 3.0))))
     ks = np.arange(1, k, dtype=float)

@@ -358,7 +358,7 @@ def test_simulate_fb_ten_row_grid(tmp_path):
 
 
 def test_simulate_fb_optimal_near_tie(tmp_path):
-    # alpha* = 0.5000000017 for means 1e-4 apart; one bisection finds it
+    # alpha* = 0.5000000017 for means 1e-4 apart
     out = tmp_path / "tie.csv"
     code, _, err = run_cli("simulate-fb", "--family", "bernoulli",
                            "--means", "0.5,0.4999", "--alloc", "optimal",
@@ -425,16 +425,23 @@ _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.2
      "--budgets", "9007199254740993"],
     ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1", *_FB_ARGS,
      "--budgets", "4503599627370496.6"],
+    # the fixed-budget bounds need gaussian arms of one common variance
+    ["bound", "--family", "gaussian", "--means", "0.5,0", "--variances", "1,0.25",
+     "--delta", "0.1", "--budget", "100"],
+    ["bound", "--family", "bernoulli", "--means", "0.2,0.1", "--delta", "0.1",
+     "--budget", "100"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"
-    if argv[0] != "lil-check":
+    if argv[0].startswith("simulate-"):
         argv = [*argv, "--out", str(out)]
     code = main(argv)
     captured = capsys.readouterr()
     err = captured.err.strip()
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    if "--budget" in argv:
+        assert "--budget" in err
     assert captured.out == ""
     assert not out.exists()
 

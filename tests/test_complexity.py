@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bestarm.complexity import (
     _expfam_params,
-    bisect_root,
     c_star_fb,
     c_star_fc,
     complexity_report,
@@ -30,7 +29,7 @@ from bestarm.dists import (
     gaussian_family,
     mean_to_nat,
 )
-from bestarm.errors import DegenerateInstance, DomainError, SolverError
+from bestarm.errors import DegenerateInstance, DomainError
 from bestarm.instances import BanditInstance, two_armed_bernoulli, two_armed_gaussian
 
 EASY = two_armed_gaussian(0.5, 0.0, 0.25)
@@ -206,6 +205,94 @@ def test_expfam_bernoulli_rates_near_ties_far_from_one_half():
             assert value == pytest.approx(reference, rel=1e-6, abs=0.0)
 
 
+D = decimal.Decimal
+
+# log-partition b, mean map b' and its inverse of each family, in 40-digit decimals
+_BERNOULLI_DECIMAL = (lambda t: (1 + t.exp()).ln(), lambda t: 1 / (1 + (-t).exp()),
+                      lambda m: (m / (1 - m)).ln())
+_EXPONENTIAL_DECIMAL = (lambda t: -(-t).ln(), lambda t: -1 / t, lambda m: -1 / m)
+
+
+def _closed_form_references(family, t1, t2):
+    """(c_star_fc, c_star_fb, alpha*) of the decimal natural parameters t1, t2, to 40 digits.
+
+    K(t, u) = b(u) - b(t) - b'(t)(u - t).  The reversed crossing is
+    theta = (b*(mu1) - b*(mu2))/(mu1 - mu2) with b*(mu) = mu theta - b(theta)
+    the conjugate, and the Chernoff crossing is the mean
+    (b(t1) - b(t2))/(t1 - t2): the roots of the two affine differences.
+    """
+    b, mean, nat = family
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+
+        def kl(t, u):
+            return b(u) - b(t) - mean(t) * (u - t)
+
+        def conjugate(t):
+            return mean(t) * t - b(t)
+
+        reversed_ = (conjugate(t1) - conjugate(t2)) / (mean(t1) - mean(t2))
+        chernoff = nat((b(t1) - b(t2)) / (t1 - t2))
+        return (float(kl(t1, reversed_)), float(kl(chernoff, t1)),
+                float((chernoff - t2) / (t1 - t2)))
+
+
+def _assert_closed_forms(instance, fc_thetas):
+    """c_star_fc against the references of ``fc_thetas``, c_star_fb and alpha*
+    against those of the instance's own natural parameters, to 1e-12 relative."""
+    fam, t1, t2 = _expfam_params(instance)
+    family = _BERNOULLI_DECIMAL if fam is BERNOULLI_FAMILY else _EXPONENTIAL_DECIMAL
+    c_fc, _, _ = _closed_form_references(family, *fc_thetas)
+    _, c_fb, alpha_ref = _closed_form_references(family, D(t1), D(t2))
+    alpha, g_value = optimal_alpha(fam, t1, t2)
+    assert c_star_fc(instance)[0] == pytest.approx(c_fc, rel=1e-12, abs=0.0)
+    assert c_star_fb(instance)[0] == pytest.approx(c_fb, rel=1e-12, abs=0.0)
+    assert g_value == pytest.approx(c_fb, rel=1e-12, abs=0.0)
+    assert alpha == pytest.approx(alpha_ref, rel=1e-12, abs=0.0)
+
+
+def _bernoulli_decimal_thetas(x, y):
+    """logit of the two double means, to 40 digits: c_star_fc reads the means."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return tuple(_BERNOULLI_DECIMAL[2](D(m)) for m in (x, y))
+
+
+def test_crossings_match_40_digit_closed_forms():
+    # 100 Bernoulli and 100 exponential pairs at least 1e-2 apart
+    rng = np.random.default_rng(2020)
+    pairs = 0
+    while pairs < 100:
+        x, y = (float(m) for m in rng.uniform(0.01, 0.99, 2))
+        if abs(x - y) >= 1e-2:
+            pairs += 1
+            _assert_closed_forms(two_armed_bernoulli(x, y), _bernoulli_decimal_thetas(x, y))
+    pairs = 0
+    while pairs < 100:
+        means = (10.0 ** rng.uniform(-3, 3, 2)).tolist()
+        if abs(means[0] - means[1]) >= 1e-2 * max(means):
+            pairs += 1
+            thetas = [mean_to_nat(EXPONENTIAL_FAMILY, m) for m in means]
+            instance = BanditInstance(tuple(ExpFamilyArm(EXPONENTIAL_FAMILY, t)
+                                            for t in thetas))
+            _assert_closed_forms(instance, [D(t) for t in thetas])
+
+
+def test_bernoulli_alpha_star_in_the_tails():
+    # means within 1e-9 of 1: theta* = logit(mu*) keeps no digits of 1 - mu*
+    # there, so the Chernoff crossing is read on the mirrored pair near 0
+    rng = np.random.default_rng(2021)
+    gaps = [(1e-9, 2e-9)] + [tuple(1e-9 * (1.0 + 9.0 * rng.random(2))) for _ in range(40)]
+    for a, b in gaps:
+        if abs(a - b) < 1e-2 * max(a, b):
+            continue
+        for x, y in ((1.0 - a, 1.0 - b), (a, b)):
+            fam, t1, t2 = _expfam_params(two_armed_bernoulli(x, y))
+            _, _, reference = _closed_form_references(_BERNOULLI_DECIMAL, D(t1), D(t2))
+            assert optimal_alpha(fam, t1, t2)[0] == pytest.approx(reference, rel=1e-12,
+                                                                  abs=0.0)
+
+
 # --- ordering invariants --------------------------------------------------------
 
 @given(mean_pairs)
@@ -286,18 +373,6 @@ def test_bisection_crossing_balance():
         assert abs(left - right) <= 1e-10 * max(left, right)
 
 
-def test_bisect_root_requires_sign_change():
-    with pytest.raises(SolverError):
-        bisect_root(lambda x: 1.0 + x * x, 0.0, 1.0)
-
-
-def test_bisect_root_reads_signs_of_tiny_values():
-    # the product of two values below 1e-162 underflows to 0
-    assert bisect_root(lambda x: 1e-200 * (x - 0.3), 0.0, 1.0) == pytest.approx(0.3, abs=1e-11)
-    with pytest.raises(SolverError):
-        bisect_root(lambda x: 1e-200 * (1.0 + x), 0.0, 1.0)
-
-
 # --- g_alpha and the optimal allocation ------------------------------------------
 
 def test_g_alpha_midpoint_matches_i_star_fb():
@@ -359,7 +434,7 @@ def test_optimal_alpha_reads_the_chernoff_solve():
         value, theta_star = c_star_fb(instance)
         assert g_value == value
         assert alpha == (theta_star - t2) / (t1 - t2)
-    # one solve: about 42 halvings at two divergence calls each, plus the ends
+    # one closed-form solve: two divergences at the arms, two at the crossing
     calls = []
 
     def counting(theta1, theta2):
@@ -368,7 +443,7 @@ def test_optimal_alpha_reads_the_chernoff_solve():
 
     fam = dataclasses.replace(BERNOULLI_FAMILY, kl=counting)
     optimal_alpha(fam, _logit(0.2), _logit(0.1))
-    assert len(calls) <= 90
+    assert len(calls) == 4
 
 
 @given(mean_pairs)
@@ -422,7 +497,7 @@ def test_optimal_alpha_exponential_near_tie():
     # Chernoff information to leading order: b''(theta) (t1 - t2)^2 / 8 = x^2 / 8
     x = (t2 - t1) / t1
     assert g_value == pytest.approx(x * x / 8.0, rel=1e-6, abs=0.0)
-    # c_star_fb bisects theta to a width relative to this bracket, not to theta
+    # c_star_fb reads the crossing to a precision relative to the gap, not to theta
     arms = tuple(ExpFamilyArm(EXPONENTIAL_FAMILY, t) for t in (t1, t2))
     assert c_star_fb(BanditInstance(arms))[0] == pytest.approx(g_value, rel=1e-9, abs=0.0)
 

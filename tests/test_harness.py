@@ -751,6 +751,23 @@ def test_lil_crossing_rejects_what_the_bound_rejects(x, beta):
         empirical_lil_crossing(1.0, x, beta, 10, 10, 0)
 
 
+def test_lil_crossing_reuses_the_rows_slot(monkeypatch):
+    # every block of both calls is the engine's "rows" workspace, not a fresh array
+    blocks = []
+    filled_rows = engine.filled_rows
+
+    def spy(*args):
+        for lo, z in filled_rows(*args):
+            blocks.append(z.__array_interface__["data"][0])
+            yield lo, z
+
+    monkeypatch.setattr(engine, "filled_rows", spy)
+    for seed in (23, 24):
+        empirical_lil_crossing(1.0, 3.0, 1.5, 500, 500, seed)
+    assert len(blocks) > 2 and len(set(blocks)) == 1
+    assert blocks[0] == engine.workspace("rows", (1,)).__array_interface__["data"][0]
+
+
 def test_lil_crossing_monotone_in_horizon():
     f_short = empirical_lil_crossing(1.0, 3.0, 1.5, 500, 500, 23)
     f_long = empirical_lil_crossing(1.0, 3.0, 1.5, 1000, 500, 23)
