@@ -289,20 +289,30 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lil_check(args) -> int:
-    bound = harness.deviation_bound(args.x, args.beta)
-    freq = harness.empirical_lil_crossing(
-        args.sigma, args.x, args.beta, int(args.horizon), int(args.paths),
-        int(args.seed))
-    print(f"x={_FMT(args.x)} beta={_FMT(args.beta)} sigma={_FMT(args.sigma)} "
-          f"horizon={int(args.horizon)} paths={int(args.paths)} "
-          f"deviation_bound={_FMT(bound)} empirical_frequency={_FMT(freq)}")
+    xs, betas = _parse_floats(args.x), _parse_floats(args.beta)
+    if not xs or not betas:
+        raise BestArmError("--x and --beta each need at least one number")
+    # every bound (and so every domain check) comes before any walk, so an error prints alone
+    pairs = [(x, beta, harness.deviation_bound(x, beta)) for x in xs for beta in betas]
+    for x, beta, bound in pairs:
+        freq = harness.empirical_lil_crossing(args.sigma, x, beta, args.horizon, args.paths,
+                                              args.seed)
+        print(f"x={_FMT(x)} beta={_FMT(beta)} sigma={_FMT(args.sigma)} "
+              f"horizon={args.horizon} paths={args.paths} "
+              f"deviation_bound={_FMT(bound)} empirical_frequency={_FMT(freq)}")
     return 0
 
 
 def cmd_reproduce_figure(args) -> int:
-    out = args.out or f"{args.figure}.csv"
-    configs = presets.figure_configs(args.figure, int(args.reps), int(args.seed))
-    return _run_and_write(configs, out, _resolve_workers(args))
+    names = presets.FIGURE_PRESETS if "all" in args.figures else dict.fromkeys(args.figures)
+    if len(names) > 1 and "{figure}" not in args.out:
+        raise BestArmError(f"--out {args.out!r} names one file for {len(names)} figures: "
+                           "put {figure} in it")
+    workers = _resolve_workers(args)
+    for name in names:
+        configs = presets.figure_configs(name, args.reps, args.seed)
+        _run_and_write(configs, args.out.replace("{figure}", name), workers)
+    return 0
 
 
 def _add_instance_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -376,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lil-check",
                        help="deviation bound vs empirical crossing frequency")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--x", required=True, help="comma-separated x values")
+    p.add_argument("--beta", required=True, help="comma-separated beta values")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--horizon", type=int, default=10000)
     p.add_argument("--paths", type=int, default=10000)
@@ -385,11 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lil_check)
 
     p = sub.add_parser("reproduce-figure",
-                       help="run a preset comparison grid and write its CSV")
-    p.add_argument("figure", choices=presets.FIGURE_PRESETS)
+                       help="run preset comparison grids, one CSV each")
+    p.add_argument("figures", nargs="+", choices=(*presets.FIGURE_PRESETS, "all"),
+                   help="presets to run in turn; all runs every one")
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="{figure}.csv",
+                   help="output CSV path; {figure} stands for each preset's name")
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=cmd_reproduce_figure)
 

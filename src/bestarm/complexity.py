@@ -110,6 +110,8 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
     theta_ = theta2 + K(theta1, theta2)/(mu1 - mu2) (:func:`_crossing`).
     Bernoulli instances take :func:`bernoulli_kl` of the means: the natural
     parameters logit(mean) would carry their rounding into near ties.
+    Bernoulli ``ExpFamilyArm`` pairs with theta1 + theta2 > 0 are solved on
+    their mirror (-theta1, -theta2).
     """
     a1, a2 = _two_arms(instance)
     if isinstance(a1, Gaussian):
@@ -120,6 +122,13 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         value = _square(a1.mean - a2.mean) / (2.0 * _square(s1 + s2))
         return _in_range("c_star_fc", value), crossing
     fam, t1, t2 = _expfam_params(instance)
+    if isinstance(a1, ExpFamilyArm) and fam.family_id == BERNOULLI_FAMILY.family_id \
+            and t1 + t2 > 0.0:
+        # means near 1 keep no digits of their difference, which the crossing
+        # divides by: solve the mirror near 0, as _chernoff does
+        mirror = BanditInstance((ExpFamilyArm(fam, -t1), ExpFamilyArm(fam, -t2)))
+        value, theta_star = c_star_fc(mirror)
+        return value, -theta_star
     if isinstance(a1, Bernoulli):
         d1, d2 = partial(bernoulli_kl, a1.mean), partial(bernoulli_kl, a2.mean)
     else:

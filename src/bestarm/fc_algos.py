@@ -208,8 +208,8 @@ class EliminationRule(StoppingRule):
         validate_rate(rate, delta)
         if sigma is None:
             sigma = _equal_variance_sigma(instance)
-        elif not (math.isfinite(sigma) and sigma > 0):
-            raise DomainError(f"sigma must be finite and positive, got {sigma}")
+        if not (sigma > 0 and math.isfinite(2.0 * sigma * sigma)):  # the thresholds' factor
+            raise DomainError(f"sigma must be positive with 2 sigma^2 finite, got {sigma}")
         self.paired = isinstance(instance.arms[0], Gaussian)
         super().__init__(instance, _paired_steps(instance, delta, tau_max))
         self.rate, self.delta, self.sigma = rate, delta, sigma

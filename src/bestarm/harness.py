@@ -402,15 +402,13 @@ def deviation_bound(x: float, beta: float) -> float:
                           "exceeds the float range") from None
 
 
-def lil_envelope(sigma: float, x: float, beta: float, horizon: int) -> np.ndarray:
-    """sqrt(2 sigma^2 t (x + beta loglog(e t))) for t = 1..horizon."""
-    t = np.arange(1, horizon + 1, dtype=float)
-    return np.sqrt(2.0 * sigma**2 * t * (x + beta * np.log(np.log(math.e * t))))
-
-
 def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
                            paths: int, master_seed: int) -> float:
     """Fraction of Gaussian random-walk paths crossing the envelope by ``horizon``.
+
+    A walk sigma S_t crosses sqrt(2 sigma^2 t (x + beta loglog(e t))) exactly
+    when S_t crosses the envelope of sigma 1, so the walks are read at sigma
+    1, where no scaling can underflow or overflow; sigma is only checked.
 
     A finite-horizon lower estimate of the infinite-horizon crossing
     probability bounded by :func:`deviation_bound`.  Path i reads the PCG64
@@ -425,10 +423,10 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     _check_lil_domain(x, beta)
     check_seed(master_seed)
-    threshold = lil_envelope(sigma, x, beta, horizon)
+    t = np.arange(1, horizon + 1, dtype=float)
+    threshold = np.sqrt(2.0 * t * (x + beta * np.log(np.log(math.e * t))))
     crossed = 0
     for _, z in engine.filled_rows(make_rng(master_seed), paths, horizon, _fill_normal):
-        z *= sigma
         walks = np.cumsum(z, axis=1, out=z)
         crossed += int(np.count_nonzero((walks > threshold).any(axis=1)))
     return crossed / paths

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from bestarm import cli
+from bestarm import cli, presets
 from bestarm.cli import build_instance, main, parse_grid
 from bestarm.errors import BestArmError
 from bestarm.fc_algos import ExplorationRate, eval_rate
@@ -207,6 +210,60 @@ def test_reproduce_figure_smoke(tmp_path):
     assert "sprt[exact]" in algorithms
     assert "static[uniform]" in algorithms
     assert any(a.startswith("elimination[") for a in algorithms)
+
+
+def test_reproduce_figure_all_matches_single_runs(tmp_path, capsys):
+    assert main(["reproduce-figure", "all", "--reps", "3", "--seed", "5",
+                 "--out", str(tmp_path / "{figure}.csv")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(presets.FIGURE_PRESETS)
+    for name in presets.FIGURE_PRESETS:
+        single = tmp_path / f"single-{name}.csv"
+        assert main(["reproduce-figure", name, "--reps", "3", "--seed", "5",
+                     "--out", str(single)]) == 0
+        assert (tmp_path / f"{name}.csv").read_bytes() == single.read_bytes()
+
+
+def test_reproduce_figure_runs_a_repeated_name_once(tmp_path, capsys):
+    out = tmp_path / "once.csv"
+    assert main(["reproduce-figure", "fig3-easy", "fig3-easy", "--reps", "3",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {len(read_records(str(out)))} records to {out}\n"
+
+
+def test_several_figures_need_figure_in_out(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["reproduce-figure", "fig3-easy", "fig4-left", "--reps", "3",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "--out" in err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lil_check_lists_print_each_pair_in_x_major_order(capsys):
+    run = ["--horizon", "200", "--paths", "200", "--seed", "1"]
+    assert main(["lil-check", "--x", "3,5", "--beta", "1.5,2", *run]) == 0
+    lines = capsys.readouterr().out
+    singles = ""
+    for x in ("3", "5"):
+        for beta in ("1.5", "2"):
+            assert main(["lil-check", "--x", x, "--beta", beta, *run]) == 0
+            singles += capsys.readouterr().out
+    assert lines == singles and len(lines.splitlines()) == 4
+
+
+def test_readme_commands_parse():
+    # every bestarm command line of README's sh blocks parses, unrun
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    commands = [line for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("bestarm ")]
+    assert len(commands) >= 8
+    parser = cli.build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_workers_env_fallback(tmp_path):
@@ -430,6 +487,13 @@ _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.2
      "--delta", "0.1", "--budget", "100"],
     ["bound", "--family", "bernoulli", "--means", "0.2,0.1", "--delta", "0.1",
      "--budget", "100"],
+    # 2 sigma^2 overflows: the elimination thresholds would raise OverflowError
+    ["simulate-fc", "--family", "bernoulli", "--means", "0.2,0.1", "--algo", "elimination",
+     "--rate", "robbins", "--sigma", "1e200", "--deltas", "0.1", "--reps", "10", "--seed", "4"],
+    # every (x, beta) pair is checked before the first walk prints its line
+    ["lil-check", "--x", "3,5", "--beta", "1.5,0.5", "--horizon", "50", "--paths", "10"],
+    ["lil-check", "--x", "3,nan", "--beta", "1.5", "--horizon", "50", "--paths", "10"],
+    ["lil-check", "--x", ",", "--beta", "1.5", "--horizon", "50", "--paths", "10"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"

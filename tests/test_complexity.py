@@ -278,6 +278,25 @@ def test_crossings_match_40_digit_closed_forms():
             _assert_closed_forms(instance, [D(t) for t in thetas])
 
 
+@pytest.mark.parametrize("t1, t2", [(30.0, 30.5), (-30.0, -30.5), (30.5, 30.0),
+                                    (36.0, 40.0), (-1.0, 3.0), (0.5, -0.2)])
+def test_expfam_bernoulli_reversed_crossing_matches_50_digits(t1, t2):
+    # means near 1 keep no digits of their difference, which the crossing
+    # divides by: a pair with t1 + t2 > 0 is solved on its mirror near 0
+    b, mean, _ = _BERNOULLI_DECIMAL
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d1, d2 = D(t1), D(t2)
+        kl_12 = b(d2) - b(d1) - mean(d1) * (d2 - d1)
+        theta = d2 + kl_12 / (mean(d1) - mean(d2))
+        rate = b(theta) - b(d1) - mean(d1) * (theta - d1)
+    instance = BanditInstance((ExpFamilyArm(BERNOULLI_FAMILY, t1),
+                               ExpFamilyArm(BERNOULLI_FAMILY, t2)))
+    value, theta_star = c_star_fc(instance)
+    assert value == pytest.approx(float(rate), rel=1e-12, abs=0.0)
+    assert theta_star == pytest.approx(float(theta), rel=1e-12, abs=0.0)
+
+
 def test_bernoulli_alpha_star_in_the_tails():
     # means within 1e-9 of 1: theta* = logit(mu*) keeps no digits of 1 - mu*
     # there, so the Chernoff crossing is read on the mirrored pair near 0

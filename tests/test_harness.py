@@ -774,6 +774,14 @@ def test_lil_crossing_monotone_in_horizon():
     assert f_long >= f_short
 
 
+@pytest.mark.parametrize("sigma", [1e-200, 1e-5, 3.0, 1e200, 1e300])
+def test_lil_crossing_is_invariant_in_sigma(sigma):
+    # sigma Z crosses sigma env exactly when Z does; scaling the walk made
+    # sigma^2 underflow (a zero envelope) or overflow (an OverflowError)
+    reference = empirical_lil_crossing(1.0, 3.0, 1.5, 500, 500, 23)
+    assert empirical_lil_crossing(sigma, 3.0, 1.5, 500, 500, 23) == reference
+
+
 def test_lil_crossing_below_bound_light():
     freq = empirical_lil_crossing(1.0, 3.0, 1.5, 2000, 2000, 29)
     bound = deviation_bound(3.0, 1.5)
