@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print a sha256 of every record file a fixed set of runs writes.
 
-A loop over ``bestarm`` commands: each figure preset at seeds 0 and
+The first line is ``numpy <version>``, the build the bytes depend on.  Then
+comes a loop over ``bestarm`` commands: each figure preset at seeds 0 and
 1000003 and at 1 and 2 workers, then ``simulate-fb --alloc optimal`` on a
 Bernoulli and an exponential instance, then alpha-elimination (which no
 preset runs) on a Gaussian instance of unequal variances at the same seeds
@@ -22,7 +23,11 @@ Bernoulli arms whose means lie in a tail, within 1e-2 of 0 or of 1, and
 ``rates-*`` every ``complexity_report`` field, for Bernoulli, exponential
 and Gaussian arms of unequal variances.
 
-    python scripts/record_digests.py > digests.txt
+``record_digests.txt`` beside this script holds the lines of the current
+code, and ``tests/test_record_digests.py`` reruns the script and compares.
+A change that moves a line regenerates the file in the same commit:
+
+    PYTHONPATH=src python scripts/record_digests.py > scripts/record_digests.txt
 """
 
 import contextlib
@@ -116,6 +121,7 @@ def solver_digests():
 
 
 def main() -> int:
+    print("numpy", np.__version__, flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "records.csv"
         for label, seed, workers, argv in runs():

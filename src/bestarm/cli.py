@@ -247,10 +247,19 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _run_and_write(configs: list[ExperimentConfig], out: str, workers: int) -> int:
-    records = harness.run_experiments(configs, workers)
-    records_io.write_records(records, out)
-    print(f"wrote {len(records)} records to {out}")
+def _run_and_write(jobs: list[tuple[list[ExperimentConfig], str]], workers: int) -> int:
+    """Run each (configs, out) job in turn and write its records to out.
+
+    Every out's directory is checked before the first run, so a missing
+    one fails at once, not after the runs before it.
+    """
+    for _, out in jobs:
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise BestArmError(f"--out {out!r}: its directory does not exist")
+    for configs, out in jobs:
+        records = harness.run_experiments(configs, workers)
+        records_io.write_records(records, out)
+        print(f"wrote {len(records)} records to {out}")
     return 0
 
 
@@ -285,7 +294,7 @@ def cmd_simulate(args) -> int:
     # arguments evaluate in order: an instance error is reported before a spec error
     cfg = ExperimentConfig(_instance(args), _algorithm_spec(args),
                            parse_grid(args.grid, integer=fixed_budget), args.reps, args.seed)
-    return _run_and_write([cfg], args.out, _resolve_workers(args))
+    return _run_and_write([([cfg], args.out)], _resolve_workers(args))
 
 
 def cmd_lil_check(args) -> int:
@@ -308,11 +317,9 @@ def cmd_reproduce_figure(args) -> int:
     if len(names) > 1 and "{figure}" not in args.out:
         raise BestArmError(f"--out {args.out!r} names one file for {len(names)} figures: "
                            "put {figure} in it")
-    workers = _resolve_workers(args)
-    for name in names:
-        configs = presets.figure_configs(name, args.reps, args.seed)
-        _run_and_write(configs, args.out.replace("{figure}", name), workers)
-    return 0
+    return _run_and_write([(presets.figure_configs(name, args.reps, args.seed),
+                            args.out.replace("{figure}", name)) for name in names],
+                          _resolve_workers(args))
 
 
 def _add_instance_flags(p: argparse.ArgumentParser, required: bool = True) -> None:

@@ -165,7 +165,9 @@ def _resolve_tau_max(instance: BanditInstance, delta: float, tau_max: int | None
 
 
 def _paired_steps(instance: BanditInstance, delta: float, tau_max: int | None) -> int:
-    return max(1, _resolve_tau_max(instance, delta, tau_max) // 2)
+    """Paired steps (two draws each) within the cap; at least one under the default cap."""
+    steps = _resolve_tau_max(instance, delta, tau_max) // 2
+    return steps if tau_max is not None else max(1, steps)
 
 
 def _layout(rule: StoppingRule, paired: bool) -> tuple:

@@ -13,15 +13,8 @@ from .fc_algos import ExplorationRate
 from .harness import AlgorithmSpec, ExperimentConfig
 from .instances import two_armed_bernoulli, two_armed_gaussian
 
-EASY_GAUSSIAN = two_armed_gaussian(0.5, 0.0, 0.25)
-HARD_GAUSSIAN = two_armed_gaussian(0.01, 0.0, 0.25)
-BERNOULLI_EASY = two_armed_bernoulli(0.2, 0.1)
-BERNOULLI_HARD = two_armed_bernoulli(0.51, 0.5)
-
 #: 1/4-subgaussian proxy for arms supported in [0, 1].
 BOUNDED_SIGMA = 0.5
-
-FIGURE_PRESETS = ("fig3-easy", "fig3-hard", "fig4-left", "fig4-right")
 
 
 def _gaussian_panel(deltas, budgets) -> list[tuple[AlgorithmSpec, tuple]]:
@@ -43,41 +36,24 @@ def _bernoulli_panel(deltas, budgets) -> list[tuple[AlgorithmSpec, tuple]]:
     return panel
 
 
+#: Preset name: (instance, panel, delta grid, budget grid), in run order.
+_PRESETS = {
+    "fig3-easy": (two_armed_gaussian(0.5, 0.0, 0.25), _gaussian_panel,
+                  (0.1, 0.05, 0.01, 0.005, 0.001), range(10, 101, 10)),
+    "fig3-hard": (two_armed_gaussian(0.01, 0.0, 0.25), _gaussian_panel,
+                  (0.1, 0.01), (20000, 60000, 100000)),
+    "fig4-left": (two_armed_bernoulli(0.2, 0.1), _bernoulli_panel,
+                  (0.1, 0.03, 0.01, 0.003), range(100, 701, 100)),
+    "fig4-right": (two_armed_bernoulli(0.51, 0.5), _bernoulli_panel,
+                   (0.1, 0.03), range(10000, 50001, 10000)),
+}
+FIGURE_PRESETS = tuple(_PRESETS)
+
+
 def figure_configs(name: str, replications: int, master_seed: int) -> list[ExperimentConfig]:
     """Experiment configs for one preset, in deterministic emission order."""
-    if name == "fig3-easy":
-        instance = EASY_GAUSSIAN
-        panel = _gaussian_panel(
-            deltas=(0.1, 0.05, 0.01, 0.005, 0.001),
-            budgets=(10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
-        )
-    elif name == "fig3-hard":
-        instance = HARD_GAUSSIAN
-        panel = _gaussian_panel(
-            deltas=(0.1, 0.01),
-            budgets=(20000, 60000, 100000),
-        )
-    elif name == "fig4-left":
-        instance = BERNOULLI_EASY
-        panel = _bernoulli_panel(
-            deltas=(0.1, 0.03, 0.01, 0.003),
-            budgets=(100, 200, 300, 400, 500, 600, 700),
-        )
-    elif name == "fig4-right":
-        instance = BERNOULLI_HARD
-        panel = _bernoulli_panel(
-            deltas=(0.1, 0.03),
-            budgets=(10000, 20000, 30000, 40000, 50000),
-        )
-    else:
+    if name not in _PRESETS:
         raise ValueError(f"unknown figure preset {name!r}; choose from {FIGURE_PRESETS}")
-    return [
-        ExperimentConfig(
-            instance=instance,
-            algorithm=spec,
-            grid=tuple(float(v) for v in grid),
-            replications=replications,
-            master_seed=master_seed,
-        )
-        for spec, grid in panel
-    ]
+    instance, panel, deltas, budgets = _PRESETS[name]
+    return [ExperimentConfig(instance, spec, tuple(map(float, grid)), replications, master_seed)
+            for spec, grid in panel(deltas, budgets)]

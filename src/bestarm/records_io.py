@@ -1,11 +1,16 @@
 """CSV persistence for experiment records.
 
-Fixed schema, UTF-8, "\n" newlines, floats at 12 significant digits.
-Record labels are comma-free by construction, so rows are plain joins and
-the output bytes are a pure function of the records.
+Fixed schema, UTF-8, "\n" newlines, floats at 12 significant digits.  The
+columns are ``ExperimentRecord``'s fields, in order: each is written and
+read by its declared type.  Record labels are comma-free by construction,
+so rows are plain joins and the output bytes are a pure function of the
+records.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import typing
 
 from .errors import DomainError
 from .harness import ExperimentRecord
@@ -18,21 +23,14 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
+_FORMATS = {float: format_float, int: str, str: str}
+_HINTS = typing.get_type_hints(ExperimentRecord)
+#: (field name, declared type) of each column, in field order.
+_COLUMNS = tuple((f.name, _HINTS[f.name]) for f in dataclasses.fields(ExperimentRecord))
+
+
 def record_row(rec: ExperimentRecord) -> str:
-    fields = [
-        rec.algorithm,
-        rec.instance,
-        rec.family,
-        rec.param,
-        format_float(rec.grid_value),
-        str(rec.replications),
-        format_float(rec.error_rate),
-        format_float(rec.error_ci_halfwidth),
-        format_float(rec.mean_tau),
-        format_float(rec.std_tau),
-        str(rec.exhausted_count),
-        str(rec.master_seed),
-    ]
+    fields = [_FORMATS[kind](getattr(rec, name)) for name, kind in _COLUMNS]
     for f in fields:
         if "," in f or "\n" in f:
             raise DomainError(f"record field {f!r} would break the CSV layout")
@@ -59,20 +57,7 @@ def read_records(path: str) -> list[ExperimentRecord]:
     out = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != 12:
+        if len(parts) != len(_COLUMNS):
             raise DomainError(f"malformed record row: {line!r}")
-        out.append(ExperimentRecord(
-            algorithm=parts[0],
-            instance=parts[1],
-            family=parts[2],
-            param=parts[3],
-            grid_value=float(parts[4]),
-            replications=int(parts[5]),
-            error_rate=float(parts[6]),
-            error_ci_halfwidth=float(parts[7]),
-            mean_tau=float(parts[8]),
-            std_tau=float(parts[9]),
-            exhausted_count=int(parts[10]),
-            master_seed=int(parts[11]),
-        ))
+        out.append(ExperimentRecord(*(kind(part) for (_, kind), part in zip(_COLUMNS, parts))))
     return out

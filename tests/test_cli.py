@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from bestarm import cli, presets
 from bestarm.cli import build_instance, main, parse_grid
 from bestarm.errors import BestArmError
 from bestarm.fc_algos import ExplorationRate, eval_rate
-from bestarm.harness import AlgorithmSpec, ExperimentConfig, run_fb_experiment
+from bestarm.harness import AlgorithmSpec, ExperimentConfig, ExperimentRecord, run_fb_experiment
 from bestarm.instances import two_armed_bernoulli
 from bestarm.records_io import (
     CSV_HEADER,
@@ -137,6 +138,27 @@ def test_csv_round_trip(tmp_path):
     assert records_to_csv(parsed) == text
 
 
+def test_csv_columns_are_the_record_fields_in_order():
+    names = [f.name for f in dataclasses.fields(ExperimentRecord)]
+    header = CSV_HEADER.split(",")
+    assert len(header) == len(names)
+    renamed = {"grid_value": "metric_grid_value", "master_seed": "seed"}
+    assert header == [renamed.get(name, name) for name in names]
+
+
+def test_read_records_rejects_a_row_of_the_wrong_width(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(f"{CSV_HEADER}\na,b,c\n")
+    with pytest.raises(BestArmError, match="malformed record row"):
+        read_records(str(path))
+
+
+def test_figure_presets_keep_their_order():
+    assert presets.FIGURE_PRESETS == ("fig3-easy", "fig3-hard", "fig4-left", "fig4-right")
+    with pytest.raises(ValueError, match="unknown figure preset"):
+        presets.figure_configs("fig5", 1, 0)
+
+
 def test_simulate_fb_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1",
@@ -240,6 +262,30 @@ def test_several_figures_need_figure_in_out(tmp_path, capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1 and "--out" in err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce-figure", "fig3-easy", "fig3-hard", "--reps", "3", "--out", "{figure}/r.csv"],
+    ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1", "--budgets", "100",
+     "--reps", "3", "--seed", "4", "--out", "fig3-hard/r.csv"],
+], ids=["reproduce-figure", "simulate-fb"])
+def test_missing_out_directory_fails_before_any_run(tmp_path, monkeypatch, capsys, argv):
+    # fig3-easy's directory exists and fig3-hard's does not: no figure runs
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig3-easy").mkdir()
+
+    def run_experiments(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli.harness, "run_experiments", run_experiments)
+    code = main(argv)
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "fig3-hard/r.csv" in err
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.rglob("*")] == ["fig3-easy"]
 
 
 def test_lil_check_lists_print_each_pair_in_x_major_order(capsys):
@@ -617,13 +663,18 @@ def test_static_runs_a_huge_budget_in_bounded_memory(tmp_path, family):
     assert rec.mean_tau == 1e9 and rec.replications == 3
 
 
-@pytest.mark.parametrize("tau_max", ["0", "1"])
+@pytest.mark.parametrize("tau_max", ["0", "1", "2", "3"])
 def test_tiny_tau_max_still_runs(tmp_path, tau_max):
-    # one paired step: a row is exhausted unless its first difference
-    # X - Y ~ N(0.5, 0.5), read from its own stream, crosses the robbins threshold
+    # a given cap allows tau_max // 2 paired steps: none at caps 0 and 1, where
+    # every row is exhausted at tau 0; at caps 2 and 3 one step, where a row is
+    # exhausted unless its first difference X - Y ~ N(0.5, 0.5), read from its
+    # own stream, crosses the robbins threshold
     out = tmp_path / "tiny.csv"
     assert main(["simulate-fc", *_FC_ARGS, "--tau-max", tau_max, "--out", str(out)]) == 0
     rec, = read_records(str(out))
+    if int(tau_max) < 2:
+        assert rec.exhausted_count == 10 and rec.mean_tau == 0.0
+        return
     threshold = math.sqrt(2.0 * 0.25 * 2 * eval_rate(ExplorationRate.ROBBINS_LOG_T, 2, 0.1))
     within = 0
     rng = make_rng(4, 0)

@@ -11,7 +11,7 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bestarm import fc_algos, harness, presets
+from bestarm import engine, fc_algos, harness, presets
 from bestarm.complexity import i_star_bernoulli, i_star_fc
 from bestarm.errors import DomainError
 from bestarm.fc_algos import (
@@ -145,6 +145,24 @@ def test_elimination_exhaustion():
     assert out.exhausted
     assert out.tau == 100
     assert out.recommended in (0, 1)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_a_given_cap_bounds_tau_on_every_row(cap):
+    # a paired rule takes cap // 2 steps of two draws; alpha-elimination cap steps of one
+    rules = [
+        fc_algos.EliminationRule(EASY, 0.1, ExplorationRate.ROBBINS_LOG_T, tau_max=cap),
+        fc_algos.EliminationRule(B21, 0.1, ExplorationRate.ROBBINS_LOG_T, tau_max=cap,
+                                 sigma=0.5),
+        fc_algos.SglrtRule(B21, 0.1, ExplorationRate.ROBBINS_LOG_T, tau_max=cap),
+        fc_algos.SprtRule(HUGE_GAP, 0.1, tau_max=cap),
+        fc_algos.AlphaEliminationRule(EASY, 0.1, ExplorationRate.ALPHA_ELIM, tau_max=cap),
+    ]
+    for rule in rules:
+        tau, _, _, exhausted = engine.run_rows(rule, make_rng(29), range(40))
+        assert tau.max() <= cap
+        if cap < 2 and not isinstance(rule, fc_algos.AlphaEliminationRule):
+            assert (tau == 0).all() and exhausted.all()
 
 
 def test_rate_monotonicity_coupled_runs():
