@@ -250,12 +250,13 @@ def cmd_bound(args) -> int:
 def _run_and_write(jobs: list[tuple[list[ExperimentConfig], str]], workers: int) -> int:
     """Run each (configs, out) job in turn and write its records to out.
 
-    Every out's directory is checked before the first run, so a missing
-    one fails at once, not after the runs before it.
+    Every out is checked before the first run, so an out that names a
+    directory or lies in a missing one fails at once, not after the runs
+    before it.
     """
     for _, out in jobs:
-        if not os.path.isdir(os.path.dirname(out) or "."):
-            raise BestArmError(f"--out {out!r}: its directory does not exist")
+        if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+            raise BestArmError(f"--out {out!r} is not a file in an existing directory")
     for configs, out in jobs:
         records = harness.run_experiments(configs, workers)
         records_io.write_records(records, out)

@@ -57,7 +57,10 @@ def read_records(path: str) -> list[ExperimentRecord]:
     out = []
     for line in lines[1:]:
         parts = line.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise DomainError(f"malformed record row: {line!r}")
-        out.append(ExperimentRecord(*(kind(part) for (_, kind), part in zip(_COLUMNS, parts))))
+        try:
+            if len(parts) != len(_COLUMNS):
+                raise ValueError
+            out.append(ExperimentRecord(*(kind(p) for (_, kind), p in zip(_COLUMNS, parts))))
+        except ValueError:  # also a cell its column's type cannot parse
+            raise DomainError(f"malformed record row: {line!r}") from None
     return out

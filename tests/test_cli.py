@@ -146,9 +146,12 @@ def test_csv_columns_are_the_record_fields_in_order():
     assert header == [renamed.get(name, name) for name in names]
 
 
-def test_read_records_rejects_a_row_of_the_wrong_width(tmp_path):
-    path = tmp_path / "short.csv"
-    path.write_text(f"{CSV_HEADER}\na,b,c\n")
+@pytest.mark.parametrize("row", [
+    "a,b,c", "a,b,c,d,0.1,5,0,0,x,0,0,1", "a,b,c,d,0.1,5.5,0,0,2,0,0,1",
+], ids=["width", "float-cell", "int-cell"])
+def test_read_records_rejects_a_malformed_row(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n{row}\n")
     with pytest.raises(BestArmError, match="malformed record row"):
         read_records(str(path))
 
@@ -264,12 +267,18 @@ def test_several_figures_need_figure_in_out(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["reproduce-figure", "fig3-easy", "fig3-hard", "--reps", "3", "--out", "{figure}/r.csv"],
-    ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1", "--budgets", "100",
-     "--reps", "3", "--seed", "4", "--out", "fig3-hard/r.csv"],
-], ids=["reproduce-figure", "simulate-fb"])
-def test_missing_out_directory_fails_before_any_run(tmp_path, monkeypatch, capsys, argv):
+_FB_BERNOULLI = ["simulate-fb", "--family", "bernoulli", "--means", "0.2,0.1",
+                 "--budgets", "100", "--reps", "3", "--seed", "4"]
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["reproduce-figure", "fig3-easy", "fig3-hard", "--reps", "3", "--out", "{figure}/r.csv"],
+     "fig3-hard/r.csv"),
+    ([*_FB_BERNOULLI, "--out", "fig3-hard/r.csv"], "fig3-hard/r.csv"),
+    ([*_FB_BERNOULLI, "--out", "fig3-easy"], "fig3-easy"),
+], ids=["reproduce-figure", "simulate-fb", "out-is-a-directory"])
+def test_missing_out_directory_fails_before_any_run(tmp_path, monkeypatch, capsys, argv,
+                                                    path):
     # fig3-easy's directory exists and fig3-hard's does not: no figure runs
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fig3-easy").mkdir()
@@ -283,7 +292,7 @@ def test_missing_out_directory_fails_before_any_run(tmp_path, monkeypatch, capsy
     err = captured.err.strip()
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "fig3-hard/r.csv" in err
+    assert repr(path) in err
     assert captured.out == ""
     assert [p.name for p in tmp_path.rglob("*")] == ["fig3-easy"]
 
