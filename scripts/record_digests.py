@@ -7,8 +7,10 @@ comes a loop over ``bestarm`` commands: each figure preset at seeds 0 and
 Bernoulli and an exponential instance, then alpha-elimination (which no
 preset runs) on a Gaussian instance of unequal variances at the same seeds
 and worker counts, then the easy figures again past one 128-row block
-and at 3 workers (an uneven split of 67 replications).  Each run prints
-one line,
+and at 3 workers (an uneven split of 67 replications), then the known-gap
+SPRT with the paper's statistic on fig3-easy's instance and with a cap at
+which most rows exhaust, so that the lead at the cap is hashed, at the same
+seeds and worker counts.  Each run prints one line,
 ``label seed workers sha256``.  Records are a pure function of the config,
 so two checkouts that should draw the same numbers print the same lines;
 diff the output of one against the other.  The bytes depend on the numpy
@@ -55,6 +57,10 @@ LONG_REPS = 131
 ALPHA_ELIMINATION = ["simulate-fc", "--family", "gaussian", "--means", "0.5,0",
                      "--variances", "1,0.25", "--algo", "alpha-elimination",
                      "--rate", "alpha-elim", "--deltas", "0.1,0.01", "--reps", "67"]
+#: (label, extra flags) of each SPRT run, on a common-variance Gaussian instance.
+SPRT = (("sprt-paper", ["--means", "0.5,0", "--variances", "0.25,0.25",
+                        "--sprt-paper-statistic"]),
+        ("sprt-capped", ["--means", "0.5,0", "--variances", "4,4", "--tau-max", "41"]))
 #: Seed and number of the random instances per family whose solver bits are hashed.
 PAIR_SEED = 0
 PAIRS = 1000
@@ -82,6 +88,13 @@ def runs():
                     yield f"{name}-{reps}", seed, workers, [
                         "reproduce-figure", name, "--reps", str(reps), "--seed", str(seed),
                         "--workers", str(workers)]
+    for label, flags in SPRT:
+        for seed in SEEDS:
+            for workers in WORKERS:
+                yield label, seed, workers, [
+                    "simulate-fc", "--family", "gaussian", *flags, "--algo", "sprt",
+                    "--deltas", "0.1,0.01", "--reps", "67", "--seed", str(seed),
+                    "--workers", str(workers)]
 
 
 def instances(family):

@@ -19,9 +19,9 @@ toward the lowest index, deterministically):
   generalized-likelihood-ratio statistic t * I_*(mu1_hat, mu2_hat) is
   compared to beta(t, delta).
 * ``run_sprt_oracle`` -- the known-gap sequential probability ratio test
-  (only the sign of the gap is unknown); stops when the exact Gaussian
-  log-likelihood ratio (Delta/sigma^2) * sum of paired differences leaves
-  (-log(1/delta), log(1/delta)).
+  (only the sign of the gap is unknown): paired elimination with a constant
+  threshold, stopping once the exact Gaussian log-likelihood ratio
+  (Delta/sigma^2) * sum of paired differences leaves (-log 1/delta, log 1/delta).
 
 Runs are pure given their Generator; a safety cap ``tau_max`` (default
 ceil(50 log(1/delta) / I_*(nu))) bounds the sampling and is surfaced via
@@ -37,6 +37,7 @@ blocks on the caller's Generator.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from enum import Enum
 
@@ -116,11 +117,11 @@ def _rate_values(rate: ExplorationRate, t: np.ndarray, delta: float) -> np.ndarr
 
 
 def eval_rate(rate: ExplorationRate, t, delta: float):
-    """beta(t, delta) for t >= 2 (scalar or array), with domain validation."""
+    """beta(t, delta) for finite t >= 2 (scalar or array), with domain validation."""
     validate_rate(rate, delta)
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 2):
-        raise DomainError("exploration rates are defined for t >= 2")
+    if not np.all((arr >= 2) & np.isfinite(arr)):
+        raise DomainError("exploration rates are defined for finite t >= 2")
     out = _rate_values(rate, arr, delta)
     return float(out) if out.ndim == 0 else out
 
@@ -180,21 +181,6 @@ def _layout(rule: StoppingRule, paired: bool) -> tuple:
     return ("difference" if paired else "both", rule.arms, rule.steps)
 
 
-def _difference_samplers(arms):
-    """One X - Y ~ N(mu1 - mu2, var1 + var2) per paired step of two Gaussian arms."""
-    a1, a2 = arms
-    fill, finish = sampler(Gaussian(a1.mean - a2.mean, a1.variance + a2.variance))
-    return fill, finish, np.asarray  # arm 2 draws nothing (c2 = 0)
-
-
-def _flags(sums, thresholds):
-    """(|sums| > thresholds, sums >= 0, last column) of running sums, flags in workspace slots."""
-    hits = np.greater(np.abs(sums, out=workspace("tmp0", sums.shape)), thresholds,
-                      out=workspace("hits", sums.shape, np.bool_))
-    leads = np.greater_equal(sums, 0.0, out=workspace("leads", sums.shape, np.bool_))
-    return hits, leads, sums[:, -1:]
-
-
 class EliminationRule(StoppingRule):
     """Paired-sampling elimination; see the module docstring for the rule.
 
@@ -217,7 +203,11 @@ class EliminationRule(StoppingRule):
         self.rate, self.delta, self.sigma = rate, delta, sigma
 
     def build_samplers(self):
-        return _difference_samplers(self.arms) if self.paired else super().build_samplers()
+        if not self.paired:
+            return super().build_samplers()
+        a1, a2 = self.arms  # one X - Y ~ N(mu1 - mu2, var1 + var2) per step, none on arm 2
+        fill, finish = sampler(Gaussian(a1.mean - a2.mean, a1.variance + a2.variance))
+        return fill, finish, np.asarray
 
     def layout(self):
         return _layout(self, self.paired)
@@ -231,7 +221,10 @@ class EliminationRule(StoppingRule):
         sums = workspace("sum1", x.shape)
         np.cumsum(x if self.paired else np.subtract(x, y, out=sums), axis=1, out=sums)
         sums += carry
-        return _flags(sums, thresholds)
+        hits = np.greater(np.abs(sums, out=workspace("tmp0", sums.shape)), thresholds,
+                          out=workspace("hits", sums.shape, np.bool_))
+        leads = np.greater_equal(sums, 0.0, out=workspace("leads", sums.shape, np.bool_))
+        return hits, leads, sums[:, -1:]
 
 
 class AlphaEliminationRule(StoppingRule):
@@ -390,13 +383,14 @@ class SglrtRule(StoppingRule):
         return hits, leads, np.hstack((cum1[:, -1:], cum2[:, -1:]))
 
 
-class SprtRule(StoppingRule):
-    """Known-gap SPRT on a common-variance Gaussian instance.
+class SprtRule(EliminationRule):
+    """Known-gap SPRT on a common-variance Gaussian instance: paired elimination.
 
-    The exact paired log-likelihood ratio is (Delta/sigma^2) * sum(X_s - Y_s);
-    ``use_paper_statistic`` drops the 1/sigma^2 factor to match the plotted
-    statistic |Delta * sum(X_s - Y_s)| of the reference experiments.  A step
-    draws one paired difference.
+    The exact paired log-likelihood ratio coef * S, with coef = Delta/sigma^2
+    and S the sum of paired differences, leaves (-log(1/delta), log(1/delta))
+    when |S| exceeds the constant threshold log(1/delta) / coef, with the sign
+    of S.  ``use_paper_statistic`` drops the 1/sigma^2 factor to match the
+    plotted statistic |Delta * S| of the reference experiments.
     """
 
     def __init__(self, instance: BanditInstance, delta: float, tau_max: int | None = None,
@@ -404,26 +398,18 @@ class SprtRule(StoppingRule):
         require_two_armed(instance)
         _check_delta(delta)
         sigma = _equal_variance_sigma(instance)
-        super().__init__(instance, _paired_steps(instance, delta, tau_max))
-        a1, a2 = instance.arms
-        gap = abs(a1.mean - a2.mean)
+        gap = abs(instance.arms[0].mean - instance.arms[1].mean)
         self.coef = gap if use_paper_statistic else gap / sigma**2
-        self.threshold = math.log(1.0 / delta)
-
-    def build_samplers(self):
-        return _difference_samplers(self.arms)
-
-    def layout(self):
-        return _layout(self, True)
+        if self.coef < sys.float_info.min:
+            name = "Delta" if use_paper_statistic else "Delta/sigma^2"
+            raise DomainError(f"the SPRT coefficient {name} = {self.coef:.3g} is below "
+                              "the smallest normal double")
+        self.threshold = math.log(1.0 / delta) / self.coef
+        self.paired = True
+        StoppingRule.__init__(self, instance, _paired_steps(instance, delta, tau_max))
 
     def chunk(self, done, n):
-        return n, 0, None
-
-    def scan(self, shared, carry, x, y):
-        llr = np.cumsum(x, axis=1, out=workspace("sum1", x.shape))
-        llr *= self.coef
-        llr += carry
-        return _flags(llr, self.threshold)
+        return n, 0, self.threshold
 
 
 def run_elimination(instance: BanditInstance, delta: float, rate: ExplorationRate,

@@ -424,7 +424,8 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
     _check_lil_domain(x, beta)
     check_seed(master_seed)
     t = np.arange(1, horizon + 1, dtype=float)
-    threshold = np.sqrt(2.0 * t * (x + beta * np.log(np.log(math.e * t))))
+    with np.errstate(over="ignore"):  # an infinite envelope is never crossed
+        threshold = np.sqrt(2.0 * t * (x + beta * np.log(np.log(math.e * t))))
     crossed = 0
     for _, z in engine.filled_rows(make_rng(master_seed), paths, horizon, _fill_normal):
         walks = np.cumsum(z, axis=1, out=z)

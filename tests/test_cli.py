@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -309,6 +310,17 @@ def test_lil_check_lists_print_each_pair_in_x_major_order(capsys):
     assert lines == singles and len(lines.splitlines()) == 4
 
 
+def test_lil_check_with_an_envelope_past_the_doubles_warns_nothing(capsys):
+    # x = 1e308 makes 2 t (x + ...) overflow: an infinite envelope, never crossed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lil-check", "--x", "1e308", "--beta", "1.5", "--horizon", "100",
+                     "--paths", "5"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "empirical_frequency=0\n" in captured.out
+
+
 def test_readme_commands_parse():
     # every bestarm command line of README's sh blocks parses, unrun
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
@@ -588,9 +600,13 @@ _HUGE_GAP = ["--family", "gaussian", "--means", "1e300,-1e300", "--variances", "
     # mu_[1] - eps rounds to mu_[1]
     ["bound", "--family", "bernoulli", "--means", "0.5,0.4", "--delta", "0.1",
      "--eps", "1e-300"],
+    # the SPRT's Delta/sigma^2 rounds to 0: every row would run to the cap
+    ["simulate-fc", "--family", "gaussian", "--means", "5e-324,0", "--variances", "2,2",
+     "--algo", "sprt", "--deltas", "0.1", "--reps", "50", "--seed", "3", "--tau-max", "10"],
 ], ids=["complexity-tiny-gap", "bound-tiny-gap", "complexity-ulp-bernoulli",
         "bound-ulp-bernoulli", "complexity-ulp-exponential", "bound-ulp-exponential",
-        "complexity-huge-gap", "bound-huge-gap", "simulate-fc-huge-gap", "bound-tiny-eps"])
+        "complexity-huge-gap", "bound-huge-gap", "simulate-fc-huge-gap", "bound-tiny-eps",
+        "simulate-fc-sprt-tiny-coefficient"])
 def test_numbers_past_the_doubles_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     if argv[0] == "simulate-fc":

@@ -74,6 +74,14 @@ def test_eval_rate_domain():
         eval_rate(ExplorationRate.ITERATED_LOG, 4, 0.5)  # needs delta < 1/e
 
 
+def test_eval_rate_rejects_non_finite_t():
+    # NaN passed the t < 2 check: robbins returned nan, plain-log 6.9078
+    for rate in ExplorationRate:
+        for t in (math.nan, math.inf, -math.inf, [4.0, math.nan]):
+            with pytest.raises(DomainError, match="finite t >= 2"):
+                eval_rate(rate, t, 0.001)
+
+
 def test_iterated_log_warns_above_documented_threshold():
     with pytest.warns(RuntimeWarning):
         validate_rate(ExplorationRate.ITERATED_LOG, 0.1)
@@ -366,16 +374,48 @@ def test_scans_equal_their_out_of_place_sums(rule, paired):
         a.setflags(write=False)
     c1, c2, shared = rule.chunk(500, 200)
     assert (c1, c2) == (200, 0 if paired else 200)
-    if isinstance(rule, fc_algos.SprtRule):
-        sums = carry + rule.coef * np.cumsum(x, axis=1)
-        thresholds = rule.threshold
-    else:
-        sums = carry + np.cumsum(x if paired else x - y, axis=1)
-        thresholds = shared
+    sums = carry + np.cumsum(x if paired else x - y, axis=1)
     hits, leads, after = rule.scan(shared, carry, x, y)
-    np.testing.assert_array_equal(hits, np.abs(sums) > thresholds)
+    np.testing.assert_array_equal(hits, np.abs(sums) > shared)
     np.testing.assert_array_equal(leads, sums >= 0.0)
     assert after.tobytes() == sums[:, -1:].tobytes()
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sprt_scan_is_the_scaled_llr_decision(data):
+    # the scan compares the unscaled sum S with log(1/delta) / coef; the SPRT's
+    # definition compares coef S with log(1/delta).  They agree except where
+    # rounding can split them, within 1e-12 relative of the threshold.
+    gap = data.draw(st.floats(1e-6, 1e6))
+    var = data.draw(st.floats(1e-6, 1e6))
+    delta = data.draw(st.floats(1e-12, 0.999))
+    paper = data.draw(st.booleans())
+    rule = fc_algos.SprtRule(two_armed_gaussian(gap, 0.0, var), delta, tau_max=10,
+                             use_paper_statistic=paper)
+    rows, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 64))
+    scale = math.log(1.0 / delta) / rule.coef
+    carry = np.array([[data.draw(st.floats(-3.0, 3.0))] for _ in range(rows)]) * scale
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(gap, math.sqrt(2.0 * var), (rows, n))
+    x.setflags(write=False)
+    c1, c2, shared = rule.chunk(0, n)
+    hits, leads, after = rule.scan(shared, carry, x, np.empty((rows, c2)))
+    sums = carry + np.cumsum(x, axis=1)
+    llr = rule.coef * sums
+    bound = math.log(1.0 / delta)
+    near = np.abs(np.abs(llr) - bound) <= 1e-12 * bound
+    assert not near.any(), f"steps within rounding of the threshold: {np.argwhere(near)}"
+    np.testing.assert_array_equal(hits, np.abs(llr) > bound)
+    np.testing.assert_array_equal(leads, llr >= 0.0)
+    assert after.tobytes() == sums[:, -1:].tobytes()
+
+
+def test_sprt_and_elimination_share_one_layout():
+    # the SPRT is paired elimination: one draw layout, so one stream in a group
+    rate = ExplorationRate.ROBBINS_LOG_T
+    assert (fc_algos.SprtRule(EASY, 0.05, tau_max=500).layout()
+            == fc_algos.EliminationRule(EASY, 0.1, rate, tau_max=500).layout())
 
 
 def _first(hits):
