@@ -278,8 +278,11 @@ def nat_to_mean(fam: ExpFamilyDescriptor, theta: float) -> float:
 
 
 def mean_to_nat(fam: ExpFamilyDescriptor, mu: float) -> float:
-    """Inverse mean map in closed form per family."""
-    return fam.nat_of_mean(fam.check_mean(mu))
+    """Inverse mean map in closed form per family; DomainError where it is not finite."""
+    theta = fam.nat_of_mean(fam.check_mean(mu))
+    if not math.isfinite(theta):
+        raise DomainError(f"mean={mu} has no finite natural parameter in family {fam.family_id}")
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +370,39 @@ def _law(dist: ArmDistribution) -> tuple:
     raise FamilyMismatch(f"not an arm distribution: {dist!r}")
 
 
+#: Bounds on numpy's standard variates (its ziggurat samplers, on uniforms of
+#: 53 bits, so a tail draw's -log(1 - u) is at most 53 log 2 = 36.74): a
+#: normal is at most 3.6542 + 36.74 / 3.6542 = 13.71 in magnitude, and an
+#: exponential at most 7.6971 + 36.74 = 44.43.
+_NORMAL_MAX = 14.0
+_EXPONENTIAL_MAX = 45.0
+
+
+def _check_sums(dist: ArmDistribution, n: int) -> None:
+    """DomainError unless every sum of ``n`` draws of ``dist``, as sampled here, is finite.
+
+    It bounds each sum as the samplers compute it, with numpy's variates
+    bounded by ``_NORMAL_MAX`` and ``_EXPONENTIAL_MAX``.  A sum of n > 1
+    exponential draws is scale * Gamma(n), and numpy's Gamma(n) (Marsaglia
+    and Tsang's method) is b (1 + z / sqrt(9 b))^3 of a standard normal z,
+    with b = n - 1/3.  Bernoulli sums are counts, always finite.
+    """
+    kind, *params = _law(dist)
+    if kind == "gaussian":
+        mean, sd = params
+        largest = abs(n * mean) + math.sqrt(n) * sd * _NORMAL_MAX
+    elif kind == "exponential":
+        b = n - 1.0 / 3.0
+        largest = params[0] * (_EXPONENTIAL_MAX if n == 1 else
+                               b * (1.0 + _NORMAL_MAX / math.sqrt(9.0 * b)) ** 3)
+    else:
+        return
+    if not math.isfinite(largest):
+        what = "a draw" if n == 1 else f"a sum of {n} draws"
+        raise DomainError(f"{what} of the {kind} arm of mean {dist.mean:g} can exceed "
+                          "the largest double")
+
+
 def sampler(dist: ArmDistribution):
     """(fill, finish) for one arm: ``fill(rng, out)`` writes standard variates
     into ``out`` and ``finish(raw)`` maps a float array of them to draws.
@@ -374,8 +410,11 @@ def sampler(dist: ArmDistribution):
     A finish may overwrite its input: each one maps ``raw`` in place and
     returns it.  Splitting the two lets a caller fill many rows, each from
     its own stream, and finish them all in one pass; draws equal
-    :func:`sample_n`'s.
+    :func:`sample_n`'s.  An arm whose largest draw may not be finite
+    (:func:`_check_sums`) raises DomainError, so a rule refuses it when it
+    is built.
     """
+    _check_sums(dist, 1)
     kind, *params = _law(dist)
     if kind == "gaussian":
         mean, sd = params
@@ -403,7 +442,11 @@ def sum_sampler(arms, ns):
     out[1], and each finished draw is exact in law: N(n mean, n sd^2),
     binomial(n, p) or scale * Gamma(n).  Scalar draws: numpy's size/out
     handling costs more than a binomial or gamma variate at these sizes.
+    An arm whose sum may not be finite (:func:`_check_sums`) raises
+    DomainError, so a static rule refuses it when it is built.
     """
+    for arm, n in zip(arms, ns):
+        _check_sums(arm, n)
     (kind, *params1), (_, *params2) = (_law(arm) for arm in arms)
     n1, n2 = ns
     if kind == "gaussian":

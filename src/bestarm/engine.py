@@ -3,9 +3,11 @@
 A :class:`StoppingRule` is one strategy validated for one cell: it
 supplies its samplers, its per-chunk thresholds and its statistic,
 nothing else, and names what it draws by its :meth:`~StoppingRule.layout`.
-:func:`run_group` advances a block of replications of rules that share one
-layout in lockstep, and :func:`run_rows` runs a group of one rule.  Each
-row draws from a generator of its own, given its replication's state
+:func:`run_group` advances the replications of rules that share one layout
+in lockstep blocks and yields each block's outcomes, keeping none (the
+harness folds each into exact sums, so memory is flat in the replication
+count); :func:`run_rows` collects one rule's blocks.  Each row draws from
+a generator of its own, given its replication's state
 (:func:`bestarm.rng.row_states`) once, before its first chunk.  Per chunk
 of steps (64 doubling to 4096) each row that some rule of the group still
 runs fills its chunk with one call of the layout's ``fill``, its arm-1
@@ -162,18 +164,21 @@ def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
     times from its state on entry (:func:`bestarm.rng.row_states`), so no
     row's draws depend on which rows share its block.  ``rng``'s state only
     names the stream family: the rows draw from generators of their own,
-    and ``rng`` is left as it was.
+    and ``rng`` is left as it was.  The arrays collect :func:`run_group`'s blocks.
     """
-    return run_group([rule], rng, rows)[0]
+    out = [row for block in run_group([rule], rng, rows) for row in block[0]]
+    tau, recommended, n1, exhausted = np.array(out, dtype=np.int64).reshape(-1, 4).T
+    return tau, recommended, n1, exhausted.astype(bool)
 
 
-def run_group(rules: list[StoppingRule], rng: np.random.Generator, rows: range) -> list:
-    """:func:`run_rows` of each of ``rules``, which must share one :meth:`~StoppingRule.layout`.
+def run_group(rules: list[StoppingRule], rng: np.random.Generator, rows: range):
+    """Per block of ``rows``, in order, each rule's (tau, recommended, n1, exhausted) per row.
 
-    Each row's generator is positioned once, and each chunk is filled and
-    finished once for the rows that some rule still runs; every rule reads
-    the variates it reads alone, so each rule's arrays equal
-    ``run_rows(rule, rng, rows)``.
+    ``rules`` must share one :meth:`~StoppingRule.layout`.  Each row's
+    generator is positioned once, and each chunk is filled and finished once
+    for the rows that some rule still runs; every rule reads the variates it
+    reads alone, so its rows equal ``run_rows(rule, rng, rows)``.  Nothing
+    of a block is kept once it is yielded.
     """
     for rule in rules[1:]:
         if rule.layout() != rules[0].layout():
@@ -181,18 +186,11 @@ def run_group(rules: list[StoppingRule], rng: np.random.Generator, rows: range) 
     states = row_states(rng.bit_generator.state, rows)
     while len(_ROW_GENERATORS) < min(len(rows), _BLOCK_ROWS):
         _ROW_GENERATORS.append(np.random.Generator(np.random.PCG64(0)))
-    out = [[] for _ in rules]  # per rule, its rows' outcomes
     for lo in range(0, len(rows), _BLOCK_ROWS):
         gens = _ROW_GENERATORS[:min(_BLOCK_ROWS, len(rows) - lo)]
         for gen, state in zip(gens, states):
             gen.bit_generator.state = state
-        for acc, block in zip(out, _run_block(rules, gens)):
-            acc += block
-    columns = []
-    for acc in out:
-        acc = np.array(acc, dtype=np.int64).reshape(-1, 4)
-        columns.append((acc[:, 0], acc[:, 1], acc[:, 2], acc[:, 3].astype(bool)))
-    return columns
+        yield _run_block(rules, gens)
 
 
 def filled_rows(rng: np.random.Generator, reps: int, width: int, fill):

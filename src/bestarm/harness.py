@@ -21,10 +21,11 @@ resolved on first access.  A worker runs rows through the batched engine
 :func:`engine.run_group`, one call for the cells of its task that share a
 stream and a draw layout (equal master seed, grid index, rows and
 :meth:`engine.StoppingRule.layout`), so their draws are filled once and
-each cell reads the variates it reads alone; aggregation reduces
-integer counts and integer sums (tau and tau^2), which commute exactly.
-Records therefore come out byte-identical for any ``workers`` value, and
-configs sharing a master seed see the same draws (common random numbers).
+each cell reads the variates it reads alone.  Each block the call yields is
+folded at once into exact integer sums (errors, tau, tau^2, exhausted),
+which commute exactly, so memory is flat in the replication count and
+records come out byte-identical for any ``workers`` value; configs
+sharing a master seed see the same draws (common random numbers).
 
 The module also houses the self-normalized deviation-bound calculator
 (zeta-series bound on the probability that a subgaussian random walk ever
@@ -37,6 +38,7 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -178,37 +180,35 @@ def wilson_halfwidth(errors: int, n: int) -> float:
     return _WILSON_Z / (1.0 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))
 
 
-def _run_task(task: list[tuple]) -> list[list[tuple]]:
+def _run_task(task: list[tuple]) -> list[list[list[int]]]:
     """One worker's task: for each (config index, master seed, rules, rows),
     rows ``rows`` of every cell, cell g running ``rules[g]``.
 
     Cells that read one stream with one draw layout (equal master seed,
     grid index, rows and :meth:`~bestarm.engine.StoppingRule.layout`) run as
-    one :func:`engine.run_group`, which fills their draws once.  Returns,
-    per config and cell, the exact integer partial sums (errors, sum tau,
-    sum tau^2, exhausted).
+    one :func:`engine.run_group`, which fills their draws once.  Each block
+    it yields is folded at once into its cells' exact integer sums [errors,
+    sum tau, sum tau^2, exhausted], which are returned per config and cell.
     """
-    groups = {}  # (seed, g, rows, layout) -> (config index, rule) of each cell that reads it
-    for c, (_, seed, rules, rows) in enumerate(task):
-        for g, rule in enumerate(rules):
-            groups.setdefault((seed, g, rows, rule.layout()), []).append((c, rule))
-    partials = [[None] * len(rules) for _, _, rules, _ in task]
+    sums = [[[0, 0, 0, 0] for _ in rules] for _, _, rules, _ in task]
+    groups = {}  # (seed, g, rows, layout) -> (rule, sums) of each cell that reads it
+    for (_, seed, rules, rows), cells in zip(task, sums):
+        for g, (rule, cell) in enumerate(zip(rules, cells)):
+            groups.setdefault((seed, g, rows, rule.layout()), []).append((rule, cell))
     for (seed, g, rows, _), cells in groups.items():
-        outs = engine.run_group([rule for _, rule in cells], make_rng(seed, g), rows)
-        for (c, rule), (tau, recommended, _, exhausted) in zip(cells, outs):
-            taus = tau.tolist()
-            partials[c][g] = (int(np.count_nonzero(recommended != rule.best_arm)), sum(taus),
-                              sum(t * t for t in taus), int(np.count_nonzero(exhausted)))
-    return partials
+        for block in engine.run_group([rule for rule, _ in cells], make_rng(seed, g), rows):
+            for (rule, cell), outcomes in zip(cells, block):
+                tau, recommended, _, exhausted = zip(*outcomes)
+                cell[0] += recommended.count(1 - rule.best_arm)
+                cell[1] += sum(tau)
+                cell[2] += sum(map(operator.mul, tau, tau))
+                cell[3] += exhausted.count(True)
+    return sums
 
 
-def _aggregate(cfg: ExperimentConfig, grid_index: int,
-               partials: list[tuple[int, int, int, int]]) -> ExperimentRecord:
+def _aggregate(cfg: ExperimentConfig, grid_index: int, sums: list[int]) -> ExperimentRecord:
     n = cfg.replications
-    errors = sum(p[0] for p in partials)
-    sum_tau = sum(p[1] for p in partials)
-    sumsq_tau = sum(p[2] for p in partials)
-    exhausted = sum(p[3] for p in partials)
+    errors, sum_tau, sumsq_tau, exhausted = sums
     mean_tau = sum_tau / n
     # population variance from exact integer moments
     var_tau = max(sumsq_tau / n - mean_tau * mean_tau, 0.0)
@@ -322,12 +322,13 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
         results = _run_on_pool(tasks)
     else:
         results = [_run_task(task) for task in tasks]
-    per_config = [[] for _ in configs]  # each task's per-cell partial sums
-    for task, partials in zip(tasks, results):
-        for (c, *_), sums in zip(task, partials):
-            per_config[c].append(sums)
-    return [_aggregate(cfg, g, [sums[g] for sums in per_config[c]])
-            for c, cfg in enumerate(configs) for g in range(len(cfg.grid))]
+    totals = [[[0, 0, 0, 0] for _ in cfg.grid] for cfg in configs]
+    for task, sums in zip(tasks, results):
+        for (c, *_), cells in zip(task, sums):
+            for total, cell in zip(totals[c], cells):
+                total[:] = map(operator.add, total, cell)
+    return [_aggregate(cfg, g, total) for cfg, cells in zip(configs, totals)
+            for g, total in enumerate(cells)]
 
 
 def run_fc_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[ExperimentRecord]:

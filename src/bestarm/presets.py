@@ -4,7 +4,8 @@ Each preset pairs one two-armed instance with an algorithm panel:
 sequential stopping rules under several exploration rates (plus the
 known-gap SPRT for the Gaussian instances) against the uniform static
 fixed-budget strategy.  Grids are desk-scale defaults; the replication
-count is configurable up to the full 10^6.
+count is configurable up to the full 10^6, in memory that does not grow
+with it: the harness folds each block of rows into its cells' exact sums.
 """
 
 from __future__ import annotations

@@ -603,13 +603,23 @@ _HUGE_GAP = ["--family", "gaussian", "--means", "1e300,-1e300", "--variances", "
     # the SPRT's Delta/sigma^2 rounds to 0: every row would run to the cap
     ["simulate-fc", "--family", "gaussian", "--means", "5e-324,0", "--variances", "2,2",
      "--algo", "sprt", "--deltas", "0.1", "--reps", "50", "--seed", "3", "--tau-max", "10"],
+    # an arm's sum n mu overflows, and the tie would go to arm 0
+    ["simulate-fb", "--family", "gaussian", "--means", "9e307,1e308", "--variances", "1,1",
+     "--alloc", "uniform", "--budgets", "20", "--reps", "50", "--seed", "0"],
+    ["simulate-fb", "--family", "exponential", "--means", "1.6e308,1.7e308",
+     "--alloc", "uniform", "--budgets", "20", "--reps", "50", "--seed", "0"],
+    # one exponential draw overflows, and inf - inf would decide a row
+    ["simulate-fc", "--family", "exponential", "--means", "1.7e308,1e308", "--algo",
+     "elimination", "--rate", "robbins", "--sigma", "1", "--deltas", "0.1", "--reps", "5",
+     "--seed", "0", "--tau-max", "100"],
 ], ids=["complexity-tiny-gap", "bound-tiny-gap", "complexity-ulp-bernoulli",
         "bound-ulp-bernoulli", "complexity-ulp-exponential", "bound-ulp-exponential",
         "complexity-huge-gap", "bound-huge-gap", "simulate-fc-huge-gap", "bound-tiny-eps",
-        "simulate-fc-sprt-tiny-coefficient"])
+        "simulate-fc-sprt-tiny-coefficient", "simulate-fb-gaussian-sum-overflow",
+        "simulate-fb-exponential-sum-overflow", "simulate-fc-exponential-draw-overflow"])
 def test_numbers_past_the_doubles_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
-    if argv[0] == "simulate-fc":
+    if argv[0] in ("simulate-fc", "simulate-fb"):
         argv = [*argv, "--out", str(out)]
     code = main(argv)
     captured = capsys.readouterr()
@@ -618,6 +628,14 @@ def test_numbers_past_the_doubles_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_an_exponential_mean_without_a_finite_natural_parameter_is_named(capsys):
+    # -1 / 1e-310 is -inf: the diagnostic names the mean the user gave
+    assert main(["complexity", "--family", "exponential", "--means", "1e-310,1"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "mean=1e-310" in err and "theta" not in err
 
 
 def test_exponential_means_300_decades_apart(capsys):

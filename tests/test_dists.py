@@ -317,5 +317,7 @@ def test_descriptor_convexity_and_inverse(fam, thetas):
 def test_out_of_domain_maps():
     with pytest.raises(DomainError):
         mean_to_nat(BERNOULLI_FAMILY, 1.5)
+    with pytest.raises(DomainError, match="mean=1e-310"):
+        mean_to_nat(EXPONENTIAL_FAMILY, 1e-310)  # theta = -1/mean is -inf
     with pytest.raises(DomainError):
         nat_to_mean(EXPONENTIAL_FAMILY, 1.0)

@@ -352,6 +352,18 @@ def test_run_static_memory_does_not_grow_with_the_budget():
         assert peak - base < 2**20
 
 
+def test_static_rule_refuses_sums_past_the_doubles():
+    # the largest sum is |n mu| + 14 sqrt(n) sigma (Gaussian) or mu times numpy's
+    # largest Gamma(n) variate, at most 45 for n = 1 (exponential)
+    cases = [(two_armed_gaussian(9e307, 0.0, 1.0), 2),
+             (BanditInstance((ExpFamilyArm(EXPONENTIAL_FAMILY, -1 / 3e306),
+                              ExpFamilyArm(EXPONENTIAL_FAMILY, -1.0))), 2)]
+    for instance, n in cases:
+        StaticRule(instance, StaticAllocation(n - 1, 1))
+        with pytest.raises(DomainError, match="can exceed the largest double"):
+            StaticRule(instance, StaticAllocation(n, 1))
+
+
 def test_tilted_error_independent_of_block_size(monkeypatch):
     cases = [(B21, uniform_allocation(101)), (EASY, gaussian_allocation(0.5, 0.5, 30))]
     default = [tilted_error(inst, alloc, 300, make_rng(35)) for inst, alloc in cases]

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -462,9 +463,9 @@ def _single_runs_record(cfg, g):
         rng = make_rng(cfg.master_seed, g)
         rng.bit_generator.advance(r * STREAM_STRIDE)
         outcomes.append(_single_run(cfg.algorithm, cfg.instance, cfg.grid[g], rng))
-    partial = (sum(not o.correct for o in outcomes), sum(o.tau for o in outcomes),
-               sum(o.tau * o.tau for o in outcomes), sum(o.exhausted for o in outcomes))
-    return _aggregate(cfg, g, [partial])
+    sums = [sum(not o.correct for o in outcomes), sum(o.tau for o in outcomes),
+            sum(o.tau * o.tau for o in outcomes), sum(o.exhausted for o in outcomes)]
+    return _aggregate(cfg, g, sums)
 
 
 def test_one_row_blocks_read_their_own_stream_on_every_chunk():
@@ -486,6 +487,14 @@ HARD_BERNOULLI = two_armed_bernoulli(0.51, 0.5)
 
 def _row(out, r):
     return tuple(int(column[r]) for column in out)
+
+
+def _rule_rows(blocks, k):
+    """Rule k's rows of :func:`engine.run_group`'s blocks, as an array of (rows, 4) int64.
+
+    ``np.column_stack(engine.run_rows(...))`` gives the same rows in the same form.
+    """
+    return np.array([row for block in blocks for row in block[k]], dtype=np.int64).reshape(-1, 4)
 
 
 def test_row_generators_carry_nothing_between_calls():
@@ -563,13 +572,11 @@ def test_a_group_does_not_depend_on_the_sub_block_size(monkeypatch, name):
     runs = []
     for elements in (2**6, 2**13, 2**15):
         monkeypatch.setattr(engine, "BLOCK_ELEMENTS", elements)
-        runs.append(engine.run_group(rules, make_rng(31, 2), range(150)))
+        runs.append(list(engine.run_group(rules, make_rng(31, 2), range(150))))
     if name != "static":
-        assert (runs[0][0][0] > rules[0].draws(64 + 128 + 256)[0]).any()
+        assert (_rule_rows(runs[0], 0)[:, 0] > rules[0].draws(64 + 128 + 256)[0]).any()
     for run in runs[1:]:
-        for out, want in zip(run, runs[0]):
-            for a, b in zip(out, want):
-                np.testing.assert_array_equal(a, b)
+        assert run == runs[0]
 
 
 def test_the_workspace_is_allocated_on_first_use_and_kept_when_outgrown(monkeypatch):
@@ -579,18 +586,16 @@ def test_the_workspace_is_allocated_on_first_use_and_kept_when_outgrown(monkeypa
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "0"
     rules = BLOCK_GROUPS["sglrt+elimination"]
-    want = engine.run_group(rules, make_rng(32, 0), range(40))
+    want = list(engine.run_group(rules, make_rng(32, 0), range(40)))
     # slots grown for larger sub-blocks serve smaller ones from their prefix
     monkeypatch.setattr(engine, "_WORKSPACE", {})
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 2**17)
-    engine.run_group(rules, make_rng(33, 0), range(40))
+    list(engine.run_group(rules, make_rng(33, 0), range(40)))
     grown = dict(engine._WORKSPACE)
     monkeypatch.setattr(engine, "BLOCK_ELEMENTS", 2**15)
-    got = engine.run_group(rules, make_rng(32, 0), range(40))
+    got = list(engine.run_group(rules, make_rng(32, 0), range(40)))
     assert grown and all(engine._WORKSPACE[slot] is buf for slot, buf in grown.items())
-    for out, expected in zip(got, want):
-        for a, b in zip(out, expected):
-            np.testing.assert_array_equal(a, b)
+    assert got == want
 
 
 def _preset_group(name, g, tau_max):
@@ -617,13 +622,13 @@ def test_a_group_equals_its_rules_run_alone(group, capped, g, seed, reps):
     name, deltas, cap = group
     rules = _preset_group(name, g % deltas, cap if capped else None)
     assert len(rules) == 4 and len({rule.layout() for rule in rules}) == 1
-    grouped = engine.run_group(rules, make_rng(seed, g), range(reps))
-    for rule, out in zip(rules, grouped):
+    grouped = list(engine.run_group(rules, make_rng(seed, g), range(reps)))
+    for k, rule in enumerate(rules):
+        out = _rule_rows(grouped, k)
         alone = engine.run_rows(rule, make_rng(seed, g), range(reps))
-        for a, b in zip(out, alone):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(out, np.column_stack(alone))
         if capped and reps >= 50:
-            assert out[3].any()
+            assert out[:, 3].any()
 
 
 def test_rules_that_differ_only_in_their_cap_do_not_share():
@@ -631,7 +636,7 @@ def test_rules_that_differ_only_in_their_cap_do_not_share():
                     for cap in (20, 200))
     assert short.layout() != long_.layout()
     with pytest.raises(ValueError):
-        engine.run_group([short, long_], make_rng(4, 0), range(10))
+        list(engine.run_group([short, long_], make_rng(4, 0), range(10)))
     # the harness runs them apart, each as it runs alone
     configs = [ExperimentConfig(EASY, dataclasses.replace(ELIM, tau_max=cap), (0.1,), 70, 4)
                for cap in (20, 200)]
@@ -662,6 +667,23 @@ def test_a_task_runs_each_shared_stream_once(monkeypatch):
     assert records == [r for cfg in configs for r in run_experiments([cfg])]
 
 
+def test_run_experiments_memory_does_not_grow_with_the_replications():
+    # each block of rows is folded into its cell's sums as it finishes, so a
+    # cell of 8N replications peaks no higher than one of N; the first run
+    # grows the engine's workspace and row generators, which are kept
+    cfg = ExperimentConfig(EASY, ELIM, (0.1,), 2000, 5)
+    run_experiments([dataclasses.replace(cfg, replications=8 * 2000)])
+    peaks = []
+    for reps in (2000, 8 * 2000):
+        tracemalloc.start()
+        try:
+            run_experiments([dataclasses.replace(cfg, replications=reps)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**18
+
+
 class _WritingSprt(fc_algos.SprtRule):
     def scan(self, shared, carry, x, y):
         x *= 1.0
@@ -673,7 +695,7 @@ def test_a_scan_cannot_write_the_shared_variates():
     with pytest.raises(ValueError):
         engine.run_rows(writing, make_rng(6, 0), range(5))
     with pytest.raises(ValueError):
-        engine.run_group([fc_algos.SprtRule(EASY, 0.1), writing], make_rng(6, 0), range(5))
+        list(engine.run_group([fc_algos.SprtRule(EASY, 0.1), writing], make_rng(6, 0), range(5)))
 
 
 # --- Wilson interval -------------------------------------------------------------
