@@ -1,8 +1,8 @@
 """The stopping engine every strategy runs on.
 
 A :class:`StoppingRule` is one strategy validated for one cell: it
-supplies its samplers, its per-chunk thresholds and its statistic,
-nothing else, and names what it draws by its :meth:`~StoppingRule.layout`.
+supplies its per-chunk thresholds and its statistic, nothing else, and
+states what it draws in its ``layout``, whose :func:`samplers` it reads.
 :func:`run_group` advances the replications of rules that share one layout
 in lockstep blocks and yields each block's outcomes, keeping none (the
 harness folds each into exact sums, so memory is flat in the replication
@@ -30,13 +30,15 @@ the next scan call, so the engine reads them before it scans again.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import sampler
+from .dists import Gaussian, _check_sums, sampler, sum_sampler
+from .errors import DomainError
 from .instances import BanditInstance
 from .rng import row_states
 
@@ -85,51 +87,58 @@ class RunOutcome:
     exhausted: bool
 
 
+@functools.cache
+def samplers(layout: tuple):
+    """(fill, finish1, finish2) of a rule's ``layout``, built once per layout and process.
+
+    ``fill(rng, out)`` writes a row's c1 arm-1 then c2 arm-2 variates of a
+    chunk, and each finish maps its arm's to draws.  A "difference" step
+    draws one X - Y on arm 1 and nothing on arm 2; "both" and "schedule"
+    draw both arms from one standard law; "sums" draws one sum per arm.
+    Raises DomainError where a draw, or a sum a scan keeps, can leave the doubles.
+    """
+    kind, arms, steps, *params = layout
+    if kind == "sums":
+        return sum_sampler(arms, params)
+    a1, a2 = arms
+    if kind == "difference":
+        gap, var = a1.mean - a2.mean, a1.variance + a2.variance
+        try:
+            fill, finish = sampler(Gaussian(gap, var))
+        except DomainError:
+            raise DomainError(f"a paired difference X - Y ~ N(mu1 - mu2, var1 + var2) with "
+                              f"mu1 - mu2 = {gap:g} and var1 + var2 = {var:g} can exceed "
+                              "the largest double") from None
+        return fill, finish, np.asarray
+    (fill, finish1), (_, finish2) = sampler(a1), sampler(a2)
+    if kind == "schedule":  # a scan sums every draw of an arm under the cap
+        n1 = math.ceil(params[0] * steps)
+        _check_sums(a1, n1)
+        _check_sums(a2, steps - n1)
+    return fill, finish1, finish2
+
+
 class StoppingRule:
-    """A strategy validated once for a cell: its samplers, threshold and statistic.
+    """A strategy validated for one cell: what it draws, its thresholds and statistic.
 
     A rule runs at most ``steps`` steps, each paired (one draw per arm, t = 2k)
-    unless ``draws`` says otherwise.  ``chunk(done, n)`` gives the arm-1 and
-    arm-2 variate counts of steps done+1..done+n and the data every row
-    shares (thresholds); :meth:`scan` decides them.  ``build_samplers``
-    gives (fill, finish1, finish2): ``fill(rng, out)`` writes a row's c1
-    arm-1 then c2 arm-2 variates, and each finish maps its arm's to draws.
-    By default both arms take arm 1's fill (one family, one standard law).
-    A subclass that overrides it sets what it needs before calling this
-    constructor.  A rule pickles as plain data: its sampler closures are
-    rebuilt when it is unpickled.
+    unless ``draws`` says otherwise.  ``layout`` says what it draws, as the
+    tuple ``(kind, arms, steps, *params)`` that :func:`samplers` reads;
+    the constructor builds its samplers once, so a rule whose draws can
+    leave the doubles is refused when it is built.  ``chunk(done, n)``
+    gives the arm-1 and arm-2 variate counts of steps done+1..done+n, equal
+    for equal layouts, and the data every row shares (thresholds);
+    :meth:`scan` decides them.  A rule holds plain data only.
     """
 
     width = 1
 
-    def __init__(self, instance: BanditInstance, steps: int):
+    def __init__(self, instance: BanditInstance, steps: int, kind: str, *params):
         self.best_arm = instance.best_arm
         self.arms = instance.arms
         self.steps = steps
-        # built once per rule: building fresh closures for every block of rows
-        # made short-tau cells several percent slower
-        self.samplers = self.build_samplers()
-
-    def build_samplers(self):
-        (fill, finish1), (_, finish2) = (sampler(arm) for arm in self.arms)
-        return fill, finish1, finish2
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "samplers"}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.samplers = self.build_samplers()
-
-    def layout(self):
-        """What the rule draws, as a hashable key.
-
-        Rules with equal layouts have equal samplers, equal (c1, c2) in every
-        chunk and equal ``steps``, so on one stream they read the same
-        variates and :func:`run_group` fills them once.  By default a rule is
-        its own layout and shares its draws with no other rule.
-        """
-        return self
+        self.layout = (kind, self.arms, steps, *params)
+        samplers(self.layout)
 
     def chunk(self, done: int, n: int):
         return n, n, None
@@ -174,15 +183,16 @@ def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
 def run_group(rules: list[StoppingRule], rng: np.random.Generator, rows: range):
     """Per block of ``rows``, in order, each rule's (tau, recommended, n1, exhausted) per row.
 
-    ``rules`` must share one :meth:`~StoppingRule.layout`.  Each row's
-    generator is positioned once, and each chunk is filled and finished once
-    for the rows that some rule still runs; every rule reads the variates it
-    reads alone, so its rows equal ``run_rows(rule, rng, rows)``.  Nothing
-    of a block is kept once it is yielded.
+    ``rules`` must share one ``layout``.  Each row's generator is positioned
+    once, and each chunk is filled and finished once for the rows that some
+    rule still runs; every rule reads the variates it reads alone, so its
+    rows equal ``run_rows(rule, rng, rows)``.  Nothing of a block is kept
+    once it is yielded.
     """
     for rule in rules[1:]:
-        if rule.layout() != rules[0].layout():
+        if rule.layout != rules[0].layout:
             raise ValueError("the rules of a group must share one draw layout")
+    group_samplers = samplers(rules[0].layout)
     states = row_states(rng.bit_generator.state, rows)
     while len(_ROW_GENERATORS) < min(len(rows), _BLOCK_ROWS):
         _ROW_GENERATORS.append(np.random.Generator(np.random.PCG64(0)))
@@ -190,7 +200,7 @@ def run_group(rules: list[StoppingRule], rng: np.random.Generator, rows: range):
         gens = _ROW_GENERATORS[:min(_BLOCK_ROWS, len(rows) - lo)]
         for gen, state in zip(gens, states):
             gen.bit_generator.state = state
-        yield _run_block(rules, gens)
+        yield _run_block(rules, gens, group_samplers)
 
 
 def filled_rows(rng: np.random.Generator, reps: int, width: int, fill):
@@ -213,17 +223,18 @@ def filled_rows(rng: np.random.Generator, reps: int, width: int, fill):
         yield lo, z
 
 
-def _run_block(rules: list[StoppingRule], gens: list) -> list[list]:
+def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[list]:
     """(tau, recommended, n1, exhausted) per row of one lockstep block, per rule.
 
-    The rules share one layout.  Row i draws from ``gens[i]`` in place, one
-    fill call per chunk while some rule still runs it, every chunk in stream
-    order, so no state is saved or restored between chunks.  A sub-block's
+    The rules share one layout, and ``samplers`` are its :func:`samplers`.
+    Row i draws from ``gens[i]`` in place, one fill call per chunk while
+    some rule still runs it, every chunk in stream order, so no state is
+    saved or restored between chunks.  A sub-block's
     finished arrays go to every rule with rows in it, read-only: a rule
     that runs all of the sub-block's rows reads them whole, any other the
     rows it runs.
     """
-    fill, finish1, finish2 = rules[0].samplers
+    fill, finish1, finish2 = samplers
     steps = rules[0].steps
     # per rule: a stopped row's outcome, and until then whether arm 0 leads (ties
     # and no draws: yes); the rows it still runs; their running sums, in that order
@@ -301,6 +312,6 @@ def _run_block(rules: list[StoppingRule], gens: list) -> list[list]:
 
 def run_one(rule: StoppingRule, rng: np.random.Generator) -> RunOutcome:
     """One replication of ``rule``, drawing from ``rng`` in place."""
-    (tau, rec, n1, exhausted), = _run_block([rule], [rng])[0]
+    (tau, rec, n1, exhausted), = _run_block([rule], [rng], samplers(rule.layout))[0]
     return RunOutcome(tau=tau, recommended=rec, correct=(rec == rule.best_arm),
                       draws_per_arm=(n1, tau - n1), exhausted=exhausted)

@@ -89,10 +89,7 @@ class StaticRule(StoppingRule):
     def __init__(self, instance: BanditInstance, alloc: StaticAllocation):
         require_two_armed(instance)
         self.alloc = alloc
-        super().__init__(instance, 1)
-
-    def build_samplers(self):
-        return sum_sampler(self.arms, (self.alloc.n1, self.alloc.n2))
+        super().__init__(instance, 1, "sums", alloc.n1, alloc.n2)
 
     def chunk(self, done, n):
         return 1, 1, None

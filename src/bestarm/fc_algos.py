@@ -1,37 +1,41 @@
 """Fixed-confidence strategies for two-armed instances.
 
-All strategies stop on a data-dependent rule governed by an exploration
-rate beta(t, delta) and recommend the empirically best arm (ties broken
+Each strategy is a :class:`~bestarm.engine.StoppingRule`, validated once
+per cell, that states what it draws (its ``layout``) and supplies only
+its per-chunk threshold and its statistic; :mod:`bestarm.engine` runs it.
+All stop on a data-dependent rule governed by an exploration rate
+beta(t, delta) and recommend the empirically best arm (ties broken
 toward the lowest index, deterministically):
 
-* ``run_elimination`` -- paired uniform sampling of a common-variance
+* :class:`EliminationRule` -- paired uniform sampling of a common-variance
   Gaussian instance; stops once |sum of paired differences| exceeds
   sqrt(2 sigma^2 t beta(t, delta)).  Also usable for any bounded/
   subgaussian arms via an explicit ``sigma`` proxy (bounded supports in
   [0,1] are 1/4-subgaussian, sigma=1/2).
-* ``run_alpha_elimination`` -- deterministic schedule keeping
+* :class:`AlphaEliminationRule` -- deterministic schedule keeping
   N1(t) = ceil(alpha*t); stops once the empirical mean difference exceeds
   sqrt(2 sigma_t^2(alpha) beta(t, delta)) with
   sigma_t^2 = sigma1^2/N1 + sigma2^2/N2.  alpha=None resolves to
   sigma1/(sigma1+sigma2), the allocation that attains the two-armed
   complexity.
-* ``run_sglrt`` -- uniform sampling of Bernoulli arms; at even t the
+* :class:`SglrtRule` -- uniform sampling of Bernoulli arms; at even t the
   generalized-likelihood-ratio statistic t * I_*(mu1_hat, mu2_hat) is
   compared to beta(t, delta).
-* ``run_sprt_oracle`` -- the known-gap sequential probability ratio test
+* :class:`SprtRule` -- the known-gap sequential probability ratio test
   (only the sign of the gap is unknown): paired elimination with a constant
   threshold, stopping once the exact Gaussian log-likelihood ratio
   (Delta/sigma^2) * sum of paired differences leaves (-log 1/delta, log 1/delta).
 
-Runs are pure given their Generator; a safety cap ``tau_max`` (default
-ceil(50 log(1/delta) / I_*(nu))) bounds the sampling and is surfaced via
-the ``exhausted`` flag, never as an error.  A cap above 2**53, default or
-given, is rejected when the rule is built.
+A safety cap ``tau_max`` (default ceil(50 log(1/delta) / I_*(nu))) bounds
+the sampling and is surfaced via the ``exhausted`` flag, never as an
+error.  A cap above 2**53, default or given, is rejected when the rule is
+built, as is a cap under which a threshold or an arm's sum can leave the
+doubles.
 
-Each strategy is a :class:`~bestarm.engine.StoppingRule`, validated once
-per cell, that supplies only its per-chunk threshold and its statistic;
-:mod:`bestarm.engine` runs it.  The ``run_*`` functions are one-row
-blocks on the caller's Generator.
+The ``run_*`` functions run one replication of a rule on the caller's
+Generator, in place.  They are one-row wrappers, kept for the tests and
+for ``bench/tracer.py``, which counts runs by their names, until the
+tracer is re-pointed at the engine.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from enum import Enum
 import numpy as np
 
 from .complexity import i_star_bernoulli_kernel, i_star_fc
-from .dists import Gaussian, sample_n, sampler  # noqa: F401  (sample_n: re-exported name)
+from .dists import Gaussian, sample_n  # noqa: F401  (sample_n: re-exported name)
 from .engine import MAX_COUNT, RunOutcome, StoppingRule, run_one, workspace
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
@@ -171,16 +175,6 @@ def _paired_steps(instance: BanditInstance, delta: float, tau_max: int | None) -
     return steps if tau_max is not None else max(1, steps)
 
 
-def _layout(rule: StoppingRule, paired: bool) -> tuple:
-    """The draw layout of a rule that draws one paired difference, or both arms, per step.
-
-    Paired Gaussian elimination and the SPRT draw the same differences, as
-    the SGLRT and Bernoulli elimination draw the same arm pairs, at equal
-    arms and ``steps``.
-    """
-    return ("difference" if paired else "both", rule.arms, rule.steps)
-
-
 class EliminationRule(StoppingRule):
     """Paired-sampling elimination; see the module docstring for the rule.
 
@@ -196,21 +190,16 @@ class EliminationRule(StoppingRule):
         validate_rate(rate, delta)
         if sigma is None:
             sigma = _equal_variance_sigma(instance)
-        if not (sigma > 0 and math.isfinite(2.0 * sigma * sigma)):  # the thresholds' factor
-            raise DomainError(f"sigma must be positive with 2 sigma^2 finite, got {sigma}")
+        steps = _paired_steps(instance, delta, tau_max)
+        # t beta(t) is non-decreasing, so the threshold at the cap is the largest
+        t = 2 * max(steps, 1)
+        if not (sigma > 0 and math.isfinite(
+                2.0 * sigma * sigma * t * float(_rate_values(rate, t, delta)))):
+            raise DomainError(f"sigma must be positive with the threshold "
+                              f"sqrt(2 sigma^2 t beta(t)) finite up to t = {t}, got {sigma}")
         self.paired = isinstance(instance.arms[0], Gaussian)
-        super().__init__(instance, _paired_steps(instance, delta, tau_max))
+        super().__init__(instance, steps, "difference" if self.paired else "both")
         self.rate, self.delta, self.sigma = rate, delta, sigma
-
-    def build_samplers(self):
-        if not self.paired:
-            return super().build_samplers()
-        a1, a2 = self.arms  # one X - Y ~ N(mu1 - mu2, var1 + var2) per step, none on arm 2
-        fill, finish = sampler(Gaussian(a1.mean - a2.mean, a1.variance + a2.variance))
-        return fill, finish, np.asarray
-
-    def layout(self):
-        return _layout(self, self.paired)
 
     def chunk(self, done, n):
         ts = 2 * np.arange(done + 1, done + n + 1)
@@ -243,7 +232,7 @@ class AlphaEliminationRule(StoppingRule):
             alpha = a1.sigma / (a1.sigma + a2.sigma)
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-        super().__init__(instance, _resolve_tau_max(instance, delta, tau_max))
+        super().__init__(instance, _resolve_tau_max(instance, delta, tau_max), "schedule", alpha)
         self.rate, self.delta, self.alpha = rate, delta, alpha
         self.var1, self.var2 = a1.variance, a2.variance
 
@@ -269,7 +258,8 @@ class AlphaEliminationRule(StoppingRule):
         cum2 = carry[:, 1:] + np.cumsum(inc2, axis=1)
         m1 = cum1 / np.maximum(n1, 1)
         m2 = cum2 / np.maximum(n2, 1)
-        hits = testable & (np.abs(m1 - m2) > thr)
+        with np.errstate(over="ignore"):  # finite means an infinite gap apart: a crossing
+            hits = testable & (np.abs(m1 - m2) > thr)
         return hits, m1 >= m2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
 
     def draws(self, steps):
@@ -350,11 +340,8 @@ class SglrtRule(StoppingRule):
         if not instance.is_bernoulli:
             raise DomainError("the sequential GLRT is defined for Bernoulli arms")
         validate_rate(rate, delta)
-        super().__init__(instance, _paired_steps(instance, delta, tau_max))
+        super().__init__(instance, _paired_steps(instance, delta, tau_max), "both")
         self.rate, self.delta = rate, delta
-
-    def layout(self):
-        return _layout(self, False)
 
     def chunk(self, done, n):
         ks = np.arange(done + 1, done + n + 1, dtype=float)
@@ -406,7 +393,7 @@ class SprtRule(EliminationRule):
                               "the smallest normal double")
         self.threshold = math.log(1.0 / delta) / self.coef
         self.paired = True
-        StoppingRule.__init__(self, instance, _paired_steps(instance, delta, tau_max))
+        StoppingRule.__init__(self, instance, _paired_steps(instance, delta, tau_max), "difference")
 
     def chunk(self, done, n):
         return n, 0, self.threshold

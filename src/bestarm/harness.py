@@ -185,16 +185,17 @@ def _run_task(task: list[tuple]) -> list[list[list[int]]]:
     rows ``rows`` of every cell, cell g running ``rules[g]``.
 
     Cells that read one stream with one draw layout (equal master seed,
-    grid index, rows and :meth:`~bestarm.engine.StoppingRule.layout`) run as
-    one :func:`engine.run_group`, which fills their draws once.  Each block
-    it yields is folded at once into its cells' exact integer sums [errors,
-    sum tau, sum tau^2, exhausted], which are returned per config and cell.
+    grid index, rows and ``rule.layout``, which names the arms, the cap and
+    any allocation or alpha) run as one :func:`engine.run_group`, which
+    fills their draws once.  Each block it yields is folded at once into
+    its cells' exact integer sums [errors, sum tau, sum tau^2, exhausted],
+    which are returned per config and cell.
     """
     sums = [[[0, 0, 0, 0] for _ in rules] for _, _, rules, _ in task]
     groups = {}  # (seed, g, rows, layout) -> (rule, sums) of each cell that reads it
     for (_, seed, rules, rows), cells in zip(task, sums):
         for g, (rule, cell) in enumerate(zip(rules, cells)):
-            groups.setdefault((seed, g, rows, rule.layout()), []).append((rule, cell))
+            groups.setdefault((seed, g, rows, rule.layout), []).append((rule, cell))
     for (seed, g, rows, _), cells in groups.items():
         for block in engine.run_group([rule for rule, _ in cells], make_rng(seed, g), rows):
             for (rule, cell), outcomes in zip(cells, block):

@@ -612,11 +612,25 @@ _HUGE_GAP = ["--family", "gaussian", "--means", "1e300,-1e300", "--variances", "
     ["simulate-fc", "--family", "exponential", "--means", "1.7e308,1e308", "--algo",
      "elimination", "--rate", "robbins", "--sigma", "1", "--deltas", "0.1", "--reps", "5",
      "--seed", "0", "--tau-max", "100"],
+    # an alpha-elimination arm's sum over its draws under the cap overflows
+    # (at alpha = 0.99 arm 1's inf would beat the better arm 2)
+    ["simulate-fc", "--family", "gaussian", "--means", "1.6e308,1.7e308", "--variances", "1,1",
+     "--algo", "alpha-elimination", "--rate", "alpha-elim", "--alpha", "0.99", "--deltas",
+     "0.1", "--reps", "4", "--seed", "0", "--tau-max", "400"],
+    ["simulate-fc", "--family", "gaussian", "--means", "1e308,-1e308", "--variances", "1,1",
+     "--algo", "alpha-elimination", "--rate", "alpha-elim", "--deltas", "0.1", "--reps", "2",
+     "--seed", "0", "--tau-max", "10"],
+    # the elimination threshold sqrt(2 sigma^2 t beta(t)) overflows under the cap
+    ["simulate-fc", "--family", "exponential", "--means", "2,1", "--algo", "elimination",
+     "--rate", "robbins", "--sigma", "5e153", "--deltas", "0.1", "--reps", "5", "--seed", "0",
+     "--tau-max", "100"],
 ], ids=["complexity-tiny-gap", "bound-tiny-gap", "complexity-ulp-bernoulli",
         "bound-ulp-bernoulli", "complexity-ulp-exponential", "bound-ulp-exponential",
         "complexity-huge-gap", "bound-huge-gap", "simulate-fc-huge-gap", "bound-tiny-eps",
         "simulate-fc-sprt-tiny-coefficient", "simulate-fb-gaussian-sum-overflow",
-        "simulate-fb-exponential-sum-overflow", "simulate-fc-exponential-draw-overflow"])
+        "simulate-fb-exponential-sum-overflow", "simulate-fc-exponential-draw-overflow",
+        "simulate-fc-alpha-sum-overflow", "simulate-fc-alpha-sum-overflow-even",
+        "simulate-fc-elimination-threshold-overflow"])
 def test_numbers_past_the_doubles_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     if argv[0] in ("simulate-fc", "simulate-fb"):
@@ -628,6 +642,33 @@ def test_numbers_past_the_doubles_are_usage_errors(tmp_path, capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", [["elimination", "--rate", "robbins"], ["sprt"]],
+                         ids=["elimination", "sprt"])
+def test_a_paired_gap_past_the_doubles_is_named(tmp_path, capsys, algo):
+    # both arms are finite; their difference, the law paired rules draw, is not
+    argv = ["simulate-fc", "--family", "gaussian", "--means", "1e308,-1e308", "--variances",
+            "1,1", "--algo", *algo, "--deltas", "0.1", "--reps", "2", "--seed", "0",
+            "--tau-max", "10", "--out", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "mu1 - mu2 = inf" in err and "Gaussian mean" not in err
+
+
+def test_alpha_elimination_reads_an_infinite_gap_as_a_crossing(tmp_path, capsys):
+    # each arm's sum is finite, their difference is not: the first test
+    # step crosses, toward arm 1, with no floating-point warning
+    out = tmp_path / "x.csv"
+    argv = ["simulate-fc", "--family", "gaussian", "--means", "1.7e308,-1.7e308",
+            "--variances", "1,1", "--algo", "alpha-elimination", "--rate", "alpha-elim",
+            "--deltas", "0.1", "--reps", "2", "--seed", "0", "--tau-max", "2",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    record, = read_records(str(out))
+    assert record.error_rate == 0 and record.mean_tau == 2 and record.exhausted_count == 0
 
 
 def test_an_exponential_mean_without_a_finite_natural_parameter_is_named(capsys):

@@ -414,8 +414,8 @@ def test_sprt_scan_is_the_scaled_llr_decision(data):
 def test_sprt_and_elimination_share_one_layout():
     # the SPRT is paired elimination: one draw layout, so one stream in a group
     rate = ExplorationRate.ROBBINS_LOG_T
-    assert (fc_algos.SprtRule(EASY, 0.05, tau_max=500).layout()
-            == fc_algos.EliminationRule(EASY, 0.1, rate, tau_max=500).layout())
+    assert (fc_algos.SprtRule(EASY, 0.05, tau_max=500).layout
+            == fc_algos.EliminationRule(EASY, 0.1, rate, tau_max=500).layout)
 
 
 def _first(hits):

@@ -525,10 +525,10 @@ def test_row_generators_carry_nothing_between_calls():
     fc_algos.AlphaEliminationRule(two_armed_gaussian(0.1, 0.0, 1.0, 0.25), 0.1,
                                   ExplorationRate.ALPHA_ELIM, tau_max=400),
 ], ids=["sglrt", "bernoulli-elimination", "alpha-elimination"])
-def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(rule):
+def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(monkeypatch, rule):
     # the split rule fills each row's c1 arm-1 variates and its c2 arm-2
     # variates of a chunk in two calls
-    fill, finish1, finish2 = rule.samplers
+    fill, finish1, finish2 = engine.samplers(rule.layout)
     split = copy.copy(rule)
     arm1_counts = []
 
@@ -542,9 +542,9 @@ def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(rule):
         fill(rng, out[arm1_counts[-1]:])
 
     split.chunk = chunk
-    split.samplers = fill_per_arm, finish1, finish2
     merged = engine.run_rows(rule, make_rng(21, 3), range(70))
     assert (merged[0] > rule.draws(64 + 128)[0]).any()
+    monkeypatch.setattr(engine, "samplers", lambda layout: (fill_per_arm, finish1, finish2))
     for a, b in zip(merged, engine.run_rows(split, make_rng(21, 3), range(70))):
         np.testing.assert_array_equal(a, b)
 
@@ -621,7 +621,7 @@ def test_a_group_equals_its_rules_run_alone(group, capped, g, seed, reps):
     # elimination), so one fill serves all four, and each reads what it reads alone
     name, deltas, cap = group
     rules = _preset_group(name, g % deltas, cap if capped else None)
-    assert len(rules) == 4 and len({rule.layout() for rule in rules}) == 1
+    assert len(rules) == 4 and len({rule.layout for rule in rules}) == 1
     grouped = list(engine.run_group(rules, make_rng(seed, g), range(reps)))
     for k, rule in enumerate(rules):
         out = _rule_rows(grouped, k)
@@ -634,19 +634,80 @@ def test_a_group_equals_its_rules_run_alone(group, capped, g, seed, reps):
 def test_rules_that_differ_only_in_their_cap_do_not_share():
     short, long_ = (fc_algos.EliminationRule(EASY, 0.1, ExplorationRate.PLAIN_LOG, tau_max=cap)
                     for cap in (20, 200))
-    assert short.layout() != long_.layout()
+    assert short.layout != long_.layout
     with pytest.raises(ValueError):
         list(engine.run_group([short, long_], make_rng(4, 0), range(10)))
     # the harness runs them apart, each as it runs alone
     configs = [ExperimentConfig(EASY, dataclasses.replace(ELIM, tau_max=cap), (0.1,), 70, 4)
                for cap in (20, 200)]
     assert run_experiments(configs) == [run_fc_experiment(cfg)[0] for cfg in configs]
-    # static and alpha-elimination rules share with no other rule
+    # static rules of one allocation, and alpha-elimination rules of one alpha,
+    # share one layout, and each reads in a group the rows it reads alone
     alloc = fb_algos.uniform_allocation(30)
-    assert fb_algos.StaticRule(EASY, alloc).layout() != fb_algos.StaticRule(EASY, alloc).layout()
+    static = [fb_algos.StaticRule(EASY, alloc) for _ in range(2)]
     alpha = [fc_algos.AlphaEliminationRule(MISMATCHED, 0.1, ExplorationRate.ALPHA_ELIM)
              for _ in range(2)]
-    assert alpha[0].layout() != alpha[1].layout()
+    for pair in (static, alpha):
+        assert pair[0].layout == pair[1].layout
+        grouped = list(engine.run_group(pair, make_rng(4, 0), range(10)))
+        for k, rule in enumerate(pair):
+            alone = engine.run_rows(rule, make_rng(4, 0), range(10))
+            np.testing.assert_array_equal(_rule_rows(grouped, k), np.column_stack(alone))
+    # another allocation, or another alpha, draws otherwise
+    other_alloc = fb_algos.StaticRule(EASY, fb_algos.uniform_allocation(31))
+    other_alpha = fc_algos.AlphaEliminationRule(MISMATCHED, 0.1, ExplorationRate.ALPHA_ELIM,
+                                                alpha=0.3)
+    for rules in ([static[0], other_alloc], [alpha[0], other_alpha]):
+        assert rules[0].layout != rules[1].layout
+        with pytest.raises(ValueError):
+            list(engine.run_group(rules, make_rng(4, 0), range(10)))
+
+
+def _chunk_counts(rule):
+    """(c1, c2) of each chunk of ``rule``'s steps, on the engine's schedule."""
+    counts, done, chunk = [], 0, engine._CHUNK0
+    while done < rule.steps:
+        n = min(chunk, rule.steps - done)
+        counts.append(rule.chunk(done, n)[:2])
+        done += n
+        chunk = min(2 * chunk, engine._CHUNK_MAX)
+    return counts
+
+
+_RATES = [ExplorationRate.ROBBINS_LOG_T, ExplorationRate.PLAIN_LOG, ExplorationRate.ALPHA_ELIM,
+          ExplorationRate.SGLRT, ExplorationRate.CONJECTURED_LOG_LOG]
+
+
+@given(gaussian=st.booleans(), cap=st.integers(min_value=0, max_value=20_000), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_rules_of_one_layout_draw_alike_and_others_do_not_group(gaussian, cap, data):
+    # a block fills each chunk with the (c1, c2) of the last rule that scans
+    # it, so rules of one layout must draw the same counts in every chunk
+    inst = two_armed_gaussian(0.3, 0.0, 0.25) if gaussian else two_armed_bernoulli(0.6, 0.45)
+    delta = st.sampled_from([0.01, 0.05, 0.1])
+    rate = st.sampled_from(_RATES)
+    sigma = None if gaussian else 0.5
+    rules = []
+    for _ in range(2):
+        budget = data.draw(st.sampled_from([10, 11, 30]))
+        rules.append(fb_algos.StaticRule(inst, fb_algos.uniform_allocation(budget)))
+        rules.append(fc_algos.EliminationRule(inst, data.draw(delta), data.draw(rate),
+                                              tau_max=cap, sigma=sigma))
+        if gaussian:
+            rules.append(fc_algos.SprtRule(inst, data.draw(delta), tau_max=cap))
+            rules.append(fc_algos.AlphaEliminationRule(
+                inst, data.draw(delta), data.draw(rate),
+                alpha=data.draw(st.sampled_from([0.25, 0.5, 0.7])), tau_max=cap))
+        else:
+            rules.append(fc_algos.SglrtRule(inst, data.draw(delta), data.draw(rate),
+                                            tau_max=cap))
+    for a in rules:
+        for b in rules:
+            if a.layout == b.layout:
+                assert _chunk_counts(a) == _chunk_counts(b)
+            else:
+                with pytest.raises(ValueError):
+                    list(engine.run_group([a, b], make_rng(5, 0), range(3)))
 
 
 def test_a_task_runs_each_shared_stream_once(monkeypatch):
