@@ -10,7 +10,11 @@ and worker counts, then the easy figures again past one 128-row block
 and at 3 workers (an uneven split of 67 replications), then the known-gap
 SPRT with the paper's statistic on fig3-easy's instance and with a cap at
 which most rows exhaust, so that the lead at the cap is hashed, at the same
-seeds and worker counts.  Each run prints one line,
+seeds and worker counts, then elimination with a sigma proxy on an
+exponential instance (a running difference of draws that are not
+integers) at two rates, and the SGLRT and elimination on fig4-right's
+instance at a cap where most rows exhaust, at the same seeds and worker
+counts.  Each run prints one line,
 ``label seed workers sha256``.  Records are a pure function of the config,
 so two checkouts that should draw the same numbers print the same lines;
 diff the output of one against the other.  The bytes depend on the numpy
@@ -61,6 +65,17 @@ ALPHA_ELIMINATION = ["simulate-fc", "--family", "gaussian", "--means", "0.5,0",
 SPRT = (("sprt-paper", ["--means", "0.5,0", "--variances", "0.25,0.25",
                         "--sprt-paper-statistic"]),
         ("sprt-capped", ["--means", "0.5,0", "--variances", "4,4", "--tau-max", "41"]))
+#: (label, simulate-fc flags) of the runs after the SPRT's: sigma-elimination on
+#: exponential arms at two rates, and fig4-right's instance at a cap most rows reach.
+EXPONENTIAL_SIGMA = ["--family", "exponential", "--means", "1.0,0.5", "--algo", "elimination",
+                     "--sigma", "1"]
+FIG4_RIGHT_CAPPED = ["--family", "bernoulli", "--means", "0.51,0.5", "--tau-max", "3001"]
+LATE = (("sigma-exponential-robbins", [*EXPONENTIAL_SIGMA, "--rate", "robbins"]),
+        ("sigma-exponential-plain-log", [*EXPONENTIAL_SIGMA, "--rate", "plain-log"]),
+        ("fig4-right-capped-sglrt", [*FIG4_RIGHT_CAPPED, "--algo", "sglrt",
+                                     "--rate", "conjectured"]),
+        ("fig4-right-capped-elimination", [*FIG4_RIGHT_CAPPED, "--algo", "elimination",
+                                           "--rate", "plain-log", "--sigma", "0.5"]))
 #: Seed and number of the random instances per family whose solver bits are hashed.
 PAIR_SEED = 0
 PAIRS = 1000
@@ -95,6 +110,12 @@ def runs():
                     "simulate-fc", "--family", "gaussian", *flags, "--algo", "sprt",
                     "--deltas", "0.1,0.01", "--reps", "67", "--seed", str(seed),
                     "--workers", str(workers)]
+    for label, flags in LATE:
+        for seed in SEEDS:
+            for workers in WORKERS:
+                yield label, seed, workers, [
+                    "simulate-fc", *flags, "--deltas", "0.1,0.01", "--reps", "67",
+                    "--seed", str(seed), "--workers", str(workers)]
 
 
 def instances(family):

@@ -128,7 +128,7 @@ def fc_lower_bound_general(instance: BanditInstance, delta: float) -> float:
     for i, arm in enumerate(instance.arms):
         divergence = kl(arm, arm_m1 if i in best else arm_m)
         total += 1.0 / divergence if divergence else math.inf  # 0: it underflowed
-    return _in_range("fc_general", total * math.log(1.0 / (2.0 * delta)))
+    return _in_range("fc_general", total * math.log(1.0 / (2.0 * delta)), instance)
 
 
 def fc_lower_bound_eps_relaxed(instance: BanditInstance, eps: float, delta: float) -> float:
@@ -167,8 +167,8 @@ def fc_two_armed_bounds(instance: BanditInstance, delta: float) -> tuple[float, 
     _check_delta(delta)
     log_term = math.log(1.0 / (2.0 * delta))
     c_value, _ = c_star_fc(instance)
-    return (_in_range("fc_two_armed_general", log_term / c_value),
-            _in_range("fc_two_armed_uniform", log_term / i_star_fc(instance)))
+    return (_in_range("fc_two_armed_general", log_term / c_value, instance),
+            _in_range("fc_two_armed_uniform", log_term / i_star_fc(instance), instance))
 
 
 def fb_modified_instance(instance: BanditInstance, a: int, b: int | None = None) -> BanditInstance:
@@ -208,12 +208,14 @@ def fb_error_lower_bounds(profile: GapProfile, t: int) -> tuple[float, float]:
     """Fixed-budget error lower bounds (exp(-4t/H'), exp(-4t/Htilde)/4).
 
     The first applies to m=1, the second to general m; both hold for the
-    pair (instance, modified instance) in the max sense.
+    pair (instance, modified instance) in the max sense.  An H that
+    underflows to 0 gives exp(-4t/H)'s limit: 1 at t = 0 and 0 after.
     """
     if profile.h_prime is None or profile.h_tilde is None:
         raise DomainError("profile lacks the Gaussian-only quantities H', Htilde")
     if t < 0:
         raise DomainError(f"budget must be nonnegative, got {t}")
-    bound_m1 = math.exp(-4.0 * t / profile.h_prime)
-    bound_general = 0.25 * math.exp(-4.0 * t / profile.h_tilde)
-    return bound_m1, bound_general
+
+    def decay(h: float) -> float:
+        return math.exp(-4.0 * t / h) if h else float(t == 0)
+    return decay(profile.h_prime), 0.25 * decay(profile.h_tilde)

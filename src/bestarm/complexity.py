@@ -75,11 +75,17 @@ def _crossing(d1: Callable[[float], float], d2: Callable[[float], float],
     return w * d1(y_star) + (1.0 - w) * d2(y_star), x_star, y_star, w
 
 
-def _in_range(name: str, value: float) -> float:
-    """``value`` if it is a normal double, so that its reciprocal is finite too."""
+def _in_range(name: str, value: float, instance: BanditInstance) -> float:
+    """``value`` if it is a normal double, so that its reciprocal is finite too.
+
+    Gaussian rates read the means on the scale of the variances, so the
+    error names the variances too.
+    """
     if not sys.float_info.min <= value <= sys.float_info.max:
+        scale = (" for the variances " + ", ".join(f"{arm.variance:g}" for arm in instance.arms)
+                 if instance.is_gaussian else "")
         raise DomainError(f"{name} = {value:.3g} lies outside the normal doubles: "
-                          "the means are too close together or too far apart")
+                          f"the means are too close together or too far apart{scale}")
     return value
 
 
@@ -120,7 +126,7 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         s1, s2 = a1.sigma, a2.sigma
         crossing = a2.mean + (a1.mean - a2.mean) * (s2 / (s1 + s2))
         value = _square(a1.mean - a2.mean) / (2.0 * _square(s1 + s2))
-        return _in_range("c_star_fc", value), crossing
+        return _in_range("c_star_fc", value, instance), crossing
     fam, t1, t2 = _expfam_params(instance)
     if isinstance(a1, ExpFamilyArm) and fam.family_id == BERNOULLI_FAMILY.family_id \
             and t1 + t2 > 0.0:
@@ -135,7 +141,7 @@ def c_star_fc(instance: BanditInstance) -> tuple[float, float]:
         d1, d2 = (lambda mu: fam.kl(t1, fam.nat_of_mean(mu)),
                   lambda mu: fam.kl(t2, fam.nat_of_mean(mu)))
     value, theta_star, _, _ = _crossing(d1, d2, t1, t2, a1.mean, a2.mean, fam.mean_map)
-    return _in_range("c_star_fc", value), theta_star
+    return _in_range("c_star_fc", value, instance), theta_star
 
 
 def i_star_fc(instance: BanditInstance) -> float:
@@ -154,7 +160,7 @@ def i_star_fc(instance: BanditInstance) -> float:
         fam, t1, t2 = _expfam_params(instance)
         mid = mean_to_nat(fam, 0.5 * (fam.mean_map(t1) + fam.mean_map(t2)))
         value = 0.5 * (fam.kl(t1, mid) + fam.kl(t2, mid))
-    return _in_range("i_star_fc", value)
+    return _in_range("i_star_fc", value, instance)
 
 
 def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
@@ -169,7 +175,7 @@ def c_star_fb(instance: BanditInstance) -> tuple[float, float]:
     if isinstance(a1, Gaussian):
         return c_star_fc(instance)
     value, theta_star, _ = _chernoff(*_expfam_params(instance))
-    return _in_range("c_star_fb", value), theta_star
+    return _in_range("c_star_fb", value, instance), theta_star
 
 
 def _chernoff(fam: ExpFamilyDescriptor, theta1: float, theta2: float):
@@ -209,7 +215,7 @@ def i_star_fb(instance: BanditInstance) -> float:
         fam, t1, t2 = _expfam_params(instance)
         mid = 0.5 * (t1 + t2)
         value = 0.5 * (fam.kl(mid, t1) + fam.kl(mid, t2))
-    return _in_range("i_star_fb", value)
+    return _in_range("i_star_fb", value, instance)
 
 
 def g_alpha(fam: ExpFamilyDescriptor, theta1: float, theta2: float, alpha: float) -> float:

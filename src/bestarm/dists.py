@@ -110,9 +110,17 @@ def _square(x: float) -> float:
 
 
 def gaussian_kl(mu1: float, var1: float, mu2: float, var2: float) -> float:
-    """KL(N(mu1, var1) || N(mu2, var2)) in closed form; inf past the largest double."""
+    """KL(N(mu1, var1) || N(mu2, var2)) in closed form; inf past the largest double.
+
+    Where var1/var2 falls below the normal doubles its log is the difference
+    of the variances' logs, and where it overflows the divergence is inf.
+    """
     ratio = var1 / var2
-    return _square(mu1 - mu2) / (2.0 * var2) + 0.5 * (ratio - 1.0 - math.log(ratio))
+    if ratio == math.inf:
+        return math.inf
+    log_ratio = (math.log(ratio) if ratio >= sys.float_info.min
+                 else math.log(var1) - math.log(var2))
+    return _square(mu1 - mu2) / (2.0 * var2) + 0.5 * (ratio - 1.0 - log_ratio)
 
 
 # ---------------------------------------------------------------------------

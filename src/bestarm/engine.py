@@ -1,7 +1,7 @@
 """The stopping engine every strategy runs on.
 
 A :class:`StoppingRule` is one strategy validated for one cell: it
-supplies its per-chunk thresholds and its statistic, nothing else, and
+supplies its per-chunk thresholds and its comparison, nothing else, and
 states what it draws in its ``layout``, whose :func:`samplers` it reads.
 :func:`run_group` advances the replications of rules that share one layout
 in lockstep blocks and yields each block's outcomes, keeping none (the
@@ -12,20 +12,22 @@ a generator of its own, given its replication's state
 of steps (64 doubling to 4096) each row that some rule of the group still
 runs fills its chunk with one call of the layout's ``fill``, its arm-1
 variates then its arm-2 variates; the rows are stacked into (rows, n)
-arrays and finished once, and each rule scans its own active rows for
-first crossings at once, with its own thresholds and running sums, and
+arrays, finished once, and turned once into the running sums the layout
+keeps (its ``accumulate``), from one carry per row for the whole group:
+the sums after the chunks before.  Each rule then compares its own active
+rows' sums with its own thresholds at once, for first crossings, and
 drops the rows that stopped.  Rules of one layout draw the same variates
-from one stream, so each reads exactly what it reads when run alone.  A
-rule draws what its statistic reads: a rule that reads only paired
-differences draws them on arm 1 and nothing on arm 2, and a static rule
-draws one sum per arm.  Thresholds are computed once per chunk, block and
-rule, and shared by all of the rule's rows.
+from one stream and keep the same sums, so each reads exactly what it
+reads when run alone.  A rule draws what its statistic reads: a rule that
+reads only paired differences draws them on arm 1 and nothing on arm 2,
+and a static rule draws one sum per arm.  Thresholds are computed once per
+chunk, block and rule, and shared by all of the rule's rows.
 
-The lockstep loop allocates no array of a sub-block's size: rows fill and
-finish in place in the process's workspace (:func:`workspace`), and the
-scans write their running sums and flags into it too.  A scan only reads
-``x`` and ``y``, and the arrays it returns may live in the workspace until
-the next scan call, so the engine reads them before it scans again.
+The lockstep loop allocates no array of a sub-block's size: rows fill,
+finish and accumulate in place in the process's workspace
+(:func:`workspace`), and the scans write their flags into it too.  A scan
+only reads the sums, and the flags it returns may live in the workspace
+until the next scan call, so the engine reads them before it scans again.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import Gaussian, _check_sums, sampler, sum_sampler
+from .dists import Bernoulli, Gaussian, _check_sums, sampler, sum_sampler
 from .errors import DomainError
 from .instances import BanditInstance
 from .rng import row_states
@@ -67,7 +69,8 @@ def workspace(slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     freed, so the lockstep loop does not allocate, free and fault in its
     sub-block temporaries over and over.  The array is valid until the
     slot's next request.  The engine's own slots are "fill" (a sub-block's
-    variates), "x" and "y" (a rule's rows of them) and "rows" (filled_rows').
+    variates), "sum1" and "sum2" (their running sums), "pick1" and "pick2" (a
+    rule's rows of those) and "rows" (filled_rows').
     """
     size = math.prod(shape)
     buf = _WORKSPACE.get((slot, dtype))
@@ -89,37 +92,97 @@ class RunOutcome:
 
 @functools.cache
 def samplers(layout: tuple):
-    """(fill, finish1, finish2) of a rule's ``layout``, built once per layout and process.
+    """(fill, finish1, finish2, accumulate) of a rule's ``layout``, built once per layout and process.
 
     ``fill(rng, out)`` writes a row's c1 arm-1 then c2 arm-2 variates of a
-    chunk, and each finish maps its arm's to draws.  A "difference" step
-    draws one X - Y on arm 1 and nothing on arm 2; "both" and "schedule"
-    draw both arms from one standard law; "sums" draws one sum per arm.
-    Raises DomainError where a draw, or a sum a scan keeps, can leave the doubles.
+    chunk, and each finish maps its arm's to draws.  ``accumulate(carry, x,
+    y, done)`` gives, from a sub-block's finished draws x and y of steps
+    done+1..done+n and the rows' running sums before them (``carry``, two
+    columns, of which a layout that keeps one sum reads the first), the
+    tuple of (rows, n) running sums the layout keeps:
+
+    * "difference" draws one X - Y per step on arm 1 and nothing on arm 2,
+      and keeps S = carry + cumsum(x);
+    * "both" draws both arms per step.  On Bernoulli arms it keeps the arm
+      sums (S1, S2), exact integers, so S1 - S2 is the running difference
+      bit for bit; on other arms S1 - S2 would round apart from it, so it
+      keeps the running difference of the draws instead;
+    * "schedule" draws one arm per step and keeps (S1, S2) at every step, an
+      arm's sum unchanged at a step that draws the other;
+    * "sums" draws one sum per arm and keeps the draws: it has one step,
+      no carry and nothing to add.
+
+    Each running sum's last column is the carry of the next chunk.  Raises
+    DomainError where a draw, or a sum the engine keeps, can leave the doubles.
     """
     kind, arms, steps, *params = layout
     if kind == "sums":
-        return sum_sampler(arms, params)
+        return (*sum_sampler(arms, params), _drawn_sums)
     a1, a2 = arms
     if kind == "difference":
         gap, var = a1.mean - a2.mean, a1.variance + a2.variance
         try:
-            fill, finish = sampler(Gaussian(gap, var))
+            difference = Gaussian(gap, var)
+            fill, finish = sampler(difference)
+            _check_sums(difference, steps)
         except DomainError:
             raise DomainError(f"a paired difference X - Y ~ N(mu1 - mu2, var1 + var2) with "
-                              f"mu1 - mu2 = {gap:g} and var1 + var2 = {var:g} can exceed "
-                              "the largest double") from None
-        return fill, finish, np.asarray
+                              f"mu1 - mu2 = {gap:g} and var1 + var2 = {var:g}, or a sum of "
+                              f"{steps} of them, can exceed the largest double") from None
+        return fill, finish, np.asarray, _difference
     (fill, finish1), (_, finish2) = sampler(a1), sampler(a2)
-    if kind == "schedule":  # a scan sums every draw of an arm under the cap
-        n1 = math.ceil(params[0] * steps)
-        _check_sums(a1, n1)
-        _check_sums(a2, steps - n1)
-    return fill, finish1, finish2
+    if kind == "both":
+        return fill, finish1, finish2, _arm_sums if isinstance(a1, Bernoulli) else _drawn_difference
+    n1 = math.ceil(params[0] * steps)  # "schedule": the engine sums every draw under the cap
+    _check_sums(a1, n1)
+    _check_sums(a2, steps - n1)
+    return fill, finish1, finish2, functools.partial(_scheduled_sums, params[0])
+
+
+def arm1_counts(alpha: float, done: int, n: int) -> np.ndarray:
+    """N1(t) = ceil(alpha t) at t = done, ..., done+n: arm 1's draws of a "schedule" layout."""
+    return np.ceil(alpha * np.arange(done, done + n + 1)).astype(np.int64)
+
+
+def _difference(carry, x, y, done):
+    s = np.cumsum(x, axis=1, out=workspace("sum1", x.shape))
+    s += carry[:, :1]
+    return s,
+
+
+def _drawn_difference(carry, x, y, done):
+    return _difference(carry, np.subtract(x, y, out=workspace("sum1", x.shape)), None, done)
+
+
+def _arm_sums(carry, x, y, done):
+    s1 = np.cumsum(x, axis=1, out=workspace("sum1", x.shape))
+    s1 += carry[:, :1]
+    s2 = np.cumsum(y, axis=1, out=workspace("sum2", y.shape))
+    s2 += carry[:, 1:]
+    return s1, s2
+
+
+def _scheduled_sums(alpha, carry, x, y, done):
+    n1 = arm1_counts(alpha, done, x.shape[1] + y.shape[1])
+    takes_arm1 = n1[1:] != n1[:-1]
+    sums = []
+    for slot, draws, takes, before in (("sum1", x, takes_arm1, carry[:, :1]),
+                                       ("sum2", y, ~takes_arm1, carry[:, 1:])):
+        s = workspace(slot, (len(carry), takes.size))
+        s[:, ~takes] = 0.0
+        s[:, takes] = draws
+        np.cumsum(s, axis=1, out=s)
+        s += before
+        sums.append(s)
+    return tuple(sums)
+
+
+def _drawn_sums(carry, x, y, done):
+    return x, y
 
 
 class StoppingRule:
-    """A strategy validated for one cell: what it draws, its thresholds and statistic.
+    """A strategy validated for one cell: what it draws, its thresholds and comparison.
 
     A rule runs at most ``steps`` steps, each paired (one draw per arm, t = 2k)
     unless ``draws`` says otherwise.  ``layout`` says what it draws, as the
@@ -128,10 +191,9 @@ class StoppingRule:
     leave the doubles is refused when it is built.  ``chunk(done, n)``
     gives the arm-1 and arm-2 variate counts of steps done+1..done+n, equal
     for equal layouts, and the data every row shares (thresholds);
-    :meth:`scan` decides them.  A rule holds plain data only.
+    :meth:`scan` decides them, and :meth:`leads` reads the recommendation.
+    A rule holds plain data only.
     """
-
-    width = 1
 
     def __init__(self, instance: BanditInstance, steps: int, kind: str, *params):
         self.best_arm = instance.best_arm
@@ -143,23 +205,32 @@ class StoppingRule:
     def chunk(self, done: int, n: int):
         return n, n, None
 
-    def scan(self, shared, carry, x, y):
-        """(hits, leads, carry) of steps done+1..done+n for a block of rows.
+    def scan(self, shared, sums):
+        """(rows, n) flags of steps done+1..done+n for a block of rows: the rule stops here.
 
-        ``x`` and ``y`` are the rows' finished arm-1 and arm-2 variates of
-        the chunk and ``carry`` their ``width`` running sums before it.  Every
-        rule of a group reads the same ``x`` and ``y``, so a scan must not
-        write to them: the engine hands them over read-only.  A scan may
-        keep its temporaries and the arrays it returns in :func:`workspace`
-        slots other than the engine's ("fill", "x", "y" and "rows"); what it
-        returns need stay valid only until the next scan call.
-        ``hits`` and ``leads`` are (rows, n) flags: the rule stops here, and
-        arm 0 is recommended here.  The engine reads only each row's first
-        hit, the lead there, the lead in the last column and the returned
-        carry (the running sums after the chunk); every other entry of
-        ``hits`` and ``leads`` may be anything.
+        ``sums`` are the rows' running sums after each step, as the layout
+        keeps them (:func:`samplers`), from the engine's one carry per row.
+        Every rule of a group reads the same sums, so a scan must not write
+        to them: the engine hands them over read-only.  A scan may keep its
+        temporaries and the flags it returns in :func:`workspace` slots
+        other than the engine's ("fill", "sum1", "sum2", "pick1", "pick2"
+        and "rows"); the flags need stay valid only until the next scan
+        call.  The engine reads only each row's first hit; every flag after
+        it may be anything.
         """
         raise NotImplementedError
+
+    def leads(self, shared, sums, rows, cols):
+        """Whether arm 0 leads at the entries [rows, cols] of the sums (ties: yes).
+
+        ``rows`` and ``cols`` index the sums as numpy does: arrays of rows
+        and a step of each, or every row and one step.  The engine reads it
+        at the chunk's last step and at each row's first hit before it.  One
+        running sum leads when S >= 0, and two when S1 >= S2.
+        """
+        if len(sums) == 1:
+            return sums[0][rows, cols] >= 0.0
+        return sums[0][rows, cols] >= sums[1][rows, cols]
 
     def draws(self, steps: int) -> tuple[int, int]:
         """(tau, arm-1 draws) after ``steps`` steps."""
@@ -229,21 +300,20 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     The rules share one layout, and ``samplers`` are its :func:`samplers`.
     Row i draws from ``gens[i]`` in place, one fill call per chunk while
     some rule still runs it, every chunk in stream order, so no state is
-    saved or restored between chunks.  A sub-block's
-    finished arrays go to every rule with rows in it, read-only: a rule
-    that runs all of the sub-block's rows reads them whole, any other the
-    rows it runs.
+    saved or restored between chunks.  A sub-block's running sums are
+    accumulated once, from one carry per row, and go to every rule with
+    rows in it, read-only: a rule that runs all of the sub-block's rows
+    reads them whole, any other the rows it runs.
     """
-    fill, finish1, finish2 = samplers
+    fill, finish1, finish2, accumulate = samplers
     steps = rules[0].steps
     # per rule: a stopped row's outcome, and until then whether arm 0 leads (ties
-    # and no draws: yes); the rows it still runs; their running sums, in that order
-    results, actives, carries = [], [], []
-    for rule in rules:
-        results.append([True] * len(gens))
-        actives.append(list(range(len(gens))))
-        carries.append(np.zeros((len(gens), rule.width)))
+    # and no draws: yes); the rows it still runs, in order
+    results = [[True] * len(gens) for _ in rules]
+    actives = [list(range(len(gens))) for _ in rules]
     rows = actives[0]  # the rows some rule still runs, in order
+    carry = np.zeros((len(rows), 2))  # their running sums, in that order
+    ordinal = np.arange(len(rows))
     done, chunk = 0, _CHUNK0
     while done < steps:
         n = min(chunk, steps - done)
@@ -260,35 +330,46 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
             z = workspace("fill", (len(idx), c1 + c2))
             for i, j in enumerate(idx):
                 fill(gens[j], z[i])
-            x, y = finish1(z[:, :c1]), finish2(z[:, c1:])
-            x.setflags(write=False)
-            y.setflags(write=False)
+            before = carry[lo:lo + len(idx)]
+            sums = accumulate(before, finish1(z[:, :c1]), finish2(z[:, c1:]), done)
+            if done + n < steps:
+                for column, s in zip(before.T, sums):
+                    column[:] = s[:, -1]
+            for s in sums:
+                s.setflags(write=False)
             for scan in scans:
                 k, shared, a, kept = scan
                 active = actives[k]
                 b = scan[2] = bisect_right(active, idx[-1], a)
                 if b - a == len(idx):
-                    ids, xs, ys = idx, x, y
+                    ids, picked = idx, sums
                 elif b > a:
                     ids = active[a:b]
                     pick = [where[j] - lo for j in ids]
                     # every index is in range; mode "raise" would buffer the output
-                    xs = np.take(x, pick, axis=0, mode="clip",
-                                 out=workspace("x", (len(ids), c1)))
-                    ys = np.take(y, pick, axis=0, mode="clip",
-                                 out=workspace("y", (len(ids), c2)))
-                    xs.setflags(write=False)
-                    ys.setflags(write=False)
+                    picked = tuple(np.take(s, pick, axis=0, mode="clip",
+                                           out=workspace(f"pick{i}", (len(ids), s.shape[1])))
+                                   for i, s in enumerate(sums, 1))
+                    for s in picked:
+                        s.setflags(write=False)
                 else:
                     continue
                 rule, result = rules[k], results[k]
-                hits, leads, carries[k][a:b] = rule.scan(shared, carries[k][a:b], xs, ys)
-                for i, at in enumerate(hits.argmax(axis=1).tolist()):
-                    if hits[i, at]:
-                        tau, n1 = rule.draws(done + 1 + at)
-                        result[ids[i]] = (tau, 0 if leads[i, at] else 1, n1, False)
+                hits = rule.scan(shared, picked)
+                at = hits.argmax(axis=1)
+                hit = hits[ordinal[:len(ids)], at]
+                # whether arm 0 leads at the chunk's last step, and at each row's first hit
+                leads = rule.leads(shared, picked, slice(None), n - 1)
+                if n > 1 and hit.any():
+                    early = (hit & (at < n - 1)).nonzero()[0]
+                    leads[early] = rule.leads(shared, picked, early, at[early])
+                for i, (stops, col, lead) in enumerate(zip(hit.tolist(), at.tolist(),
+                                                           leads.tolist())):
+                    if stops:
+                        tau, n1 = rule.draws(done + 1 + col)
+                        result[ids[i]] = (tau, 0 if lead else 1, n1, False)
                     else:
-                        result[ids[i]] = leads[i, -1]
+                        result[ids[i]] = lead
                         kept.append(a + i)
         done += n
         chunk = min(2 * chunk, _CHUNK_MAX)
@@ -296,13 +377,13 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
         for k, _, _, kept in scans:
             if len(kept) < len(actives[k]):
                 actives[k] = [actives[k][i] for i in kept]
-                if kept:
-                    carries[k] = carries[k][kept]
                 stopped = True
         if stopped:
+            previous = rows
             rows = actives[0] if len(rules) == 1 else sorted(set().union(*actives))
             if not rows:
                 return results
+            carry = carry[np.searchsorted(previous, rows)]
     for rule, active, result in zip(rules, actives, results):
         tau, n1 = rule.draws(steps)
         for j in active:

@@ -94,9 +94,12 @@ class StaticRule(StoppingRule):
     def chunk(self, done, n):
         return 1, 1, None
 
-    def scan(self, shared, carry, x, y):
-        leads = x / self.alloc.n1 >= y / self.alloc.n2
-        return np.ones_like(leads), leads, carry
+    def scan(self, shared, sums):
+        return np.ones((len(sums[0]), 1), np.bool_)
+
+    def leads(self, shared, sums, rows, cols):
+        x, y = sums
+        return x[rows, cols] / self.alloc.n1 >= y[rows, cols] / self.alloc.n2
 
     def draws(self, steps):
         return self.alloc.budget, self.alloc.n1
@@ -179,8 +182,7 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
     weighted = np.zeros(reps)  # likelihood ratio on error rows, 0 elsewhere
     for lo, z in engine.filled_rows(rng, reps, 2, fill):
         x, y = finish1(z[:, :1]), finish2(z[:, 1:])
-        _, leads, _ = rule.scan(None, None, x, y)
-        wrong = leads[:, 0] != (rule.best_arm == 0)
+        wrong = rule.leads(None, (x, y), slice(None), 0) != (rule.best_arm == 0)
         log_w = shift1 * x[wrong, 0] + shift2 * y[wrong, 0] - offset
         weighted[lo:lo + len(z)][wrong] = np.exp(log_w)
     estimate = float(weighted.mean())

@@ -49,7 +49,7 @@ import numpy as np
 
 from .complexity import i_star_bernoulli_kernel, i_star_fc
 from .dists import Gaussian, sample_n  # noqa: F401  (sample_n: re-exported name)
-from .engine import MAX_COUNT, RunOutcome, StoppingRule, run_one, workspace
+from .engine import MAX_COUNT, RunOutcome, StoppingRule, arm1_counts, run_one, workspace
 from .errors import DomainError
 from .instances import BanditInstance, require_two_armed
 
@@ -179,7 +179,9 @@ class EliminationRule(StoppingRule):
     """Paired-sampling elimination; see the module docstring for the rule.
 
     The statistic reads only the paired differences, so on Gaussian arms a
-    step draws one difference; other arms draw both arms per step.
+    step draws one difference; other arms draw both arms per step.  It
+    compares |S| of the running sum of differences the engine keeps, or
+    |S1 - S2| of the Bernoulli arm sums, which is the same integer.
     """
 
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
@@ -206,20 +208,16 @@ class EliminationRule(StoppingRule):
         return n, 0 if self.paired else n, np.sqrt(
             2.0 * self.sigma**2 * ts * _rate_values(self.rate, ts, self.delta))
 
-    def scan(self, thresholds, carry, x, y):
-        sums = workspace("sum1", x.shape)
-        np.cumsum(x if self.paired else np.subtract(x, y, out=sums), axis=1, out=sums)
-        sums += carry
-        hits = np.greater(np.abs(sums, out=workspace("tmp0", sums.shape)), thresholds,
-                          out=workspace("hits", sums.shape, np.bool_))
-        leads = np.greater_equal(sums, 0.0, out=workspace("leads", sums.shape, np.bool_))
-        return hits, leads, sums[:, -1:]
+    def scan(self, thresholds, sums):
+        size = workspace("tmp0", sums[0].shape)
+        # one running difference, or Bernoulli arm sums, whose difference is exact
+        gap = sums[0] if len(sums) == 1 else np.subtract(*sums, out=size)
+        return np.greater(np.abs(gap, out=size), thresholds,
+                          out=workspace("hits", size.shape, np.bool_))
 
 
 class AlphaEliminationRule(StoppingRule):
     """Deterministic-schedule elimination with N1(t) = ceil(alpha*t), one draw per step."""
-
-    width = 2
 
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
                  alpha: float | None = None, tau_max: int | None = None):
@@ -232,35 +230,38 @@ class AlphaEliminationRule(StoppingRule):
             alpha = a1.sigma / (a1.sigma + a2.sigma)
         if not (0.0 < alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-        super().__init__(instance, _resolve_tau_max(instance, delta, tau_max), "schedule", alpha)
+        steps = _resolve_tau_max(instance, delta, tau_max)
+        # var1/N1 + var2/N2 <= var1 + var2, and beta is largest at t = 2 or at the cap
+        t = max(steps, 2)
+        beta = float(_rate_values(rate, np.array([2.0, t]), delta).max())
+        if not math.isfinite(2.0 * (a1.variance + a2.variance) * beta):
+            raise DomainError(f"the variances must keep the threshold sqrt(2 (var1/N1 + "
+                              f"var2/N2) beta(t)) finite up to t = {t}, got "
+                              f"{a1.variance:g} and {a2.variance:g}")
+        super().__init__(instance, steps, "schedule", alpha)
         self.rate, self.delta, self.alpha = rate, delta, alpha
         self.var1, self.var2 = a1.variance, a2.variance
 
     def chunk(self, done, n):
-        ts = np.arange(done, done + n + 1)
-        n1 = np.ceil(self.alpha * ts).astype(np.int64)
-        takes_arm1 = n1[1:] != n1[:-1]
+        n1 = arm1_counts(self.alpha, done, n)
         c1 = int(n1[-1] - n1[0])
-        ts, n1 = ts[1:], n1[1:]
+        ts, n1 = np.arange(done + 1, done + n + 1), n1[1:]
         n2 = ts - n1
-        var_t = self.var1 / np.maximum(n1, 1) + self.var2 / np.maximum(n2, 1)
-        thr = np.sqrt(2.0 * var_t * _rate_values(self.rate, np.maximum(ts, 2), self.delta))
         testable = (n1 >= 1) & (n2 >= 1) & (ts >= 2)
-        return c1, n - c1, (takes_arm1, n1, n2, testable, thr)
+        n1, n2 = np.maximum(n1, 1), np.maximum(n2, 1)
+        var_t = self.var1 / n1 + self.var2 / n2
+        thr = np.sqrt(2.0 * var_t * _rate_values(self.rate, np.maximum(ts, 2), self.delta))
+        return c1, n - c1, (n1, n2, testable, thr)
 
-    def scan(self, shared, carry, x, y):
-        takes_arm1, n1, n2, testable, thr = shared
-        inc1 = np.zeros((len(carry), takes_arm1.size))
-        inc2 = np.zeros_like(inc1)
-        inc1[:, takes_arm1] = x
-        inc2[:, ~takes_arm1] = y
-        cum1 = carry[:, :1] + np.cumsum(inc1, axis=1)
-        cum2 = carry[:, 1:] + np.cumsum(inc2, axis=1)
-        m1 = cum1 / np.maximum(n1, 1)
-        m2 = cum2 / np.maximum(n2, 1)
+    def scan(self, shared, sums):
+        n1, n2, testable, thr = shared
+        m1, m2 = sums[0] / n1, sums[1] / n2
         with np.errstate(over="ignore"):  # finite means an infinite gap apart: a crossing
-            hits = testable & (np.abs(m1 - m2) > thr)
-        return hits, m1 >= m2, np.hstack((cum1[:, -1:], cum2[:, -1:]))
+            return testable & (np.abs(m1 - m2) > thr)
+
+    def leads(self, shared, sums, rows, cols):
+        n1, n2, _, _ = shared
+        return sums[0][rows, cols] / n1[cols] >= sums[1][rows, cols] / n2[cols]
 
     def draws(self, steps):
         return steps, math.ceil(self.alpha * steps)
@@ -305,10 +306,12 @@ class SglrtRule(StoppingRule):
     t I_*(S1/k, S2/k) > beta(t, delta).  Almost no step is near beta, so
     ``scan`` decides a step from bounds on t I_* that take no logarithm, and
     computes I_* only where they leave it open, with the unchecked kernel
-    of ``i_star_bernoulli`` (its sums lie in [0, k]).  Its hits and
-    leads equal the unscreened comparison wherever the engine reads them
-    (see ``StoppingRule.scan``); a step after its row's first sure crossing
-    may read as no crossing.
+    of ``i_star_bernoulli`` (its sums lie in [0, k]).  Its hits equal the
+    unscreened comparison up to each row's first crossing, which is all the
+    engine reads of them (see ``StoppingRule.scan``); a step after its
+    row's first sure crossing may read as no crossing.  It reads the arm
+    sums the engine keeps for its "both" layout, and arm 0 leads where
+    S1 >= S2.
 
     The bracket.  With A = S1 + S2, B = 2k - A and D = S1 - S2,
     t I_* = [A g(D/A) + B g(D/B)] / 2, where g(a) = (1+a) log(1+a) +
@@ -332,8 +335,6 @@ class SglrtRule(StoppingRule):
     every rate at t >= 2 and delta in (0, 1).
     """
 
-    width = 2
-
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
                  tau_max: int | None = None):
         require_two_armed(instance)
@@ -349,12 +350,9 @@ class SglrtRule(StoppingRule):
         margin = _SCREEN_EPS + ks * 2.0**-49
         return n, n, (ks, beta, beta * (1.0 - margin), beta * (1.0 + margin))
 
-    def scan(self, shared, carry, x, y):
+    def scan(self, shared, sums):
         ks, beta, low, high = shared
-        cum1 = np.cumsum(x, axis=1, out=workspace("sum1", x.shape))
-        cum1 += carry[:, :1]
-        cum2 = np.cumsum(y, axis=1, out=workspace("sum2", y.shape))
-        cum2 += carry[:, 1:]
+        cum1, cum2 = sums
         hits, misses = _coarse_screen(cum1, cum2, ks, low, high)
         rows, cols = np.nonzero(np.equal(hits, misses, out=misses))
         if rows.size:
@@ -366,8 +364,7 @@ class SglrtRule(StoppingRule):
                 stat = 2.0 * k * i_star_bernoulli_kernel(cum1[rows, cols] / k,
                                                          cum2[rows, cols] / k)
                 hits[rows, cols] = stat > beta[cols]
-        leads = np.greater_equal(cum1, cum2, out=workspace("leads", x.shape, np.bool_))
-        return hits, leads, np.hstack((cum1[:, -1:], cum2[:, -1:]))
+        return hits
 
 
 class SprtRule(EliminationRule):

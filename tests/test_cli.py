@@ -581,6 +581,13 @@ _TINY_GAP = ["--family", "gaussian", "--means", "1e-170,0", "--variances", "0.25
 _ULP_BERNOULLI = ["--family", "bernoulli", "--means", "0.5,0.5000000000000001"]
 _ULP_EXPONENTIAL = ["--family", "exponential", "--means", "1,1.0000000000000002"]
 _HUGE_GAP = ["--family", "gaussian", "--means", "1e300,-1e300", "--variances", "1,1"]
+_PAIRED_SUM_OVERFLOW = ["simulate-fc", "--family", "gaussian", "--means", "1e307,-1e307",
+                        "--variances", "1,1", "--algo", "elimination", "--rate", "robbins",
+                        "--deltas", "0.1", "--reps", "2", "--seed", "0", "--tau-max", "200"]
+_ALPHA_THRESHOLD_OVERFLOW = ["simulate-fc", "--family", "gaussian", "--means", "1,0",
+                             "--variances", "1e308,1e308", "--algo", "alpha-elimination",
+                             "--rate", "alpha-elim", "--deltas", "0.1", "--reps", "2",
+                             "--seed", "0", "--tau-max", "20"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -624,13 +631,18 @@ _HUGE_GAP = ["--family", "gaussian", "--means", "1e300,-1e300", "--variances", "
     ["simulate-fc", "--family", "exponential", "--means", "2,1", "--algo", "elimination",
      "--rate", "robbins", "--sigma", "5e153", "--deltas", "0.1", "--reps", "5", "--seed", "0",
      "--tau-max", "100"],
+    # the running sum of 100 paired differences of gap 2e307 overflows
+    _PAIRED_SUM_OVERFLOW,
+    # the alpha-elimination threshold's var1/N1 + var2/N2 overflows
+    _ALPHA_THRESHOLD_OVERFLOW,
 ], ids=["complexity-tiny-gap", "bound-tiny-gap", "complexity-ulp-bernoulli",
         "bound-ulp-bernoulli", "complexity-ulp-exponential", "bound-ulp-exponential",
         "complexity-huge-gap", "bound-huge-gap", "simulate-fc-huge-gap", "bound-tiny-eps",
         "simulate-fc-sprt-tiny-coefficient", "simulate-fb-gaussian-sum-overflow",
         "simulate-fb-exponential-sum-overflow", "simulate-fc-exponential-draw-overflow",
         "simulate-fc-alpha-sum-overflow", "simulate-fc-alpha-sum-overflow-even",
-        "simulate-fc-elimination-threshold-overflow"])
+        "simulate-fc-elimination-threshold-overflow", "simulate-fc-paired-sum-overflow",
+        "simulate-fc-alpha-threshold-overflow"])
 def test_numbers_past_the_doubles_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     if argv[0] in ("simulate-fc", "simulate-fb"):
@@ -655,6 +667,45 @@ def test_a_paired_gap_past_the_doubles_is_named(tmp_path, capsys, algo):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "mu1 - mu2 = inf" in err and "Gaussian mean" not in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (_PAIRED_SUM_OVERFLOW, "mu1 - mu2 = 2e+307"),
+    (_ALPHA_THRESHOLD_OVERFLOW, "got 1e+308 and 1e+308"),
+], ids=["paired-sum", "alpha-threshold"])
+def test_an_overflow_under_the_cap_is_named(tmp_path, capsys, argv, named):
+    # the paired rule's running sum, or alpha-elimination's threshold, would
+    # leave the doubles before the cap: the rule is refused when it is built
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and named in err
+
+
+@pytest.mark.parametrize("variances", [
+    "1.3000000000000001e-300,1.000001e+154",  # var1/var2 underflows to 0
+    "1e308,1e-10",  # var1/var2 overflows
+], ids=["ratio-underflows", "ratio-overflows"])
+def test_a_variance_ratio_past_the_doubles_is_named(capsys, variances):
+    means = "1e-300,1.7000000000017e+308" if variances.startswith("1.3") else "0,1"
+    code = main(["bound", "--family", "gaussian", "--means", means, "--variances", variances,
+                 "--delta", "0.1"])
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    assert code == 2 and captured.out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "variances" in err
+
+
+@pytest.mark.parametrize("budget, m1, general", [(0, 1.0, 0.25), (1, 0.0, 0.0), (100, 0.0, 0.0)])
+def test_fb_error_bounds_at_an_underflowed_h(capsys, budget, m1, general):
+    # H' is subnormal and Htilde underflows to 0: exp(-4t/H) is 1 at t = 0 and
+    # 0 after, in doubles
+    assert main(["bound", "--family", "gaussian", "--means", "1e154,0", "--variances", "1,1",
+                 "--delta", "0.1", "--budget", str(budget)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    values = {k: float(v) for k, v in (line.split("=") for line in captured.out.split())}
+    assert all(math.isfinite(v) for v in values.values())
+    assert (values["fb_error_m1"], values["fb_error_general"]) == (m1, general)
 
 
 def test_alpha_elimination_reads_an_infinite_gap_as_a_crossing(tmp_path, capsys):

@@ -16,6 +16,7 @@ from bestarm.dists import (
     bernoulli_kl,
     binary_entropy,
     gaussian_family,
+    gaussian_kl,
     kl,
     mean_to_nat,
     nat_to_mean,
@@ -321,3 +322,17 @@ def test_out_of_domain_maps():
         mean_to_nat(EXPONENTIAL_FAMILY, 1e-310)  # theta = -1/mean is -inf
     with pytest.raises(DomainError):
         nat_to_mean(EXPONENTIAL_FAMILY, 1.0)
+
+
+def test_gaussian_kl_at_the_ends_of_the_variance_ratio():
+    # var1/var2 below the normal doubles: its log is log(var1) - log(var2),
+    # checked against 40-digit arithmetic; past the largest double: inf
+    for var2 in (1e10, 1e100):  # a subnormal ratio, and one that underflows to 0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            ratio = decimal.Decimal(1e-300) / decimal.Decimal(var2)
+            want = float((ratio - 1 - ratio.ln()) / 2)
+        assert gaussian_kl(0.0, 1e-300, 0.0, var2) == pytest.approx(want, rel=1e-15)
+    assert gaussian_kl(0.0, 1e308, 1.0, 1e-10) == math.inf
+    assert gaussian_kl(0.5, 2.0, 0.0, 1.0) == pytest.approx(
+        0.125 + 0.5 * (2.0 - 1.0 - math.log(2.0)), rel=1e-15)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bestarm import engine, fc_algos, harness, presets
 from bestarm.complexity import i_star_bernoulli, i_star_fc
+from bestarm.dists import EXPONENTIAL_FAMILY, ExpFamilyArm
 from bestarm.errors import DomainError
 from bestarm.fc_algos import (
     ExplorationRate,
@@ -26,7 +27,7 @@ from bestarm.fc_algos import (
     run_sprt_oracle,
     validate_rate,
 )
-from bestarm.instances import two_armed_bernoulli, two_armed_gaussian
+from bestarm.instances import BanditInstance, two_armed_bernoulli, two_armed_gaussian
 from bestarm.rng import make_rng, mix_seed
 
 EASY = two_armed_gaussian(0.5, 0.0, 0.25)
@@ -360,25 +361,62 @@ def test_coarse_screen_takes_rows_and_single_rows_alike():
             np.testing.assert_array_equal(flags, expected[r])
 
 
+def _accumulate(rule, carry, x, y, done):
+    # the running sums the engine keeps for the rule's layout
+    return engine.samplers(rule.layout)[3](carry, x, y, done)
+
+
+def _all_leads(rule, shared, sums):
+    # the rule's lead at every step of every row
+    rows, n = sums[0].shape
+    return rule.leads(shared, sums, *np.divmod(np.arange(rows * n), n)).reshape(rows, n)
+
+
+EXPONENTIAL = BanditInstance((ExpFamilyArm(EXPONENTIAL_FAMILY, -1.0),
+                              ExpFamilyArm(EXPONENTIAL_FAMILY, -2.0)))
+
+
 @pytest.mark.parametrize("rule, paired", [
     (fc_algos.EliminationRule(EASY, 0.05, ExplorationRate.ROBBINS_LOG_T), True),
     (fc_algos.EliminationRule(B21, 0.05, ExplorationRate.ROBBINS_LOG_T, sigma=0.5), False),
     (fc_algos.SprtRule(EASY, 0.05), True),
-], ids=["gaussian-elimination", "bernoulli-elimination", "sprt"])
+    (fc_algos.EliminationRule(EXPONENTIAL, 0.05, ExplorationRate.ROBBINS_LOG_T, sigma=1.0),
+     False),
+], ids=["gaussian-elimination", "bernoulli-elimination", "sprt", "exponential-elimination"])
 def test_scans_equal_their_out_of_place_sums(rule, paired):
-    # the running sums built in workspace slots are carry + cumsum bit for bit
+    # the running sums built in workspace slots are carry + cumsum bit for bit:
+    # of the paired differences, of each Bernoulli arm, or of the drawn
+    # differences of other arms; the scan and the leads decide from them
     rng = np.random.default_rng(43)
     x, y = rng.normal(0.3, 1.7, (6, 200)), rng.normal(-0.2, 0.9, (6, 0 if paired else 200))
-    carry = rng.normal(0.0, 30.0, (6, 1))
+    carry = rng.normal(0.0, 30.0, (6, 2))
     for a in (x, y):
         a.setflags(write=False)
     c1, c2, shared = rule.chunk(500, 200)
     assert (c1, c2) == (200, 0 if paired else 200)
-    sums = carry + np.cumsum(x if paired else x - y, axis=1)
-    hits, leads, after = rule.scan(shared, carry, x, y)
-    np.testing.assert_array_equal(hits, np.abs(sums) > shared)
-    np.testing.assert_array_equal(leads, sums >= 0.0)
-    assert after.tobytes() == sums[:, -1:].tobytes()
+    if rule.layout[0] == "both" and rule.arms[0].family == "bernoulli":
+        want = (carry[:, :1] + np.cumsum(x, axis=1), carry[:, 1:] + np.cumsum(y, axis=1))
+        gap, leads = want[0] - want[1], want[0] >= want[1]
+    else:
+        want = (carry[:, :1] + np.cumsum(x if paired else x - y, axis=1),)
+        gap = want[0]
+        leads = gap >= 0.0
+    sums = _accumulate(rule, carry, x, y, 500)
+    assert [s.tobytes() for s in sums] == [s.tobytes() for s in want]
+    np.testing.assert_array_equal(rule.scan(shared, sums), np.abs(gap) > shared)
+    np.testing.assert_array_equal(_all_leads(rule, shared, sums), leads)
+
+
+def test_bernoulli_arm_sums_differ_by_the_running_difference():
+    # on 0/1 draws every partial sum is an integer below 2**53, so S1 - S2 of
+    # the kept arm sums is carry + cumsum(x - y) bit for bit, as is its sign
+    rule = fc_algos.EliminationRule(B21, 0.05, ExplorationRate.ROBBINS_LOG_T, sigma=0.5)
+    rng = np.random.default_rng(47)
+    x, y = (rng.random((6, 300)) < 0.6).astype(float), (rng.random((6, 300)) < 0.4).astype(float)
+    carry = rng.integers(0, 2**40, (6, 2)).astype(float)
+    s1, s2 = _accumulate(rule, carry, x, y, 2**41)
+    running = (carry[:, :1] - carry[:, 1:]) + np.cumsum(x - y, axis=1)
+    assert (s1 - s2).tobytes() == running.tobytes()
 
 
 @given(st.data())
@@ -400,7 +438,8 @@ def test_sprt_scan_is_the_scaled_llr_decision(data):
     x = rng.normal(gap, math.sqrt(2.0 * var), (rows, n))
     x.setflags(write=False)
     c1, c2, shared = rule.chunk(0, n)
-    hits, leads, after = rule.scan(shared, carry, x, np.empty((rows, c2)))
+    kept = _accumulate(rule, carry, x, np.empty((rows, c2)), 0)
+    hits, leads = rule.scan(shared, kept), _all_leads(rule, shared, kept)
     sums = carry + np.cumsum(x, axis=1)
     llr = rule.coef * sums
     bound = math.log(1.0 / delta)
@@ -408,7 +447,7 @@ def test_sprt_scan_is_the_scaled_llr_decision(data):
     assert not near.any(), f"steps within rounding of the threshold: {np.argwhere(near)}"
     np.testing.assert_array_equal(hits, np.abs(llr) > bound)
     np.testing.assert_array_equal(leads, llr >= 0.0)
-    assert after.tobytes() == sums[:, -1:].tobytes()
+    assert kept[0].tobytes() == sums.tobytes()
 
 
 def test_sprt_and_elimination_share_one_layout():
@@ -460,7 +499,9 @@ def test_sglrt_screen_matches_the_unscreened_scan(data):
     with mock.patch.object(fc_algos, "_rate_values", lambda *args: beta):
         shared = rule.chunk(done, n)[2]
 
-    hits, leads, after = rule.scan(shared, carry, x, y)
+    sums = _accumulate(rule, carry, x, y, done)
+    hits = rule.scan(shared, sums)
+    leads = _all_leads(rule, shared, sums)
     want_hits, want_leads = stat > beta, cum1 / ks >= cum2 / ks
     first = _first(hits)
     np.testing.assert_array_equal(first, _first(want_hits))
@@ -468,7 +509,7 @@ def test_sglrt_screen_matches_the_unscreened_scan(data):
     np.testing.assert_array_equal(leads[stopped, first[stopped]],
                                   want_leads[stopped, first[stopped]])
     np.testing.assert_array_equal(leads[:, -1], want_leads[:, -1])
-    np.testing.assert_array_equal(after, np.hstack((cum1[:, -1:], cum2[:, -1:])))
+    np.testing.assert_array_equal(sums, (cum1, cum2))
 
 
 def test_sglrt_screen_evaluates_few_steps_exactly(monkeypatch):
@@ -481,9 +522,9 @@ def test_sglrt_screen_evaluates_few_steps_exactly(monkeypatch):
         seen["exact"] += np.size(x)
         return real_i_star(x, y)
 
-    def scan(self, shared, carry, x, y):
-        seen["steps"] += x.size
-        return real_scan(self, shared, carry, x, y)
+    def scan(self, shared, sums):
+        seen["steps"] += sums[0].size
+        return real_scan(self, shared, sums)
 
     monkeypatch.setattr(fc_algos, "i_star_bernoulli_kernel", i_star)
     monkeypatch.setattr(SglrtRule, "scan", scan)

@@ -528,7 +528,7 @@ def test_row_generators_carry_nothing_between_calls():
 def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(monkeypatch, rule):
     # the split rule fills each row's c1 arm-1 variates and its c2 arm-2
     # variates of a chunk in two calls
-    fill, finish1, finish2 = engine.samplers(rule.layout)
+    fill, finish1, finish2, accumulate = engine.samplers(rule.layout)
     split = copy.copy(rule)
     arm1_counts = []
 
@@ -544,7 +544,8 @@ def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(monkeypatch, ru
     split.chunk = chunk
     merged = engine.run_rows(rule, make_rng(21, 3), range(70))
     assert (merged[0] > rule.draws(64 + 128)[0]).any()
-    monkeypatch.setattr(engine, "samplers", lambda layout: (fill_per_arm, finish1, finish2))
+    monkeypatch.setattr(engine, "samplers",
+                        lambda layout: (fill_per_arm, finish1, finish2, accumulate))
     for a, b in zip(merged, engine.run_rows(split, make_rng(21, 3), range(70))):
         np.testing.assert_array_equal(a, b)
 
@@ -746,12 +747,12 @@ def test_run_experiments_memory_does_not_grow_with_the_replications():
 
 
 class _WritingSprt(fc_algos.SprtRule):
-    def scan(self, shared, carry, x, y):
-        x *= 1.0
-        return super().scan(shared, carry, x, y)
+    def scan(self, shared, sums):
+        sums[0] *= 1.0
+        return super().scan(shared, sums)
 
 
-def test_a_scan_cannot_write_the_shared_variates():
+def test_a_scan_cannot_write_the_shared_sums():
     writing = _WritingSprt(EASY, 0.1)
     with pytest.raises(ValueError):
         engine.run_rows(writing, make_rng(6, 0), range(5))
