@@ -73,7 +73,10 @@ def parse_grid(text: str, integer: bool = False) -> tuple[float, ...]:
         if not all(map(math.isfinite, bounds)) or step <= 0 or stop < start:
             raise BestArmError(f"bad range grid {text!r}")
         # exact budgets need no slack for rounding in the quotient
-        count = math.floor((stop - start) / step + (0 if integer else 1e-9)) + 1
+        steps = (stop - start) / step + (0 if integer else 1e-9)
+        if not math.isfinite(steps):
+            raise BestArmError(f"range grid {text!r} has more points than the doubles count")
+        count = math.floor(steps) + 1
         values = [start + i * step for i in range(count)]
     else:
         values = parse(text)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Union
 
@@ -127,7 +127,7 @@ def gaussian_kl(mu1: float, var1: float, mu2: float, var2: float) -> float:
 # one-parameter exponential families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExpFamilyDescriptor:
     """Canonical one-parameter exponential family exp(theta*x - b(theta)).
 
@@ -136,15 +136,17 @@ class ExpFamilyDescriptor:
     inverse.  ``kl(theta1, theta2)`` is the family's divergence, equal to
     b(theta2) - b(theta1) - b'(theta1)(theta2 - theta1) but in a form that
     keeps its accuracy between near-equal members, where the terms of that
-    Bregman form cancel.  Descriptors are compared by ``family_id``.
+    Bregman form cancel.  Descriptors are compared and hashed by
+    ``family_id`` and their domains, never by their functions, so an
+    unpickled descriptor equals the one it was pickled from.
     """
 
     family_id: str
-    mean_map: Callable[[float], float]
-    nat_of_mean: Callable[[float], float]
+    mean_map: Callable[[float], float] = field(compare=False)
+    nat_of_mean: Callable[[float], float] = field(compare=False)
     theta_domain: tuple[float, float]
     mean_domain: tuple[float, float]
-    kl: Callable[[float, float], float]
+    kl: Callable[[float, float], float] = field(compare=False)
 
     def check_theta(self, theta: float) -> float:
         lo, hi = self.theta_domain

@@ -1,8 +1,8 @@
 """The stopping engine every strategy runs on.
 
 A :class:`StoppingRule` is one strategy validated for one cell: it
-supplies its per-chunk thresholds and its comparison, nothing else, and
-states what it draws in its ``layout``, whose :func:`samplers` it reads.
+supplies its per-chunk thresholds and its statistic, nothing else, and
+states what it draws and counts in its ``layout``, which :func:`samplers` reads.
 :func:`run_group` advances the replications of rules that share one layout
 in lockstep blocks and yields each block's outcomes, keeping none (the
 harness folds each into exact sums, so memory is flat in the replication
@@ -92,32 +92,42 @@ class RunOutcome:
 
 @functools.cache
 def samplers(layout: tuple):
-    """(fill, finish1, finish2, accumulate) of a rule's ``layout``, built once per layout and process.
+    """(fill, finish1, finish2, accumulate, counts, draws, leads) of ``layout``, built once.
 
-    ``fill(rng, out)`` writes a row's c1 arm-1 then c2 arm-2 variates of a
-    chunk, and each finish maps its arm's to draws.  ``accumulate(carry, x,
-    y, done)`` gives, from a sub-block's finished draws x and y of steps
-    done+1..done+n and the rows' running sums before them (``carry``, two
-    columns, of which a layout that keeps one sum reads the first), the
-    tuple of (rows, n) running sums the layout keeps:
+    ``counts(done, n)`` gives a row's c1 arm-1 and c2 arm-2 variates of
+    steps done+1..done+n, which ``fill(rng, out)`` writes, and each finish
+    maps its arm's to draws.  ``accumulate(carry, x, y, done)`` gives, from
+    a sub-block's finished draws x and y and the rows' running sums before
+    them (``carry``, two columns, of which a layout that keeps one sum reads
+    the first), the tuple of (rows, n) running sums the layout keeps.
+    ``draws(k)`` gives (tau, arm-1 draws) after k steps, and ``leads(sums,
+    rows, cols, done)`` whether arm 0 leads (ties: yes) at the entries
+    [rows, cols] of the sums: arrays of rows and a step of each, or every
+    row and one step.
 
     * "difference" draws one X - Y per step on arm 1 and nothing on arm 2,
-      and keeps S = carry + cumsum(x);
+      keeps S = carry + cumsum(x) and leads where S >= 0;
     * "both" draws both arms per step.  On Bernoulli arms it keeps the arm
       sums (S1, S2), exact integers, so S1 - S2 is the running difference
-      bit for bit; on other arms S1 - S2 would round apart from it, so it
-      keeps the running difference of the draws instead;
-    * "schedule" draws one arm per step and keeps (S1, S2) at every step, an
-      arm's sum unchanged at a step that draws the other;
-    * "sums" draws one sum per arm and keeps the draws: it has one step,
-      no carry and nothing to add.
+      bit for bit, and leads where S1 >= S2; on other arms S1 - S2 would
+      round apart from it, so it keeps the running difference of the draws
+      instead.  Both paired kinds take tau = 2k, k of them on arm 1;
+    * "schedule" draws arm 1 at the steps that raise N1(t) = ceil(alpha t),
+      arm 2 at the others, keeps (S1, S2) at every step, an arm's sum
+      unchanged at a step that draws the other, and leads where S1/N1 >=
+      S2/N2, each count at least 1;
+    * "sums" draws one sum per arm of its allocation (n1, n2) and keeps the
+      draws: it has one step, no carry and nothing to add.  It leads where
+      S1/n1 >= S2/n2.
 
     Each running sum's last column is the carry of the next chunk.  Raises
     DomainError where a draw, or a sum the engine keeps, can leave the doubles.
     """
     kind, arms, steps, *params = layout
     if kind == "sums":
-        return (*sum_sampler(arms, params), _drawn_sums)
+        n1, n2 = params
+        return (*sum_sampler(arms, params), _drawn_sums, lambda done, n: (1, 1),
+                lambda k: (n1 + n2, n1), functools.partial(_mean_leads, n1, n2))
     a1, a2 = arms
     if kind == "difference":
         gap, var = a1.mean - a2.mean, a1.variance + a2.variance
@@ -129,14 +139,23 @@ def samplers(layout: tuple):
             raise DomainError(f"a paired difference X - Y ~ N(mu1 - mu2, var1 + var2) with "
                               f"mu1 - mu2 = {gap:g} and var1 + var2 = {var:g}, or a sum of "
                               f"{steps} of them, can exceed the largest double") from None
-        return fill, finish, np.asarray, _difference
+        return (fill, finish, np.asarray, _difference, lambda done, n: (n, 0),
+                lambda k: (2 * k, k), _sum_leads)
     (fill, finish1), (_, finish2) = sampler(a1), sampler(a2)
     if kind == "both":
-        return fill, finish1, finish2, _arm_sums if isinstance(a1, Bernoulli) else _drawn_difference
-    n1 = math.ceil(params[0] * steps)  # "schedule": the engine sums every draw under the cap
+        accumulate = _arm_sums if isinstance(a1, Bernoulli) else _drawn_difference
+        return (fill, finish1, finish2, accumulate, lambda done, n: (n, n),
+                lambda k: (2 * k, k), _sum_leads)
+    alpha = params[0]
+    n1 = math.ceil(alpha * steps)  # "schedule": the engine sums every draw under the cap
     _check_sums(a1, n1)
     _check_sums(a2, steps - n1)
-    return fill, finish1, finish2, functools.partial(_scheduled_sums, params[0])
+
+    def counts(done, n):
+        c1 = math.ceil(alpha * (done + n)) - math.ceil(alpha * done)
+        return c1, n - c1
+    return (fill, finish1, finish2, functools.partial(_scheduled_sums, alpha), counts,
+            lambda k: (k, math.ceil(alpha * k)), functools.partial(_scheduled_leads, alpha))
 
 
 def arm1_counts(alpha: float, done: int, n: int) -> np.ndarray:
@@ -181,18 +200,32 @@ def _drawn_sums(carry, x, y, done):
     return x, y
 
 
+def _sum_leads(sums, rows, cols, done):
+    if len(sums) == 1:
+        return sums[0][rows, cols] >= 0.0
+    return sums[0][rows, cols] >= sums[1][rows, cols]
+
+
+def _mean_leads(n1, n2, sums, rows, cols, done=0):
+    return sums[0][rows, cols] / n1 >= sums[1][rows, cols] / n2
+
+
+def _scheduled_leads(alpha, sums, rows, cols, done):
+    t = done + 1 + np.asarray(cols)
+    n1 = np.ceil(alpha * t).astype(np.int64)
+    return _mean_leads(np.maximum(n1, 1), np.maximum(t - n1, 1), sums, rows, cols)
+
+
 class StoppingRule:
     """A strategy validated for one cell: what it draws, its thresholds and comparison.
 
-    A rule runs at most ``steps`` steps, each paired (one draw per arm, t = 2k)
-    unless ``draws`` says otherwise.  ``layout`` says what it draws, as the
-    tuple ``(kind, arms, steps, *params)`` that :func:`samplers` reads;
-    the constructor builds its samplers once, so a rule whose draws can
-    leave the doubles is refused when it is built.  ``chunk(done, n)``
-    gives the arm-1 and arm-2 variate counts of steps done+1..done+n, equal
-    for equal layouts, and the data every row shares (thresholds);
-    :meth:`scan` decides them, and :meth:`leads` reads the recommendation.
-    A rule holds plain data only.
+    ``layout`` says what the rule draws and counts, as the tuple ``(kind,
+    arms, steps, *params)`` whose :func:`samplers` the engine reads: the
+    variates of a chunk, tau and the lead.  The constructor builds them
+    once, so a rule whose draws can leave the doubles is refused when it is
+    built.  ``chunk(done, n)`` gives the data every row shares over steps
+    done+1..done+n (thresholds), and :meth:`scan` decides them.  A rule
+    holds plain data only.
     """
 
     def __init__(self, instance: BanditInstance, steps: int, kind: str, *params):
@@ -203,7 +236,7 @@ class StoppingRule:
         samplers(self.layout)
 
     def chunk(self, done: int, n: int):
-        return n, n, None
+        return None
 
     def scan(self, shared, sums):
         """(rows, n) flags of steps done+1..done+n for a block of rows: the rule stops here.
@@ -219,22 +252,6 @@ class StoppingRule:
         it may be anything.
         """
         raise NotImplementedError
-
-    def leads(self, shared, sums, rows, cols):
-        """Whether arm 0 leads at the entries [rows, cols] of the sums (ties: yes).
-
-        ``rows`` and ``cols`` index the sums as numpy does: arrays of rows
-        and a step of each, or every row and one step.  The engine reads it
-        at the chunk's last step and at each row's first hit before it.  One
-        running sum leads when S >= 0, and two when S1 >= S2.
-        """
-        if len(sums) == 1:
-            return sums[0][rows, cols] >= 0.0
-        return sums[0][rows, cols] >= sums[1][rows, cols]
-
-    def draws(self, steps: int) -> tuple[int, int]:
-        """(tau, arm-1 draws) after ``steps`` steps."""
-        return 2 * steps, steps
 
 
 def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
@@ -305,7 +322,7 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     rows in it, read-only: a rule that runs all of the sub-block's rows
     reads them whole, any other the rows it runs.
     """
-    fill, finish1, finish2, accumulate = samplers
+    fill, finish1, finish2, accumulate, counts, draws, leads_at = samplers
     steps = rules[0].steps
     # per rule: a stopped row's outcome, and until then whether arm 0 leads (ties
     # and no draws: yes); the rows it still runs, in order
@@ -317,11 +334,9 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     done, chunk = 0, _CHUNK0
     while done < steps:
         n = min(chunk, steps - done)
-        scans = []  # per rule that runs rows: [k, shared, first position not scanned, kept]
-        for k, active in enumerate(actives):
-            if active:
-                c1, c2, shared = rules[k].chunk(done, n)  # c1, c2: equal for one layout
-                scans.append([k, shared, 0, []])
+        c1, c2 = counts(done, n)
+        # per rule that runs rows: [k, shared, first position not scanned, kept]
+        scans = [[k, rules[k].chunk(done, n), 0, []] for k, active in enumerate(actives) if active]
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
         # each row's position in rows, for a rule that runs only some of a sub-block's
         where = {j: p for p, j in enumerate(rows)} if len(rules) > 1 else None
@@ -354,19 +369,19 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
                         s.setflags(write=False)
                 else:
                     continue
-                rule, result = rules[k], results[k]
-                hits = rule.scan(shared, picked)
+                result = results[k]
+                hits = rules[k].scan(shared, picked)
                 at = hits.argmax(axis=1)
                 hit = hits[ordinal[:len(ids)], at]
                 # whether arm 0 leads at the chunk's last step, and at each row's first hit
-                leads = rule.leads(shared, picked, slice(None), n - 1)
+                leads = leads_at(picked, slice(None), n - 1, done)
                 if n > 1 and hit.any():
                     early = (hit & (at < n - 1)).nonzero()[0]
-                    leads[early] = rule.leads(shared, picked, early, at[early])
+                    leads[early] = leads_at(picked, early, at[early], done)
                 for i, (stops, col, lead) in enumerate(zip(hit.tolist(), at.tolist(),
                                                            leads.tolist())):
                     if stops:
-                        tau, n1 = rule.draws(done + 1 + col)
+                        tau, n1 = draws(done + 1 + col)
                         result[ids[i]] = (tau, 0 if lead else 1, n1, False)
                     else:
                         result[ids[i]] = lead
@@ -384,8 +399,8 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
             if not rows:
                 return results
             carry = carry[np.searchsorted(previous, rows)]
-    for rule, active, result in zip(rules, actives, results):
-        tau, n1 = rule.draws(steps)
+    tau, n1 = draws(steps)
+    for active, result in zip(actives, results):
         for j in active:
             result[j] = (tau, 0 if result[j] else 1, n1, True)
     return results

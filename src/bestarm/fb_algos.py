@@ -88,21 +88,10 @@ class StaticRule(StoppingRule):
 
     def __init__(self, instance: BanditInstance, alloc: StaticAllocation):
         require_two_armed(instance)
-        self.alloc = alloc
         super().__init__(instance, 1, "sums", alloc.n1, alloc.n2)
-
-    def chunk(self, done, n):
-        return 1, 1, None
 
     def scan(self, shared, sums):
         return np.ones((len(sums[0]), 1), np.bool_)
-
-    def leads(self, shared, sums, rows, cols):
-        x, y = sums
-        return x[rows, cols] / self.alloc.n1 >= y[rows, cols] / self.alloc.n2
-
-    def draws(self, steps):
-        return self.alloc.budget, self.alloc.n1
 
 
 def run_static(instance: BanditInstance, alloc: StaticAllocation,
@@ -174,6 +163,7 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
                    else replace(arm, mean=f.mean_map(s))
                    for arm, f, s in zip(instance.arms, fams, tilts))
     fill, finish1, finish2 = sum_sampler(tilted, (n1, n2))
+    *_, leads = engine.samplers(rule.layout)
     # log dP/dQ of a row = sum_i (theta_i - theta'_i) S_i - n_i (b_i(theta_i) - b_i(theta'_i)),
     # with b(theta) - b(theta') = K(theta', theta) + b'(theta') (theta - theta')
     shift1, shift2 = thetas[0] - tilts[0], thetas[1] - tilts[1]
@@ -182,7 +172,7 @@ def tilted_error(instance: BanditInstance, alloc: StaticAllocation, reps: int,
     weighted = np.zeros(reps)  # likelihood ratio on error rows, 0 elsewhere
     for lo, z in engine.filled_rows(rng, reps, 2, fill):
         x, y = finish1(z[:, :1]), finish2(z[:, 1:])
-        wrong = rule.leads(None, (x, y), slice(None), 0) != (rule.best_arm == 0)
+        wrong = leads((x, y), slice(None), 0, 0) != (rule.best_arm == 0)
         log_w = shift1 * x[wrong, 0] + shift2 * y[wrong, 0] - offset
         weighted[lo:lo + len(z)][wrong] = np.exp(log_w)
     estimate = float(weighted.mean())

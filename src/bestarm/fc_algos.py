@@ -1,11 +1,12 @@
 """Fixed-confidence strategies for two-armed instances.
 
 Each strategy is a :class:`~bestarm.engine.StoppingRule`, validated once
-per cell, that states what it draws (its ``layout``) and supplies only
-its per-chunk threshold and its statistic; :mod:`bestarm.engine` runs it.
-All stop on a data-dependent rule governed by an exploration rate
-beta(t, delta) and recommend the empirically best arm (ties broken
-toward the lowest index, deterministically):
+per cell, that supplies only its per-chunk threshold and its statistic;
+its ``layout`` states what it draws and counts, from which
+:func:`bestarm.engine.samplers` gives each chunk's draws, tau and the
+lead, and :mod:`bestarm.engine` runs it.  All stop on a data-dependent
+rule governed by an exploration rate beta(t, delta) and recommend the
+empirically best arm (ties broken toward the lowest index, deterministically):
 
 * :class:`EliminationRule` -- paired uniform sampling of a common-variance
   Gaussian instance; stops once |sum of paired differences| exceeds
@@ -29,8 +30,8 @@ toward the lowest index, deterministically):
 A safety cap ``tau_max`` (default ceil(50 log(1/delta) / I_*(nu))) bounds
 the sampling and is surfaced via the ``exhausted`` flag, never as an
 error.  A cap above 2**53, default or given, is rejected when the rule is
-built, as is a cap under which a threshold or an arm's sum can leave the
-doubles.
+built, as is a cap under which beta(t, delta), a threshold or an arm's
+sum can leave the doubles, and a delta below the smallest normal double.
 
 The ``run_*`` functions run one replication of a rule on the caller's
 Generator, in place.  They are one-row wrappers, kept for the tests and
@@ -81,8 +82,10 @@ class ExplorationRate(str, Enum):
 
 
 def _check_delta(delta: float) -> None:
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+    # below the normal doubles 1/delta overflows, and log(1/delta) with it
+    if not (sys.float_info.min <= delta < 1.0):
+        raise DomainError(f"delta must lie in (0, 1) and be at least the smallest normal "
+                          f"double {sys.float_info.min:g}, got {delta}")
 
 
 def validate_rate(rate: ExplorationRate, delta: float) -> None:
@@ -118,6 +121,20 @@ def _rate_values(rate: ExplorationRate, t: np.ndarray, delta: float) -> np.ndarr
     if rate is ExplorationRate.PLAIN_LOG:
         return np.full_like(t, math.log(1.0 / delta))
     raise DomainError(f"unknown exploration rate {rate!r}")
+
+
+def _rate_at_cap(rate: ExplorationRate, delta: float, t: int) -> float:
+    """beta(t, delta) at a rule's cap t >= 2; DomainError where it is not finite.
+
+    In every rate the term that can overflow (t / delta and the like) grows
+    with t, so a beta finite at the cap is finite at every step under it.
+    """
+    with np.errstate(over="ignore"):
+        beta = float(_rate_values(rate, t, delta))
+    if not math.isfinite(beta):
+        raise DomainError(f"the {rate.value} exploration rate at delta={delta:g} overflows "
+                          f"at the cap t = {t}; set a smaller --tau-max or a larger delta")
+    return beta
 
 
 def eval_rate(rate: ExplorationRate, t, delta: float):
@@ -195,18 +212,17 @@ class EliminationRule(StoppingRule):
         steps = _paired_steps(instance, delta, tau_max)
         # t beta(t) is non-decreasing, so the threshold at the cap is the largest
         t = 2 * max(steps, 1)
-        if not (sigma > 0 and math.isfinite(
-                2.0 * sigma * sigma * t * float(_rate_values(rate, t, delta)))):
+        beta = _rate_at_cap(rate, delta, t)
+        if not (sigma > 0 and math.isfinite(2.0 * sigma * sigma * t * beta)):
             raise DomainError(f"sigma must be positive with the threshold "
                               f"sqrt(2 sigma^2 t beta(t)) finite up to t = {t}, got {sigma}")
-        self.paired = isinstance(instance.arms[0], Gaussian)
-        super().__init__(instance, steps, "difference" if self.paired else "both")
+        super().__init__(instance, steps,
+                         "difference" if isinstance(instance.arms[0], Gaussian) else "both")
         self.rate, self.delta, self.sigma = rate, delta, sigma
 
     def chunk(self, done, n):
         ts = 2 * np.arange(done + 1, done + n + 1)
-        return n, 0 if self.paired else n, np.sqrt(
-            2.0 * self.sigma**2 * ts * _rate_values(self.rate, ts, self.delta))
+        return np.sqrt(2.0 * self.sigma**2 * ts * _rate_values(self.rate, ts, self.delta))
 
     def scan(self, thresholds, sums):
         size = workspace("tmp0", sums[0].shape)
@@ -233,7 +249,7 @@ class AlphaEliminationRule(StoppingRule):
         steps = _resolve_tau_max(instance, delta, tau_max)
         # var1/N1 + var2/N2 <= var1 + var2, and beta is largest at t = 2 or at the cap
         t = max(steps, 2)
-        beta = float(_rate_values(rate, np.array([2.0, t]), delta).max())
+        beta = max(_rate_at_cap(rate, delta, 2), _rate_at_cap(rate, delta, t))
         if not math.isfinite(2.0 * (a1.variance + a2.variance) * beta):
             raise DomainError(f"the variances must keep the threshold sqrt(2 (var1/N1 + "
                               f"var2/N2) beta(t)) finite up to t = {t}, got "
@@ -243,28 +259,19 @@ class AlphaEliminationRule(StoppingRule):
         self.var1, self.var2 = a1.variance, a2.variance
 
     def chunk(self, done, n):
-        n1 = arm1_counts(self.alpha, done, n)
-        c1 = int(n1[-1] - n1[0])
-        ts, n1 = np.arange(done + 1, done + n + 1), n1[1:]
+        ts, n1 = np.arange(done + 1, done + n + 1), arm1_counts(self.alpha, done, n)[1:]
         n2 = ts - n1
         testable = (n1 >= 1) & (n2 >= 1) & (ts >= 2)
         n1, n2 = np.maximum(n1, 1), np.maximum(n2, 1)
         var_t = self.var1 / n1 + self.var2 / n2
         thr = np.sqrt(2.0 * var_t * _rate_values(self.rate, np.maximum(ts, 2), self.delta))
-        return c1, n - c1, (n1, n2, testable, thr)
+        return n1, n2, testable, thr
 
     def scan(self, shared, sums):
         n1, n2, testable, thr = shared
         m1, m2 = sums[0] / n1, sums[1] / n2
         with np.errstate(over="ignore"):  # finite means an infinite gap apart: a crossing
             return testable & (np.abs(m1 - m2) > thr)
-
-    def leads(self, shared, sums, rows, cols):
-        n1, n2, _, _ = shared
-        return sums[0][rows, cols] / n1[cols] >= sums[1][rows, cols] / n2[cols]
-
-    def draws(self, steps):
-        return steps, math.ceil(self.alpha * steps)
 
 
 #: Relative margin that a bound on t I_* must keep from beta to decide an
@@ -341,14 +348,16 @@ class SglrtRule(StoppingRule):
         if not instance.is_bernoulli:
             raise DomainError("the sequential GLRT is defined for Bernoulli arms")
         validate_rate(rate, delta)
-        super().__init__(instance, _paired_steps(instance, delta, tau_max), "both")
+        steps = _paired_steps(instance, delta, tau_max)
+        _rate_at_cap(rate, delta, 2 * max(steps, 1))
+        super().__init__(instance, steps, "both")
         self.rate, self.delta = rate, delta
 
     def chunk(self, done, n):
         ks = np.arange(done + 1, done + n + 1, dtype=float)
         beta = _rate_values(self.rate, 2.0 * ks, self.delta)
         margin = _SCREEN_EPS + ks * 2.0**-49
-        return n, n, (ks, beta, beta * (1.0 - margin), beta * (1.0 + margin))
+        return ks, beta, beta * (1.0 - margin), beta * (1.0 + margin)
 
     def scan(self, shared, sums):
         ks, beta, low, high = shared
@@ -389,11 +398,13 @@ class SprtRule(EliminationRule):
             raise DomainError(f"the SPRT coefficient {name} = {self.coef:.3g} is below "
                               "the smallest normal double")
         self.threshold = math.log(1.0 / delta) / self.coef
-        self.paired = True
+        if not math.isfinite(self.threshold):
+            raise DomainError(f"the SPRT threshold log(1/delta) / coef at delta={delta:g} and "
+                              f"coef = {self.coef:.3g} exceeds the largest double")
         StoppingRule.__init__(self, instance, _paired_steps(instance, delta, tau_max), "difference")
 
     def chunk(self, done, n):
-        return n, 0, self.threshold
+        return self.threshold
 
 
 def run_elimination(instance: BanditInstance, delta: float, rate: ExplorationRate,

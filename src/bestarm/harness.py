@@ -396,12 +396,14 @@ def deviation_bound(x: float, beta: float) -> float:
     u = beta * (1.0 - 1.0 / (2.0 * x))
     if not u > 1.0:
         raise DomainError(f"beta(1 - 1/(2x)) = {u} must exceed 1")
-    try:
-        return zeta(u) * math.exp(0.5 + beta * math.log1p(math.sqrt(x) / (2.0 * math.sqrt(2.0)))
-                                  - x)
+    try:  # the exponent overflows to inf, or exp of a finite one does
+        bound = zeta(u) * math.exp(0.5 + beta * math.log1p(math.sqrt(x) / (2.0 * math.sqrt(2.0)))
+                                   - x)
     except OverflowError:
-        raise DomainError(f"the deviation bound at x={x}, beta={beta} "
-                          "exceeds the float range") from None
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise DomainError(f"the deviation bound at x={x}, beta={beta} exceeds the float range")
+    return bound
 
 
 def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
@@ -419,8 +421,8 @@ def empirical_lil_crossing(sigma: float, x: float, beta: float, horizon: int,
     the horizon for a fixed seed (nested draw prefixes).  x and beta must
     lie where :func:`deviation_bound` takes them.
     """
-    if horizon < 1 or paths < 1:
-        raise DomainError("horizon and paths must be >= 1")
+    if not (1 <= horizon <= MAX_COUNT and 1 <= paths <= MAX_COUNT):
+        raise DomainError(f"horizon and paths must lie in [1, 2**53], got {horizon} and {paths}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise DomainError(f"sigma must be finite and > 0, got {sigma}")
     _check_lil_domain(x, beta)

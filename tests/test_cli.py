@@ -589,6 +589,15 @@ _ALPHA_THRESHOLD_OVERFLOW = ["simulate-fc", "--family", "gaussian", "--means", "
                              "--rate", "alpha-elim", "--deltas", "0.1", "--reps", "2",
                              "--seed", "0", "--tau-max", "20"]
 
+_ROBBINS_RATE_OVERFLOW = ["simulate-fc", "--family", "gaussian", "--means", "1,0",
+                          "--variances", "1,1", "--algo", "elimination", "--rate", "robbins",
+                          "--deltas", "1e-300", "--reps", "2", "--seed", "0",
+                          "--tau-max", "2000000000"]
+_ALPHA_RATE_OVERFLOW = ["simulate-fc", "--family", "gaussian", "--means", "1,0",
+                        "--variances", "1,1", "--algo", "alpha-elimination", "--rate",
+                        "alpha-elim", "--deltas", "1e-300", "--reps", "2", "--seed", "0",
+                        "--tau-max", "20000000000"]
+
 
 @pytest.mark.parametrize("argv", [
     # c_* underflows (Gaussian) or the crossing has no double between the means
@@ -635,6 +644,27 @@ _ALPHA_THRESHOLD_OVERFLOW = ["simulate-fc", "--family", "gaussian", "--means", "
     _PAIRED_SUM_OVERFLOW,
     # the alpha-elimination threshold's var1/N1 + var2/N2 overflows
     _ALPHA_THRESHOLD_OVERFLOW,
+    # a subnormal delta: 1/delta overflows, and the SPRT's threshold with it
+    ["simulate-fc", "--family", "gaussian", "--means", "1,0", "--variances", "1,1", "--algo",
+     "sprt", "--deltas", "1e-320", "--reps", "20", "--seed", "0", "--tau-max", "4000"],
+    ["simulate-fc", "--family", "bernoulli", "--means", "0.9,0.1", "--algo", "sglrt",
+     "--rate", "sglrt", "--deltas", "1e-320", "--reps", "2", "--seed", "0", "--tau-max", "400"],
+    # beta(t, delta) overflows at the cap: t / delta leaves the doubles
+    ["simulate-fc", "--family", "bernoulli", "--means", "0.9,0.1", "--algo", "sglrt",
+     "--rate", "sglrt", "--deltas", "1e-305", "--reps", "2", "--seed", "0", "--tau-max", "400"],
+    _ROBBINS_RATE_OVERFLOW,
+    _ALPHA_RATE_OVERFLOW,
+    # the SPRT's log(1/delta) / coef overflows: every row would run to the cap
+    ["simulate-fc", "--family", "gaussian", "--means", "1e-306,0", "--variances", "1,1",
+     "--algo", "sprt", "--deltas", "1e-300", "--reps", "20", "--seed", "0", "--tau-max", "200"],
+    # a range grid's point count, (stop - start) / step, overflows
+    ["simulate-fc", "--family", "gaussian", "--means", "1,0", "--variances", "1,1", "--algo",
+     "sprt", "--deltas", "0.01:0.1:5e-324", "--reps", "1", "--seed", "0", "--tau-max", "10"],
+    # the LIL deviation bound's power beta log(1 + sqrt(x) / sqrt(8)) overflows to inf
+    ["lil-check", "--x", "3.293473292300053e+16", "--beta", "1e+307", "--horizon", "1",
+     "--paths", "1"],
+    # a horizon past 2**53: numpy cannot count its steps
+    ["lil-check", "--x", "3", "--beta", "1.5", "--horizon", str(10**30), "--paths", "1"],
 ], ids=["complexity-tiny-gap", "bound-tiny-gap", "complexity-ulp-bernoulli",
         "bound-ulp-bernoulli", "complexity-ulp-exponential", "bound-ulp-exponential",
         "complexity-huge-gap", "bound-huge-gap", "simulate-fc-huge-gap", "bound-tiny-eps",
@@ -642,7 +672,11 @@ _ALPHA_THRESHOLD_OVERFLOW = ["simulate-fc", "--family", "gaussian", "--means", "
         "simulate-fb-exponential-sum-overflow", "simulate-fc-exponential-draw-overflow",
         "simulate-fc-alpha-sum-overflow", "simulate-fc-alpha-sum-overflow-even",
         "simulate-fc-elimination-threshold-overflow", "simulate-fc-paired-sum-overflow",
-        "simulate-fc-alpha-threshold-overflow"])
+        "simulate-fc-alpha-threshold-overflow", "simulate-fc-sprt-subnormal-delta",
+        "simulate-fc-sglrt-subnormal-delta", "simulate-fc-sglrt-rate-overflow",
+        "simulate-fc-robbins-rate-overflow", "simulate-fc-alpha-rate-overflow",
+        "simulate-fc-sprt-threshold-overflow", "simulate-fc-range-grid-count-overflow",
+        "lil-check-deviation-bound-overflow", "lil-check-horizon-past-2-53"])
 def test_numbers_past_the_doubles_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     if argv[0] in ("simulate-fc", "simulate-fb"):
@@ -672,10 +706,13 @@ def test_a_paired_gap_past_the_doubles_is_named(tmp_path, capsys, algo):
 @pytest.mark.parametrize("argv, named", [
     (_PAIRED_SUM_OVERFLOW, "mu1 - mu2 = 2e+307"),
     (_ALPHA_THRESHOLD_OVERFLOW, "got 1e+308 and 1e+308"),
-], ids=["paired-sum", "alpha-threshold"])
+    (_ROBBINS_RATE_OVERFLOW, "robbins exploration rate at delta=1e-300"),
+    (_ALPHA_RATE_OVERFLOW, "alpha-elim exploration rate at delta=1e-300"),
+], ids=["paired-sum", "alpha-threshold", "robbins-rate", "alpha-elim-rate"])
 def test_an_overflow_under_the_cap_is_named(tmp_path, capsys, argv, named):
-    # the paired rule's running sum, or alpha-elimination's threshold, would
-    # leave the doubles before the cap: the rule is refused when it is built
+    # the paired rule's running sum, alpha-elimination's threshold, or the
+    # exploration rate would leave the doubles before the cap: the rule is
+    # refused when it is built, and the error names what overflows
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and len(err.splitlines()) == 1 and named in err

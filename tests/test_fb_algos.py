@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,18 @@ def test_run_static_memory_does_not_grow_with_the_budget():
             tracemalloc.stop()
         assert out.tau == 10**9
         assert peak - base < 2**20
+
+
+def test_a_pickled_exponential_rule_keeps_its_layout():
+    # a pool worker unpickles its rules: the exponential family descriptor
+    # compares by family_id, so the layout is the same key of the samplers' cache
+    rule = StaticRule(EXPO_21, uniform_allocation(30))
+    entries = engine.samplers.cache_info().currsize
+    for _ in range(5):
+        copy = pickle.loads(pickle.dumps(rule))
+        assert copy.layout == rule.layout and hash(copy.layout) == hash(rule.layout)
+        assert engine.samplers(copy.layout) is engine.samplers(rule.layout)
+    assert engine.samplers.cache_info().currsize == entries
 
 
 def test_static_rule_refuses_sums_past_the_doubles():

@@ -366,10 +366,11 @@ def _accumulate(rule, carry, x, y, done):
     return engine.samplers(rule.layout)[3](carry, x, y, done)
 
 
-def _all_leads(rule, shared, sums):
-    # the rule's lead at every step of every row
+def _all_leads(rule, sums, done):
+    # the lead at every step of every row, as the rule's layout reads it
     rows, n = sums[0].shape
-    return rule.leads(shared, sums, *np.divmod(np.arange(rows * n), n)).reshape(rows, n)
+    leads = engine.samplers(rule.layout)[6]
+    return leads(sums, *np.divmod(np.arange(rows * n), n), done).reshape(rows, n)
 
 
 EXPONENTIAL = BanditInstance((ExpFamilyArm(EXPONENTIAL_FAMILY, -1.0),
@@ -392,8 +393,8 @@ def test_scans_equal_their_out_of_place_sums(rule, paired):
     carry = rng.normal(0.0, 30.0, (6, 2))
     for a in (x, y):
         a.setflags(write=False)
-    c1, c2, shared = rule.chunk(500, 200)
-    assert (c1, c2) == (200, 0 if paired else 200)
+    shared = rule.chunk(500, 200)
+    assert engine.samplers(rule.layout)[4](500, 200) == (200, 0 if paired else 200)
     if rule.layout[0] == "both" and rule.arms[0].family == "bernoulli":
         want = (carry[:, :1] + np.cumsum(x, axis=1), carry[:, 1:] + np.cumsum(y, axis=1))
         gap, leads = want[0] - want[1], want[0] >= want[1]
@@ -404,7 +405,7 @@ def test_scans_equal_their_out_of_place_sums(rule, paired):
     sums = _accumulate(rule, carry, x, y, 500)
     assert [s.tobytes() for s in sums] == [s.tobytes() for s in want]
     np.testing.assert_array_equal(rule.scan(shared, sums), np.abs(gap) > shared)
-    np.testing.assert_array_equal(_all_leads(rule, shared, sums), leads)
+    np.testing.assert_array_equal(_all_leads(rule, sums, 500), leads)
 
 
 def test_bernoulli_arm_sums_differ_by_the_running_difference():
@@ -437,9 +438,9 @@ def test_sprt_scan_is_the_scaled_llr_decision(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(gap, math.sqrt(2.0 * var), (rows, n))
     x.setflags(write=False)
-    c1, c2, shared = rule.chunk(0, n)
+    shared, (c1, c2) = rule.chunk(0, n), engine.samplers(rule.layout)[4](0, n)
     kept = _accumulate(rule, carry, x, np.empty((rows, c2)), 0)
-    hits, leads = rule.scan(shared, kept), _all_leads(rule, shared, kept)
+    hits, leads = rule.scan(shared, kept), _all_leads(rule, kept, 0)
     sums = carry + np.cumsum(x, axis=1)
     llr = rule.coef * sums
     bound = math.log(1.0 / delta)
@@ -497,11 +498,11 @@ def test_sglrt_screen_matches_the_unscreened_scan(data):
         if side:
             beta = np.where(at, np.nextafter(beta, side), beta)
     with mock.patch.object(fc_algos, "_rate_values", lambda *args: beta):
-        shared = rule.chunk(done, n)[2]
+        shared = rule.chunk(done, n)
 
     sums = _accumulate(rule, carry, x, y, done)
     hits = rule.scan(shared, sums)
-    leads = _all_leads(rule, shared, sums)
+    leads = _all_leads(rule, sums, done)
     want_hits, want_leads = stat > beta, cum1 / ks >= cum2 / ks
     first = _first(hits)
     np.testing.assert_array_equal(first, _first(want_hits))

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import multiprocessing.connection
@@ -497,6 +496,11 @@ def _rule_rows(blocks, k):
     return np.array([row for block in blocks for row in block[k]], dtype=np.int64).reshape(-1, 4)
 
 
+def _tau(rule, steps):
+    """tau after ``steps`` steps of ``rule``, as its layout counts them."""
+    return engine.samplers(rule.layout)[5](steps)[0]
+
+
 def test_row_generators_carry_nothing_between_calls():
     # 2B + 2 rows (B rows per block) make two full blocks and a third; rows
     # running past 64 + 128 steps draw three chunks from their generator
@@ -510,7 +514,7 @@ def test_row_generators_carry_nothing_between_calls():
     engine.run_rows(rule_b, make_rng(14, 0), range(engine._BLOCK_ROWS + 6))
     second = engine.run_rows(rule_a, rng, range(rows))
     assert rng.bit_generator.state == entry
-    assert (first[0] > rule_a.draws(64 + 128)[0]).any()
+    assert (first[0] > _tau(rule_a, 64 + 128)).any()
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
     for r in range(rows):
@@ -526,27 +530,25 @@ def test_row_generators_carry_nothing_between_calls():
                                   ExplorationRate.ALPHA_ELIM, tau_max=400),
 ], ids=["sglrt", "bernoulli-elimination", "alpha-elimination"])
 def test_one_fill_call_per_row_draws_what_one_call_per_arm_draws(monkeypatch, rule):
-    # the split rule fills each row's c1 arm-1 variates and its c2 arm-2
+    # the split layout fills each row's c1 arm-1 variates and its c2 arm-2
     # variates of a chunk in two calls
-    fill, finish1, finish2, accumulate = engine.samplers(rule.layout)
-    split = copy.copy(rule)
+    fill, finish1, finish2, accumulate, counts, draws, leads = engine.samplers(rule.layout)
     arm1_counts = []
 
-    def chunk(done, n):
-        c1, c2, shared = rule.chunk(done, n)
+    def split_counts(done, n):
+        c1, c2 = counts(done, n)
         arm1_counts.append(c1)
-        return c1, c2, shared
+        return c1, c2
 
     def fill_per_arm(rng, out):
         fill(rng, out[:arm1_counts[-1]])
         fill(rng, out[arm1_counts[-1]:])
 
-    split.chunk = chunk
     merged = engine.run_rows(rule, make_rng(21, 3), range(70))
-    assert (merged[0] > rule.draws(64 + 128)[0]).any()
-    monkeypatch.setattr(engine, "samplers",
-                        lambda layout: (fill_per_arm, finish1, finish2, accumulate))
-    for a, b in zip(merged, engine.run_rows(split, make_rng(21, 3), range(70))):
+    assert (merged[0] > draws(64 + 128)[0]).any()
+    monkeypatch.setattr(engine, "samplers", lambda layout: (
+        fill_per_arm, finish1, finish2, accumulate, split_counts, draws, leads))
+    for a, b in zip(merged, engine.run_rows(rule, make_rng(21, 3), range(70))):
         np.testing.assert_array_equal(a, b)
 
 
@@ -575,7 +577,7 @@ def test_a_group_does_not_depend_on_the_sub_block_size(monkeypatch, name):
         monkeypatch.setattr(engine, "BLOCK_ELEMENTS", elements)
         runs.append(list(engine.run_group(rules, make_rng(31, 2), range(150))))
     if name != "static":
-        assert (_rule_rows(runs[0], 0)[:, 0] > rules[0].draws(64 + 128 + 256)[0]).any()
+        assert (_rule_rows(runs[0], 0)[:, 0] > _tau(rules[0], 64 + 128 + 256)).any()
     for run in runs[1:]:
         assert run == runs[0]
 
@@ -669,7 +671,7 @@ def _chunk_counts(rule):
     counts, done, chunk = [], 0, engine._CHUNK0
     while done < rule.steps:
         n = min(chunk, rule.steps - done)
-        counts.append(rule.chunk(done, n)[:2])
+        counts.append(engine.samplers(rule.layout)[4](done, n))
         done += n
         chunk = min(2 * chunk, engine._CHUNK_MAX)
     return counts
@@ -682,8 +684,8 @@ _RATES = [ExplorationRate.ROBBINS_LOG_T, ExplorationRate.PLAIN_LOG, ExplorationR
 @given(gaussian=st.booleans(), cap=st.integers(min_value=0, max_value=20_000), data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_rules_of_one_layout_draw_alike_and_others_do_not_group(gaussian, cap, data):
-    # a block fills each chunk with the (c1, c2) of the last rule that scans
-    # it, so rules of one layout must draw the same counts in every chunk
+    # a block fills each chunk with the (c1, c2) of the group's layout, so
+    # rules of one layout draw the same counts in every chunk
     inst = two_armed_gaussian(0.3, 0.0, 0.25) if gaussian else two_armed_bernoulli(0.6, 0.45)
     delta = st.sampled_from([0.01, 0.05, 0.1])
     rate = st.sampled_from(_RATES)
