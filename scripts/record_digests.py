@@ -12,9 +12,11 @@ SPRT with the paper's statistic on fig3-easy's instance and with a cap at
 which most rows exhaust, so that the lead at the cap is hashed, at the same
 seeds and worker counts, then elimination with a sigma proxy on an
 exponential instance (a running difference of draws that are not
-integers) at two rates, and the SGLRT and elimination on fig4-right's
-instance at a cap where most rows exhaust, at the same seeds and worker
-counts.  Each run prints one line,
+integers) at two rates, and, at caps where most rows exhaust, the SGLRT
+and elimination on fig4-right's instance, alpha-elimination on its
+instance and sigma-elimination on the exponential one, so that the lead
+at the cap is hashed on every sequential draw layout, at the same seeds
+and worker counts.  Each run prints one line,
 ``label seed workers sha256``.  Records are a pure function of the config,
 so two checkouts that should draw the same numbers print the same lines;
 diff the output of one against the other.  The bytes depend on the numpy
@@ -58,15 +60,15 @@ FIXED_BUDGET = (("fb-bernoulli", "bernoulli", "0.2,0.1"),
                 ("fb-exponential", "exponential", "1.0,0.5"))
 #: Replications per cell of the easy figures' runs past one 128-row block.
 LONG_REPS = 131
-ALPHA_ELIMINATION = ["simulate-fc", "--family", "gaussian", "--means", "0.5,0",
-                     "--variances", "1,0.25", "--algo", "alpha-elimination",
-                     "--rate", "alpha-elim", "--deltas", "0.1,0.01", "--reps", "67"]
+ALPHA_ELIMINATION = ["--family", "gaussian", "--means", "0.5,0", "--variances", "1,0.25",
+                     "--algo", "alpha-elimination", "--rate", "alpha-elim"]
 #: (label, extra flags) of each SPRT run, on a common-variance Gaussian instance.
 SPRT = (("sprt-paper", ["--means", "0.5,0", "--variances", "0.25,0.25",
                         "--sprt-paper-statistic"]),
         ("sprt-capped", ["--means", "0.5,0", "--variances", "4,4", "--tau-max", "41"]))
 #: (label, simulate-fc flags) of the runs after the SPRT's: sigma-elimination on
-#: exponential arms at two rates, and fig4-right's instance at a cap most rows reach.
+#: exponential arms at two rates, then at caps most rows reach: fig4-right's instance,
+#: alpha-elimination's and sigma-elimination's on exponential arms.
 EXPONENTIAL_SIGMA = ["--family", "exponential", "--means", "1.0,0.5", "--algo", "elimination",
                      "--sigma", "1"]
 FIG4_RIGHT_CAPPED = ["--family", "bernoulli", "--means", "0.51,0.5", "--tau-max", "3001"]
@@ -75,7 +77,10 @@ LATE = (("sigma-exponential-robbins", [*EXPONENTIAL_SIGMA, "--rate", "robbins"])
         ("fig4-right-capped-sglrt", [*FIG4_RIGHT_CAPPED, "--algo", "sglrt",
                                      "--rate", "conjectured"]),
         ("fig4-right-capped-elimination", [*FIG4_RIGHT_CAPPED, "--algo", "elimination",
-                                           "--rate", "plain-log", "--sigma", "0.5"]))
+                                           "--rate", "plain-log", "--sigma", "0.5"]),
+        ("alpha-elimination-capped", [*ALPHA_ELIMINATION, "--tau-max", "80"]),
+        ("sigma-exponential-capped", [*EXPONENTIAL_SIGMA, "--rate", "robbins",
+                                      "--tau-max", "161"]))
 #: Seed and number of the random instances per family whose solver bits are hashed.
 PAIR_SEED = 0
 PAIRS = 1000
@@ -95,7 +100,8 @@ def runs():
     for seed in SEEDS:
         for workers in WORKERS:
             yield "fc-alpha-elimination", seed, workers, [
-                *ALPHA_ELIMINATION, "--seed", str(seed), "--workers", str(workers)]
+                "simulate-fc", *ALPHA_ELIMINATION, "--deltas", "0.1,0.01", "--reps", "67",
+                "--seed", str(seed), "--workers", str(workers)]
     for name in ("fig3-easy", "fig4-left"):
         for reps, worker_counts in ((LONG_REPS, WORKERS), (FIGURE_REPS[name], (3,))):
             for seed in SEEDS:

@@ -20,6 +20,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 from . import harness, presets, records_io
@@ -348,8 +349,22 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="JSON config file; flags override its fields")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a token starting with -digit or -.digit as a value.
+
+    argparse's own test takes only plain negative numbers, so a comma list or
+    an exponent after its flag (``--means -0.5,2``, ``--sigma -1e-3``) would
+    be taken for an unknown option.  No flag of ours looks like a number, and
+    the subparsers are of this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bestarm",
         description="Best-arm identification: complexity quantities, lower "
                     "bounds, and deterministic Monte Carlo comparisons.")

@@ -16,7 +16,8 @@ arrays, finished once, and turned once into the running sums the layout
 keeps (its ``accumulate``), from one carry per row for the whole group:
 the sums after the chunks before.  Each rule then compares its own active
 rows' sums with its own thresholds at once, for first crossings, and
-drops the rows that stopped.  Rules of one layout draw the same variates
+drops each row at its first hit, or at the cap, where it is exhausted,
+writing its outcome once.  Rules of one layout draw the same variates
 from one stream and keep the same sums, so each reads exactly what it
 reads when run alone.  A rule draws what its statistic reads: a rule that
 reads only paired differences draws them on arm 1 and nothing on arm 2,
@@ -36,6 +37,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -102,8 +104,9 @@ def samplers(layout: tuple):
     the first), the tuple of (rows, n) running sums the layout keeps.
     ``draws(k)`` gives (tau, arm-1 draws) after k steps, and ``leads(sums,
     rows, cols, done)`` whether arm 0 leads (ties: yes) at the entries
-    [rows, cols] of the sums: arrays of rows and a step of each, or every
-    row and one step.
+    [rows, cols] of the sums: arrays of rows and a step of each, as the
+    engine reads it, or every row and one step, as only
+    ``fb_algos.tilted_error`` does.
 
     * "difference" draws one X - Y per step on arm 1 and nothing on arm 2,
       keeps S = carry + cumsum(x) and leads where S >= 0;
@@ -320,19 +323,22 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     saved or restored between chunks.  A sub-block's running sums are
     accumulated once, from one carry per row, and go to every rule with
     rows in it, read-only: a rule that runs all of the sub-block's rows
-    reads them whole, any other the rows it runs.
+    reads them whole, any other the rows it runs.  A row's outcome is
+    written once, at its first hit or at the cap, where it is exhausted.
     """
     fill, finish1, finish2, accumulate, counts, draws, leads_at = samplers
     steps = rules[0].steps
-    # per rule: a stopped row's outcome, and until then whether arm 0 leads (ties
-    # and no draws: yes); the rows it still runs, in order
-    results = [[True] * len(gens) for _ in rules]
+    if not steps:  # a cap with no step: every row is exhausted, and arm 0 leads (ties: yes)
+        tau, n1 = draws(0)
+        return [[(tau, 0, n1, True)] * len(gens) for _ in rules]
+    # per rule: each row's outcome, once it ends; the rows it still runs, in order
+    results = [[None] * len(gens) for _ in rules]
     actives = [list(range(len(gens))) for _ in rules]
     rows = actives[0]  # the rows some rule still runs, in order
     carry = np.zeros((len(rows), 2))  # their running sums, in that order
     ordinal = np.arange(len(rows))
     done, chunk = 0, _CHUNK0
-    while done < steps:
+    while True:
         n = min(chunk, steps - done)
         c1, c2 = counts(done, n)
         # per rule that runs rows: [k, shared, first position not scanned, kept]
@@ -369,23 +375,20 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
                         s.setflags(write=False)
                 else:
                     continue
-                result = results[k]
                 hits = rules[k].scan(shared, picked)
                 at = hits.argmax(axis=1)
                 hit = hits[ordinal[:len(ids)], at]
-                # whether arm 0 leads at the chunk's last step, and at each row's first hit
-                leads = leads_at(picked, slice(None), n - 1, done)
-                if n > 1 and hit.any():
-                    early = (hit & (at < n - 1)).nonzero()[0]
-                    leads[early] = leads_at(picked, early, at[early], done)
-                for i, (stops, col, lead) in enumerate(zip(hit.tolist(), at.tolist(),
-                                                           leads.tolist())):
-                    if stops:
-                        tau, n1 = draws(done + 1 + col)
-                        result[ids[i]] = (tau, 0 if lead else 1, n1, False)
-                    else:
-                        result[ids[i]] = lead
-                        kept.append(a + i)
+                if done + n < steps:
+                    stops = hit.nonzero()[0]
+                    ends = at[stops]
+                    kept += compress(range(a, b), (~hit).tolist())
+                else:  # the cap: a row that did not stop ends at its last step, exhausted
+                    stops, ends = ordinal[:len(ids)], np.where(hit, at, n - 1)
+                crossed, result = hit.tolist(), results[k]
+                for i, col, lead in zip(stops.tolist(), ends.tolist(),
+                                        leads_at(picked, stops, ends, done).tolist()):
+                    tau, n1 = draws(done + 1 + col)
+                    result[ids[i]] = (tau, 0 if lead else 1, n1, not crossed[i])
         done += n
         chunk = min(2 * chunk, _CHUNK_MAX)
         stopped = False
@@ -396,14 +399,9 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
         if stopped:
             previous = rows
             rows = actives[0] if len(rules) == 1 else sorted(set().union(*actives))
-            if not rows:
+            if not rows:  # every row has ended, at the cap's chunk at the latest
                 return results
             carry = carry[np.searchsorted(previous, rows)]
-    tau, n1 = draws(steps)
-    for active, result in zip(actives, results):
-        for j in active:
-            result[j] = (tau, 0 if result[j] else 1, n1, True)
-    return results
 
 
 def run_one(rule: StoppingRule, rng: np.random.Generator) -> RunOutcome:

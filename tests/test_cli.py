@@ -115,6 +115,19 @@ def test_cli_unknown_family_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("means", ["-0.5,2", "-1e-3,2", "-.5,2"])
+def test_a_list_with_a_negative_first_number_follows_its_flag(capsys, means):
+    # argparse alone takes a token that starts with "-" and is not a plain
+    # negative number for an option, so the list needed --means=...
+    outputs = []
+    for flags in (["--means", means], [f"--means={means}"]):
+        assert main(["complexity", "--family", "gaussian", *flags, "--variances", "1,1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] != ""
+
+
 # --- CSV persistence ---------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
@@ -561,6 +574,8 @@ _FC_ARGS = ["--family", "gaussian", "--means", "0.5,0", "--variances", "0.25,0.2
     ["lil-check", "--x", "3,5", "--beta", "1.5,0.5", "--horizon", "50", "--paths", "10"],
     ["lil-check", "--x", "3,nan", "--beta", "1.5", "--horizon", "50", "--paths", "10"],
     ["lil-check", "--x", ",", "--beta", "1.5", "--horizon", "50", "--paths", "10"],
+    # a negative number with an exponent is the flag's value, refused by the domain check
+    ["simulate-fc", *_FC_ARGS, "--sigma", "-1e-3"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"
