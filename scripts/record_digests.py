@@ -81,6 +81,25 @@ LATE = (("sigma-exponential-robbins", [*EXPONENTIAL_SIGMA, "--rate", "robbins"])
         ("alpha-elimination-capped", [*ALPHA_ELIMINATION, "--tau-max", "80"]),
         ("sigma-exponential-capped", [*EXPONENTIAL_SIGMA, "--rate", "robbins",
                                       "--tau-max", "161"]))
+#: The deltas and replications of every simulate-fc run.
+FC = ["--deltas", "0.1,0.01", "--reps", "67"]
+#: (label, seeds, worker counts, argv without --seed, --workers and --out) of each
+#: family of runs, in print order.
+RUNS = [
+    *((name, SEEDS, WORKERS, ["reproduce-figure", name, "--reps", str(reps)])
+      for name, reps in FIGURE_REPS.items()),
+    *((label, (0,), (1,), ["simulate-fb", "--family", family, "--means", means, "--alloc",
+                           "optimal", "--budgets", "20:200:20", "--reps", "25"])
+      for label, family, means in FIXED_BUDGET),
+    ("fc-alpha-elimination", SEEDS, WORKERS, ["simulate-fc", *ALPHA_ELIMINATION, *FC]),
+    *((f"{name}-{reps}", SEEDS, worker_counts, ["reproduce-figure", name, "--reps", str(reps)])
+      for name in ("fig3-easy", "fig4-left")
+      for reps, worker_counts in ((LONG_REPS, WORKERS), (FIGURE_REPS[name], (3,)))),
+    *((label, SEEDS, WORKERS, ["simulate-fc", "--family", "gaussian", *flags, "--algo", "sprt",
+                               *FC])
+      for label, flags in SPRT),
+    *((label, SEEDS, WORKERS, ["simulate-fc", *flags, *FC]) for label, flags in LATE),
+]
 #: Seed and number of the random instances per family whose solver bits are hashed.
 PAIR_SEED = 0
 PAIRS = 1000
@@ -88,40 +107,10 @@ PAIRS = 1000
 
 def runs():
     """(label, seed, workers, argv without --out) of every run, in print order."""
-    for name, reps in FIGURE_REPS.items():
-        for seed in SEEDS:
-            for workers in WORKERS:
-                yield name, seed, workers, ["reproduce-figure", name, "--reps", str(reps),
-                                            "--seed", str(seed), "--workers", str(workers)]
-    for label, family, means in FIXED_BUDGET:
-        yield label, 0, 1, ["simulate-fb", "--family", family, "--means", means,
-                            "--alloc", "optimal", "--budgets", "20:200:20", "--reps", "25",
-                            "--seed", "0", "--workers", "1"]
-    for seed in SEEDS:
-        for workers in WORKERS:
-            yield "fc-alpha-elimination", seed, workers, [
-                "simulate-fc", *ALPHA_ELIMINATION, "--deltas", "0.1,0.01", "--reps", "67",
-                "--seed", str(seed), "--workers", str(workers)]
-    for name in ("fig3-easy", "fig4-left"):
-        for reps, worker_counts in ((LONG_REPS, WORKERS), (FIGURE_REPS[name], (3,))):
-            for seed in SEEDS:
-                for workers in worker_counts:
-                    yield f"{name}-{reps}", seed, workers, [
-                        "reproduce-figure", name, "--reps", str(reps), "--seed", str(seed),
-                        "--workers", str(workers)]
-    for label, flags in SPRT:
-        for seed in SEEDS:
-            for workers in WORKERS:
-                yield label, seed, workers, [
-                    "simulate-fc", "--family", "gaussian", *flags, "--algo", "sprt",
-                    "--deltas", "0.1,0.01", "--reps", "67", "--seed", str(seed),
-                    "--workers", str(workers)]
-    for label, flags in LATE:
-        for seed in SEEDS:
-            for workers in WORKERS:
-                yield label, seed, workers, [
-                    "simulate-fc", *flags, "--deltas", "0.1,0.01", "--reps", "67",
-                    "--seed", str(seed), "--workers", str(workers)]
+    for label, seeds, worker_counts, argv in RUNS:
+        for seed in seeds:
+            for workers in worker_counts:
+                yield label, seed, workers, [*argv, "--seed", str(seed), "--workers", str(workers)]
 
 
 def instances(family):

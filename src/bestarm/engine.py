@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
@@ -322,30 +321,30 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     some rule still runs it, every chunk in stream order, so no state is
     saved or restored between chunks.  A sub-block's running sums are
     accumulated once, from one carry per row, and go to every rule with
-    rows in it, read-only: a rule that runs all of the sub-block's rows
-    reads them whole, any other the rows it runs.  A row's outcome is
-    written once, at its first hit or at the cap, where it is exhausted.
+    rows in it, read-only.  Each rule keeps one flag per running row, "it
+    still runs the row": it reads the sums whole where all its flags in the
+    sub-block are set, the rows it runs where some are, and skips the
+    sub-block where none are.  A row's outcome is written once, at its
+    first hit or at the cap, where it is exhausted, and the rule's flag is
+    cleared there.  After each chunk one mask, "some rule still runs the
+    row", compresses the running rows, every rule's flags and the carry.
     """
     fill, finish1, finish2, accumulate, counts, draws, leads_at = samplers
     steps = rules[0].steps
     if not steps:  # a cap with no step: every row is exhausted, and arm 0 leads (ties: yes)
         tau, n1 = draws(0)
         return [[(tau, 0, n1, True)] * len(gens) for _ in rules]
-    # per rule: each row's outcome, once it ends; the rows it still runs, in order
     results = [[None] * len(gens) for _ in rules]
-    actives = [list(range(len(gens))) for _ in rules]
-    rows = actives[0]  # the rows some rule still runs, in order
+    rows = list(range(len(gens)))  # the rows some rule still runs, in order
+    runs = [[True] * len(rows) for _ in rules]  # per rule: it still runs rows[p]
     carry = np.zeros((len(rows), 2))  # their running sums, in that order
     ordinal = np.arange(len(rows))
     done, chunk = 0, _CHUNK0
-    while True:
+    while rows:
         n = min(chunk, steps - done)
         c1, c2 = counts(done, n)
-        # per rule that runs rows: [k, shared, first position not scanned, kept]
-        scans = [[k, rules[k].chunk(done, n), 0, []] for k, active in enumerate(actives) if active]
+        shared = [rule.chunk(done, n) if any(run) else None for rule, run in zip(rules, runs)]
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
-        # each row's position in rows, for a rule that runs only some of a sub-block's
-        where = {j: p for p, j in enumerate(rows)} if len(rules) > 1 else None
         for lo in range(0, len(rows), step):
             idx = rows[lo:lo + step]
             z = workspace("fill", (len(idx), c1 + c2))
@@ -358,50 +357,45 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
                     column[:] = s[:, -1]
             for s in sums:
                 s.setflags(write=False)
-            for scan in scans:
-                k, shared, a, kept = scan
-                active = actives[k]
-                b = scan[2] = bisect_right(active, idx[-1], a)
-                if b - a == len(idx):
-                    ids, picked = idx, sums
-                elif b > a:
-                    ids = active[a:b]
-                    pick = [where[j] - lo for j in ids]
+            for rule, run, share, result in zip(rules, runs, shared, results):
+                flags = run[lo:lo + len(idx)]
+                if all(flags):
+                    pick, picked = range(len(idx)), sums
+                elif any(flags):
+                    pick = list(compress(range(len(idx)), flags))
                     # every index is in range; mode "raise" would buffer the output
                     picked = tuple(np.take(s, pick, axis=0, mode="clip",
-                                           out=workspace(f"pick{i}", (len(ids), s.shape[1])))
+                                           out=workspace(f"pick{i}", (len(pick), s.shape[1])))
                                    for i, s in enumerate(sums, 1))
                     for s in picked:
                         s.setflags(write=False)
                 else:
                     continue
-                hits = rules[k].scan(shared, picked)
+                hits = rule.scan(share, picked)
                 at = hits.argmax(axis=1)
-                hit = hits[ordinal[:len(ids)], at]
+                hit = hits[ordinal[:len(pick)], at]
                 if done + n < steps:
                     stops = hit.nonzero()[0]
                     ends = at[stops]
-                    kept += compress(range(a, b), (~hit).tolist())
                 else:  # the cap: a row that did not stop ends at its last step, exhausted
-                    stops, ends = ordinal[:len(ids)], np.where(hit, at, n - 1)
-                crossed, result = hit.tolist(), results[k]
+                    stops, ends = ordinal[:len(pick)], np.where(hit, at, n - 1)
+                crossed = hit.tolist()
                 for i, col, lead in zip(stops.tolist(), ends.tolist(),
                                         leads_at(picked, stops, ends, done).tolist()):
+                    p = lo + pick[i]
                     tau, n1 = draws(done + 1 + col)
-                    result[ids[i]] = (tau, 0 if lead else 1, n1, not crossed[i])
+                    result[rows[p]] = (tau, 0 if lead else 1, n1, not crossed[i])
+                    run[p] = False
         done += n
+        if done == steps:  # every row has ended, at the cap at the latest
+            break
         chunk = min(2 * chunk, _CHUNK_MAX)
-        stopped = False
-        for k, _, _, kept in scans:
-            if len(kept) < len(actives[k]):
-                actives[k] = [actives[k][i] for i in kept]
-                stopped = True
-        if stopped:
-            previous = rows
-            rows = actives[0] if len(rules) == 1 else sorted(set().union(*actives))
-            if not rows:  # every row has ended, at the cap's chunk at the latest
-                return results
-            carry = carry[np.searchsorted(previous, rows)]
+        keep = list(map(any, zip(*runs)))
+        if not all(keep):
+            rows = list(compress(rows, keep))
+            runs = [list(compress(run, keep)) for run in runs]
+            carry = carry[keep]
+    return results
 
 
 def run_one(rule: StoppingRule, rng: np.random.Generator) -> RunOutcome:

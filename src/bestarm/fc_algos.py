@@ -314,11 +314,8 @@ class SglrtRule(StoppingRule):
     ``scan`` decides a step from bounds on t I_* that take no logarithm, and
     computes I_* only where they leave it open, with the unchecked kernel
     of ``i_star_bernoulli`` (its sums lie in [0, k]).  Its hits equal the
-    unscreened comparison up to each row's first crossing, which is all the
-    engine reads of them (see ``StoppingRule.scan``); a step after its
-    row's first sure crossing may read as no crossing.  It reads the arm
-    sums the engine keeps for its "both" layout, and arm 0 leads where
-    S1 >= S2.
+    unscreened comparison at every step.  It reads the arm sums the engine
+    keeps for its "both" layout, and arm 0 leads where S1 >= S2.
 
     The bracket.  With A = S1 + S2, B = 2k - A and D = S1 - S2,
     t I_* = [A g(D/A) + B g(D/B)] / 2, where g(a) = (1+a) log(1+a) +
@@ -328,8 +325,8 @@ class SglrtRule(StoppingRule):
     Hence 1 <= G(s) <= 1 + (2 log 2 - 1) s, and every step gets the bracket
     L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v), with L0 = k D^2 / (A B) and
     v = D^2 / min(A, B)^2 <= 1 (:func:`_coarse_screen`).  A step it leaves
-    open, before its row's first sure crossing, is decided by the reference
-    comparison 2k I_*(S1/k, S2/k) > beta itself.
+    open is decided by the reference comparison 2k I_*(S1/k, S2/k) > beta
+    itself.
 
     The margin.  The bracket decides a step only when it clears beta by the
     relative margin ``_SCREEN_EPS`` + k 2^-49.  ``_SCREEN_EPS`` = 1e-6
@@ -365,14 +362,9 @@ class SglrtRule(StoppingRule):
         hits, misses = _coarse_screen(cum1, cum2, ks, low, high)
         rows, cols = np.nonzero(np.equal(hits, misses, out=misses))
         if rows.size:
-            first = np.where(hits.any(axis=1), hits.argmax(axis=1), hits.shape[1])
-            before = cols < first[rows]
-            rows, cols = rows[before], cols[before]
-            if rows.size:  # open steps may all lie after their rows' first sure hits
-                k = ks[cols]
-                stat = 2.0 * k * i_star_bernoulli_kernel(cum1[rows, cols] / k,
-                                                         cum2[rows, cols] / k)
-                hits[rows, cols] = stat > beta[cols]
+            k = ks[cols]
+            stat = 2.0 * k * i_star_bernoulli_kernel(cum1[rows, cols] / k, cum2[rows, cols] / k)
+            hits[rows, cols] = stat > beta[cols]
         return hits
 
 

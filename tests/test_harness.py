@@ -634,6 +634,27 @@ def test_a_group_equals_its_rules_run_alone(group, capped, g, seed, reps):
             assert out[:, 3].any()
 
 
+@pytest.mark.parametrize("name", ["fig4-left", "fig3-easy"])
+def test_each_rule_of_a_group_scans_the_row_steps_it_scans_alone(monkeypatch, name):
+    # a rule of a group scans only the rows it still runs, so it scans the
+    # row-steps it scans alone, in two blocks of rows; scanning each rule over
+    # every row that some rule of the group runs would scan more at the
+    # preset's last delta, where the rules' rows end furthest apart
+    rules = _preset_group(name, -1, None)
+    scanned = [0] * len(rules)
+    for k, rule in enumerate(rules):
+        def scan(shared, sums, k=k, real=rule.scan):
+            scanned[k] += sums[0].size
+            return real(shared, sums)
+        monkeypatch.setattr(rule, "scan", scan)
+    rows = range(engine._BLOCK_ROWS + 22)
+    list(engine.run_group(rules, make_rng(1, 0), rows))
+    grouped, scanned[:] = scanned[:], [0] * len(rules)
+    for rule in rules:
+        engine.run_rows(rule, make_rng(1, 0), rows)
+    assert grouped == scanned
+
+
 def test_rules_that_differ_only_in_their_cap_do_not_share():
     short, long_ = (fc_algos.EliminationRule(EASY, 0.1, ExplorationRate.PLAIN_LOG, tau_max=cap)
                     for cap in (20, 200))

@@ -4,8 +4,9 @@
 exact sums, sharing no code with ``bestarm.engine``.  Cases cover every
 rule kind, groups of rules that share a draw layout, easy and hard
 instances, caps that end mid-chunk, on a chunk boundary or before any
-step, and sub-blocks of a few rows (the engine's output does not depend on
-their size), so that rows of one chunk are scanned in several parts.
+step, up to the first 4096-step chunk and a few steps past it, and
+sub-blocks of a few rows (the engine's output does not depend on their
+size), so that rows of one chunk are scanned in several parts.
 """
 
 from unittest import mock
@@ -24,6 +25,8 @@ from bestarm.rng import make_rng
 
 #: Steps at which a chunk ends (64, then 64 + 128, ...), and caps with no step or one.
 STEPS = [0, 1, 64, 192, 448, 960, 1984]
+#: Steps at which the 2048-step chunk and the first 4096-step chunk end.
+LONG_STEPS = [4032, 8128]
 #: Most row-steps one case runs, so that a case takes a fraction of a second.
 ROW_STEPS = 12_000
 DELTAS = [0.1, 0.05, 0.01, 1e-3]
@@ -57,9 +60,10 @@ def _instance(draw, family, equal_variances=False):
 
 
 @st.composite
-def _rules(draw, kind):
-    """1-3 rules of one draw layout."""
-    steps = draw(st.one_of(st.sampled_from(STEPS), st.integers(0, 2100)))
+def _rules(draw, kind, steps=st.one_of(st.sampled_from(STEPS), st.integers(0, 2100)),
+           sizes=st.one_of(st.integers(1, 3), st.integers(1, 500))):
+    """1-3 rules of one draw layout, of ``steps`` steps, or a static allocation of ``sizes``."""
+    steps = draw(steps)
     cap = 2 * steps + draw(st.integers(0, 1))
     count = draw(st.integers(1, 3))
     if kind == "difference":
@@ -85,7 +89,6 @@ def _rules(draw, kind):
         return [AlphaEliminationRule(instance, *draw(_delta_and_rate()), alpha=alpha,
                                      tau_max=steps) for _ in range(count)]
     instance = draw(_instance(draw(st.sampled_from(sorted(MEANS)))))
-    sizes = st.one_of(st.integers(1, 3), st.integers(1, 500))
     return [StaticRule(instance, StaticAllocation(draw(sizes), draw(sizes)))]
 
 
@@ -106,6 +109,30 @@ def test_the_engine_agrees_with_the_reference_interpreter(kind, data):
     for rule, outcomes in zip(rules, got):
         expected = reference.run(rule, make_rng(seed).bit_generator.state, rows)
         assert sum(ambiguous for _, ambiguous in expected) <= max(1, count // 100)
+        for row, ((outcome, ambiguous), engine_outcome) in enumerate(zip(expected, outcomes)):
+            if not ambiguous:
+                assert tuple(engine_outcome) == outcome, (type(rule).__name__, start + row)
+
+
+@pytest.mark.parametrize("kind", ["difference", "bernoulli", "exponential", "schedule", "sums"])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_engine_agrees_with_the_reference_interpreter_in_long_chunks(kind, data):
+    # caps at the end of the 2048-step chunk or the first 4096-step one, or a
+    # few steps past it, and static allocations of as many draws per arm; a
+    # few rows, scanned one or two to a sub-block from the 2048-step chunk on
+    steps = st.builds(int.__add__, st.sampled_from(LONG_STEPS), st.integers(0, 5))
+    rules = data.draw(_rules(kind, steps, steps))
+    start, count = data.draw(st.integers(0, 10**6)), data.draw(st.integers(1, 4))
+    rows, seed = range(start, start + count), data.draw(st.integers(0, 2**32))
+    got = [[] for _ in rules]
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", data.draw(st.sampled_from([4096, 256]))):
+        for block in engine.run_group(rules, make_rng(seed), rows):
+            for outcomes, part in zip(got, block):
+                outcomes += part
+    for rule, outcomes in zip(rules, got):
+        expected = reference.run(rule, make_rng(seed).bit_generator.state, rows)
+        assert sum(ambiguous for _, ambiguous in expected) <= 1
         for row, ((outcome, ambiguous), engine_outcome) in enumerate(zip(expected, outcomes)):
             if not ambiguous:
                 assert tuple(engine_outcome) == outcome, (type(rule).__name__, start + row)
