@@ -15,8 +15,10 @@ exponential instance (a running difference of draws that are not
 integers) at two rates, and, at caps where most rows exhaust, the SGLRT
 and elimination on fig4-right's instance, alpha-elimination on its
 instance and sigma-elimination on the exponential one, so that the lead
-at the cap is hashed on every sequential draw layout, at the same seeds
-and worker counts.  Each run prints one line,
+at the cap is hashed on every sequential draw layout, and the SGLRT and
+elimination on fig4-right's instance again at a cap in the middle of a
+window of a chunk that the engine's box test cuts, at the same seeds and
+worker counts.  Each run prints one line,
 ``label seed workers sha256``.  Records are a pure function of the config,
 so two checkouts that should draw the same numbers print the same lines;
 diff the output of one against the other.  The bytes depend on the numpy
@@ -68,10 +70,14 @@ SPRT = (("sprt-paper", ["--means", "0.5,0", "--variances", "0.25,0.25",
         ("sprt-capped", ["--means", "0.5,0", "--variances", "4,4", "--tau-max", "41"]))
 #: (label, simulate-fc flags) of the runs after the SPRT's: sigma-elimination on
 #: exponential arms at two rates, then at caps most rows reach: fig4-right's instance,
-#: alpha-elimination's and sigma-elimination's on exponential arms.
+#: alpha-elimination's and sigma-elimination's on exponential arms, and fig4-right's
+#: instance again at a cap inside a chunk cut into windows.
 EXPONENTIAL_SIGMA = ["--family", "exponential", "--means", "1.0,0.5", "--algo", "elimination",
                      "--sigma", "1"]
 FIG4_RIGHT_CAPPED = ["--family", "bernoulli", "--means", "0.51,0.5", "--tau-max", "3001"]
+#: fig4-right's instance at 5,532 paired steps, mid-window 1,500 steps into the first
+#: 4096-step chunk, which the engine cuts into windows: most rows exhaust there.
+FIG4_RIGHT_WINDOWED = ["--family", "bernoulli", "--means", "0.51,0.5", "--tau-max", "11065"]
 LATE = (("sigma-exponential-robbins", [*EXPONENTIAL_SIGMA, "--rate", "robbins"]),
         ("sigma-exponential-plain-log", [*EXPONENTIAL_SIGMA, "--rate", "plain-log"]),
         ("fig4-right-capped-sglrt", [*FIG4_RIGHT_CAPPED, "--algo", "sglrt",
@@ -80,7 +86,11 @@ LATE = (("sigma-exponential-robbins", [*EXPONENTIAL_SIGMA, "--rate", "robbins"])
                                            "--rate", "plain-log", "--sigma", "0.5"]),
         ("alpha-elimination-capped", [*ALPHA_ELIMINATION, "--tau-max", "80"]),
         ("sigma-exponential-capped", [*EXPONENTIAL_SIGMA, "--rate", "robbins",
-                                      "--tau-max", "161"]))
+                                      "--tau-max", "161"]),
+        ("fig4-right-windowed-sglrt", [*FIG4_RIGHT_WINDOWED, "--algo", "sglrt",
+                                       "--rate", "conjectured"]),
+        ("fig4-right-windowed-elimination", [*FIG4_RIGHT_WINDOWED, "--algo", "elimination",
+                                             "--rate", "plain-log", "--sigma", "0.5"]))
 #: The deltas and replications of every simulate-fc run.
 FC = ["--deltas", "0.1,0.01", "--reps", "67"]
 #: (label, seeds, worker counts, argv without --seed, --workers and --out) of each

@@ -1,8 +1,9 @@
 """The stopping engine every strategy runs on.
 
 A :class:`StoppingRule` is one strategy validated for one cell: it
-supplies its per-chunk thresholds and its statistic, nothing else, and
-states what it draws and counts in its ``layout``, which :func:`samplers` reads.
+supplies its per-chunk thresholds, its statistic and which windows of
+steps cannot stop it, nothing else, and states what it draws and counts
+in its ``layout``, which :func:`samplers` reads.
 :func:`run_group` advances the replications of rules that share one layout
 in lockstep blocks and yields each block's outcomes, keeping none (the
 harness folds each into exact sums, so memory is flat in the replication
@@ -24,6 +25,15 @@ reads only paired differences draws them on arm 1 and nothing on arm 2,
 and a static rule draws one sum per arm.  Thresholds are computed once per
 chunk, block and rule, and shared by all of the rule's rows.
 
+Bernoulli arm sums are exact integers, so on a "both" layout's chunks of
+at least 1024 steps the engine first takes exact sums of 64-step windows,
+which bound every step inside, and each rule says from them alone which
+windows cannot stop it (:meth:`StoppingRule.safe`).  A rule scans only
+the rows it runs that have a window it calls unsafe, from the first such
+window of the sub-block, and a row no rule scans is not accumulated: its
+carry, and its lead where it ends exhausted at the cap, come from the
+window sums.  Records are the same bytes as a scan of every step.
+
 The lockstep loop allocates no array of a sub-block's size: rows fill,
 finish and accumulate in place in the process's workspace
 (:func:`workspace`), and the scans write their flags into it too.  A scan
@@ -36,7 +46,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +61,11 @@ from .rng import row_states
 MAX_COUNT = 2**53
 _CHUNK0 = 64
 _CHUNK_MAX = 4096
+#: Steps per window of the box test, and the shortest Bernoulli "both" chunk it
+#: runs on (see :func:`_run_block`); shorter chunks are scanned whole.
+_WINDOW = 64
+_SKIP_MIN = 1024
+_LN4 = 2.0 * math.log(2.0)
 #: Floats per arm in one sub-block's stacked (rows, draws) arrays.  It bounds
 #: memory only: every row reads its own stream, so output never depends on it.
 #: At 2**15 a 128-row block scans chunks of up to 256 steps in one call.
@@ -71,7 +87,8 @@ def workspace(slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     sub-block temporaries over and over.  The array is valid until the
     slot's next request.  The engine's own slots are "fill" (a sub-block's
     variates), "sum1" and "sum2" (their running sums), "pick1" and "pick2" (a
-    rule's rows of those) and "rows" (filled_rows').
+    rule's rows of those), "live1" and "live2" (the draws of the rows
+    some rule scans, in a chunk the box test cuts) and "rows" (filled_rows').
     """
     size = math.prod(shape)
     buf = _WORKSPACE.get((slot, dtype))
@@ -218,6 +235,17 @@ def _scheduled_leads(alpha, sums, rows, cols, done):
     return _mean_leads(np.maximum(n1, 1), np.maximum(t - n1, 1), sums, rows, cols)
 
 
+class Box(NamedTuple):
+    """Bounds on each window of a sub-block's rows, as (rows, windows) arrays (:func:`_box`).
+
+    ``d_max`` bounds |S1 - S2| at every step of the window, and ``bracket``
+    bounds the SGLRT statistic t I_*(S1/k, S2/k) there.
+    """
+
+    d_max: np.ndarray
+    bracket: np.ndarray
+
+
 class StoppingRule:
     """A strategy validated for one cell: what it draws, its thresholds and comparison.
 
@@ -226,8 +254,9 @@ class StoppingRule:
     variates of a chunk, tau and the lead.  The constructor builds them
     once, so a rule whose draws can leave the doubles is refused when it is
     built.  ``chunk(done, n)`` gives the data every row shares over steps
-    done+1..done+n (thresholds), and :meth:`scan` decides them.  A rule
-    holds plain data only.
+    done+1..done+n (thresholds), :meth:`scan` decides them, and
+    :meth:`safe` tells from bounds on a window's sums alone that none of
+    its steps can stop the rule.  A rule holds plain data only.
     """
 
     def __init__(self, instance: BanditInstance, steps: int, kind: str, *params):
@@ -254,6 +283,20 @@ class StoppingRule:
         it may be anything.
         """
         raise NotImplementedError
+
+    def safe(self, shared, box: Box):
+        """(rows, windows) flags: no step of the window can be a hit of :meth:`scan`.
+
+        The engine asks this on Bernoulli "both" chunks it cuts into
+        windows, and does not scan a row's windows before the first one a
+        rule calls unsafe.  ``shared`` is what :meth:`chunk` gave for the
+        chunk, each per-step array reduced to its minimum over each window,
+        and ``box`` bounds the rows' sums in each window.  A flag may say
+        unsafe where no step stops (the row is then scanned), never safe
+        where one does.  A rule that does not define it calls every window
+        unsafe.
+        """
+        return np.zeros(box.d_max.shape, dtype=bool)
 
 
 def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
@@ -322,12 +365,22 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     saved or restored between chunks.  A sub-block's running sums are
     accumulated once, from one carry per row, and go to every rule with
     rows in it, read-only.  Each rule keeps one flag per running row, "it
-    still runs the row": it reads the sums whole where all its flags in the
-    sub-block are set, the rows it runs where some are, and skips the
-    sub-block where none are.  A row's outcome is written once, at its
-    first hit or at the cap, where it is exhausted, and the rule's flag is
-    cleared there.  After each chunk one mask, "some rule still runs the
-    row", compresses the running rows, every rule's flags and the carry.
+    still runs the row", and scans the rows it runs; it skips the sub-block
+    where it runs none.  A row's outcome is written once, at its first hit
+    or at the cap, where it is exhausted, and the rule's flag is cleared
+    there.  After each chunk one mask, "some rule still runs the row",
+    compresses the running rows, every rule's flags and the carry.
+
+    A Bernoulli "both" chunk of at least ``_SKIP_MIN`` steps is first cut
+    into ``_WINDOW``-step windows, whose exact sums bound every step inside
+    (:func:`_box`), and each rule says from them alone which windows cannot
+    stop it (:meth:`StoppingRule.safe`).  A rule then scans only the rows
+    it runs that have a window it calls unsafe, from the first window of
+    the sub-block it calls unsafe in any of them, and the sums are
+    accumulated only for the rows some rule scans, from the first window
+    any rule does.  The other rows need only their carry, the last window
+    end sums; in the cap's chunk a rule ends each row it runs but does not
+    scan there, exhausted, with the lead of those end sums.
     """
     fill, finish1, finish2, accumulate, counts, draws, leads_at = samplers
     steps = rules[0].steps
@@ -342,8 +395,12 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     done, chunk = 0, _CHUNK0
     while rows:
         n = min(chunk, steps - done)
+        last = done + n == steps
         c1, c2 = counts(done, n)
         shared = [rule.chunk(done, n) if any(run) else None for rule, run in zip(rules, runs)]
+        starts = np.arange(0, n, _WINDOW) if accumulate is _arm_sums and n >= _SKIP_MIN else None
+        if starts is not None:
+            floors = [_window_floors(share, starts) for share in shared]
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
         for lo in range(0, len(rows), step):
             idx = rows[lo:lo + step]
@@ -351,43 +408,69 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
             for i, j in enumerate(idx):
                 fill(gens[j], z[i])
             before = carry[lo:lo + len(idx)]
-            sums = accumulate(before, finish1(z[:, :c1]), finish2(z[:, c1:]), done)
-            if done + n < steps:
-                for column, s in zip(before.T, sums):
+            x, y = finish1(z[:, :c1]), finish2(z[:, c1:])
+            flags = [run[lo:lo + len(idx)] for run in runs]
+            live, first, ends = range(len(idx)), 0, None
+            if starts is None:  # every rule scans every row it runs, whole
+                plans = [(live if all(f) else list(compress(live, f)), 0, ()) for f in flags]
+            else:
+                box, ends = _box(before, x, y, done, starts)
+                plans = [_unsafe_rows(rule, floor, f, box) for rule, floor, f
+                         in zip(rules, floors, flags)]
+                scanned = set().union(*(pick for pick, _, _ in plans))
+                if len(scanned) < len(idx):
+                    live = sorted(scanned)
+                first = min((window for pick, window, _ in plans if pick), default=0)
+            if live:
+                sums = _accumulate_from(accumulate, before, x, y, done, live, first, ends)
+                for s in sums:
+                    s.setflags(write=False)
+            if not last:
+                for column, s in zip(before.T, sums if ends is None else ends):
                     column[:] = s[:, -1]
-            for s in sums:
-                s.setflags(write=False)
-            for rule, run, share, result in zip(rules, runs, shared, results):
-                flags = run[lo:lo + len(idx)]
-                if all(flags):
-                    pick, picked = range(len(idx)), sums
-                elif any(flags):
-                    pick = list(compress(range(len(idx)), flags))
-                    # every index is in range; mode "raise" would buffer the output
-                    picked = tuple(np.take(s, pick, axis=0, mode="clip",
-                                           out=workspace(f"pick{i}", (len(pick), s.shape[1])))
-                                   for i, s in enumerate(sums, 1))
-                    for s in picked:
-                        s.setflags(write=False)
-                else:
-                    continue
-                hits = rule.scan(share, picked)
-                at = hits.argmax(axis=1)
-                hit = hits[ordinal[:len(pick)], at]
-                if done + n < steps:
-                    stops = hit.nonzero()[0]
-                    ends = at[stops]
-                else:  # the cap: a row that did not stop ends at its last step, exhausted
-                    stops, ends = ordinal[:len(pick)], np.where(hit, at, n - 1)
-                crossed = hit.tolist()
-                for i, col, lead in zip(stops.tolist(), ends.tolist(),
-                                        leads_at(picked, stops, ends, done).tolist()):
+            for rule, run, share, (pick, window, skipped), result in zip(rules, runs, shared,
+                                                                         plans, results):
+                # (i, column - off, lead) of each row pick[i] that ends here
+                ended, crossed, off = (), [], 0
+                if pick:
+                    off = window * _WINDOW  # the scan's first column
+                    cut = off - first * _WINDOW  # the columns of sums before it
+                    if len(pick) == len(live):
+                        picked = tuple(s[:, cut:] for s in sums) if cut else sums
+                    else:
+                        at_rows = pick if len(live) == len(idx) else np.searchsorted(live, pick)
+                        # every index is in range; mode "raise" would buffer the output
+                        picked = tuple(np.take(s[:, cut:], at_rows, axis=0, mode="clip",
+                                               out=workspace(f"pick{i}", (len(pick),
+                                                                          s.shape[1] - cut)))
+                                       for i, s in enumerate(sums, 1))
+                        for s in picked:
+                            s.setflags(write=False)
+                    hits = rule.scan(_per_step(lambda a: a[off:], share) if off else share,
+                                     picked)
+                    at = hits.argmax(axis=1)
+                    hit = hits[ordinal[:len(pick)], at]
+                    if not last:
+                        stops = hit.nonzero()[0]
+                        cols = at[stops]
+                    else:  # the cap: a row that did not stop ends at its last step, exhausted
+                        stops, cols = ordinal[:len(pick)], np.where(hit, at, n - 1 - off)
+                    crossed = hit.tolist()
+                    ended = zip(stops.tolist(), cols.tolist(),
+                                leads_at(picked, stops, cols, done + off).tolist())
+                if last and skipped:  # rows the rule runs, none of whose windows can stop it
+                    at_end = np.full(len(skipped), ends[0].shape[1] - 1)
+                    ended = chain(ended, zip(range(len(pick), len(pick) + len(skipped)),
+                                             [n - 1 - off] * len(skipped),
+                                             leads_at(ends, skipped, at_end, done).tolist()))
+                    pick, crossed = [*pick, *skipped], crossed + [False] * len(skipped)
+                for i, col, lead in ended:
                     p = lo + pick[i]
-                    tau, n1 = draws(done + 1 + col)
+                    tau, n1 = draws(done + 1 + off + col)
                     result[rows[p]] = (tau, 0 if lead else 1, n1, not crossed[i])
                     run[p] = False
         done += n
-        if done == steps:  # every row has ended, at the cap at the latest
+        if last:  # every row has ended, at the cap at the latest
             break
         chunk = min(2 * chunk, _CHUNK_MAX)
         keep = list(map(any, zip(*runs)))
@@ -396,6 +479,98 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
             runs = [list(compress(run, keep)) for run in runs]
             carry = carry[keep]
     return results
+
+
+def _per_step(f, shared):
+    """``shared``, a rule's chunk data, with ``f`` applied to each of its per-step arrays.
+
+    The data is an array, a constant, or a tuple of them.
+    """
+    if isinstance(shared, tuple):
+        return tuple(f(s) if isinstance(s, np.ndarray) else s for s in shared)
+    return f(shared) if isinstance(shared, np.ndarray) else shared
+
+
+def _window_floors(shared, starts):
+    """A rule's chunk data ``shared`` with each per-step array reduced to its minimum per window."""
+    return _per_step(lambda a: np.minimum.reduceat(a, starts), shared)
+
+
+def _box(before, x, y, done, starts):
+    """(box, (e1, e2)) of the windows of a sub-block's finished 0/1 draws ``x``, ``y``.
+
+    Window j holds steps done + starts[j] + 1 to the next window's start, or
+    to the chunk's end; ``before`` are the rows' arm sums before the chunk.
+    Every sum is an exact integer, so the end sums (e1, e2), (rows,
+    windows) arrays, equal the running sums' values at the window ends bit
+    for bit.  With start sums (S1a, S2a) after k_a steps and increments
+    dS1, dS2, D = S1 - S2 at any step of the window lies in [D_a - dS2, D_a
+    + dS1] (the bounds from the end sums, D_b - dS1 and D_b + dS2, are the
+    same), and A = S1 + S2 >= A_a and B = 2k - A >= B_a, as both count
+    draws.  Hence ``d_max`` bounds |D| in the window, and ``bracket`` bounds
+    the SGLRT statistic t I_* there by the upper bracket of its screen
+    (``fc_algos.SglrtRule``): k_b D_max^2 / (A_a B_a) (1 + (2 log 2 - 1)
+    D_max^2 / min(A_a, B_a)^2), infinite where A_a B_a = 0 < D_max and 0
+    where D_max = 0.
+    """
+    d1, d2 = np.add.reduceat(x, starts, axis=1), np.add.reduceat(y, starts, axis=1)
+    e1, e2 = np.cumsum(d1, axis=1), np.cumsum(d2, axis=1)
+    e1 += before[:, :1]
+    e2 += before[:, 1:]
+    a1, a2 = e1 - d1, e2 - d2
+    gap = a1 - a2
+    d_max = np.maximum(gap + d1, d2 - gap)
+    a = a1 + a2
+    b = np.subtract(2.0 * (done + starts), a, out=a2)
+    dd = np.square(d_max)
+    n2 = np.square(np.minimum(a, b, out=gap), out=gap)
+    bound = np.multiply(dd, _LN4 - 1.0, out=a1)
+    bound += n2
+    bound *= dd
+    bound *= done + np.minimum(starts + _WINDOW, x.shape[1])
+    a *= b
+    a *= n2
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf where A_a B_a = 0 < D_max
+        bound /= a
+    return Box(d_max, np.fmax(bound, 0.0, out=bound)), (e1, e2)  # 0 for 0/0, at D_max = 0
+
+
+def _unsafe_rows(rule, floors, flags, box):
+    """(rows, window, skipped) of ``rule`` in a sub-block cut into windows.
+
+    ``rows`` are the rows it runs (``flags``) with a window it calls unsafe,
+    ``window`` the first window it calls unsafe in any of them, and
+    ``skipped`` the other rows it runs.
+    """
+    if not any(flags):
+        return [], 0, []
+    safe = rule.safe(floors, box)
+    rows, skipped = [], []
+    for p, runs, skips in zip(range(len(flags)), flags, safe.all(axis=1).tolist()):
+        if runs:
+            (skipped if skips else rows).append(p)
+    return rows, int(safe[rows].all(axis=0).argmin()) if rows else 0, skipped
+
+
+def _accumulate_from(accumulate, before, x, y, done, live, first, ends):
+    """The layout's running sums of rows ``live`` of a sub-block, from window ``first`` on.
+
+    ``live`` is every row (a range) or a sorted list of them; ``ends``, the
+    window end sums of :func:`_box`, give the carry before window ``first``,
+    and None means the chunk is accumulated whole, from ``before``.
+    """
+    if ends is None:
+        return accumulate(before, x, y, done)
+    cut = first * _WINDOW
+    x, y = x[:, cut:], y[:, cut:]
+    if first:
+        before = np.column_stack([e[:, first - 1] for e in ends])
+    if len(live) < len(before):
+        before = before[live]
+        x, y = (np.take(a, live, axis=0, mode="clip",
+                        out=workspace(f"live{i}", (len(live), a.shape[1])))
+                for i, a in enumerate((x, y), 1))
+    return accumulate(before, x, y, done + cut)
 
 
 def run_one(rule: StoppingRule, rng: np.random.Generator) -> RunOutcome:

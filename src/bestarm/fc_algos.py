@@ -1,7 +1,8 @@
 """Fixed-confidence strategies for two-armed instances.
 
 Each strategy is a :class:`~bestarm.engine.StoppingRule`, validated once
-per cell, that supplies only its per-chunk threshold and its statistic;
+per cell, that supplies only its per-chunk threshold and its statistic
+(and, on Bernoulli arm sums, which windows of steps cannot stop it);
 its ``layout`` states what it draws and counts, from which
 :func:`bestarm.engine.samplers` gives each chunk's draws, tau and the
 lead, and :mod:`bestarm.engine` runs it.  All stop on a data-dependent
@@ -198,7 +199,9 @@ class EliminationRule(StoppingRule):
     The statistic reads only the paired differences, so on Gaussian arms a
     step draws one difference; other arms draw both arms per step.  It
     compares |S| of the running sum of differences the engine keeps, or
-    |S1 - S2| of the Bernoulli arm sums, which is the same integer.
+    |S1 - S2| of the Bernoulli arm sums, which is the same integer.  A
+    window of Bernoulli steps whose bound on |S1 - S2| is at most its
+    smallest threshold cannot stop it (``safe``).
     """
 
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
@@ -230,6 +233,10 @@ class EliminationRule(StoppingRule):
         gap = sums[0] if len(sums) == 1 else np.subtract(*sums, out=size)
         return np.greater(np.abs(gap, out=size), thresholds,
                           out=workspace("hits", size.shape, np.bool_))
+
+    def safe(self, thresholds, box):
+        # |S1 - S2| at most a window's smallest threshold stops at no step of it
+        return box.d_max <= thresholds
 
 
 class AlphaEliminationRule(StoppingRule):
@@ -277,6 +284,9 @@ class AlphaEliminationRule(StoppingRule):
 #: Relative margin that a bound on t I_* must keep from beta to decide an
 #: SGLRT step without the exact statistic; see :class:`SglrtRule`.
 _SCREEN_EPS = 1e-6
+#: Relative margin that the box test's bound on t I_* keeps below the scan's
+#: lower bound beta (1 - margin), for its own rounding; see :meth:`SglrtRule.safe`.
+_BOX_EPS = 1e-9
 _LN4 = 2.0 * math.log(2.0)
 
 
@@ -337,6 +347,16 @@ class SglrtRule(StoppingRule):
     units of 2^-53, an eighth of the k term at |D| = 1.  A step with D = 0
     (S1 = S2, also at 0 or k) is surely no crossing, because beta > 0 for
     every rate at t >= 2 and delta in (0, 1).
+
+    The box test.  ``safe`` calls a window of steps unable to stop the rule
+    where the engine's bound on t I_* over the whole window
+    (:func:`bestarm.engine._box`: the bracket's upper end at the largest
+    |D| and k and the smallest A and B of the window) is below (1 -
+    ``_BOX_EPS``) times the smallest ``low`` = beta (1 - margin) of its
+    steps.  At each step of such a window the screen's upper bracket is
+    below beta (1 - margin), so the screen says "surely not", or, where
+    rounding leaves the step open, the exact statistic, within about 1e-9
+    of it, is below beta.  ``_BOX_EPS`` covers the rounding of the bound.
     """
 
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
@@ -366,6 +386,13 @@ class SglrtRule(StoppingRule):
             stat = 2.0 * k * i_star_bernoulli_kernel(cum1[rows, cols] / k, cum2[rows, cols] / k)
             hits[rows, cols] = stat > beta[cols]
         return hits
+
+    def safe(self, shared, box):
+        # a window whose bound stays below the scan's smallest lower bound
+        # there holds no hit: the screen says "surely not" at each of its
+        # steps, or leaves it open to an exact statistic that is below beta
+        low = shared[2]  # of (ks, beta, low, high)
+        return box.bracket < (1.0 - _BOX_EPS) * low
 
 
 class SprtRule(EliminationRule):

@@ -1,4 +1,6 @@
 import decimal
+import functools
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -361,6 +363,66 @@ def test_coarse_screen_takes_rows_and_single_rows_alike():
             np.testing.assert_array_equal(flags, expected[r])
 
 
+@functools.cache
+def _partial_sums(length):
+    """(lo, hi), (length + 1, length) arrays: over every 0/1 path of ``length``
+    steps with t ones, its sum after j + 1 steps takes every value in [lo[t, j], hi[t, j]]."""
+    reached = [[set() for _ in range(length)] for _ in range(length + 1)]
+    for path in itertools.product((0, 1), repeat=length):
+        partial = list(itertools.accumulate(path))
+        for j, s in enumerate(partial):
+            reached[partial[-1]][j].add(s)
+    lo = np.array([[min(r) for r in reached[t]] for t in range(length + 1)])
+    hi = np.array([[max(r) for r in reached[t]] for t in range(length + 1)])
+    for t, sets in enumerate(reached):
+        assert all(r == set(range(lo[t, j], hi[t, j] + 1)) for j, r in enumerate(sets))
+    return lo, hi
+
+
+@pytest.mark.parametrize("kind", ["sglrt", "elimination"])
+@pytest.mark.parametrize("rate", list(ExplorationRate))
+def test_a_box_the_rule_calls_safe_holds_no_hit(kind, rate):
+    # every box of `length` steps after `done`, from every pair of start sums
+    # in [0, done] with every pair of increments: where the rule calls it
+    # safe, no step of any pair of 0/1 paths through it is a hit of its scan
+    found = {"safe": 0, "held": 0}
+    for delta, done, length in itertools.product((0.1, 0.01, 1e-4), (0, 7, 30), (1, 4, 10)):
+        if rate is ExplorationRate.ITERATED_LOG:
+            delta = min(delta, 0.01)  # the rate warns by design above 0.01
+        rule = (SglrtRule(B21, delta, rate) if kind == "sglrt"
+                else fc_algos.EliminationRule(B21, delta, rate, sigma=0.5))
+        side, last = done + 1, done + length
+        # the scan's flags at every step k and every pair of sums (S1, S2) <= k
+        k = np.arange(done + 1, last + 1)
+        s1, s2 = (np.minimum(s.reshape(-1, 1), k).astype(float)
+                  for s in np.meshgrid(np.arange(last + 1), np.arange(last + 1), indexing="ij"))
+        hits = rule.scan(rule.chunk(done, length), (s1, s2)).reshape(last + 1, last + 1, length)
+        # the box's verdict, per start sums and increments, from the engine's bounds
+        a1, a2, t1, t2 = np.meshgrid(np.arange(side), np.arange(side), np.arange(length + 1),
+                                     np.arange(length + 1), indexing="ij")
+        x, y = (np.arange(length) < t.reshape(-1, 1) for t in (t1, t2))
+        starts = np.array([0])
+        box, _ = engine._box(np.column_stack([a1.ravel(), a2.ravel()]).astype(float),
+                             x.astype(float), y.astype(float), done, starts)
+        safe = rule.safe(engine._window_floors(rule.chunk(done, length), starts), box)
+        safe = safe.reshape(a1.shape)
+        # whether a pair of paths through the box hits: after j + 1 steps the
+        # arms' sums range over a rectangle, a1 + [lo, hi] by a2 + [lo, hi], so
+        # count the hits in it by prefix sums
+        lo, hi = _partial_sums(length)
+        count = np.zeros((length, last + 2, last + 2), dtype=np.int64)
+        count[:, 1:, 1:] = np.moveaxis(hits, 2, 0).cumsum(axis=1).cumsum(axis=2)
+        held = np.zeros_like(safe)
+        for j in range(length):
+            r0, r1 = a1 + lo[t1, j], a1 + hi[t1, j] + 1
+            c0, c1 = a2 + lo[t2, j], a2 + hi[t2, j] + 1
+            held |= count[j, r1, c1] - count[j, r0, c1] - count[j, r1, c0] + count[j, r0, c0] > 0
+        assert not (safe & held).any(), (delta, done, length)
+        found["safe"] += safe.sum()
+        found["held"] += held.sum()
+    assert found["safe"] and found["held"]
+
+
 def _accumulate(rule, carry, x, y, done):
     # the running sums the engine keeps for the rule's layout
     return engine.samplers(rule.layout)[3](carry, x, y, done)
@@ -515,25 +577,35 @@ def test_sglrt_screen_matches_the_unscreened_scan(data):
 
 def test_sglrt_screen_evaluates_few_steps_exactly(monkeypatch):
     # fig4-right's SGLRT configs: the exact statistic sees under 0.1% of the
-    # row-steps (every one of them before the screen)
-    seen = {"steps": 0, "exact": 0}
+    # row-steps scanned (every one of them before the screen), over cells
+    # that run more than 500,000 row-steps, scanned or skipped by the box test
+    seen = {"steps": 0, "scanned": 0, "exact": 0}
     real_i_star, real_scan = fc_algos.i_star_bernoulli_kernel, SglrtRule.scan
+    real_run_group = engine.run_group
 
     def i_star(x, y):
         seen["exact"] += np.size(x)
         return real_i_star(x, y)
 
     def scan(self, shared, sums):
-        seen["steps"] += sums[0].size
+        seen["scanned"] += sums[0].size
         return real_scan(self, shared, sums)
+
+    def run_group(rules, rng, rows):
+        # a row of a paired rule runs tau / 2 steps
+        for block in real_run_group(rules, rng, rows):
+            seen["steps"] += sum(tau for rule, part in zip(rules, block)
+                                 if isinstance(rule, SglrtRule) for tau, *_ in part) // 2
+            yield block
 
     monkeypatch.setattr(fc_algos, "i_star_bernoulli_kernel", i_star)
     monkeypatch.setattr(SglrtRule, "scan", scan)
+    monkeypatch.setattr(engine, "run_group", run_group)
     configs = [c for c in presets.figure_configs("fig4-right", 10, 1000003)
                if c.algorithm.kind == "sglrt"]
     harness.run_experiments(configs, 1)
     assert seen["steps"] > 500_000
-    assert seen["exact"] < 1e-3 * seen["steps"]
+    assert seen["exact"] < 1e-3 * seen["scanned"]
 
 
 # --- SPRT oracle ----------------------------------------------------------------------

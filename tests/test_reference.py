@@ -9,6 +9,7 @@ sub-blocks of a few rows (the engine's output does not depend on their
 size), so that rows of one chunk are scanned in several parts.
 """
 
+import functools
 from unittest import mock
 
 import pytest
@@ -136,3 +137,63 @@ def test_the_engine_agrees_with_the_reference_interpreter_in_long_chunks(kind, d
         for row, ((outcome, ambiguous), engine_outcome) in enumerate(zip(expected, outcomes)):
             if not ambiguous:
                 assert tuple(engine_outcome) == outcome, (type(rule).__name__, start + row)
+
+
+#: Caps whose last chunk, 1,500 steps into the 2048-step chunk or the first
+#: 4096-step one, is cut into windows by the box test and ends mid-window.
+BOX_STEPS = [1984 + 1500, 4032 + 1500]
+#: Near ties, whose rows run long and mostly far from every threshold, and
+#: small gaps, whose rows stop in the long chunks.
+NEAR_TIES = [(0.51, 0.5), (0.5, 0.51), (0.3, 0.31), (0.9, 0.89), (0.54, 0.5), (0.3, 0.34)]
+
+
+def test_the_engine_agrees_with_the_reference_interpreter_through_skipped_windows():
+    # Bernoulli rules of the "both" layout on near ties, to caps where most
+    # rows exhaust: the engine scans a row only from the first window that a
+    # rule running it calls unsafe, and ends a row that no window of the
+    # cap's chunk can stop from the window sums alone
+    seen = {"windows": 0, "ended": 0}
+    real_unsafe_rows = engine._unsafe_rows
+
+    def unsafe_rows(rule, floors, flags, box):
+        rows, window, skipped = real_unsafe_rows(rule, floors, flags, box)
+        seen["windows"] += len(skipped) * box.d_max.shape[1] + len(rows) * window
+        if rule.at_cap:
+            seen["ended"] += len(skipped)
+        return rows, window, skipped
+
+    def chunk(rule, done, n, real):
+        rule.at_cap = done + n == rule.steps
+        return real(done, n)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        steps = data.draw(st.sampled_from(BOX_STEPS)) + data.draw(st.integers(0, 30))
+        instance = build_instance("bernoulli", list(data.draw(st.sampled_from(NEAR_TIES))), None)
+        elimination = st.builds(lambda dr, sigma: EliminationRule(instance, *dr,
+                                                                  tau_max=2 * steps, sigma=sigma),
+                                _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]))
+        sglrt = st.builds(lambda dr: SglrtRule(instance, *dr, tau_max=2 * steps),
+                          _delta_and_rate())
+        rules = [data.draw(st.one_of(elimination, sglrt)) for _ in range(data.draw(
+            st.integers(1, 3)))]
+        start, count = data.draw(st.integers(0, 10**6)), data.draw(st.integers(1, 4))
+        rows, seed = range(start, start + count), data.draw(st.integers(0, 2**32))
+        for rule in rules:
+            rule.chunk = functools.partial(chunk, rule, real=rule.chunk)
+        got = [[] for _ in rules]
+        with mock.patch.object(engine, "BLOCK_ELEMENTS", data.draw(st.sampled_from([4096, 256]))):
+            for block in engine.run_group(rules, make_rng(seed), rows):
+                for outcomes, part in zip(got, block):
+                    outcomes += part
+        for rule, outcomes in zip(rules, got):
+            expected = reference.run(rule, make_rng(seed).bit_generator.state, rows)
+            assert sum(ambiguous for _, ambiguous in expected) <= 1
+            for row, ((outcome, ambiguous), engine_outcome) in enumerate(zip(expected, outcomes)):
+                if not ambiguous:
+                    assert tuple(engine_outcome) == outcome, (type(rule).__name__, start + row)
+
+    with mock.patch.object(engine, "_unsafe_rows", unsafe_rows):
+        check()
+    assert seen["windows"] and seen["ended"]

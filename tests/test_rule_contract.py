@@ -1,4 +1,4 @@
-"""A rule is its thresholds and its statistic; its layout states the rest.
+"""A rule is its thresholds, its statistic and its box test; its layout states the rest.
 
 What a rule draws per chunk, its tau and its lead are read from its draw
 layout (``engine.samplers``), the same for every rule of one layout, so no
@@ -51,4 +51,4 @@ def test_a_rule_supplies_only_its_thresholds_and_its_scan():
     for rule in rules:
         hooks = {name for cls in rule.__mro__[:-1] for name, value in vars(cls).items()
                  if callable(value) and not name.startswith("_")}
-        assert hooks <= {"chunk", "scan"}, rule.__name__
+        assert hooks <= {"chunk", "scan", "safe"}, rule.__name__
