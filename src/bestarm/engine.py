@@ -3,36 +3,28 @@
 A :class:`StoppingRule` is one strategy validated for one cell: it
 supplies its per-chunk thresholds, its statistic and which windows of
 steps cannot stop it, nothing else, and states what it draws and counts
-in its ``layout``, which :func:`samplers` reads.
-:func:`run_group` advances the replications of rules that share one layout
-in lockstep blocks and yields each block's outcomes, keeping none (the
-harness folds each into exact sums, so memory is flat in the replication
-count); :func:`run_rows` collects one rule's blocks.  Each row draws from
-a generator of its own, given its replication's state
-(:func:`bestarm.rng.row_states`) once, before its first chunk.  Per chunk
-of steps (64 doubling to 4096) each row that some rule of the group still
-runs fills its chunk with one call of the layout's ``fill``, its arm-1
-variates then its arm-2 variates; the rows are stacked into (rows, n)
-arrays, finished once, and turned once into the running sums the layout
-keeps (its ``accumulate``), from one carry per row for the whole group:
-the sums after the chunks before.  Each rule then compares its own active
-rows' sums with its own thresholds at once, for first crossings, and
-drops each row at its first hit, or at the cap, where it is exhausted,
-writing its outcome once.  Rules of one layout draw the same variates
-from one stream and keep the same sums, so each reads exactly what it
-reads when run alone.  A rule draws what its statistic reads: a rule that
-reads only paired differences draws them on arm 1 and nothing on arm 2,
-and a static rule draws one sum per arm.  Thresholds are computed once per
-chunk, block and rule, and shared by all of the rule's rows.
+in its ``layout``, which :func:`samplers` reads.  :func:`run_group`
+advances the replications of rules that share one layout in lockstep
+blocks and yields each block's outcomes, keeping none (the harness folds
+each into exact sums, so memory is flat in the replication count);
+:func:`run_rows` collects one rule's blocks.  Each row draws from a
+generator of its own, given its replication's state
+(:func:`bestarm.rng.row_states`) once, before its first chunk.  A rule
+draws what its statistic reads: paired differences on arm 1 alone, or a
+static rule's one sum per arm.  Rules of one layout draw the same
+variates from one stream and keep the same running sums, from one carry
+per row, so each reads exactly what it reads when run alone.
 
-Bernoulli arm sums are exact integers, so on a "both" layout's chunks of
-at least 1024 steps the engine first takes exact sums of 64-step windows,
-which bound every step inside, and each rule says from them alone which
-windows cannot stop it (:meth:`StoppingRule.safe`).  A rule scans only
-the rows it runs that have a window it calls unsafe, from the first such
-window of the sub-block, and a row no rule scans is not accumulated: its
-carry, and its lead where it ends exhausted at the cap, come from the
-window sums.  Records are the same bytes as a scan of every step.
+Per chunk of steps (64 doubling to 4096) and sub-block of rows, one plan
+names the rows each rule scans and from which column, and one executor
+accumulates their sums once, writes every row's carry, and has each rule
+compare its rows' sums with its thresholds, computed once per chunk, for
+first crossings (:func:`_run_block`).  A row ends at its first hit or,
+once the cap's chunk is done, at the cap, exhausted, with the lead of its
+carry.  Bernoulli arm sums are exact integers, so on a "both" layout's
+long chunks exact 64-step window sums bound every step inside, and the
+plan skips the windows no rule can stop in (:meth:`StoppingRule.safe`).
+Records are the same bytes as a scan of every step.
 
 The lockstep loop allocates no array of a sub-block's size: rows fill,
 finish and accumulate in place in the process's workspace
@@ -46,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +56,7 @@ _CHUNK_MAX = 4096
 #: Steps per window of the box test, and the shortest Bernoulli "both" chunk it
 #: runs on (see :func:`_run_block`); shorter chunks are scanned whole.
 _WINDOW = 64
-_SKIP_MIN = 1024
+_SKIP_MIN = 2048
 _LN4 = 2.0 * math.log(2.0)
 #: Floats per arm in one sub-block's stacked (rows, draws) arrays.  It bounds
 #: memory only: every row reads its own stream, so output never depends on it.
@@ -85,10 +77,11 @@ def workspace(slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     Each slot holds one buffer, grown when a request outsizes it and never
     freed, so the lockstep loop does not allocate, free and fault in its
     sub-block temporaries over and over.  The array is valid until the
-    slot's next request.  The engine's own slots are "fill" (a sub-block's
-    variates), "sum1" and "sum2" (their running sums), "pick1" and "pick2" (a
-    rule's rows of those), "live1" and "live2" (the draws of the rows
-    some rule scans, in a chunk the box test cuts) and "rows" (filled_rows').
+    slot's next request.  The engine's own slots, which no rule may use, are
+    "fill" (a sub-block's variates), "live1" and "live2" (the draws of the
+    rows some rule scans, where not every row is), "sum1" and "sum2" (their
+    running sums), "pick1" and "pick2" (a rule's rows of those, where it
+    does not scan them all) and "rows" (:func:`filled_rows`').
     """
     size = math.prod(shape)
     buf = _WORKSPACE.get((slot, dtype))
@@ -277,24 +270,23 @@ class StoppingRule:
         Every rule of a group reads the same sums, so a scan must not write
         to them: the engine hands them over read-only.  A scan may keep its
         temporaries and the flags it returns in :func:`workspace` slots
-        other than the engine's ("fill", "sum1", "sum2", "pick1", "pick2"
-        and "rows"); the flags need stay valid only until the next scan
-        call.  The engine reads only each row's first hit; every flag after
-        it may be anything.
+        other than the engine's own, which that function lists; the flags
+        need stay valid only until the next scan call.  The engine reads
+        only each row's first hit; every flag after it may be anything.
         """
         raise NotImplementedError
 
     def safe(self, shared, box: Box):
         """(rows, windows) flags: no step of the window can be a hit of :meth:`scan`.
 
-        The engine asks this on Bernoulli "both" chunks it cuts into
-        windows, and does not scan a row's windows before the first one a
-        rule calls unsafe.  ``shared`` is what :meth:`chunk` gave for the
-        chunk, each per-step array reduced to its minimum over each window,
-        and ``box`` bounds the rows' sums in each window.  A flag may say
-        unsafe where no step stops (the row is then scanned), never safe
-        where one does.  A rule that does not define it calls every window
-        unsafe.
+        The engine's plan asks this on Bernoulli "both" chunks it cuts into
+        windows, and scans a row the rule runs only from the first window of
+        the sub-block it calls unsafe, and not at all where it calls every
+        window safe.  ``shared`` is what :meth:`chunk` gave for the chunk,
+        each per-step array reduced to its minimum over each window, and
+        ``box`` bounds the rows' sums in each window.  A flag may say unsafe
+        where no step stops (the row is then scanned), never safe where one
+        does.  A rule that does not define it calls every window unsafe.
         """
         return np.zeros(box.d_max.shape, dtype=bool)
 
@@ -362,44 +354,33 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     The rules share one layout, and ``samplers`` are its :func:`samplers`.
     Row i draws from ``gens[i]`` in place, one fill call per chunk while
     some rule still runs it, every chunk in stream order, so no state is
-    saved or restored between chunks.  A sub-block's running sums are
-    accumulated once, from one carry per row, and go to every rule with
-    rows in it, read-only.  Each rule keeps one flag per running row, "it
-    still runs the row", and scans the rows it runs; it skips the sub-block
-    where it runs none.  A row's outcome is written once, at its first hit
-    or at the cap, where it is exhausted, and the rule's flag is cleared
-    there.  After each chunk one mask, "some rule still runs the row",
-    compresses the running rows, every rule's flags and the carry.
-
-    A Bernoulli "both" chunk of at least ``_SKIP_MIN`` steps is first cut
-    into ``_WINDOW``-step windows, whose exact sums bound every step inside
-    (:func:`_box`), and each rule says from them alone which windows cannot
-    stop it (:meth:`StoppingRule.safe`).  A rule then scans only the rows
-    it runs that have a window it calls unsafe, from the first window of
-    the sub-block it calls unsafe in any of them, and the sums are
-    accumulated only for the rows some rule scans, from the first window
-    any rule does.  The other rows need only their carry, the last window
-    end sums; in the cap's chunk a rule ends each row it runs but does not
-    scan there, exhausted, with the lead of those end sums.
+    saved or restored between chunks.  Each rule keeps one flag per running
+    row, "it still runs the row".  Per sub-block the executor accumulates,
+    once and from the carry, the sums of the rows :func:`_plan` names, writes
+    every row's carry, and hands each rule the sums of the rows it scans,
+    read-only; the rule ends a row at its first hit, writes its outcome once
+    and clears its flag.  After each chunk one mask, "some rule still runs
+    the row", compresses the rows, the flags and the carry.  Once the cap's
+    chunk is done, every row a rule still runs ends at the cap, exhausted,
+    with the lead of its carry.  A Bernoulli "both" chunk of ``_SKIP_MIN``
+    steps or more by the schedule is cut into ``_WINDOW``-step windows for
+    the plan (:func:`_box`), and a row's carry is its last window end sums.
     """
     fill, finish1, finish2, accumulate, counts, draws, leads_at = samplers
     steps = rules[0].steps
-    if not steps:  # a cap with no step: every row is exhausted, and arm 0 leads (ties: yes)
-        tau, n1 = draws(0)
-        return [[(tau, 0, n1, True)] * len(gens) for _ in rules]
     results = [[None] * len(gens) for _ in rules]
     rows = list(range(len(gens)))  # the rows some rule still runs, in order
     runs = [[True] * len(rows) for _ in rules]  # per rule: it still runs rows[p]
     carry = np.zeros((len(rows), 2))  # their running sums, in that order
     ordinal = np.arange(len(rows))
     done, chunk = 0, _CHUNK0
-    while rows:
+    while rows and done < steps:
         n = min(chunk, steps - done)
-        last = done + n == steps
         c1, c2 = counts(done, n)
         shared = [rule.chunk(done, n) if any(run) else None for rule, run in zip(rules, runs)]
-        starts = np.arange(0, n, _WINDOW) if accumulate is _arm_sums and n >= _SKIP_MIN else None
-        if starts is not None:
+        floors = None
+        if accumulate is _arm_sums and chunk >= _SKIP_MIN:
+            starts = np.arange(0, n, _WINDOW)
             floors = [_window_floors(share, starts) for share in shared]
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
         for lo in range(0, len(rows), step):
@@ -409,68 +390,34 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
                 fill(gens[j], z[i])
             before = carry[lo:lo + len(idx)]
             x, y = finish1(z[:, :c1]), finish2(z[:, c1:])
-            flags = [run[lo:lo + len(idx)] for run in runs]
-            live, first, ends = range(len(idx)), 0, None
-            if starts is None:  # every rule scans every row it runs, whole
-                plans = [(live if all(f) else list(compress(live, f)), 0, ()) for f in flags]
-            else:
-                box, ends = _box(before, x, y, done, starts)
-                plans = [_unsafe_rows(rule, floor, f, box) for rule, floor, f
-                         in zip(rules, floors, flags)]
-                scanned = set().union(*(pick for pick, _, _ in plans))
-                if len(scanned) < len(idx):
-                    live = sorted(scanned)
-                first = min((window for pick, window, _ in plans if pick), default=0)
-            if live:
-                sums = _accumulate_from(accumulate, before, x, y, done, live, first, ends)
+            box, ends = _box(before, x, y, done, starts) if floors else (None, None)
+            live, first, plan = _plan(rules, floors, [run[lo:lo + len(idx)] for run in runs], box)
+            if live:  # from the carry, or from the end sums of the window before column first
+                start = ends[:, :, first // _WINDOW - 1].T if first else before
+                sums = accumulate(start if len(live) == len(idx) else start[live],
+                                  _take(x, live, first, "live1"), _take(y, live, first, "live2"),
+                                  done + first)
                 for s in sums:
                     s.setflags(write=False)
-            if not last:
-                for column, s in zip(before.T, sums if ends is None else ends):
-                    column[:] = s[:, -1]
-            for rule, run, share, (pick, window, skipped), result in zip(rules, runs, shared,
-                                                                         plans, results):
-                # (i, column - off, lead) of each row pick[i] that ends here
-                ended, crossed, off = (), [], 0
-                if pick:
-                    off = window * _WINDOW  # the scan's first column
-                    cut = off - first * _WINDOW  # the columns of sums before it
-                    if len(pick) == len(live):
-                        picked = tuple(s[:, cut:] for s in sums) if cut else sums
-                    else:
-                        at_rows = pick if len(live) == len(idx) else np.searchsorted(live, pick)
-                        # every index is in range; mode "raise" would buffer the output
-                        picked = tuple(np.take(s[:, cut:], at_rows, axis=0, mode="clip",
-                                               out=workspace(f"pick{i}", (len(pick),
-                                                                          s.shape[1] - cut)))
-                                       for i, s in enumerate(sums, 1))
-                        for s in picked:
-                            s.setflags(write=False)
-                    hits = rule.scan(_per_step(lambda a: a[off:], share) if off else share,
-                                     picked)
-                    at = hits.argmax(axis=1)
-                    hit = hits[ordinal[:len(pick)], at]
-                    if not last:
-                        stops = hit.nonzero()[0]
-                        cols = at[stops]
-                    else:  # the cap: a row that did not stop ends at its last step, exhausted
-                        stops, cols = ordinal[:len(pick)], np.where(hit, at, n - 1 - off)
-                    crossed = hit.tolist()
-                    ended = zip(stops.tolist(), cols.tolist(),
-                                leads_at(picked, stops, cols, done + off).tolist())
-                if last and skipped:  # rows the rule runs, none of whose windows can stop it
-                    at_end = np.full(len(skipped), ends[0].shape[1] - 1)
-                    ended = chain(ended, zip(range(len(pick), len(pick) + len(skipped)),
-                                             [n - 1 - off] * len(skipped),
-                                             leads_at(ends, skipped, at_end, done).tolist()))
-                    pick, crossed = [*pick, *skipped], crossed + [False] * len(skipped)
-                for i, col, lead in ended:
-                    p = lo + pick[i]
+            for column, s in zip(before.T, sums if ends is None else ends):
+                column[:] = s[:, -1]
+            for rule, run, share, (pick, off), result in zip(rules, runs, shared, plan, results):
+                if not pick:
+                    continue
+                picked = sums if len(pick) == len(live) and off == first else tuple(
+                    _take(s, pick, off - first, f"pick{i}") for i, s in enumerate(sums, 1))
+                hits = rule.scan(_per_step(lambda a: a[off:], share) if off else share, picked)
+                at = hits.argmax(axis=1)
+                stops = hits[ordinal[:len(pick)], at].nonzero()[0]
+                cols = at[stops]
+                for i, col, lead in zip(stops.tolist(), cols.tolist(),
+                                        leads_at(picked, stops, cols, done + off).tolist()):
+                    p = lo + live[pick[i]]
                     tau, n1 = draws(done + 1 + off + col)
-                    result[rows[p]] = (tau, 0 if lead else 1, n1, not crossed[i])
+                    result[rows[p]] = (tau, 0 if lead else 1, n1, False)
                     run[p] = False
         done += n
-        if last:  # every row has ended, at the cap at the latest
+        if done == steps:  # the cap: the rows the rules still run end below
             break
         chunk = min(2 * chunk, _CHUNK_MAX)
         keep = list(map(any, zip(*runs)))
@@ -478,6 +425,15 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
             rows = list(compress(rows, keep))
             runs = [list(compress(run, keep)) for run in runs]
             carry = carry[keep]
+    tau, n1 = draws(steps)
+    for run, result in zip(runs, results):
+        if not any(run):
+            continue
+        left = list(compress(range(len(rows)), run))
+        # a layout that keeps one sum leaves the carry's second column 0: its lead is S >= 0
+        leads = leads_at((carry[:, :1], carry[:, 1:]), left, [0] * len(left), done - 1)
+        for p, lead in zip(left, leads.tolist()):
+            result[rows[p]] = (tau, 0 if lead else 1, n1, True)
     return results
 
 
@@ -497,26 +453,26 @@ def _window_floors(shared, starts):
 
 
 def _box(before, x, y, done, starts):
-    """(box, (e1, e2)) of the windows of a sub-block's finished 0/1 draws ``x``, ``y``.
+    """(box, ends) of the windows of a sub-block's finished 0/1 draws ``x``, ``y``.
 
     Window j holds steps done + starts[j] + 1 to the next window's start, or
     to the chunk's end; ``before`` are the rows' arm sums before the chunk.
-    Every sum is an exact integer, so the end sums (e1, e2), (rows,
-    windows) arrays, equal the running sums' values at the window ends bit
-    for bit.  With start sums (S1a, S2a) after k_a steps and increments
-    dS1, dS2, D = S1 - S2 at any step of the window lies in [D_a - dS2, D_a
-    + dS1] (the bounds from the end sums, D_b - dS1 and D_b + dS2, are the
-    same), and A = S1 + S2 >= A_a and B = 2k - A >= B_a, as both count
-    draws.  Hence ``d_max`` bounds |D| in the window, and ``bracket`` bounds
-    the SGLRT statistic t I_* there by the upper bracket of its screen
-    (``fc_algos.SglrtRule``): k_b D_max^2 / (A_a B_a) (1 + (2 log 2 - 1)
-    D_max^2 / min(A_a, B_a)^2), infinite where A_a B_a = 0 < D_max and 0
-    where D_max = 0.
+    Every sum is an exact integer, so the end sums (e1, e2) = ``ends``, a
+    (2, rows, windows) array, equal the running sums' values at the window
+    ends bit for bit.  With start sums (S1a, S2a) after k_a steps and
+    increments dS1, dS2, D = S1 - S2 at any step of the window lies in [D_a
+    - dS2, D_a + dS1] (the bounds from the end sums, D_b - dS1 and D_b +
+    dS2, are the same), and A = S1 + S2 >= A_a and B = 2k - A >= B_a, as
+    both count draws.  Hence ``d_max`` bounds |D| in the window, and
+    ``bracket`` bounds the SGLRT statistic t I_* there by the upper bracket
+    of its screen (``fc_algos.SglrtRule``): k_b D_max^2 / (A_a B_a) (1 +
+    (2 log 2 - 1) D_max^2 / min(A_a, B_a)^2), infinite where A_a B_a = 0 <
+    D_max and 0 where D_max = 0.
     """
     d1, d2 = np.add.reduceat(x, starts, axis=1), np.add.reduceat(y, starts, axis=1)
-    e1, e2 = np.cumsum(d1, axis=1), np.cumsum(d2, axis=1)
-    e1 += before[:, :1]
-    e2 += before[:, 1:]
+    ends = np.cumsum((d1, d2), axis=2)
+    ends += before.T[:, :, None]
+    e1, e2 = ends
     a1, a2 = e1 - d1, e2 - d2
     gap = a1 - a2
     d_max = np.maximum(gap + d1, d2 - gap)
@@ -532,45 +488,48 @@ def _box(before, x, y, done, starts):
     a *= n2
     with np.errstate(divide="ignore", invalid="ignore"):  # inf where A_a B_a = 0 < D_max
         bound /= a
-    return Box(d_max, np.fmax(bound, 0.0, out=bound)), (e1, e2)  # 0 for 0/0, at D_max = 0
+    return Box(d_max, np.fmax(bound, 0.0, out=bound)), ends  # 0 for 0/0, at D_max = 0
 
 
-def _unsafe_rows(rule, floors, flags, box):
-    """(rows, window, skipped) of ``rule`` in a sub-block cut into windows.
+def _plan(rules, floors, flags, box):
+    """(live, first, [(pick, off)] per rule) of a sub-block whose rows the rules run as ``flags``.
 
-    ``rows`` are the rows it runs (``flags``) with a window it calls unsafe,
-    ``window`` the first window it calls unsafe in any of them, and
-    ``skipped`` the other rows it runs.
+    The sums of rows ``live`` of the sub-block are accumulated from column
+    ``first``, and each rule scans those at positions ``pick`` of ``live``
+    from column ``off``.  Without a ``box`` every rule scans every row it
+    runs from column 0.  With one, a rule scans only the rows it runs that
+    have a window it calls unsafe (:meth:`StoppingRule.safe`, given
+    ``floors``), from the first window of the sub-block it calls unsafe in
+    any of them, and ``live`` are the rows some rule scans, from the first
+    column any does.
     """
-    if not any(flags):
-        return [], 0, []
-    safe = rule.safe(floors, box)
-    rows, skipped = [], []
-    for p, runs, skips in zip(range(len(flags)), flags, safe.all(axis=1).tolist()):
-        if runs:
-            (skipped if skips else rows).append(p)
-    return rows, int(safe[rows].all(axis=0).argmin()) if rows else 0, skipped
+    live = list(range(len(flags[0])))
+    if box is None:
+        return live, 0, [(live if all(f) else list(compress(live, f)), 0) for f in flags]
+    scans = []  # per rule: (row, its first unsafe window) of each row it scans
+    for rule, floor, f in zip(rules, floors, flags):
+        safe = rule.safe(floor, box) if any(f) else np.ones((len(f), 1), dtype=bool)
+        rows = zip(live, f, safe.all(axis=1).tolist(), safe.argmin(axis=1).tolist())
+        scans.append([(p, w) for p, runs, skips, w in rows if runs and not skips])
+    offs = [min((w for _, w in scan), default=0) * _WINDOW for scan in scans]
+    first = min((off for off, scan in zip(offs, scans) if scan), default=0)
+    live = sorted({p for scan in scans for p, _ in scan})
+    at = dict(zip(live, range(len(live))))
+    return live, first, [([at[p] for p, _ in scan], off) for scan, off in zip(scans, offs)]
 
 
-def _accumulate_from(accumulate, before, x, y, done, live, first, ends):
-    """The layout's running sums of rows ``live`` of a sub-block, from window ``first`` on.
+def _take(a, rows, cut, slot):
+    """Rows ``rows`` of ``a`` from column ``cut``.
 
-    ``live`` is every row (a range) or a sorted list of them; ``ends``, the
-    window end sums of :func:`_box`, give the carry before window ``first``,
-    and None means the chunk is accumulated whole, from ``before``.
+    A view where they are all of ``a``'s rows, else a read-only copy in workspace slot ``slot``.
     """
-    if ends is None:
-        return accumulate(before, x, y, done)
-    cut = first * _WINDOW
-    x, y = x[:, cut:], y[:, cut:]
-    if first:
-        before = np.column_stack([e[:, first - 1] for e in ends])
-    if len(live) < len(before):
-        before = before[live]
-        x, y = (np.take(a, live, axis=0, mode="clip",
-                        out=workspace(f"live{i}", (len(live), a.shape[1])))
-                for i, a in enumerate((x, y), 1))
-    return accumulate(before, x, y, done + cut)
+    if len(rows) == len(a):
+        return a[:, cut:] if cut else a
+    # every index is in range; mode "raise" would buffer the output
+    out = np.take(a[:, cut:], rows, axis=0, mode="clip",
+                  out=workspace(slot, (len(rows), a.shape[1] - cut)))
+    out.setflags(write=False)
+    return out
 
 
 def run_one(rule: StoppingRule, rng: np.random.Generator) -> RunOutcome:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bestarm import engine, fb_algos, fc_algos, harness, presets
+from bestarm.cli import build_instance
 from bestarm.errors import DomainError
 from bestarm.fc_algos import ExplorationRate
 from bestarm.harness import (
@@ -599,6 +600,40 @@ def test_the_workspace_is_allocated_on_first_use_and_kept_when_outgrown(monkeypa
     got = list(engine.run_group(rules, make_rng(32, 0), range(40)))
     assert grown and all(engine._WORKSPACE[slot] is buf for slot, buf in grown.items())
     assert got == want
+
+
+def test_the_engine_and_the_rules_use_disjoint_workspace_slots(monkeypatch):
+    # the engine's slots hold a sub-block's draws and sums while the rules
+    # scan them, so a rule that used one would overwrite the sums it reads;
+    # every rule kind runs, and the Bernoulli group reaches a chunk cut into windows
+    real, requests = engine.workspace, {"engine": set(), "rules": set()}
+
+    def recorded(owner):
+        def request(slot, shape, dtype=np.float64):
+            requests[owner].add(slot)
+            return real(slot, shape, dtype)
+        return request
+
+    monkeypatch.setattr(engine, "workspace", recorded("engine"))
+    monkeypatch.setattr(fc_algos, "workspace", recorded("rules"))
+    # at this gap each rule scans a few rows of the 2048-step chunk, not the same ones
+    small_gap, cap = two_armed_bernoulli(0.54, 0.5), 2 * (1984 + 1500)
+    exponential = build_instance("exponential", [1.0, 0.5], None)
+    groups = [BLOCK_GROUPS["elimination+sprt"], BLOCK_GROUPS["static"],
+              [fc_algos.SglrtRule(small_gap, 0.1, ExplorationRate.PLAIN_LOG, tau_max=cap),
+               fc_algos.EliminationRule(small_gap, 0.1, ExplorationRate.ROBBINS_LOG_T,
+                                        tau_max=cap, sigma=0.5)],
+              [fc_algos.EliminationRule(exponential, 0.05, ExplorationRate.ROBBINS_LOG_T,
+                                        tau_max=3000, sigma=1.0)],
+              [fc_algos.AlphaEliminationRule(two_armed_gaussian(0.12, 0.0, 0.25), 0.05,
+                                             ExplorationRate.ALPHA_ELIM, tau_max=3000)]]
+    for rules in groups:
+        for _ in engine.run_group(rules, make_rng(5, 0), range(40)):
+            pass
+    for _ in engine.filled_rows(make_rng(5, 0), 3, 100, lambda rng, row: rng.random(out=row)):
+        pass
+    assert {"fill", "live1", "sum1", "sum2", "pick1", "rows"} <= requests["engine"]
+    assert requests["rules"] and not requests["engine"] & requests["rules"], requests
 
 
 def _preset_group(name, g, tau_max):

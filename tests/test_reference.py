@@ -150,17 +150,20 @@ NEAR_TIES = [(0.51, 0.5), (0.5, 0.51), (0.3, 0.31), (0.9, 0.89), (0.54, 0.5), (0
 def test_the_engine_agrees_with_the_reference_interpreter_through_skipped_windows():
     # Bernoulli rules of the "both" layout on near ties, to caps where most
     # rows exhaust: the engine scans a row only from the first window that a
-    # rule running it calls unsafe, and ends a row that no window of the
-    # cap's chunk can stop from the window sums alone
+    # rule running it calls unsafe, and ends at the cap, from its carry, a
+    # row that no window of the cap's chunk can stop
     seen = {"windows": 0, "ended": 0}
-    real_unsafe_rows = engine._unsafe_rows
+    real_plan = engine._plan
 
-    def unsafe_rows(rule, floors, flags, box):
-        rows, window, skipped = real_unsafe_rows(rule, floors, flags, box)
-        seen["windows"] += len(skipped) * box.d_max.shape[1] + len(rows) * window
-        if rule.at_cap:
-            seen["ended"] += len(skipped)
-        return rows, window, skipped
+    def plan(rules, floors, flags, box):
+        live, first, scans = real_plan(rules, floors, flags, box)
+        if box is not None:
+            for rule, runs, (pick, off) in zip(rules, flags, scans):
+                skipped = sum(runs) - len(pick)
+                seen["windows"] += skipped * box.d_max.shape[1] + len(pick) * off // engine._WINDOW
+                if rule.at_cap:
+                    seen["ended"] += skipped
+        return live, first, scans
 
     def chunk(rule, done, n, real):
         rule.at_cap = done + n == rule.steps
@@ -194,6 +197,6 @@ def test_the_engine_agrees_with_the_reference_interpreter_through_skipped_window
                 if not ambiguous:
                     assert tuple(engine_outcome) == outcome, (type(rule).__name__, start + row)
 
-    with mock.patch.object(engine, "_unsafe_rows", unsafe_rows):
+    with mock.patch.object(engine, "_plan", plan):
         check()
     assert seen["windows"] and seen["ended"]
