@@ -26,6 +26,7 @@ import sys
 from . import harness, presets, records_io
 from .complexity import complexity_report
 from .dists import EXPONENTIAL_FAMILY, Bernoulli, ExpFamilyArm, Gaussian, mean_to_nat
+from .engine import MAX_GRID_CELLS
 from .errors import BestArmError
 from .fc_algos import ExplorationRate
 from .harness import AlgorithmSpec, ExperimentConfig
@@ -75,8 +76,8 @@ def parse_grid(text: str, integer: bool = False) -> tuple[float, ...]:
             raise BestArmError(f"bad range grid {text!r}")
         # exact budgets need no slack for rounding in the quotient
         steps = (stop - start) / step + (0 if integer else 1e-9)
-        if not math.isfinite(steps):
-            raise BestArmError(f"range grid {text!r} has more points than the doubles count")
+        if not steps < MAX_GRID_CELLS:  # also where the quotient overflows
+            raise BestArmError(f"range grid {text!r} has more than {MAX_GRID_CELLS} cells")
         count = math.floor(steps) + 1
         values = [start + i * step for i in range(count)]
     else:
@@ -449,7 +450,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BestArmError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,9 @@
 """The stopping engine every strategy runs on.
 
 A :class:`StoppingRule` is one strategy validated for one cell: it
-supplies its per-chunk thresholds, its statistic and which windows of
-steps cannot stop it, nothing else, and states what it draws and counts
-in its ``layout``, which :func:`samplers` reads.  :func:`run_group`
+supplies its per-chunk thresholds, its statistic and its window test,
+nothing else, and states what it draws and counts in its ``layout``,
+which :func:`samplers` reads.  :func:`run_group`
 advances the replications of rules that share one layout in lockstep
 blocks and yields each block's outcomes, keeping none (the harness folds
 each into exact sums, so memory is flat in the replication count);
@@ -21,16 +21,19 @@ accumulates their sums once, writes every row's carry, and has each rule
 compare its rows' sums with its thresholds, computed once per chunk, for
 first crossings (:func:`_run_block`).  A row ends at its first hit or,
 once the cap's chunk is done, at the cap, exhausted, with the lead of its
-carry.  Bernoulli arm sums are exact integers, so on a "both" layout's
-long chunks exact 64-step window sums bound every step inside, and the
-plan skips the windows no rule can stop in (:meth:`StoppingRule.safe`).
-Records are the same bytes as a scan of every step.
+carry.  The engine knows draws, running sums and bounds on sums; the
+rules know thresholds and statistics.  Bernoulli arm sums are exact
+integers, so on a "both" layout's long chunks exact 64-step window sums
+bound the sums at every step inside (:class:`Box`), and the plan skips
+the windows every rule's window test calls safe
+(:meth:`StoppingRule.safe`).  Records are the same bytes as a scan of
+every step.
 
 The lockstep loop allocates no array of a sub-block's size: rows fill,
 finish and accumulate in place in the process's workspace
-(:func:`workspace`), and the scans write their flags into it too.  A scan
-only reads the sums, and the flags it returns may live in the workspace
-until the next scan call, so the engine reads them before it scans again.
+(:func:`workspace`), and the scans and window tests write their flags
+into it too, valid until the next scan or test call, so the engine reads
+them before it makes another.
 """
 
 from __future__ import annotations
@@ -51,13 +54,14 @@ from .rng import row_states
 #: Largest replication count, budget or tau_max a run takes: every integer
 #: up to it is exact as a float (budget grids are floats) and in int64.
 MAX_COUNT = 2**53
+#: Most cells a range grid holds; a grid past it is refused before it is built.
+MAX_GRID_CELLS = 10**4
 _CHUNK0 = 64
 _CHUNK_MAX = 4096
 #: Steps per window of the box test, and the shortest Bernoulli "both" chunk it
 #: runs on (see :func:`_run_block`); shorter chunks are scanned whole.
 _WINDOW = 64
 _SKIP_MIN = 2048
-_LN4 = 2.0 * math.log(2.0)
 #: Floats per arm in one sub-block's stacked (rows, draws) arrays.  It bounds
 #: memory only: every row reads its own stream, so output never depends on it.
 #: At 2**15 a 128-row block scans chunks of up to 256 steps in one call.
@@ -81,7 +85,9 @@ def workspace(slot: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     "fill" (a sub-block's variates), "live1" and "live2" (the draws of the
     rows some rule scans, where not every row is), "sum1" and "sum2" (their
     running sums), "pick1" and "pick2" (a rule's rows of those, where it
-    does not scan them all) and "rows" (:func:`filled_rows`').
+    does not scan them all) and "rows" (:func:`filled_rows`').  A window
+    test's flags may sit in its rule's scan slots until the next scan or
+    test call; :func:`_plan` reads them before it makes that call.
     """
     size = math.prod(shape)
     buf = _WORKSPACE.get((slot, dtype))
@@ -229,14 +235,16 @@ def _scheduled_leads(alpha, sums, rows, cols, done):
 
 
 class Box(NamedTuple):
-    """Bounds on each window of a sub-block's rows, as (rows, windows) arrays (:func:`_box`).
+    """Bounds on a sub-block's arm sums per window, (rows, windows) arrays (:func:`_box`).
 
-    ``d_max`` bounds |S1 - S2| at every step of the window, and ``bracket``
-    bounds the SGLRT statistic t I_*(S1/k, S2/k) there.
+    At each step of window j, after k <= ``k[j]`` paired steps, |S1 - S2|
+    <= ``d_max``, S1 + S2 >= ``a`` and 2k - S1 - S2 >= ``b``.
     """
 
     d_max: np.ndarray
-    bracket: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    k: np.ndarray
 
 
 class StoppingRule:
@@ -248,8 +256,8 @@ class StoppingRule:
     once, so a rule whose draws can leave the doubles is refused when it is
     built.  ``chunk(done, n)`` gives the data every row shares over steps
     done+1..done+n (thresholds), :meth:`scan` decides them, and
-    :meth:`safe` tells from bounds on a window's sums alone that none of
-    its steps can stop the rule.  A rule holds plain data only.
+    :meth:`safe` gives a test that a window's bounds on sums allow no stop.
+    A rule holds plain data only.
     """
 
     def __init__(self, instance: BanditInstance, steps: int, kind: str, *params):
@@ -271,24 +279,25 @@ class StoppingRule:
         to them: the engine hands them over read-only.  A scan may keep its
         temporaries and the flags it returns in :func:`workspace` slots
         other than the engine's own, which that function lists; the flags
-        need stay valid only until the next scan call.  The engine reads
+        need stay valid only until the next scan or test.  The engine reads
         only each row's first hit; every flag after it may be anything.
         """
         raise NotImplementedError
 
-    def safe(self, shared, box: Box):
-        """(rows, windows) flags: no step of the window can be a hit of :meth:`scan`.
+    def safe(self, shared, starts):
+        """The window test of a chunk windowed at columns ``starts``: a :class:`Box` to flags.
 
-        The engine's plan asks this on Bernoulli "both" chunks it cuts into
-        windows, and scans a row the rule runs only from the first window of
-        the sub-block it calls unsafe, and not at all where it calls every
-        window safe.  ``shared`` is what :meth:`chunk` gave for the chunk,
-        each per-step array reduced to its minimum over each window, and
-        ``box`` bounds the rows' sums in each window.  A flag may say unsafe
-        where no step stops (the row is then scanned), never safe where one
-        does.  A rule that does not define it calls every window unsafe.
+        ``shared`` is what :meth:`chunk` gave for the chunk.  The engine asks
+        once per windowed Bernoulli "both" chunk and applies the test to each
+        sub-block's box.  A (rows, windows) flag says that no step of the
+        window can be a hit of :meth:`scan`: it may say unsafe where no step
+        stops, never safe where one does.  The plan scans a row the rule runs
+        only from the first window of the sub-block called unsafe, and not at
+        all where every window is safe.  The flags may live in the rule's
+        workspace slots until its next scan or test call; the plan reads them
+        first.  A rule that does not define this calls every window unsafe.
         """
-        return np.zeros(box.d_max.shape, dtype=bool)
+        return lambda box: np.zeros(box.d_max.shape, dtype=bool)
 
 
 def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
@@ -363,8 +372,9 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
     the row", compresses the rows, the flags and the carry.  Once the cap's
     chunk is done, every row a rule still runs ends at the cap, exhausted,
     with the lead of its carry.  A Bernoulli "both" chunk of ``_SKIP_MIN``
-    steps or more by the schedule is cut into ``_WINDOW``-step windows for
-    the plan (:func:`_box`), and a row's carry is its last window end sums.
+    steps or more by the schedule is cut into ``_WINDOW``-step windows
+    (:func:`_box`), each running rule's window test is taken once for it,
+    and a row's carry is its last window end sums.
     """
     fill, finish1, finish2, accumulate, counts, draws, leads_at = samplers
     steps = rules[0].steps
@@ -378,10 +388,11 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
         n = min(chunk, steps - done)
         c1, c2 = counts(done, n)
         shared = [rule.chunk(done, n) if any(run) else None for rule, run in zip(rules, runs)]
-        floors = None
+        tests = None
         if accumulate is _arm_sums and chunk >= _SKIP_MIN:
             starts = np.arange(0, n, _WINDOW)
-            floors = [_window_floors(share, starts) for share in shared]
+            tests = [rule.safe(share, starts) if any(run) else None
+                     for rule, run, share in zip(rules, runs, shared)]
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
         for lo in range(0, len(rows), step):
             idx = rows[lo:lo + step]
@@ -390,8 +401,8 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
                 fill(gens[j], z[i])
             before = carry[lo:lo + len(idx)]
             x, y = finish1(z[:, :c1]), finish2(z[:, c1:])
-            box, ends = _box(before, x, y, done, starts) if floors else (None, None)
-            live, first, plan = _plan(rules, floors, [run[lo:lo + len(idx)] for run in runs], box)
+            box, ends = _box(before, x, y, done, starts) if tests else (None, None)
+            live, first, plan = _plan(tests, [run[lo:lo + len(idx)] for run in runs], box)
             if live:  # from the carry, or from the end sums of the window before column first
                 start = ends[:, :, first // _WINDOW - 1].T if first else before
                 sums = accumulate(start if len(live) == len(idx) else start[live],
@@ -447,11 +458,6 @@ def _per_step(f, shared):
     return f(shared) if isinstance(shared, np.ndarray) else shared
 
 
-def _window_floors(shared, starts):
-    """A rule's chunk data ``shared`` with each per-step array reduced to its minimum per window."""
-    return _per_step(lambda a: np.minimum.reduceat(a, starts), shared)
-
-
 def _box(before, x, y, done, starts):
     """(box, ends) of the windows of a sub-block's finished 0/1 draws ``x``, ``y``.
 
@@ -462,12 +468,9 @@ def _box(before, x, y, done, starts):
     ends bit for bit.  With start sums (S1a, S2a) after k_a steps and
     increments dS1, dS2, D = S1 - S2 at any step of the window lies in [D_a
     - dS2, D_a + dS1] (the bounds from the end sums, D_b - dS1 and D_b +
-    dS2, are the same), and A = S1 + S2 >= A_a and B = 2k - A >= B_a, as
-    both count draws.  Hence ``d_max`` bounds |D| in the window, and
-    ``bracket`` bounds the SGLRT statistic t I_* there by the upper bracket
-    of its screen (``fc_algos.SglrtRule``): k_b D_max^2 / (A_a B_a) (1 +
-    (2 log 2 - 1) D_max^2 / min(A_a, B_a)^2), infinite where A_a B_a = 0 <
-    D_max and 0 where D_max = 0.
+    dS2, are the same), and A = S1 + S2 >= A_a and B = 2k - A >= B_a =
+    2k_a - A_a, as both count draws.  Hence the :class:`Box` of bounds
+    (max(D_a + dS1, dS2 - D_a), A_a, B_a, k_b), k_b the window's last step.
     """
     d1, d2 = np.add.reduceat(x, starts, axis=1), np.add.reduceat(y, starts, axis=1)
     ends = np.cumsum((d1, d2), axis=2)
@@ -478,37 +481,27 @@ def _box(before, x, y, done, starts):
     d_max = np.maximum(gap + d1, d2 - gap)
     a = a1 + a2
     b = np.subtract(2.0 * (done + starts), a, out=a2)
-    dd = np.square(d_max)
-    n2 = np.square(np.minimum(a, b, out=gap), out=gap)
-    bound = np.multiply(dd, _LN4 - 1.0, out=a1)
-    bound += n2
-    bound *= dd
-    bound *= done + np.minimum(starts + _WINDOW, x.shape[1])
-    a *= b
-    a *= n2
-    with np.errstate(divide="ignore", invalid="ignore"):  # inf where A_a B_a = 0 < D_max
-        bound /= a
-    return Box(d_max, np.fmax(bound, 0.0, out=bound)), ends  # 0 for 0/0, at D_max = 0
+    return Box(d_max, a, b, done + np.minimum(starts + _WINDOW, x.shape[1])), ends
 
 
-def _plan(rules, floors, flags, box):
+def _plan(tests, flags, box):
     """(live, first, [(pick, off)] per rule) of a sub-block whose rows the rules run as ``flags``.
 
     The sums of rows ``live`` of the sub-block are accumulated from column
     ``first``, and each rule scans those at positions ``pick`` of ``live``
     from column ``off``.  Without a ``box`` every rule scans every row it
     runs from column 0.  With one, a rule scans only the rows it runs that
-    have a window it calls unsafe (:meth:`StoppingRule.safe`, given
-    ``floors``), from the first window of the sub-block it calls unsafe in
-    any of them, and ``live`` are the rows some rule scans, from the first
-    column any does.
+    have a window its chunk's window test (:meth:`StoppingRule.safe`, one of
+    ``tests``) calls unsafe, from the first window of the sub-block it calls
+    unsafe in any of them, and ``live`` are the rows some rule scans, from
+    the first column any does.
     """
     live = list(range(len(flags[0])))
     if box is None:
         return live, 0, [(live if all(f) else list(compress(live, f)), 0) for f in flags]
     scans = []  # per rule: (row, its first unsafe window) of each row it scans
-    for rule, floor, f in zip(rules, floors, flags):
-        safe = rule.safe(floor, box) if any(f) else np.ones((len(f), 1), dtype=bool)
+    for test, f in zip(tests, flags):
+        safe = test(box) if any(f) else np.ones((len(f), 1), dtype=bool)
         rows = zip(live, f, safe.all(axis=1).tolist(), safe.argmin(axis=1).tolist())
         scans.append([(p, w) for p, runs, skips, w in rows if runs and not skips])
     offs = [min((w for _, w in scan), default=0) * _WINDOW for scan in scans]

@@ -234,9 +234,10 @@ class EliminationRule(StoppingRule):
         return np.greater(np.abs(gap, out=size), thresholds,
                           out=workspace("hits", size.shape, np.bool_))
 
-    def safe(self, thresholds, box):
+    def safe(self, thresholds, starts):
         # |S1 - S2| at most a window's smallest threshold stops at no step of it
-        return box.d_max <= thresholds
+        floor = np.minimum.reduceat(thresholds, starts)
+        return lambda box: box.d_max <= floor
 
 
 class AlphaEliminationRule(StoppingRule):
@@ -290,30 +291,32 @@ _BOX_EPS = 1e-9
 _LN4 = 2.0 * math.log(2.0)
 
 
-def _coarse_screen(s1, s2, k, low, high):
+def _coarse_screen(d, a, b, k, low, high):
     """(surely t I_* > beta, surely not) from L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v).
 
-    ``s1``, ``s2`` are integer arm sums after k paired steps (t = 2k), of
-    one shape, ``low`` and ``high`` beta less and plus its margin, all
-    broadcast along the last axis.  Products only, so D = 0 with A B = 0
-    compares 0 with 0 and is surely no crossing.  The flags and the products
-    live in :func:`~bestarm.engine.workspace` slots.
+    ``d``, ``a``, ``b`` are D = S1 - S2, A = S1 + S2 and B = 2k - A of
+    integer arm sums after k paired steps (t = 2k), of one shape, ``low``
+    and ``high`` beta less and plus its margin, all broadcast along the last
+    axis.  Products only, so D = 0 with A B = 0 compares 0 with 0 and is
+    surely no crossing.  Given bounds |D| <= d, A >= a, B >= b over steps up
+    to k instead, "surely not" holds at each of them (the box test).  The
+    flags and the products live in :func:`~bestarm.engine.workspace` slots;
+    ``d``, ``a`` and ``b`` may sit in its slots tmp0, tmp2 and tmp3, as the
+    scan's do, since it reads each before it writes there.
     """
-    dd, sums, rest, ab = (workspace(f"tmp{i}", s1.shape) for i in range(4))
-    np.square(np.subtract(s1, s2, out=dd), out=dd)
-    np.add(s1, s2, out=sums)
-    np.subtract(2.0 * k, sums, out=rest)
-    np.multiply(sums, rest, out=ab)
-    n2 = np.square(np.minimum(sums, rest, out=sums), out=sums)
+    dd, ab, n2, rest = (workspace(f"tmp{i}", d.shape) for i in range(4))
+    np.square(d, out=dd)
+    np.multiply(a, b, out=ab)
+    np.square(np.minimum(a, b, out=n2), out=n2)
     hits = np.greater(dd, np.multiply(ab, high / k, out=rest),
-                      out=workspace("hits", s1.shape, np.bool_))
+                      out=workspace("hits", d.shape, np.bool_))
     # dd (n2 + (2 log 2 - 1) dd) <= (low / k) ab n2, in that order of operations
     lhs = np.multiply(dd, _LN4 - 1.0, out=rest)
     lhs += n2
     lhs *= dd
     rhs = np.multiply(ab, low / k, out=ab)
     rhs *= n2
-    return hits, np.less_equal(lhs, rhs, out=workspace("misses", s1.shape, np.bool_))
+    return hits, np.less_equal(lhs, rhs, out=workspace("misses", d.shape, np.bool_))
 
 
 class SglrtRule(StoppingRule):
@@ -348,15 +351,15 @@ class SglrtRule(StoppingRule):
     (S1 = S2, also at 0 or k) is surely no crossing, because beta > 0 for
     every rate at t >= 2 and delta in (0, 1).
 
-    The box test.  ``safe`` calls a window of steps unable to stop the rule
-    where the engine's bound on t I_* over the whole window
-    (:func:`bestarm.engine._box`: the bracket's upper end at the largest
-    |D| and k and the smallest A and B of the window) is below (1 -
-    ``_BOX_EPS``) times the smallest ``low`` = beta (1 - margin) of its
-    steps.  At each step of such a window the screen's upper bracket is
-    below beta (1 - margin), so the screen says "surely not", or, where
-    rounding leaves the step open, the exact statistic, within about 1e-9
-    of it, is below beta.  ``_BOX_EPS`` covers the rounding of the bound.
+    The box test.  ``safe`` takes the smallest ``low`` = beta (1 - margin)
+    of each window once per chunk, and its window test is the screen's own
+    "surely not" at the engine's bounds (:class:`bestarm.engine.Box`: the
+    largest |D| and k, the smallest A and B), against that low (1 -
+    ``_BOX_EPS``).  The upper bracket grows with |D| and k and falls with A
+    and B, so at each step of a window that passes it is below beta (1 -
+    margin): the screen says "surely not", or, where rounding leaves the
+    step open, the exact statistic, within about 1e-9 of it, is below
+    beta.  ``_BOX_EPS`` covers the rounding of the test at the bounds.
     """
 
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
@@ -379,7 +382,11 @@ class SglrtRule(StoppingRule):
     def scan(self, shared, sums):
         ks, beta, low, high = shared
         cum1, cum2 = sums
-        hits, misses = _coarse_screen(cum1, cum2, ks, low, high)
+        d, a, b = (workspace(f"tmp{i}", cum1.shape) for i in (0, 2, 3))  # see _coarse_screen
+        np.subtract(cum1, cum2, out=d)
+        np.add(cum1, cum2, out=a)
+        np.subtract(2.0 * ks, a, out=b)
+        hits, misses = _coarse_screen(d, a, b, ks, low, high)
         rows, cols = np.nonzero(np.equal(hits, misses, out=misses))
         if rows.size:
             k = ks[cols]
@@ -387,12 +394,11 @@ class SglrtRule(StoppingRule):
             hits[rows, cols] = stat > beta[cols]
         return hits
 
-    def safe(self, shared, box):
-        # a window whose bound stays below the scan's smallest lower bound
-        # there holds no hit: the screen says "surely not" at each of its
-        # steps, or leaves it open to an exact statistic that is below beta
-        low = shared[2]  # of (ks, beta, low, high)
-        return box.bracket < (1.0 - _BOX_EPS) * low
+    def safe(self, shared, starts):
+        # the screen's "surely not" at a window's bounds, against its smallest
+        # lower bound less _BOX_EPS, holds at each of its steps
+        low = (1.0 - _BOX_EPS) * np.minimum.reduceat(shared[2], starts)  # of (ks, beta, low, high)
+        return lambda box: _coarse_screen(box.d_max, box.a, box.b, box.k, low, low)[1]
 
 
 class SprtRule(EliminationRule):

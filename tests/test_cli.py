@@ -65,6 +65,29 @@ def test_parse_grid_rejects_bad_input():
             parse_grid(text, integer=True)
 
 
+def test_parse_grid_refuses_too_many_cells_before_building_them():
+    # a range grid is counted first: one of 2**53 cells, or of a count that
+    # overflows the doubles, is refused at once, without a list of its cells
+    assert len(parse_grid(f"1:{cli.MAX_GRID_CELLS}:1", integer=True)) == cli.MAX_GRID_CELLS
+    for text, integer in ((f"1:{cli.MAX_GRID_CELLS + 1}:1", True),
+                          ("2:9007199254740992:1", True), ("0.001:0.1:1e-300", False),
+                          ("0.01:0.1:5e-324", False), ("0:1:1e-4", False)):
+        with pytest.raises(BestArmError, match="cells"):
+            parse_grid(text, integer=integer)
+
+
+def test_an_error_without_text_gets_a_line_of_its_own(tmp_path, capsys, monkeypatch):
+    # MemoryError() has no text: its line names the error instead
+    def fail(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "parse_grid", fail)
+    code = main(["simulate-fc", "--family", "gaussian", "--means", "1,0", "--variances", "1,1",
+                 "--algo", "sprt", "--deltas", "0.1", "--reps", "1", "--seed", "0",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
+
+
 def test_build_instance_families():
     inst = build_instance("exponential", [2.0, 1.0], None)
     assert inst.means == pytest.approx((2.0, 1.0))

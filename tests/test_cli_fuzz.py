@@ -15,9 +15,10 @@ Runs use tiny replication counts and small caps, so each example takes
 milliseconds.  Caps and counts of any size, up to and past 2**53, are
 checked where they take effect, when the rules are built: there the runs
 are replaced by zero sums, since a row under such a cap could run for
-2**53 steps.  ``--workers`` takes only values that start no process, and
-grids are comma lists: a range grid holds one number per cell, so an edge
-step could ask for more cells than memory holds.
+2**53 steps.  ``--workers`` takes only values that start no process.
+Grids are comma lists or start:stop:step ranges, whose cells the CLI
+counts before it builds them, so an edge step that asks for more cells
+than memory holds is refused.
 """
 
 import contextlib
@@ -83,8 +84,9 @@ def _simulate_fc(draw):
     if algo == "sprt":
         flags["--variances"] = flags["--variances"][:1] * 2
         flags["--sprt-paper-statistic"] = draw(st.booleans())
-    flags["--deltas"] = draw(st.lists(st.sampled_from([0.1, 0.05, 0.01]), min_size=1,
-                                      max_size=2))
+    flags["--deltas"] = draw(st.one_of(
+        st.lists(st.sampled_from([0.1, 0.05, 0.01]), min_size=1, max_size=2),
+        st.tuples(st.sampled_from([0.01, 0.05]), st.just(0.1), st.sampled_from([0.03, 0.05]))))
     flags.update({"--tau-max": draw(st.sampled_from([0, 1, 2, 3, 10, 64, 200, 400])),
                   "--reps": draw(st.sampled_from([1, 2, 3])),
                   "--seed": draw(st.sampled_from([0, 1, 2**64 - 1]))})
@@ -95,8 +97,10 @@ def _simulate_fc(draw):
 def _simulate_fb(draw):
     return {"command": "simulate-fb", **draw(_instance()),
             "--alloc": draw(st.sampled_from(["uniform", "optimal"])),
-            "--budgets": draw(st.lists(st.sampled_from([2, 3, 10, 40, 1000]), min_size=1,
-                                       max_size=2)),
+            "--budgets": draw(st.one_of(
+                st.lists(st.sampled_from([2, 3, 10, 40, 1000]), min_size=1, max_size=2),
+                st.tuples(st.sampled_from([2, 10]), st.sampled_from([40, 1000]),
+                          st.sampled_from([19, 500, 1000])))),
             "--reps": draw(st.sampled_from([1, 2, 3])),
             "--seed": draw(st.sampled_from([0, 1, 2**64 - 1]))}
 
@@ -139,8 +143,8 @@ def _reproduce_figure(draw):
 def _edged(draw, base, large=()):
     """``base``'s flags with up to two of their numbers set to edge values.
 
-    A number of a list flag is one of its entries; the flags in ``large``
-    take caps and counts of any size.
+    A number of a list flag, or of a range grid (a tuple), is one of its
+    entries; the flags in ``large`` take caps and counts of any size.
     """
     flags = draw(base)
     numeric = [k for k, v in flags.items() if k.startswith("--") and not isinstance(v, (bool, str))]
@@ -149,9 +153,10 @@ def _edged(draw, base, large=()):
                  else st.sampled_from(INT_EDGES[flag]) if flag in INT_EDGES else FLOAT_EDGES)
         if flag == "--budgets":
             edges = st.one_of(edges, FLOAT_EDGES)
-        if isinstance(flags[flag], list):
-            flags[flag] = list(flags[flag])
-            flags[flag][draw(st.integers(0, len(flags[flag]) - 1))] = draw(edges)
+        if isinstance(flags[flag], (list, tuple)):
+            numbers = list(flags[flag])
+            numbers[draw(st.integers(0, len(numbers) - 1))] = draw(edges)
+            flags[flag] = type(flags[flag])(numbers)
         else:
             flags[flag] = draw(edges)
     return flags
@@ -162,7 +167,10 @@ def _text(value) -> str:
 
 
 def _argv(flags: dict) -> list[str]:
-    """The command line of ``flags``, each as ``--flag=value`` (a value may be negative)."""
+    """The command line of ``flags``, each as ``--flag=value`` (a value may be negative).
+
+    A list is a comma list, and a tuple a start:stop:step range.
+    """
     argv = [flags["command"], *([flags["figure"]] if "figure" in flags else [])]
     for flag, value in flags.items():
         if not flag.startswith("--") or value is False:
@@ -170,7 +178,8 @@ def _argv(flags: dict) -> list[str]:
         if value is True:
             argv.append(flag)
         else:
-            text = ",".join(map(_text, value)) if isinstance(value, list) else _text(value)
+            text = (":".join(map(_text, value)) if isinstance(value, tuple)
+                    else ",".join(map(_text, value)) if isinstance(value, list) else _text(value))
             argv.append(f"{flag}={text}")
     return argv
 
@@ -285,6 +294,12 @@ def test_lil_check_exits_cleanly(scratch, argv):
 @example(argv=["simulate-fc", "--family=gaussian", "--means=1,0", "--variances=1,1",
                "--algo=sprt", "--deltas=0.01:0.1:5e-324", "--tau-max=10", "--reps=1",
                "--seed=0"])
+# range grids of about 1e298 and 2**53 cells, refused before they are built
+@example(argv=["simulate-fc", "--family=gaussian", "--means=1,0", "--variances=1,1",
+               "--algo=sprt", "--deltas=0.001:0.1:1e-300", "--tau-max=10", "--reps=1",
+               "--seed=0"])
+@example(argv=["simulate-fb", "--family=bernoulli", "--means=0.2,0.1", "--alloc=uniform",
+               "--budgets=2:9007199254740992:1", "--reps=1", "--seed=0"])
 def test_simulate_commands_exit_cleanly(scratch, argv):
     _check(argv, scratch)
 

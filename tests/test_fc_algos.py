@@ -322,13 +322,13 @@ def test_sglrt_bounds_bracket_the_statistic(sums):
     s1, s2, k = sums
     assume(s1 != s2)
     truth = _t_i_star(s1, s2, k)
-    a1, a2, ak = (np.array([float(v)]) for v in sums)
+    d, a, b, ak = (np.array([float(v)]) for v in (s1 - s2, s1 + s2, 2 * k - s1 - s2, k))
     # the coarse bracket: no sure crossing when beta is just above t I_*, no sure
     # miss just below it, and both sure at a factor of 2
     for scale, sure_hit, sure_miss in ((1 + 1e-12, False, None), (1 - 1e-12, None, False),
                                        (2.0, False, True), (0.5, True, False)):
         beta = np.array([truth * scale])
-        hits, misses = _coarse_screen(a1, a2, ak, beta, beta)
+        hits, misses = _coarse_screen(d, a, b, ak, beta, beta)
         assert sure_hit in (None, hits[0]) and sure_miss in (None, misses[0])
 
 
@@ -353,12 +353,14 @@ def test_coarse_screen_takes_rows_and_single_rows_alike():
     beta = 2.0 * np.log(2.0 * k / 0.05)
     low, high = beta * (1.0 - 1e-6), beta * (1.0 + 1e-6)
     want = _coarse_screen_out_of_place(s1, s2, k, low, high)
-    got = [flags.copy() for flags in _coarse_screen(s1, s2, k, low, high)]
+    d, a = s1 - s2, s1 + s2
+    b = 2.0 * k - a
+    got = [flags.copy() for flags in _coarse_screen(d, a, b, k, low, high)]
     assert want[0].any() and want[1].any() and not want[0].all()
     for flags, expected in zip(got, want):
         np.testing.assert_array_equal(flags, expected)
     for r in range(5):
-        row = _coarse_screen(s1[r], s2[r], k, low, high)
+        row = _coarse_screen(d[r], a[r], b[r], k, low, high)
         for flags, expected in zip(row, want):
             np.testing.assert_array_equal(flags, expected[r])
 
@@ -397,6 +399,7 @@ def test_a_box_the_rule_calls_safe_holds_no_hit(kind, rate):
         s1, s2 = (np.minimum(s.reshape(-1, 1), k).astype(float)
                   for s in np.meshgrid(np.arange(last + 1), np.arange(last + 1), indexing="ij"))
         hits = rule.scan(rule.chunk(done, length), (s1, s2)).reshape(last + 1, last + 1, length)
+        hits = hits.copy()  # the window test below may write into the scan's workspace slots
         # the box's verdict, per start sums and increments, from the engine's bounds
         a1, a2, t1, t2 = np.meshgrid(np.arange(side), np.arange(side), np.arange(length + 1),
                                      np.arange(length + 1), indexing="ij")
@@ -404,8 +407,7 @@ def test_a_box_the_rule_calls_safe_holds_no_hit(kind, rate):
         starts = np.array([0])
         box, _ = engine._box(np.column_stack([a1.ravel(), a2.ravel()]).astype(float),
                              x.astype(float), y.astype(float), done, starts)
-        safe = rule.safe(engine._window_floors(rule.chunk(done, length), starts), box)
-        safe = safe.reshape(a1.shape)
+        safe = rule.safe(rule.chunk(done, length), starts)(box).reshape(a1.shape)
         # whether a pair of paths through the box hits: after j + 1 steps the
         # arms' sums range over a rectangle, a1 + [lo, hi] by a2 + [lo, hi], so
         # count the hits in it by prefix sums
@@ -421,6 +423,36 @@ def test_a_box_the_rule_calls_safe_holds_no_hit(kind, rate):
         found["safe"] += safe.sum()
         found["held"] += held.sum()
     assert found["safe"] and found["held"]
+
+
+@pytest.mark.parametrize("kind", ["sglrt", "elimination"])
+@pytest.mark.parametrize("rate", list(ExplorationRate))
+def test_a_window_test_gives_each_window_its_own_floor(kind, rate):
+    # a chunk cut into windows: its window test calls a window safe exactly
+    # where the test of each step's one-step chunk alone, given that window's
+    # box, does.  Thresholds are computed per element and the box's sums are
+    # integers, so the two agree bit for bit; a floor taken with the max, or
+    # over the whole chunk, does not
+    delta = 0.01
+    rule = (SglrtRule(B21, delta, rate) if kind == "sglrt"
+            else fc_algos.EliminationRule(B21, delta, rate, sigma=0.5))
+    rng = np.random.default_rng(47)
+    means = np.linspace(0.2, 0.8, 200).reshape(-1, 1)
+    mixed = 0
+    for done, n in ((0, 2048), (1984, 2000)):
+        before = np.column_stack([rng.binomial(done, means[:, 0]), rng.binomial(done, 0.5, 200)])
+        x, y = (rng.random((200, n)) < p for p in (means, 0.5))
+        starts = np.arange(0, n, engine._WINDOW)
+        box, _ = engine._box(before.astype(float), x.astype(float), y.astype(float), done, starts)
+        safe = rule.safe(rule.chunk(done, n), starts)(box).copy()
+        mixed += safe.any() and not safe.all()
+        for j, lo in enumerate(starts.tolist()):
+            window = engine.Box(*(a[:, j:j + 1] for a in box[:3]), box.k[j:j + 1])
+            alone = np.ones((200, 1), dtype=bool)
+            for step in range(done + lo, done + min(lo + engine._WINDOW, n)):
+                alone &= rule.safe(rule.chunk(step, 1), np.array([0]))(window)
+            np.testing.assert_array_equal(safe[:, j], alone[:, 0], err_msg=f"{done} {lo}")
+    assert mixed == 2
 
 
 def _accumulate(rule, carry, x, y, done):

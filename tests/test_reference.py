@@ -6,7 +6,9 @@ rule kind, groups of rules that share a draw layout, easy and hard
 instances, caps that end mid-chunk, on a chunk boundary or before any
 step, up to the first 4096-step chunk and a few steps past it, and
 sub-blocks of a few rows (the engine's output does not depend on their
-size), so that rows of one chunk are scanned in several parts.
+size), so that rows of one chunk are scanned in several parts, or of
+4-16 rows in the chunks the box test cuts into windows, so that one plan
+covers rows whose first unsafe windows differ.
 """
 
 import functools
@@ -153,10 +155,11 @@ def test_the_engine_agrees_with_the_reference_interpreter_through_skipped_window
     # rule running it calls unsafe, and ends at the cap, from its carry, a
     # row that no window of the cap's chunk can stop
     seen = {"windows": 0, "ended": 0}
+    rules = []  # the rules of the example being run, in the order the plan takes their tests
     real_plan = engine._plan
 
-    def plan(rules, floors, flags, box):
-        live, first, scans = real_plan(rules, floors, flags, box)
+    def plan(tests, flags, box):
+        live, first, scans = real_plan(tests, flags, box)
         if box is not None:
             for rule, runs, (pick, off) in zip(rules, flags, scans):
                 skipped = sum(runs) - len(pick)
@@ -179,7 +182,7 @@ def test_the_engine_agrees_with_the_reference_interpreter_through_skipped_window
                                 _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]))
         sglrt = st.builds(lambda dr: SglrtRule(instance, *dr, tau_max=2 * steps),
                           _delta_and_rate())
-        rules = [data.draw(st.one_of(elimination, sglrt)) for _ in range(data.draw(
+        rules[:] = [data.draw(st.one_of(elimination, sglrt)) for _ in range(data.draw(
             st.integers(1, 3)))]
         start, count = data.draw(st.integers(0, 10**6)), data.draw(st.integers(1, 4))
         rows, seed = range(start, start + count), data.draw(st.integers(0, 2**32))
@@ -200,3 +203,39 @@ def test_the_engine_agrees_with_the_reference_interpreter_through_skipped_window
     with mock.patch.object(engine, "_plan", plan):
         check()
     assert seen["windows"] and seen["ended"]
+
+
+#: Small gaps, either arm ahead, whose rows mostly stop in the windowed chunks.
+SMALL_GAPS = [(0.54, 0.5), (0.3, 0.34), (0.5, 0.55), (0.35, 0.3)]
+#: Floats per arm in one sub-block that put 4 or 8 rows of a 4096-step chunk
+#: in it, and 8 or 16 of a 2048-step one.
+WIDE_BLOCK_ELEMENTS = [4 * 4096, 8 * 4096]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_engine_agrees_with_the_reference_interpreter_with_many_rows_per_window_plan(data):
+    # 8-16 rows on small gaps, 4-16 to a windowed sub-block, whose first unsafe
+    # windows differ: each rule scans them all from the earliest, so a row
+    # whose hit lies before another row's first unsafe window still stops there
+    steps = data.draw(st.sampled_from(BOX_STEPS)) + data.draw(st.integers(0, 30))
+    instance = build_instance("bernoulli", list(data.draw(st.sampled_from(SMALL_GAPS))), None)
+    elimination = st.builds(lambda dr, sigma: EliminationRule(instance, *dr, tau_max=2 * steps,
+                                                              sigma=sigma),
+                            _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]))
+    sglrt = st.builds(lambda dr: SglrtRule(instance, *dr, tau_max=2 * steps), _delta_and_rate())
+    rules = [data.draw(st.one_of(elimination, sglrt)) for _ in range(data.draw(st.integers(1, 2)))]
+    start, count = data.draw(st.integers(0, 10**6)), data.draw(st.integers(8, 16))
+    rows, seed = range(start, start + count), data.draw(st.integers(0, 2**32))
+    got = [[] for _ in rules]
+    with mock.patch.object(engine, "BLOCK_ELEMENTS", data.draw(st.sampled_from(
+            WIDE_BLOCK_ELEMENTS))):
+        for block in engine.run_group(rules, make_rng(seed), rows):
+            for outcomes, part in zip(got, block):
+                outcomes += part
+    for rule, outcomes in zip(rules, got):
+        expected = reference.run(rule, make_rng(seed).bit_generator.state, rows)
+        assert sum(ambiguous for _, ambiguous in expected) <= 1
+        for row, ((outcome, ambiguous), engine_outcome) in enumerate(zip(expected, outcomes)):
+            if not ambiguous:
+                assert tuple(engine_outcome) == outcome, (type(rule).__name__, start + row)
