@@ -13,21 +13,22 @@ generator of its own, given its replication's state
 draws what its statistic reads: paired differences on arm 1 alone, or a
 static rule's one sum per arm.  Rules of one layout draw the same
 variates from one stream and keep the same running sums, from one carry
-per row, so each reads exactly what it reads when run alone.
+per row, so each reads exactly what it reads when run alone, whatever
+its cap: a layout holds no cap, and every chunk is drawn whole.
 
 Per chunk of steps (64 doubling to 4096) and sub-block of rows, one plan
 names the rows each rule scans and from which column, and one executor
-accumulates their sums once, writes every row's carry, and has each rule
-compare its rows' sums with its thresholds, computed once per chunk, for
-first crossings (:func:`_run_block`).  A row ends at its first hit or,
-once the cap's chunk is done, at the cap, exhausted, with the lead of its
-carry.  The engine knows draws, running sums and bounds on sums; the
-rules know thresholds and statistics.  Bernoulli arm sums are exact
-integers, so on a "both" layout's long chunks exact 64-step window sums
-bound the sums at every step inside (:class:`Box`), and the plan skips
-the windows every rule's window test calls safe
-(:meth:`StoppingRule.safe`).  Records are the same bytes as a scan of
-every step.
+accumulates their sums once, up to the largest cap of the rules still
+running, writes every row's carry, and has each rule compare its rows'
+sums with its thresholds, computed once per chunk, for first crossings
+up to its own cap (:func:`_run_block`).  A row ends at its first hit or
+at the rule's cap, exhausted, with the lead there.  The engine knows
+draws, running sums and bounds on sums; the rules know thresholds and
+statistics.  Bernoulli arm sums are exact integers, so on a "both"
+layout's long chunks exact 64-step window sums bound the sums at every
+step inside (:class:`Box`), and the plan skips the windows every rule's
+window test calls safe (:meth:`StoppingRule.safe`).  Records are the
+same bytes as a scan of every step.
 
 The lockstep loop allocates no array of a sub-block's size: rows fill,
 finish and accumulate in place in the process's workspace
@@ -139,24 +140,17 @@ def samplers(layout: tuple):
       S1/n1 >= S2/n2.
 
     Each running sum's last column is the carry of the next chunk.  Raises
-    DomainError where a draw, or a sum the engine keeps, can leave the doubles.
+    DomainError where a draw can leave the doubles; a sum the engine keeps
+    is checked by the rule, at its cap (:func:`check_sums`).
     """
-    kind, arms, steps, *params = layout
+    kind, arms, *params = layout
     if kind == "sums":
         n1, n2 = params
         return (*sum_sampler(arms, params), _drawn_sums, lambda done, n: (1, 1),
                 lambda k: (n1 + n2, n1), functools.partial(_mean_leads, n1, n2))
     a1, a2 = arms
     if kind == "difference":
-        gap, var = a1.mean - a2.mean, a1.variance + a2.variance
-        try:
-            difference = Gaussian(gap, var)
-            fill, finish = sampler(difference)
-            _check_sums(difference, steps)
-        except DomainError:
-            raise DomainError(f"a paired difference X - Y ~ N(mu1 - mu2, var1 + var2) with "
-                              f"mu1 - mu2 = {gap:g} and var1 + var2 = {var:g}, or a sum of "
-                              f"{steps} of them, can exceed the largest double") from None
+        fill, finish = sampler(Gaussian(a1.mean - a2.mean, a1.variance + a2.variance))
         return (fill, finish, np.asarray, _difference, lambda done, n: (n, 0),
                 lambda k: (2 * k, k), _sum_leads)
     (fill, finish1), (_, finish2) = sampler(a1), sampler(a2)
@@ -165,15 +159,38 @@ def samplers(layout: tuple):
         return (fill, finish1, finish2, accumulate, lambda done, n: (n, n),
                 lambda k: (2 * k, k), _sum_leads)
     alpha = params[0]
-    n1 = math.ceil(alpha * steps)  # "schedule": the engine sums every draw under the cap
-    _check_sums(a1, n1)
-    _check_sums(a2, steps - n1)
 
     def counts(done, n):
         c1 = math.ceil(alpha * (done + n)) - math.ceil(alpha * done)
         return c1, n - c1
     return (fill, finish1, finish2, functools.partial(_scheduled_sums, alpha), counts,
             lambda k: (k, math.ceil(alpha * k)), functools.partial(_scheduled_leads, alpha))
+
+
+def check_sums(layout: tuple, steps: int) -> None:
+    """DomainError where a draw of ``layout``, or a sum over ``steps`` steps, can leave the doubles.
+
+    A rule calls it at its own cap when it is built, before :func:`samplers`:
+    the engine sums no draw past the largest cap of the rules that still
+    run a row.  Bernoulli sums are counts, and a static rule's sums are its
+    draws, which :func:`samplers` checks.
+    """
+    kind, arms, *params = layout
+    if kind == "difference":
+        a1, a2 = arms
+        gap, var = a1.mean - a2.mean, a1.variance + a2.variance
+        try:
+            difference = Gaussian(gap, var)
+            _check_sums(difference, 1)
+            _check_sums(difference, steps)
+        except DomainError:
+            raise DomainError(f"a paired difference X - Y ~ N(mu1 - mu2, var1 + var2) with "
+                              f"mu1 - mu2 = {gap:g} and var1 + var2 = {var:g}, or a sum of "
+                              f"{steps} of them, can exceed the largest double") from None
+    elif kind == "schedule":
+        n1 = math.ceil(params[0] * steps)
+        for arm, n in zip(arms * 2, (1, 1, n1, steps - n1)):  # each draw, then each sum
+            _check_sums(arm, n)
 
 
 def arm1_counts(alpha: float, done: int, n: int) -> np.ndarray:
@@ -251,20 +268,23 @@ class StoppingRule:
     """A strategy validated for one cell: what it draws, its thresholds and comparison.
 
     ``layout`` says what the rule draws and counts, as the tuple ``(kind,
-    arms, steps, *params)`` whose :func:`samplers` the engine reads: the
-    variates of a chunk, tau and the lead.  The constructor builds them
-    once, so a rule whose draws can leave the doubles is refused when it is
-    built.  ``chunk(done, n)`` gives the data every row shares over steps
-    done+1..done+n (thresholds), :meth:`scan` decides them, and
-    :meth:`safe` gives a test that a window's bounds on sums allow no stop.
-    A rule holds plain data only.
+    arms, *params)`` whose :func:`samplers` the engine reads: the variates
+    of a chunk, tau and the lead.  It holds no cap: rules of one layout
+    draw alike whatever their caps, and ``steps`` is the rule's own.  The
+    constructor checks the sums up to that cap (:func:`check_sums`) and
+    builds the samplers once, so a rule whose draws or sums can leave the
+    doubles is refused when it is built.  ``chunk(done, n)`` gives the data
+    every row shares over steps done+1..done+n (thresholds), :meth:`scan`
+    decides them, and :meth:`safe` gives a test that a window's bounds on
+    sums allow no stop.  A rule holds plain data only.
     """
 
     def __init__(self, instance: BanditInstance, steps: int, kind: str, *params):
         self.best_arm = instance.best_arm
         self.arms = instance.arms
         self.steps = steps
-        self.layout = (kind, self.arms, steps, *params)
+        self.layout = (kind, self.arms, *params)
+        check_sums(self.layout, steps)
         samplers(self.layout)
 
     def chunk(self, done: int, n: int):
@@ -317,11 +337,12 @@ def run_rows(rule: StoppingRule, rng: np.random.Generator, rows: range):
 def run_group(rules: list[StoppingRule], rng: np.random.Generator, rows: range):
     """Per block of ``rows``, in order, each rule's (tau, recommended, n1, exhausted) per row.
 
-    ``rules`` must share one ``layout``.  Each row's generator is positioned
-    once, and each chunk is filled and finished once for the rows that some
-    rule still runs; every rule reads the variates it reads alone, so its
-    rows equal ``run_rows(rule, rng, rows)``.  Nothing of a block is kept
-    once it is yielded.
+    ``rules`` must share one ``layout``; their caps may differ.  Each row's
+    generator is positioned once, and each chunk is filled and finished
+    once for the rows that some rule still runs; every rule reads the
+    variates it reads alone, up to its own cap, so its rows equal
+    ``run_rows(rule, rng, rows)``.  Nothing of a block is kept once it is
+    yielded.
     """
     for rule in rules[1:]:
         if rule.layout != rules[0].layout:
@@ -360,39 +381,60 @@ def filled_rows(rng: np.random.Generator, reps: int, width: int, fill):
 def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[list]:
     """(tau, recommended, n1, exhausted) per row of one lockstep block, per rule.
 
-    The rules share one layout, and ``samplers`` are its :func:`samplers`.
-    Row i draws from ``gens[i]`` in place, one fill call per chunk while
-    some rule still runs it, every chunk in stream order, so no state is
-    saved or restored between chunks.  Each rule keeps one flag per running
-    row, "it still runs the row".  Per sub-block the executor accumulates,
-    once and from the carry, the sums of the rows :func:`_plan` names, writes
-    every row's carry, and hands each rule the sums of the rows it scans,
-    read-only; the rule ends a row at its first hit, writes its outcome once
-    and clears its flag.  After each chunk one mask, "some rule still runs
-    the row", compresses the rows, the flags and the carry.  Once the cap's
-    chunk is done, every row a rule still runs ends at the cap, exhausted,
-    with the lead of its carry.  A Bernoulli "both" chunk of ``_SKIP_MIN``
-    steps or more by the schedule is cut into ``_WINDOW``-step windows
-    (:func:`_box`), each running rule's window test is taken once for it,
-    and a row's carry is its last window end sums.
+    The rules share one layout, and ``samplers`` are its :func:`samplers`;
+    each has its own cap.  Row i draws from ``gens[i]`` in place, one fill
+    call per chunk while some rule still runs it, every chunk in stream
+    order and whole, never cut at a cap, so a row's draws do not depend on
+    which caps share its group and no state is saved or restored between
+    chunks.  Each rule keeps one flag per running row, "it still runs the
+    row".  A chunk's sums are accumulated only up to the largest cap of the
+    rules still running, and each rule reads them up to its own.  Per
+    sub-block the executor accumulates, once and from the carry, the sums
+    of the rows :func:`_plan` names, writes every row's carry, and hands
+    each rule the sums of the rows it scans, read-only; the rule ends a row
+    at its first hit, writes its outcome once and clears its flag.  A rule
+    whose cap falls inside the chunk ends every row it still runs there,
+    exhausted, with the lead at its cap column; one whose cap is the
+    chunk's last step ends them before the next chunk, with the lead of
+    the carry.  Before each chunk one mask, "some rule still runs the row",
+    compresses the rows, the flags and the carry.  A Bernoulli "both" chunk
+    of ``_SKIP_MIN`` steps or more by the schedule is cut into
+    ``_WINDOW``-step windows (:func:`_box`), each running rule's window
+    test is taken once for it, over its windows up to its cap, the window
+    that holds a cap inside the chunk called unsafe, and a row's carry is
+    its last window end sums.
     """
     fill, finish1, finish2, accumulate, counts, draws, leads_at = samplers
-    steps = rules[0].steps
     results = [[None] * len(gens) for _ in rules]
     rows = list(range(len(gens)))  # the rows some rule still runs, in order
     runs = [[True] * len(rows) for _ in rules]  # per rule: it still runs rows[p]
     carry = np.zeros((len(rows), 2))  # their running sums, in that order
     ordinal = np.arange(len(rows))
     done, chunk = 0, _CHUNK0
-    while rows and done < steps:
-        n = min(chunk, steps - done)
-        c1, c2 = counts(done, n)
-        shared = [rule.chunk(done, n) if any(run) else None for rule, run in zip(rules, runs)]
+    while True:
+        for rule, run, result in zip(rules, runs, results):
+            if rule.steps <= done and any(run):  # the cap, on a chunk's last step or at 0
+                left = list(compress(range(len(rows)), run))
+                # a layout that keeps one sum leaves the carry's second column 0: its lead is S >= 0
+                leads = leads_at((carry[:, :1], carry[:, 1:]), left, [0] * len(left), done - 1)
+                _exhaust(rule, result, run, rows, left, leads, draws)
+        if not any(map(any, runs)):
+            return results
+        keep = list(map(any, zip(*runs))) if done else None  # at 0, every row stays
+        if keep and not all(keep):
+            rows = list(compress(rows, keep))
+            runs = [list(compress(run, keep)) for run in runs]
+            carry = carry[keep]
+        # per rule, the steps of the chunk it reads: up to its cap, 0 where it runs no row
+        ends = [min(chunk, rule.steps - done) if any(run) else 0 for rule, run in zip(rules, runs)]
+        n = max(ends)  # no sum past the largest cap of the rules still running
+        (c1, c2), (n1, n2) = counts(done, chunk), counts(done, n)
+        shared = [rule.chunk(done, end) if end else None for rule, end in zip(rules, ends)]
         tests = None
         if accumulate is _arm_sums and chunk >= _SKIP_MIN:
             starts = np.arange(0, n, _WINDOW)
-            tests = [rule.safe(share, starts) if any(run) else None
-                     for rule, run, share in zip(rules, runs, shared)]
+            tests = [_window_test(rule, share, starts, end, chunk) if end else None
+                     for rule, share, end in zip(rules, shared, ends)]
         step = max(1, BLOCK_ELEMENTS // max(c1, c2, 1))
         for lo in range(0, len(rows), step):
             idx = rows[lo:lo + step]
@@ -400,52 +442,71 @@ def _run_block(rules: list[StoppingRule], gens: list, samplers: tuple) -> list[l
             for i, j in enumerate(idx):
                 fill(gens[j], z[i])
             before = carry[lo:lo + len(idx)]
-            x, y = finish1(z[:, :c1]), finish2(z[:, c1:])
-            box, ends = _box(before, x, y, done, starts) if tests else (None, None)
+            x, y = finish1(z[:, :n1]), finish2(z[:, c1:c1 + n2])
+            box, window_ends = _box(before, x, y, done, starts) if tests else (None, None)
             live, first, plan = _plan(tests, [run[lo:lo + len(idx)] for run in runs], box)
             if live:  # from the carry, or from the end sums of the window before column first
-                start = ends[:, :, first // _WINDOW - 1].T if first else before
+                start = window_ends[:, :, first // _WINDOW - 1].T if first else before
                 sums = accumulate(start if len(live) == len(idx) else start[live],
-                                  _take(x, live, first, "live1"), _take(y, live, first, "live2"),
-                                  done + first)
+                                  _take(x, live, first, n, "live1"),
+                                  _take(y, live, first, n, "live2"), done + first)
                 for s in sums:
                     s.setflags(write=False)
-            for column, s in zip(before.T, sums if ends is None else ends):
+            for column, s in zip(before.T, sums if window_ends is None else window_ends):
                 column[:] = s[:, -1]
-            for rule, run, share, (pick, off), result in zip(rules, runs, shared, plan, results):
+            for rule, run, share, (pick, off), result, end in zip(rules, runs, shared, plan,
+                                                                   results, ends):
                 if not pick:
                     continue
-                picked = sums if len(pick) == len(live) and off == first else tuple(
-                    _take(s, pick, off - first, f"pick{i}") for i, s in enumerate(sums, 1))
+                picked = sums if len(pick) == len(live) and off == first and end == n else tuple(
+                    _take(s, pick, off - first, end - first, f"pick{i}")
+                    for i, s in enumerate(sums, 1))
                 hits = rule.scan(_per_step(lambda a: a[off:], share) if off else share, picked)
                 at = hits.argmax(axis=1)
-                stops = hits[ordinal[:len(pick)], at].nonzero()[0]
+                stopped = hits[ordinal[:len(pick)], at]
+                stops = stopped.nonzero()[0]
                 cols = at[stops]
                 for i, col, lead in zip(stops.tolist(), cols.tolist(),
                                         leads_at(picked, stops, cols, done + off).tolist()):
                     p = lo + live[pick[i]]
-                    tau, n1 = draws(done + 1 + off + col)
-                    result[rows[p]] = (tau, 0 if lead else 1, n1, False)
+                    tau, k1 = draws(done + 1 + off + col)
+                    result[rows[p]] = (tau, 0 if lead else 1, k1, False)
                     run[p] = False
-        done += n
-        if done == steps:  # the cap: the rows the rules still run end below
-            break
+                if end < chunk and len(stops) < len(pick):  # the cap, inside the chunk
+                    left = (~stopped).nonzero()[0]
+                    leads = leads_at(picked, left, [end - 1 - off] * len(left), done + off)
+                    _exhaust(rule, result, run, rows, [lo + live[pick[i]] for i in left.tolist()],
+                             leads, draws)
+        done += chunk
         chunk = min(2 * chunk, _CHUNK_MAX)
-        keep = list(map(any, zip(*runs)))
-        if not all(keep):
-            rows = list(compress(rows, keep))
-            runs = [list(compress(run, keep)) for run in runs]
-            carry = carry[keep]
-    tau, n1 = draws(steps)
-    for run, result in zip(runs, results):
-        if not any(run):
-            continue
-        left = list(compress(range(len(rows)), run))
-        # a layout that keeps one sum leaves the carry's second column 0: its lead is S >= 0
-        leads = leads_at((carry[:, :1], carry[:, 1:]), left, [0] * len(left), done - 1)
-        for p, lead in zip(left, leads.tolist()):
-            result[rows[p]] = (tau, 0 if lead else 1, n1, True)
-    return results
+
+
+def _exhaust(rule, result, run, rows, positions, leads, draws):
+    """End rows ``positions`` of ``rows`` at ``rule``'s cap, exhausted, arm 0 where it ``leads``."""
+    tau, n1 = draws(rule.steps)
+    for p, lead in zip(positions, leads.tolist()):
+        result[rows[p]] = (tau, 0 if lead else 1, n1, True)
+        run[p] = False
+
+
+def _window_test(rule, shared, starts, end, chunk):
+    """``rule``'s window test of a chunk windowed at ``starts``, over its windows up to ``end``.
+
+    Where its cap falls inside the chunk (``end`` < ``chunk``), the test
+    reads the box's first windows, up to the one that holds the cap, and
+    calls that one unsafe, so every row the rule runs is accumulated and
+    scanned there and its lead at the cap is read from its sums.
+    """
+    if end == chunk:
+        return rule.safe(shared, starts)
+    windows = -(-end // _WINDOW)
+    test = rule.safe(shared, starts[:windows])
+
+    def capped(box):
+        flags = test(Box(*(bound[..., :windows] for bound in box)))
+        flags[:, -1] = False
+        return flags
+    return capped
 
 
 def _per_step(f, shared):
@@ -511,16 +572,16 @@ def _plan(tests, flags, box):
     return live, first, [([at[p] for p, _ in scan], off) for scan, off in zip(scans, offs)]
 
 
-def _take(a, rows, cut, slot):
-    """Rows ``rows`` of ``a`` from column ``cut``.
+def _take(a, rows, lo, hi, slot):
+    """Rows ``rows`` of ``a``, columns ``lo`` to ``hi``.
 
     A view where they are all of ``a``'s rows, else a read-only copy in workspace slot ``slot``.
     """
+    a = a[:, lo:hi] if lo or hi < a.shape[1] else a
     if len(rows) == len(a):
-        return a[:, cut:] if cut else a
+        return a
     # every index is in range; mode "raise" would buffer the output
-    out = np.take(a[:, cut:], rows, axis=0, mode="clip",
-                  out=workspace(slot, (len(rows), a.shape[1] - cut)))
+    out = np.take(a, rows, axis=0, mode="clip", out=workspace(slot, (len(rows), a.shape[1])))
     out.setflags(write=False)
     return out
 

@@ -291,32 +291,52 @@ _BOX_EPS = 1e-9
 _LN4 = 2.0 * math.log(2.0)
 
 
-def _coarse_screen(d, a, b, k, low, high):
-    """(surely t I_* > beta, surely not) from L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v).
+def _bracket(d, a, b):
+    """(D^2, A B, min(A, B)^2, scratch), the products of the bracket L0 <= t I_* <= L0 (1 + c v).
 
-    ``d``, ``a``, ``b`` are D = S1 - S2, A = S1 + S2 and B = 2k - A of
-    integer arm sums after k paired steps (t = 2k), of one shape, ``low``
-    and ``high`` beta less and plus its margin, all broadcast along the last
-    axis.  Products only, so D = 0 with A B = 0 compares 0 with 0 and is
-    surely no crossing.  Given bounds |D| <= d, A >= a, B >= b over steps up
-    to k instead, "surely not" holds at each of them (the box test).  The
-    flags and the products live in :func:`~bestarm.engine.workspace` slots;
-    ``d``, ``a`` and ``b`` may sit in its slots tmp0, tmp2 and tmp3, as the
-    scan's do, since it reads each before it writes there.
+    ``d``, ``a`` and ``b`` are D = S1 - S2, A = S1 + S2 and B = 2k - A of
+    one shape, and c = 2 log 2 - 1.  The products and a scratch array of
+    their shape live in :func:`~bestarm.engine.workspace` slots tmp0-tmp3;
+    ``d``, ``a`` and ``b`` may sit in slots tmp0, tmp2 and tmp3, as the
+    scan's do, since each is read before its slot is written.
     """
     dd, ab, n2, rest = (workspace(f"tmp{i}", d.shape) for i in range(4))
     np.square(d, out=dd)
     np.multiply(a, b, out=ab)
     np.square(np.minimum(a, b, out=n2), out=n2)
-    hits = np.greater(dd, np.multiply(ab, high / k, out=rest),
-                      out=workspace("hits", d.shape, np.bool_))
+    return dd, ab, n2, rest
+
+
+def _surely_not(dd, ab, n2, rest, k, low):
+    """Flags where the bracket's upper bound is at most ``low``: t I_* <= beta surely.
+
+    It takes :func:`_bracket`'s arrays, after k paired steps, with ``low``
+    beta less its margin, broadcast along the last axis, and overwrites
+    ``ab`` and ``rest``.  Products only, so D = 0 with A B = 0 compares 0
+    with 0 and is surely no crossing.  Given bounds |D| <= d, A >= a, B >= b
+    over steps up to k instead, it holds at each of them (the box test).
+    The flags live in the workspace slot "misses".
+    """
     # dd (n2 + (2 log 2 - 1) dd) <= (low / k) ab n2, in that order of operations
     lhs = np.multiply(dd, _LN4 - 1.0, out=rest)
     lhs += n2
     lhs *= dd
     rhs = np.multiply(ab, low / k, out=ab)
     rhs *= n2
-    return hits, np.less_equal(lhs, rhs, out=workspace("misses", d.shape, np.bool_))
+    return np.less_equal(lhs, rhs, out=workspace("misses", dd.shape, np.bool_))
+
+
+def _coarse_screen(d, a, b, k, low, high):
+    """(surely t I_* > beta, surely not) from L0 <= t I_* <= L0 (1 + (2 log 2 - 1) v).
+
+    Of :func:`_bracket`'s D, A and B after k paired steps (t = 2k), with
+    ``low`` and ``high`` beta less and plus its margin.  The flags live in
+    the workspace slots "hits" and "misses".
+    """
+    dd, ab, n2, rest = _bracket(d, a, b)
+    hits = np.greater(dd, np.multiply(ab, high / k, out=rest),
+                      out=workspace("hits", d.shape, np.bool_))
+    return hits, _surely_not(dd, ab, n2, rest, k, low)
 
 
 class SglrtRule(StoppingRule):
@@ -353,13 +373,14 @@ class SglrtRule(StoppingRule):
 
     The box test.  ``safe`` takes the smallest ``low`` = beta (1 - margin)
     of each window once per chunk, and its window test is the screen's own
-    "surely not" at the engine's bounds (:class:`bestarm.engine.Box`: the
-    largest |D| and k, the smallest A and B), against that low (1 -
-    ``_BOX_EPS``).  The upper bracket grows with |D| and k and falls with A
-    and B, so at each step of a window that passes it is below beta (1 -
-    margin): the screen says "surely not", or, where rounding leaves the
-    step open, the exact statistic, within about 1e-9 of it, is below
-    beta.  ``_BOX_EPS`` covers the rounding of the test at the bounds.
+    "surely not" (:func:`_surely_not`, which the scan calls too) at the
+    engine's bounds (:class:`bestarm.engine.Box`: the largest |D| and k,
+    the smallest A and B), against that low (1 - ``_BOX_EPS``).  The upper
+    bracket grows with |D| and k and falls with A and B, so at each step of
+    a window that passes it is below beta (1 - margin): the screen says
+    "surely not", or, where rounding leaves the step open, the exact
+    statistic, within about 1e-9 of it, is below beta.  ``_BOX_EPS`` covers
+    the rounding of the test at the bounds.
     """
 
     def __init__(self, instance: BanditInstance, delta: float, rate: ExplorationRate,
@@ -382,7 +403,7 @@ class SglrtRule(StoppingRule):
     def scan(self, shared, sums):
         ks, beta, low, high = shared
         cum1, cum2 = sums
-        d, a, b = (workspace(f"tmp{i}", cum1.shape) for i in (0, 2, 3))  # see _coarse_screen
+        d, a, b = (workspace(f"tmp{i}", cum1.shape) for i in (0, 2, 3))  # see _bracket
         np.subtract(cum1, cum2, out=d)
         np.add(cum1, cum2, out=a)
         np.subtract(2.0 * ks, a, out=b)
@@ -398,7 +419,7 @@ class SglrtRule(StoppingRule):
         # the screen's "surely not" at a window's bounds, against its smallest
         # lower bound less _BOX_EPS, holds at each of its steps
         low = (1.0 - _BOX_EPS) * np.minimum.reduceat(shared[2], starts)  # of (ks, beta, low, high)
-        return lambda box: _coarse_screen(box.d_max, box.a, box.b, box.k, low, low)[1]
+        return lambda box: _surely_not(*_bracket(box.d_max, box.a, box.b), box.k, low)
 
 
 class SprtRule(EliminationRule):

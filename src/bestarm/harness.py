@@ -1,9 +1,13 @@
 """Deterministic Monte Carlo experiment engine.
 
-Replication r of grid cell g reads the PCG64 stream of
-``SeedSequence(master_seed, spawn_key=(g,))`` jumped r times (see
-:mod:`bestarm.rng`), so its draws depend only on (master_seed, g, r) and
-never on execution order, block layout or the worker count.
+Replication r of a cell reads the PCG64 stream of
+``SeedSequence(master_seed, spawn_key=(key,))`` jumped r times (see
+:mod:`bestarm.rng`), so its draws depend only on (master_seed, key, r) and
+never on execution order, block layout or the worker count.  The key of
+a static cell is its grid index g; every sequential cell reads grid index
+0's stream, so the deltas of a sequential config are coupled (common
+random numbers across the grid): each row's tau is non-increasing in
+delta, and the cells are not independent samples of one another.
 :func:`run_experiments` is the one entry point.  In the parent it
 validates every config by building its stopping rules, once per config
 and before any pool opens, so a config that cannot run fails there.  Then
@@ -19,9 +23,10 @@ CLI run still forks its workers once.  The pool stack
 never loads it; ``harness.ProcessPoolExecutor`` stays a module attribute,
 resolved on first access.  A worker runs rows through the batched engine
 :func:`engine.run_group`, one call for the cells of its task that share a
-stream and a draw layout (equal master seed, grid index, rows and
-:meth:`engine.StoppingRule.layout`), so their draws are filled once and
-each cell reads the variates it reads alone.  Each block the call yields is
+stream and a draw layout (equal master seed, stream key, rows and
+:meth:`engine.StoppingRule.layout`, which holds no cap), so their draws
+are filled once, following each row's slowest cell, and each cell reads
+the variates it reads alone, up to its own cap.  Each block the call yields is
 folded at once into exact integer sums (errors, tau, tau^2, exhausted),
 which commute exactly, so memory is flat in the replication count and
 records come out byte-identical for any ``workers`` value; configs
@@ -184,20 +189,24 @@ def _run_task(task: list[tuple]) -> list[list[list[int]]]:
     """One worker's task: for each (config index, master seed, rules, rows),
     rows ``rows`` of every cell, cell g running ``rules[g]``.
 
+    Cell g reads the stream key ``(g,)`` if it is static, whose "sums"
+    layout draws its budget's sums directly, and ``(0,)`` if it is
+    sequential, so all deltas of a sequential config read one stream.
     Cells that read one stream with one draw layout (equal master seed,
-    grid index, rows and ``rule.layout``, which names the arms, the cap and
-    any allocation or alpha) run as one :func:`engine.run_group`, which
-    fills their draws once.  Each block it yields is folded at once into
-    its cells' exact integer sums [errors, sum tau, sum tau^2, exhausted],
-    which are returned per config and cell.
+    key, rows and ``rule.layout``, which names the arms and any allocation
+    or alpha, not the cap) run as one :func:`engine.run_group`, which fills
+    their draws once and runs each rule to its own cap.  Each block it
+    yields is folded at once into its cells' exact integer sums [errors,
+    sum tau, sum tau^2, exhausted], which are returned per config and cell.
     """
     sums = [[[0, 0, 0, 0] for _ in rules] for _, _, rules, _ in task]
-    groups = {}  # (seed, g, rows, layout) -> (rule, sums) of each cell that reads it
+    groups = {}  # (seed, key, rows, layout) -> (rule, sums) of each cell that reads it
     for (_, seed, rules, rows), cells in zip(task, sums):
         for g, (rule, cell) in enumerate(zip(rules, cells)):
-            groups.setdefault((seed, g, rows, rule.layout), []).append((rule, cell))
-    for (seed, g, rows, _), cells in groups.items():
-        for block in engine.run_group([rule for rule, _ in cells], make_rng(seed, g), rows):
+            key = g if rule.layout[0] == "sums" else 0
+            groups.setdefault((seed, key, rows, rule.layout), []).append((rule, cell))
+    for (seed, key, rows, _), cells in groups.items():
+        for block in engine.run_group([rule for rule, _ in cells], make_rng(seed, key), rows):
             for (rule, cell), outcomes in zip(cells, block):
                 tau, recommended, _, exhausted = zip(*outcomes)
                 cell[0] += recommended.count(1 - rule.best_arm)

@@ -11,7 +11,9 @@ stream of ``SeedSequence(seed, spawn_key=coordinates)``.  Replication r of
 the family reads that stream jumped r times, as ``PCG64.jumped(r)`` does
 (an advance by r * floor(2**128 (sqrt(5)-1)/2) draws), so its draws depend
 only on (seed, coordinates, r) and never on which process or block runs it.
-The Monte Carlo harness gives grid cell g the family ``(g,)``.
+The Monte Carlo harness gives a static cell at grid index g the family
+``(g,)`` and every sequential cell the family ``(0,)``: one path per
+replication serves every delta of a config.
 
 Positioning.  :func:`row_states` gives the state of each replication of a
 range.  It reaches the first with one PCG64 ``advance`` and each next one

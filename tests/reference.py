@@ -24,10 +24,11 @@ and n1 + n2 for a static allocation.
 
 Each row's variates are read in the record layout: row r draws from a
 generator given ``row_states(root, ...)``'s state for r, in chunks of 64
-steps doubling to 4096, and each chunk holds its c1 arm-1 variates then
-its c2 arm-2 variates, from one call (a paired Gaussian rule draws one
-difference X - Y per step on arm 1 and nothing on arm 2, and a static
-allocation draws its two sums by two scalar calls).  A draw is its
+steps doubling to 4096, the last one whole whatever the cap, and each
+chunk holds its c1 arm-1 variates then its c2 arm-2 variates, from one
+call (a paired Gaussian rule draws one difference X - Y per step on arm 1
+and nothing on arm 2, and a static allocation draws its two sums by two
+scalar calls).  A row reads its steps up to its own cap.  A draw is its
 standard variate mapped as the layout maps it, in double arithmetic.
 
 Sums are exact: every double is an integer multiple of 2**-1074, so the
@@ -91,12 +92,14 @@ def beta(rate: ExplorationRate, t: int, delta: float) -> float:
 
 
 def chunks(steps: int):
-    """(done, n) of each chunk of a row of ``steps`` steps."""
+    """(done, n, m) of each chunk a row of ``steps`` steps draws: n steps, m of them under the cap.
+
+    Chunks follow the schedule whole: the last one is not cut at the cap.
+    """
     done, size = 0, CHUNK0
     while done < steps:
-        n = min(size, steps - done)
-        yield done, n
-        done, size = done + n, min(2 * size, CHUNK_MAX)
+        yield done, size, min(size, steps - done)
+        done, size = done + size, min(2 * size, CHUNK_MAX)
 
 
 def exact(x: float) -> int:
@@ -137,14 +140,14 @@ def _paired_steps(rule, gen):
     a1, a2 = rule.arms
     if isinstance(a1, Gaussian):
         difference = Gaussian(a1.mean - a2.mean, a1.variance + a2.variance)
-        for _, n in chunks(rule.steps):
-            for z in _variates(a1, gen, n):
+        for _, n, m in chunks(rule.steps):
+            for z in _variates(a1, gen, n)[:m]:
                 d, scale = _draw(difference, z)
                 yield d, 0, scale
         return
-    for _, n in chunks(rule.steps):
+    for _, n, m in chunks(rule.steps):
         z = _variates(a1, gen, 2 * n)
-        for u, v in zip(z[:n], z[n:]):
+        for u, v in zip(z[:m], z[n:n + m]):
             (x, sx), (y, sy) = _draw(a1, u), _draw(a2, v)
             yield x, y, sx + sy
 
@@ -188,11 +191,11 @@ def _alpha_row(rule, gen):
     s1 = s2 = t = 0
     scale1 = scale2 = 0.0
     ambiguous = False
-    for done, n in chunks(rule.steps):
+    for done, n, m in chunks(rule.steps):
         c1 = math.ceil(rule.alpha * (done + n)) - math.ceil(rule.alpha * done)
         z = _variates(a1, gen, n)
         arm1, arm2 = iter(z[:c1]), iter(z[c1:])
-        for t in range(done + 1, done + n + 1):
+        for t in range(done + 1, done + m + 1):
             n1 = math.ceil(rule.alpha * t)
             if n1 > math.ceil(rule.alpha * (t - 1)):
                 x, rounding = _draw(a1, next(arm1))
@@ -216,7 +219,7 @@ def _alpha_row(rule, gen):
 
 
 def _static_row(rule, gen):
-    n1, n2 = (int(n) for n in rule.layout[3:])
+    n1, n2 = (int(n) for n in rule.layout[2:])
     draws, scale = [], 0.0
     for arm, n in zip(rule.arms, (n1, n2)):
         if isinstance(arm, Bernoulli):

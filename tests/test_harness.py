@@ -457,10 +457,13 @@ def test_harness_cell_equals_single_runs_on_row_streams(case, seed, reps):
 
 
 def _single_runs_record(cfg, g):
-    """Cell g's record aggregated from single runs on each replication's stream."""
+    """Cell g's record aggregated from single runs on each replication's stream.
+
+    A static cell reads the stream key (g,), a sequential one (0,).
+    """
     outcomes = []
     for r in range(cfg.replications):
-        rng = make_rng(cfg.master_seed, g)
+        rng = make_rng(cfg.master_seed, g if cfg.algorithm.is_fixed_budget else 0)
         rng.bit_generator.advance(r * STREAM_STRIDE)
         outcomes.append(_single_run(cfg.algorithm, cfg.instance, cfg.grid[g], rng))
     sums = [sum(not o.correct for o in outcomes), sum(o.tau for o in outcomes),
@@ -616,8 +619,9 @@ def test_the_engine_and_the_rules_use_disjoint_workspace_slots(monkeypatch):
 
     monkeypatch.setattr(engine, "workspace", recorded("engine"))
     monkeypatch.setattr(fc_algos, "workspace", recorded("rules"))
-    # at this gap each rule scans a few rows of the 2048-step chunk, not the same ones
-    small_gap, cap = two_armed_bernoulli(0.54, 0.5), 2 * (1984 + 1500)
+    # at this gap each rule scans a few rows of the 2048-step chunk, not the same
+    # ones, up to a cap on its last step, where the rows no window can stop end unscanned
+    small_gap, cap = two_armed_bernoulli(0.54, 0.5), 2 * 4032
     exponential = build_instance("exponential", [1.0, 0.5], None)
     groups = [BLOCK_GROUPS["elimination+sprt"], BLOCK_GROUPS["static"],
               [fc_algos.SglrtRule(small_gap, 0.1, ExplorationRate.PLAIN_LOG, tau_max=cap),
@@ -690,13 +694,35 @@ def test_each_rule_of_a_group_scans_the_row_steps_it_scans_alone(monkeypatch, na
     assert grouped == scanned
 
 
-def test_rules_that_differ_only_in_their_cap_do_not_share():
-    short, long_ = (fc_algos.EliminationRule(EASY, 0.1, ExplorationRate.PLAIN_LOG, tau_max=cap)
-                    for cap in (20, 200))
-    assert short.layout != long_.layout
-    with pytest.raises(ValueError):
-        list(engine.run_group([short, long_], make_rng(4, 0), range(10)))
-    # the harness runs them apart, each as it runs alone
+#: Paired steps of caps that end in the first chunk, on its last step, mid-window in
+#: the 2048-step chunk, which the box test cuts into windows, and on that chunk's last step.
+MIXED_STEPS = [10, 64, 1984 + 1510, 4032]
+
+
+def test_rules_that_differ_only_in_their_cap_share_a_group():
+    # a cap is the rule's own, not its layout's: rules that differ only in their
+    # caps share one group, and each reads in it the rows it reads alone
+    small_gap = two_armed_bernoulli(0.54, 0.5)  # rows reach the windowed chunk
+    groups = [
+        [fc_algos.EliminationRule(EASY, 0.1, ExplorationRate.PLAIN_LOG, tau_max=cap)
+         for cap in (20, 200)],
+        [fc_algos.AlphaEliminationRule(MISMATCHED, 0.1, ExplorationRate.ALPHA_ELIM, tau_max=cap)
+         for cap in (7, 64, 300)],
+        [rule for steps in MIXED_STEPS for rule in (
+            fc_algos.SglrtRule(small_gap, 0.1, ExplorationRate.CONJECTURED_LOG_LOG,
+                               tau_max=2 * steps),
+            fc_algos.EliminationRule(small_gap, 0.05, ExplorationRate.PLAIN_LOG,
+                                     tau_max=2 * steps, sigma=0.5))],
+    ]
+    for rules in groups:
+        assert len({rule.layout for rule in rules}) == 1
+        grouped = list(engine.run_group(rules, make_rng(4, 0), range(12)))
+        for k, rule in enumerate(rules):
+            alone = engine.run_rows(rule, make_rng(4, 0), range(12))
+            np.testing.assert_array_equal(_rule_rows(grouped, k), np.column_stack(alone))
+    # both Bernoulli rules exhaust rows at the cap inside the windowed chunk
+    assert _rule_rows(grouped, 4)[:, 3].any() and _rule_rows(grouped, 5)[:, 3].any()
+    # the harness runs them as one group, each as it runs alone
     configs = [ExperimentConfig(EASY, dataclasses.replace(ELIM, tau_max=cap), (0.1,), 70, 4)
                for cap in (20, 200)]
     assert run_experiments(configs) == [run_fc_experiment(cfg)[0] for cfg in configs]
@@ -723,12 +749,11 @@ def test_rules_that_differ_only_in_their_cap_do_not_share():
 
 
 def _chunk_counts(rule):
-    """(c1, c2) of each chunk of ``rule``'s steps, on the engine's schedule."""
+    """(c1, c2) of each chunk ``rule`` draws, on the engine's schedule."""
     counts, done, chunk = [], 0, engine._CHUNK0
     while done < rule.steps:
-        n = min(chunk, rule.steps - done)
-        counts.append(engine.samplers(rule.layout)[4](done, n))
-        done += n
+        counts.append(engine.samplers(rule.layout)[4](done, chunk))  # whole, never cut at the cap
+        done += chunk
         chunk = min(2 * chunk, engine._CHUNK_MAX)
     return counts
 
@@ -769,9 +794,70 @@ def test_rules_of_one_layout_draw_alike_and_others_do_not_group(gaussian, cap, d
                     list(engine.run_group([a, b], make_rng(5, 0), range(3)))
 
 
+#: Fixed-confidence rules of each kind at (delta, rate, tau_max), one draw layout per kind.
+_FC_KINDS = {
+    "elimination-gaussian": lambda d, r, cap: fc_algos.EliminationRule(EASY, d, r, tau_max=cap),
+    "elimination-bernoulli": lambda d, r, cap: fc_algos.EliminationRule(
+        B21, d, r, tau_max=cap, sigma=0.5),
+    "elimination-exponential": lambda d, r, cap: fc_algos.EliminationRule(
+        build_instance("exponential", [1.0, 0.5], None), d, r, tau_max=cap, sigma=1.0),
+    "alpha-elimination": lambda d, r, cap: fc_algos.AlphaEliminationRule(
+        MISMATCHED, d, r, tau_max=cap),
+    "sglrt": lambda d, r, cap: fc_algos.SglrtRule(B21, d, r, tau_max=cap),
+    "sprt": lambda d, r, cap: fc_algos.SprtRule(EASY, d, tau_max=cap),
+    "sprt-paper": lambda d, r, cap: fc_algos.SprtRule(EASY, d, tau_max=cap,
+                                                      use_paper_statistic=True),
+}
+#: Deltas, falling; the iterated-log rate's stay at or below 0.01, where it does not warn.
+MONOTONE_DELTAS = (0.1, 0.03, 0.01, 0.001)
+ITERATED_LOG_DELTAS = (0.01, 0.003, 0.001, 1e-4)
+
+
+@pytest.mark.parametrize("kind", list(_FC_KINDS))
+def test_tau_pathwise_non_increasing_in_delta(kind):
+    # every rate's threshold grows as delta falls, and so does the default cap, so
+    # on shared draws each row stops no earlier at a smaller delta: tau per row
+    # is non-increasing in delta, at each delta's default cap and at one common cap
+    rows = range(60)
+    rates = [None] if kind.startswith("sprt") else list(ExplorationRate)
+    for rate in rates:
+        deltas = ITERATED_LOG_DELTAS if rate is ExplorationRate.ITERATED_LOG else MONOTONE_DELTAS
+        cap = None
+        for _ in range(2):
+            rules = [_FC_KINDS[kind](delta, rate, cap) for delta in deltas]
+            blocks = list(engine.run_group(rules, make_rng(17, 0), rows))
+            out = [_rule_rows(blocks, k) for k in range(len(rules))]
+            taus = np.column_stack([rule_rows[:, 0] for rule_rows in out])
+            assert (np.diff(taus, axis=1) >= 0).all(), (kind, rate, cap)
+            assert (np.diff(taus, axis=1) > 0).any(), (kind, rate, cap)
+            if cap is not None:
+                assert out[-1][:, 3].any()  # rows reach the common cap
+            # one common cap: the median tau at the smallest delta, so rows exhaust there
+            cap = max(2, int(np.median(taus[:, -1])))
+
+
+@pytest.mark.parametrize("name", ["fig3-easy", "fig4-left"])
+def test_a_figure_s_mean_tau_is_non_increasing_in_delta(name):
+    # the harness runs every delta of a sequential config on one stream, so
+    # each row's tau, and with it each config's mean tau, falls as delta grows
+    for record_rows in _by_config(run_experiments(presets.figure_configs(name, 40, 3))):
+        if record_rows[0].algorithm.startswith("static"):
+            continue
+        by_delta = sorted(record_rows, key=lambda r: r.grid_value)
+        assert all(a.mean_tau >= b.mean_tau for a, b in zip(by_delta, by_delta[1:]))
+
+
+def _by_config(records):
+    """Records grouped by (algorithm, param), in order."""
+    groups = {}
+    for record in records:
+        groups.setdefault((record.algorithm, record.param), []).append(record)
+    return list(groups.values())
+
+
 def test_a_task_runs_each_shared_stream_once(monkeypatch):
-    # fig3-easy: the four fixed-confidence configs share each of 5 deltas'
-    # streams and the static config has 10 cells of its own
+    # fig3-easy: the four fixed-confidence configs share one stream across all
+    # 5 deltas, and the static config has 10 cells of its own
     groups = []
     run_group = engine.run_group
 
@@ -782,7 +868,7 @@ def test_a_task_runs_each_shared_stream_once(monkeypatch):
     monkeypatch.setattr(engine, "run_group", counting)
     configs = presets.figure_configs("fig3-easy", 30, 9)
     records = run_experiments(configs)
-    assert sorted(groups) == [1] * 10 + [4] * 5
+    assert sorted(groups) == [1] * 10 + [20]
     monkeypatch.setattr(engine, "run_group", run_group)
     assert records == [r for cfg in configs for r in run_experiments([cfg])]
 

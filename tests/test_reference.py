@@ -2,9 +2,10 @@
 
 ``reference.py`` runs every row alone from the rule's definition, with
 exact sums, sharing no code with ``bestarm.engine``.  Cases cover every
-rule kind, groups of rules that share a draw layout, easy and hard
-instances, caps that end mid-chunk, on a chunk boundary or before any
-step, up to the first 4096-step chunk and a few steps past it, and
+rule kind, groups of rules that share a draw layout, most with caps of
+their own, easy and hard instances, caps that end mid-chunk, on a chunk
+boundary or before any step, up to the first 4096-step chunk and a few
+steps past it, and
 sub-blocks of a few rows (the engine's output does not depend on their
 size), so that rows of one chunk are scanned in several parts, or of
 4-16 rows in the chunks the box test cuts into windows, so that one plan
@@ -65,32 +66,34 @@ def _instance(draw, family, equal_variances=False):
 @st.composite
 def _rules(draw, kind, steps=st.one_of(st.sampled_from(STEPS), st.integers(0, 2100)),
            sizes=st.one_of(st.integers(1, 3), st.integers(1, 500))):
-    """1-3 rules of one draw layout, of ``steps`` steps, or a static allocation of ``sizes``."""
-    steps = draw(steps)
-    cap = 2 * steps + draw(st.integers(0, 1))
+    """1-3 rules of one draw layout, each of ``steps`` steps, or a static allocation of ``sizes``.
+
+    The rules of a group draw their caps apart, so most groups mix caps.
+    """
     count = draw(st.integers(1, 3))
+    caps = st.builds(lambda k, odd: 2 * k + odd, steps, st.integers(0, 1))  # paired: 2 draws a step
     if kind == "difference":
         instance = draw(_instance("gaussian", equal_variances=True))
-        elimination = st.builds(lambda dr: EliminationRule(instance, *dr, tau_max=cap),
-                                _delta_and_rate())
-        sprt = st.builds(lambda delta, paper: SprtRule(instance, delta, tau_max=cap,
-                                                       use_paper_statistic=paper),
-                         st.sampled_from(DELTAS), st.booleans())
+        elimination = st.builds(lambda dr, cap: EliminationRule(instance, *dr, tau_max=cap),
+                                _delta_and_rate(), caps)
+        sprt = st.builds(lambda delta, paper, cap: SprtRule(instance, delta, tau_max=cap,
+                                                            use_paper_statistic=paper),
+                         st.sampled_from(DELTAS), st.booleans(), caps)
         return [draw(st.one_of(elimination, sprt)) for _ in range(count)]
     if kind in ("bernoulli", "exponential"):
         instance = draw(_instance(kind))
-        choices = [st.builds(lambda dr, sigma: EliminationRule(instance, *dr, tau_max=cap,
-                                                               sigma=sigma),
-                             _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]))]
+        choices = [st.builds(lambda dr, sigma, cap: EliminationRule(instance, *dr, tau_max=cap,
+                                                                    sigma=sigma),
+                             _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]), caps)]
         if kind == "bernoulli":
-            choices.append(st.builds(lambda dr: SglrtRule(instance, *dr, tau_max=cap),
-                                     _delta_and_rate()))
+            choices.append(st.builds(lambda dr, cap: SglrtRule(instance, *dr, tau_max=cap),
+                                     _delta_and_rate(), caps))
         return [draw(st.one_of(choices)) for _ in range(count)]
     if kind == "schedule":
         instance = draw(_instance("gaussian"))
         alpha = draw(st.one_of(st.none(), st.sampled_from([0.05, 0.3, 0.5, 0.61, 0.95])))
         return [AlphaEliminationRule(instance, *draw(_delta_and_rate()), alpha=alpha,
-                                     tau_max=steps) for _ in range(count)]
+                                     tau_max=draw(steps)) for _ in range(count)]
     instance = draw(_instance(draw(st.sampled_from(sorted(MEANS)))))
     return [StaticRule(instance, StaticAllocation(draw(sizes), draw(sizes)))]
 
@@ -141,9 +144,14 @@ def test_the_engine_agrees_with_the_reference_interpreter_in_long_chunks(kind, d
                 assert tuple(engine_outcome) == outcome, (type(rule).__name__, start + row)
 
 
-#: Caps whose last chunk, 1,500 steps into the 2048-step chunk or the first
-#: 4096-step one, is cut into windows by the box test and ends mid-window.
+#: Caps 1,500 steps into the 2048-step chunk or the first 4096-step one, which
+#: the box test cuts into windows: each ends mid-window.
 BOX_STEPS = [1984 + 1500, 4032 + 1500]
+#: Caps, of the rules of a group, in the windowed chunks: mid-window, a few
+#: windows on, or on the chunk's last step, where a row that no window can
+#: stop ends from its carry without a scan.
+_BOX_CAPS = st.one_of(st.builds(int.__add__, st.sampled_from(BOX_STEPS), st.integers(0, 30)),
+                      st.sampled_from(LONG_STEPS))
 #: Near ties, whose rows run long and mostly far from every threshold, and
 #: small gaps, whose rows stop in the long chunks.
 NEAR_TIES = [(0.51, 0.5), (0.5, 0.51), (0.3, 0.31), (0.9, 0.89), (0.54, 0.5), (0.3, 0.34)]
@@ -175,13 +183,12 @@ def test_the_engine_agrees_with_the_reference_interpreter_through_skipped_window
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def check(data):
-        steps = data.draw(st.sampled_from(BOX_STEPS)) + data.draw(st.integers(0, 30))
         instance = build_instance("bernoulli", list(data.draw(st.sampled_from(NEAR_TIES))), None)
-        elimination = st.builds(lambda dr, sigma: EliminationRule(instance, *dr,
-                                                                  tau_max=2 * steps, sigma=sigma),
-                                _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]))
-        sglrt = st.builds(lambda dr: SglrtRule(instance, *dr, tau_max=2 * steps),
-                          _delta_and_rate())
+        elimination = st.builds(lambda dr, sigma, steps: EliminationRule(
+            instance, *dr, tau_max=2 * steps, sigma=sigma),
+            _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]), _BOX_CAPS)
+        sglrt = st.builds(lambda dr, steps: SglrtRule(instance, *dr, tau_max=2 * steps),
+                          _delta_and_rate(), _BOX_CAPS)
         rules[:] = [data.draw(st.one_of(elimination, sglrt)) for _ in range(data.draw(
             st.integers(1, 3)))]
         start, count = data.draw(st.integers(0, 10**6)), data.draw(st.integers(1, 4))
@@ -218,12 +225,12 @@ def test_the_engine_agrees_with_the_reference_interpreter_with_many_rows_per_win
     # 8-16 rows on small gaps, 4-16 to a windowed sub-block, whose first unsafe
     # windows differ: each rule scans them all from the earliest, so a row
     # whose hit lies before another row's first unsafe window still stops there
-    steps = data.draw(st.sampled_from(BOX_STEPS)) + data.draw(st.integers(0, 30))
     instance = build_instance("bernoulli", list(data.draw(st.sampled_from(SMALL_GAPS))), None)
-    elimination = st.builds(lambda dr, sigma: EliminationRule(instance, *dr, tau_max=2 * steps,
-                                                              sigma=sigma),
-                            _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]))
-    sglrt = st.builds(lambda dr: SglrtRule(instance, *dr, tau_max=2 * steps), _delta_and_rate())
+    elimination = st.builds(lambda dr, sigma, steps: EliminationRule(
+        instance, *dr, tau_max=2 * steps, sigma=sigma),
+        _delta_and_rate(), st.sampled_from([0.5, 1.0, 2.0]), _BOX_CAPS)
+    sglrt = st.builds(lambda dr, steps: SglrtRule(instance, *dr, tau_max=2 * steps),
+                      _delta_and_rate(), _BOX_CAPS)
     rules = [data.draw(st.one_of(elimination, sglrt)) for _ in range(data.draw(st.integers(1, 2)))]
     start, count = data.draw(st.integers(0, 10**6)), data.draw(st.integers(8, 16))
     rows, seed = range(start, start + count), data.draw(st.integers(0, 2**32))
